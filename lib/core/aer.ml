@@ -1,6 +1,5 @@
 open Fba_stdx
 module Cache = Fba_samplers.Cache
-module Push_plan = Fba_samplers.Push_plan
 module Packed = Msg.Packed
 
 type config = {
@@ -11,45 +10,40 @@ type config = {
   qi : Cache.t;  (* push quorums I *)
   qh : Cache.t;  (* pull quorums H *)
   qj : Cache.t;  (* poll lists J *)
-  plan : Push_plan.t;  (* inverse of I, for the push fan-out *)
   strict_drop : bool;  (* drop belief-mismatched messages instead of buffering *)
   events : Fba_sim.Events.sink option;  (* phase-marker sink, observation only *)
-  compile : bool;  (* lower the scenario at run start (Compiled) *)
-  mutable compiled : Compiled.t option;  (* built by [compile], at most once *)
+  mutable compiled : Compiled.t option;  (* built by [tables], at most once *)
   builder : Compiled.builder option;  (* reusable compile scratch (instance streams) *)
 }
 
-(* FBA_NO_COMPILE flips the default off everywhere at once — the
-   ci-level A/B switch that needs no per-experiment plumbing. *)
-let compile_default () = Sys.getenv_opt "FBA_NO_COMPILE" = None
-
-let config_of_scenario ?(strict_drop = false) ?events ?compile ?builder (scenario : Scenario.t) =
+(* [compile] chooses nothing — AER always runs on the compiled tables;
+   the unit label stays only for callers written against the old
+   signature. *)
+let config_of_scenario ?(strict_drop = false) ?events ?compile:(_ : unit option) ?builder
+    (scenario : Scenario.t) =
   let params = scenario.Scenario.params in
   let layout = scenario.Scenario.layout in
   let intern = scenario.Scenario.intern in
   let find s = Intern.find intern s in
   let rid_bits = layout.Msg.Layout.rid_bits in
-  let si = Params.sampler_i params in
   {
     params;
     scenario;
     layout;
     intern;
-    qi = Cache.create ~find si;
+    qi = Cache.create ~find (Params.sampler_i params);
     qh = Cache.create ~find (Params.sampler_h params);
     qj = Cache.create ~find ~rid_bits (Params.sampler_j params);
-    plan = Push_plan.create ~find ~sampler:si ();
     strict_drop;
     events;
-    compile = (match compile with Some b -> b | None -> compile_default ());
     compiled = None;
     builder;
   }
 
 (* Epoch reuse for instance streams: a config for [scenario] whose
-   quorum caches, push plan and compile scratch are the previous
-   epoch's, reset in place — so instance k+1 evaluates into storage
-   instance k already paid for. [scenario] must share the previous
+   quorum caches and compile scratch are the previous epoch's, reset
+   in place — so instance k+1 evaluates into storage instance k
+   already paid for. [scenario] must share the previous
    scenario's interner value ({!Scenario.make}'s [?intern]); the
    caches' resolver closures are rebound regardless. Behaviour is
    identical to a fresh [config_of_scenario] on the same scenario. *)
@@ -59,11 +53,9 @@ let config_epoch ~prev (scenario : Scenario.t) =
   let intern = scenario.Scenario.intern in
   let find s = Intern.find intern s in
   let rid_bits = layout.Msg.Layout.rid_bits in
-  let si = Params.sampler_i params in
-  Cache.reset ~find prev.qi ~sampler:si;
+  Cache.reset ~find prev.qi ~sampler:(Params.sampler_i params);
   Cache.reset ~find prev.qh ~sampler:(Params.sampler_h params);
   Cache.reset ~find ~rid_bits prev.qj ~sampler:(Params.sampler_j params);
-  Push_plan.reset ~find prev.plan ~sampler:si;
   {
     params;
     scenario;
@@ -72,10 +64,8 @@ let config_epoch ~prev (scenario : Scenario.t) =
     qi = prev.qi;
     qh = prev.qh;
     qj = prev.qj;
-    plan = prev.plan;
     strict_drop = prev.strict_drop;
     events = prev.events;
-    compile = prev.compile;
     compiled = None;
     builder = (match prev.builder with Some _ as b -> b | None -> Some (Compiled.builder ()));
   }
@@ -86,13 +76,19 @@ let config_layout c = c.layout
 let config_intern c = c.intern
 let config_compiled c = c.compiled
 
-(* The engines call this once per run, before [init]. Idempotent, and
-   inert unless the config opted in; behaviour is identical either way
-   (the parity suite and the determinism goldens pin it), only the
-   lookup machinery changes. *)
-let compile cfg =
-  if cfg.compile && cfg.compiled = None then
-    cfg.compiled <- Some (Compiled.build ?builder:cfg.builder ~scenario:cfg.scenario ~qi:cfg.qi ())
+(* The lowered tables, built on first use. The engines build them
+   through [compile] before the first [init]; unit tests reach [init]
+   and [msg_bits] with no engine, and get the same tables here. *)
+let tables cfg =
+  match cfg.compiled with
+  | Some cp -> cp
+  | None ->
+    let cp = Compiled.build ?builder:cfg.builder ~scenario:cfg.scenario ~qi:cfg.qi () in
+    cfg.compiled <- Some cp;
+    cp
+
+(* Idempotent: the engines call it once per run, before [init]. *)
+let compile cfg = ignore (tables cfg : Compiled.t)
 
 (* Messages live on the packed plane: one immediate int each (Msg.Packed
    layout), with candidate strings and poll labels carried as interner
@@ -198,10 +194,9 @@ let mark cfg st name =
   | None -> ()
   | Some k -> Fba_sim.Events.phase k ~round:st.cur_round name
 
-(* Phase-indexed dispatch table (compiled path): packed tag -> handler,
-   one indexed load instead of the per-message tag comparison chain.
-   Declared ahead of the handler recursion and filled right after it;
-   tags 0 and 7 keep the failing stub. *)
+(* Phase-indexed dispatch table: packed tag -> handler, one indexed
+   load per message. Declared ahead of the handler recursion and filled
+   right after it; tags 0 and 7 keep the failing stub. *)
 type handler = config -> state -> emit:(int -> Packed.t -> unit) -> src:int -> Packed.t -> unit
 
 let invalid_packed : handler =
@@ -459,20 +454,9 @@ and defer cfg st ~src m =
     Vec.push st.deferred_msg m
   end
 
+(* Tag-indexed jump (tag <= 7, the table has 8 slots). *)
 and dispatch cfg st ~emit ~src p =
-  match cfg.compiled with
-  | Some _ ->
-    (* Compiled: tag-indexed jump (tag <= 7, table has 8 slots). *)
-    (Array.unsafe_get handler_table (Packed.tag p)) cfg st ~emit ~src p
-  | None ->
-    let tag = Packed.tag p in
-    if tag = Packed.tag_push then handle_push cfg st ~emit ~src (Packed.sid cfg.layout p)
-    else if tag = Packed.tag_poll then handle_poll cfg st ~emit ~src p
-    else if tag = Packed.tag_pull then handle_pull cfg st ~emit ~src p
-    else if tag = Packed.tag_fw1 then handle_fw1 cfg st ~emit ~src p
-    else if tag = Packed.tag_fw2 then handle_fw2 cfg st ~emit ~src p
-    else if tag = Packed.tag_answer then handle_answer cfg st ~emit ~src (Packed.sid cfg.layout p)
-    else invalid_arg "Aer: invalid packed message"
+  (Array.unsafe_get handler_table (Packed.tag p)) cfg st ~emit ~src p
 
 let () =
   handler_table.(Packed.tag_push) <-
@@ -524,20 +508,13 @@ let init cfg ctx =
   let acc = ref [] in
   let emit dst m = acc := (dst, m) :: !acc in
   let push_msg = Packed.push cfg.layout ~sid:sid0 in
-  (match cfg.compiled with
-  | Some cp ->
-    (* The compiled CSR row is Push_plan.targets, precomputed. *)
-    let lo = Compiled.push_start cp ~y:id and hi = Compiled.push_stop cp ~y:id in
-    for i = lo to hi - 1 do
-      emit (Compiled.push_target cp i) push_msg
-    done;
-    st.push_sent <- hi - lo
-  | None ->
-    let targets = Push_plan.targets cfg.plan ~s:s0 ~y:id in
-    for i = 0 to Array.length targets - 1 do
-      emit targets.(i) push_msg
-    done;
-    st.push_sent <- Array.length targets);
+  (* The compiled CSR row is Push_plan.targets, precomputed. *)
+  let cp = tables cfg in
+  let lo = Compiled.push_start cp ~y:id and hi = Compiled.push_stop cp ~y:id in
+  for i = lo to hi - 1 do
+    emit (Compiled.push_target cp i) push_msg
+  done;
+  st.push_sent <- hi - lo;
   issue_poll cfg st ~emit sid0;
   (st, List.rev !acc)
 
@@ -581,10 +558,7 @@ let on_receive cfg st ~round ~src m =
 
 let output st = if st.decided_sid < 0 then None else Some (Intern.string st.intern st.decided_sid)
 
-let msg_bits cfg m =
-  match cfg.compiled with
-  | Some cp -> Compiled.bits cp m
-  | None -> Packed.bits cfg.layout cfg.params cfg.intern m
+let msg_bits cfg m = Compiled.bits (tables cfg) m
 
 (* Profiler slots are the packed wire tags — the same indices the
    Compiled dispatch jump table is keyed by, so per-slot hit/time

@@ -30,7 +30,7 @@ type config
 val config_of_scenario :
   ?strict_drop:bool ->
   ?events:Fba_sim.Events.sink ->
-  ?compile:bool ->
+  ?compile:unit ->
   ?builder:Compiled.builder ->
   Scenario.t ->
   config
@@ -44,17 +44,18 @@ val config_of_scenario :
     markers at the protocol's natural transitions (push → poll → fw1 →
     fw2); pass the same sink to the engine to interleave them with the
     message events. Markers never alter protocol behaviour. [compile]
-    (default: on unless the [FBA_NO_COMPILE] environment variable is
-    set) lets the engines lower the scenario into flat dispatch tables
-    ({!Compiled}) before the run; on or off, executions are
-    byte-identical — the switch exists for the parity harness and
-    A/B measurements. [builder] supplies reusable compile scratch
-    ({!Compiled.builder}) for instance streams. *)
+    is a [unit] that chooses nothing: it once switched between the
+    compiled tables ({!Compiled}) and a tag-comparison dispatch that ran
+    byte-identically, and only the compiled path remains. The label
+    stays because the benchmark ([benchmark/instance.ml]) passes
+    [~compile:config.Runner.compile]; a caller asking for the old path
+    ([~compile:false]) fails to compile. [builder] supplies reusable
+    compile scratch ({!Compiled.builder}) for instance streams. *)
 
 val config_epoch : prev:config -> Scenario.t -> config
 (** Epoch reuse for instance streams ({!Fba_harness.Service}): a
-    config for [scenario] whose quorum caches, push plan and compile
-    scratch are [prev]'s, reset in place — instance k+1 evaluates into
+    config for [scenario] whose quorum caches and compile scratch are
+    [prev]'s, reset in place — instance k+1 evaluates into
     storage instance k already paid for. [scenario] must share
     [prev]'s interner value ({!Scenario.make}'s [?intern] round-trip).
     Behaviour is identical to a fresh {!config_of_scenario}; [prev]
@@ -69,8 +70,10 @@ val config_layout : config -> Msg.Layout.t
     decodes uses it. *)
 
 val config_compiled : config -> Compiled.t option
-(** The lowered run structure, once {!Fba_sim.Protocol.S.compile} has
-    run on a config created with [~compile:true] ([None] otherwise). *)
+(** The lowered run structure, once built ([None] before). The engines
+    build it through {!Fba_sim.Protocol.S.compile} before the first
+    [init]; [init] and [msg_bits] build it on first use when no engine
+    did, so every node runs on the same tables either way. *)
 
 val config_intern : config -> Intern.t
 (** The scenario's interner — the same value as

@@ -8,7 +8,7 @@ module Sampler = Fba_samplers.Sampler
    delivery path reads them with plain loads instead of re-deriving
    them through hash tables. The lazy caches stay behind it as the
    fallback for anything runtime-dependent (poll labels, adversarial
-   strings) and as the oracle the parity tests compare against. *)
+   strings) and as the oracle the table tests compare against. *)
 
 (* CSR slabs spill to int32 Bigarrays above [big_threshold] nodes: at
    n >= 65536 the edge array alone is tens of MB of boxed-free ints,
@@ -209,7 +209,7 @@ let build ?builder:b ~(scenario : Scenario.t) ~(qi : Cache.t) () =
     next.(y) <- next.(y) + 1
   done;
   (* Wire-size tables (mirrors Msg.bits / Msg.Packed.bits exactly;
-     the parity suite pins the agreement). *)
+     the compiled.tables suite pins the agreement). *)
   let id_bits = Params.id_bits params in
   let header = 8 + (2 * id_bits) in
   let tag_fixed = Array.make 8 (-1) in

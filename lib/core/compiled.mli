@@ -18,10 +18,10 @@
       per-message [ceil_log2] and string-length computation.
 
     The lazy caches remain the fallback for runtime-dependent keys
-    (poll labels, adversarial strings) and the oracle the parity tests
+    (poll labels, adversarial strings) and the oracle the table tests
     compare against. Compilation never touches the interner and draws
-    only quorums the dynamic path would draw anyway, so a compiled run
-    is byte-identical to an uncompiled one. *)
+    only quorums the lazy caches would draw anyway, so when the tables
+    are built (by an engine, or on first use) cannot change a run. *)
 
 type t
 

@@ -110,8 +110,7 @@ module Layout = struct
              "Msg.Layout.Immediate_exhausted: n=%d needs %d-bit node ids, and \
               tag:3|sid:4|rid:%d|x:%d|w:%d already fills the 63-bit immediate — no string \
               budget can help past n=262144. This is the single-int packed word's ceiling; \
-              the planned 2-int lane (paired words in Stdx.Batch-style parallel lanes) \
-              lifts it."
+              the planned 2-int lane (two words per message) lifts it."
              n id_bits (id_bits + 1) id_bits id_bits)
       | _ -> None)
 

@@ -22,8 +22,8 @@ let distinct_strings ~gstring ~initial =
   Hashtbl.length seen
 
 (* FBA_WIDE=1 forces the wide layout everywhere an explicit choice is
-   not supplied — the ci-level A/B switch (the narrow-vs-wide analogue
-   of FBA_NO_COMPILE), needing no per-experiment plumbing. *)
+   not supplied — the ci-level narrow-vs-wide A/B switch, needing no
+   per-experiment plumbing. *)
 let layout_default () =
   match Sys.getenv_opt "FBA_WIDE" with
   | Some v when v <> "" && v <> "0" -> Msg.Layout.Wide

@@ -58,8 +58,8 @@ type config = {
   prof : Fba_sim.Prof.t option;
   flood : bool;
   net : Fba_sim.Net.spec;
-  compile : bool;  (* lower the scenario before the run (Compiled) *)
-  stream : bool;  (* chunked streamed delivery plane (FBA_NO_STREAM off) *)
+  compile : unit;  (* no choice left: AER always runs compiled *)
+  stream : unit;  (* no choice left: one delivery plane *)
 }
 
 let default_config =
@@ -72,11 +72,8 @@ let default_config =
     prof = None;
     flood = false;
     net = Fba_sim.Net.Reliable;
-    (* On unless FBA_NO_COMPILE is set — the same A/B switch
-       Aer.config_of_scenario defaults to, read once per config. *)
-    compile = Sys.getenv_opt "FBA_NO_COMPILE" = None;
-    (* Likewise for FBA_NO_STREAM: the delivery-plane A/B switch. *)
-    stream = Fba_sim.Engine_core.stream_default ();
+    compile = ();
+    stream = ();
   }
 
 type aer_run = {
@@ -119,7 +116,7 @@ let phase_rows = function
 
 let aer_sync ?(config = default_config) ~adversary (sc : Scenario.t) =
   let events = wire_phase_acc config.events config.phase_acc in
-  let cfg = Aer.config_of_scenario ?events ~compile:config.compile sc in
+  let cfg = Aer.config_of_scenario ?events sc in
   let n = Scenario.(sc.params.Params.n) in
   (* Re-polling nodes wake up after repoll_timeout idle rounds; the
      quiescence cutoff must not fire before then. *)
@@ -129,7 +126,7 @@ let aer_sync ?(config = default_config) ~adversary (sc : Scenario.t) =
     else 3
   in
   let res =
-    Aer_sync.run ~quiet_limit ~stream:config.stream ?events ?prof:config.prof ~net:config.net ~config:cfg ~n
+    Aer_sync.run ~quiet_limit ?events ?prof:config.prof ~net:config.net ~config:cfg ~n
       ~seed:sc.Scenario.params.Params.seed ~adversary:(adversary sc) ~mode:config.mode
       ~max_rounds:config.max_rounds ()
   in
@@ -146,10 +143,10 @@ let aer_sync ?(config = default_config) ~adversary (sc : Scenario.t) =
 
 let aer_async ?(config = default_config) ~adversary (sc : Scenario.t) =
   let events = wire_phase_acc config.events config.phase_acc in
-  let cfg = Aer.config_of_scenario ?events ~compile:config.compile sc in
+  let cfg = Aer.config_of_scenario ?events sc in
   let n = Scenario.(sc.params.Params.n) in
   let res =
-    Aer_async.run ~stream:config.stream ?events ?prof:config.prof ~net:config.net ~config:cfg ~n
+    Aer_async.run ?events ?prof:config.prof ~net:config.net ~config:cfg ~n
       ~seed:sc.Scenario.params.Params.seed ~adversary:(adversary sc)
       ~max_time:config.max_time ()
   in
@@ -181,7 +178,7 @@ let run_grid ?(config = default_config) (sc : Scenario.t) =
     Grid.make_config ~n ~initial:(fun i -> sc.Scenario.initial.(i)) ~str_bits:(str_bits sc)
   in
   let res =
-    Grid_sync.run ~stream:config.stream ?prof:config.prof ~net:config.net ~config:cfg ~n
+    Grid_sync.run ?prof:config.prof ~net:config.net ~config:cfg ~n
       ~seed:sc.Scenario.params.Params.seed
       ~adversary:(Fba_sim.Sync_engine.null_adversary ~corrupted:sc.Scenario.corrupted)
       ~mode:`Rushing ~max_rounds:(Grid.total_rounds + 2) ()
@@ -204,7 +201,7 @@ let naive ?(config = default_config) (sc : Scenario.t) =
     else Fba_sim.Sync_engine.null_adversary ~corrupted:sc.Scenario.corrupted
   in
   let res =
-    Naive_sync.run ~stream:config.stream ?prof:config.prof ~net:config.net ~config:cfg ~n
+    Naive_sync.run ?prof:config.prof ~net:config.net ~config:cfg ~n
       ~seed:sc.Scenario.params.Params.seed
       ~adversary ~mode:`Rushing ~max_rounds:(Naive.total_rounds + 2) ()
   in
@@ -233,7 +230,7 @@ let ks09 ?(config = default_config) (sc : Scenario.t) =
     else Fba_sim.Sync_engine.null_adversary ~corrupted:sc.Scenario.corrupted
   in
   let res =
-    Ks09_sync.run ~stream:config.stream ?prof:config.prof ~net:config.net ~config:cfg ~n
+    Ks09_sync.run ?prof:config.prof ~net:config.net ~config:cfg ~n
       ~seed:sc.Scenario.params.Params.seed
       ~adversary ~mode:`Rushing ~max_rounds:(Ks09.total_rounds + 2) ()
   in
@@ -251,7 +248,7 @@ let run_relay ?(config = default_config) (sc : Scenario.t) =
       ~str_bits:(str_bits sc) ()
   in
   let res =
-    Relay_sync.run ~stream:config.stream ?prof:config.prof ~net:config.net ~config:cfg ~n
+    Relay_sync.run ?prof:config.prof ~net:config.net ~config:cfg ~n
       ~seed:sc.Scenario.params.Params.seed
       ~adversary:(Fba_sim.Sync_engine.null_adversary ~corrupted:sc.Scenario.corrupted)
       ~mode:`Rushing ~max_rounds:(Relay.total_rounds + 2) ()

@@ -62,20 +62,17 @@ type config = {
           byte-identical to the pre-layer engines; anything else is an
           off-model robustness condition (see {!Fba_sim.Net} and
           {!Exp_robustness}). *)
-  compile : bool;
-      (** lower the scenario into flat dispatch tables
-          ({!Fba_core.Compiled}) before the run. Default: on unless the
-          [FBA_NO_COMPILE] environment variable is set. On or off the
-          execution is byte-identical (the compiled plane only replaces
-          the lookup machinery); the switch exists for the parity
-          harness and for A/B perf measurements. *)
-  stream : bool;
-      (** chunked streamed delivery plane (segment arenas recycled
-          within a round) instead of the historical double-buffered
-          mailbox lanes. Default: on unless [FBA_NO_STREAM] is set.
-          On or off the execution is byte-identical — only peak memory
-          changes; the switch exists for the parity harness and A/B
-          memory measurements. *)
+  compile : unit;
+  stream : unit;
+      (** [compile] and [stream] carry no choice. They once switched AER
+          between compiled and tag-chain dispatch and the engines
+          between streamed and double-buffered delivery; both pairs ran
+          byte-identically, and only the compiled, streamed side
+          remains. The fields stay, as [unit], because the benchmark
+          ([benchmark/instance.ml]) passes [config.compile] to
+          {!Fba_core.Aer.config_of_scenario} and [config.stream] to the
+          engines; a caller still setting them to a [bool] fails to
+          compile. *)
 }
 
 val default_config : config

@@ -70,8 +70,8 @@ type summary = {
 (* One pipeline lane: the storage an epoch chain reuses from instance
    to instance. Concurrently open instances can never share an
    interner (each run packs its own strings), so every lane owns a
-   full set — interner, config chain (quorum caches + push plan +
-   compile scratch, reset through Aer.config_epoch) and mailbox. *)
+   full set — interner, config chain (quorum caches + compile scratch,
+   reset through Aer.config_epoch) and mailbox. *)
 type lane = {
   mutable intern : Intern.t option;
   mutable prev : Aer.config option;
@@ -105,7 +105,7 @@ let open_instance t lane ~adversary k =
   lane.intern <- Some sc.Scenario.intern;
   let cfg =
     match lane.prev with
-    | None -> Aer.config_of_scenario ~compile:t.config.Runner.compile sc
+    | None -> Aer.config_of_scenario sc
     | Some prev -> Aer.config_epoch ~prev sc
   in
   lane.prev <- Some cfg;
@@ -157,7 +157,7 @@ let run_block t ~adversary ~heartbeat ~lo ~hi =
           {
             intern = None;
             prev = None;
-            mailbox = Engine_core.Mailbox.create ~stream:t.config.Runner.stream ~n:t.n ();
+            mailbox = Engine_core.Mailbox.create ~n:t.n ();
           })
     in
     let open_ : open_instance option array = Array.make width None in

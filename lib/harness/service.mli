@@ -3,8 +3,7 @@
     Executes many BA instances over one fixed population size, reusing
     every piece of per-run storage from instance to instance instead
     of reallocating it — the interner ({!Fba_core.Intern.reset}),
-    quorum caches and push plan ({!Fba_samplers.Cache.reset},
-    {!Fba_samplers.Push_plan.reset}), compile scratch
+    quorum caches ({!Fba_samplers.Cache.reset}), compile scratch
     ({!Fba_core.Compiled.builder}) and the engine's delivery storage
     ({!Fba_sim.Engine_core.Mailbox.reset}), all chained through
     {!Fba_core.Aer.config_epoch}.
@@ -45,11 +44,11 @@ val fingerprint : Fba_sim.Metrics.t -> int64
 type stream = {
   setup : Runner.aer_setup;  (** per-instance scenario shape *)
   config : Runner.config;
-      (** run knobs; [mode], [max_rounds], [net], [compile] and
-          [stream] are honoured. [events], [phase_acc] and [prof] are
-          ignored — concurrently open instances would interleave a
-          shared sink; trace one instance with {!Runner.aer_sync}
-          instead. *)
+      (** run knobs; [mode], [max_rounds] and [net] are honoured
+          ([compile] and [stream] are [unit] and choose nothing).
+          [events], [phase_acc] and [prof] are ignored — concurrently
+          open instances would interleave a shared sink; trace one
+          instance with {!Runner.aer_sync} instead. *)
   n : int;  (** population size of every instance *)
   stream_seed : int64;  (** root of the per-instance seed schedule *)
   instances : int;  (** number of instances to execute *)

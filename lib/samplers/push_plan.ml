@@ -1,32 +1,14 @@
 type entry = { inverse : int array array; load : int array }
 
-(* Physical sentinel for unevaluated sid slots (an entry with an empty
-   inverse can only arise at n = 0, which Sampler rejects). *)
-let no_entry = { inverse = [||]; load = [||] }
-
 type t = {
-  mutable sampler : Sampler.t;
-  mutable find : (string -> int) option;
-  memo : (string, entry) Hashtbl.t;  (* strings outside the interner *)
-  mutable by_sid : entry array;  (* interned strings: sid -> entry *)
-  mutable sid_count : int;
+  sampler : Sampler.t;
+  memo : (string, entry) Hashtbl.t;
   mutable scratch : int array;  (* one n*d quorum slab, reused per build *)
 }
 
-let create ?find ~sampler () =
-  { sampler; find; memo = Hashtbl.create 17; by_sid = [||]; sid_count = 0; scratch = [||] }
+let create ~sampler () = { sampler; memo = Hashtbl.create 17; scratch = [||] }
 
 let sampler t = t.sampler
-
-(* Epoch reset: rebind to the next instance's sampler and forget every
-   memoized inverse map, keeping the dense slot array and the n*d
-   scratch slab warm. *)
-let reset ?find t ~sampler =
-  t.sampler <- sampler;
-  (match find with Some _ -> t.find <- find | None -> ());
-  Hashtbl.clear t.memo;
-  Array.fill t.by_sid 0 (Array.length t.by_sid) no_entry;
-  t.sid_count <- 0
 
 (* Flat two-pass build: draw all n quorums once into the shared
    scratch slab (allocation-free draws), count per-node loads, then
@@ -58,7 +40,7 @@ let build t s =
   done;
   { inverse; load }
 
-let memo_entry t s =
+let entry t s =
   match Hashtbl.find_opt t.memo s with
   | Some e -> e
   | None ->
@@ -66,35 +48,10 @@ let memo_entry t s =
     Hashtbl.add t.memo s e;
     e
 
-(* Interned strings memoize in the dense sid slot (no string hashing
-   after first touch); only strings the interner has never seen fall
-   back to the string-keyed table. *)
-let entry t s =
-  match t.find with
-  | None -> memo_entry t s
-  | Some f ->
-    let sid = f s in
-    if sid < 0 then memo_entry t s
-    else begin
-      if sid >= Array.length t.by_sid then begin
-        let grown = Array.make (max (sid + 1) (2 * Array.length t.by_sid)) no_entry in
-        Array.blit t.by_sid 0 grown 0 (Array.length t.by_sid);
-        t.by_sid <- grown
-      end;
-      let e = t.by_sid.(sid) in
-      if e != no_entry then e
-      else begin
-        let e = build t s in
-        t.by_sid.(sid) <- e;
-        t.sid_count <- t.sid_count + 1;
-        e
-      end
-    end
-
 let targets t ~s ~y = (entry t s).inverse.(y)
 
 let quorum t ~s ~x = Sampler.quorum_sx t.sampler ~s ~x
 
 let max_load t ~s = Array.fold_left max 0 (entry t s).load
 
-let distinct_strings t = Hashtbl.length t.memo + t.sid_count
+let distinct_strings t = Hashtbl.length t.memo

@@ -11,25 +11,17 @@
     The same scan also yields [I(s, x)] for every x, which receivers
     need to know their majority threshold, and the overload statistics
     of Lemma 1/Lemma 3 (a node is overloaded by I if some string maps
-    too many quorums through it). *)
+    too many quorums through it).
+
+    AER's own push fan-out runs on [Fba_core.Compiled]'s CSR rows;
+    this string-keyed plan is the oracle they are tested against, and
+    what the adversaries and the property checks use. *)
 
 type t
 
-val create : ?find:(string -> int) -> sampler:Sampler.t -> unit -> t
-(** [find] is a non-registering string -> interned-id resolver
-    ([Fba_core.Intern.find]): with it, entries for interned strings
-    memoize in a dense sid-indexed slot (no string hashing after first
-    touch); strings the interner has never seen use the string-keyed
-    table either way. *)
+val create : sampler:Sampler.t -> unit -> t
 
 val sampler : t -> Sampler.t
-
-val reset : ?find:(string -> int) -> t -> sampler:Sampler.t -> unit
-(** Epoch reset for instance streams: rebind the plan to [sampler],
-    forget every memoized inverse map, keep the dense slot array and
-    the scratch slab warm. [find] is rebound when given, kept
-    otherwise. Afterwards the plan answers exactly as a fresh
-    [create] over the same sampler would. *)
 
 val targets : t -> s:string -> y:int -> int array
 (** [targets t ~s ~y] is [{ x | y ∈ I(s, x) }] — the nodes [y] must

@@ -48,7 +48,9 @@ module Make (P : Protocol.S) = struct
 
   type nonrec result = P.state result
 
-  let run ?(quiet_limit = 6) ?stream ?events ?prof ?(net = Net.Reliable)
+  (* [stream] chooses nothing — there is one calendar plane; the unit
+     label stays only for callers written against the old signature. *)
+  let run ?(quiet_limit = 6) ?stream:(_ : unit option) ?events ?prof ?(net = Net.Reliable)
       ~(config : P.config) ~n ~seed ~(adversary : adversary) ~max_time () =
     if adversary.max_delay < 1 then invalid_arg "Async_engine: max_delay < 1";
     if quiet_limit < 1 then invalid_arg "Async_engine: quiet_limit < 1";
@@ -59,7 +61,7 @@ module Make (P : Protocol.S) = struct
        worst-case network jitter, so jittered deliveries still land
        strictly within the ring. *)
     let cal : P.msg Engine_core.Calendar.t =
-      Engine_core.Calendar.create ?stream ~n
+      Engine_core.Calendar.create ~n
         ~max_delay:(adversary.max_delay + Net.max_extra_delay net)
         ()
     in
@@ -132,9 +134,8 @@ module Make (P : Protocol.S) = struct
       done;
       (* Deliver everything scheduled for t, in schedule order. Sends
          triggered by these deliveries carry delay >= 1 < width, so they
-         land in other buckets, never the one being drained — which on
-         the streamed plane means they take the very segments the drain
-         is recycling. *)
+         land in other buckets, never the one being drained — so they
+         take the very segments the drain is recycling. *)
       let due = Engine_core.Calendar.due_count cal ~time:t in
       if due > 0 then begin
         Engine_core.Calendar.consumed cal due;

@@ -39,7 +39,7 @@ module Make (P : Protocol.S) : sig
 
   val run :
     ?quiet_limit:int ->
-    ?stream:bool ->
+    ?stream:unit ->
     ?events:Events.sink ->
     ?prof:Prof.t ->
     ?net:Net.spec ->
@@ -51,15 +51,18 @@ module Make (P : Protocol.S) : sig
     unit ->
     result
   (** [quiet_limit] (default 6) counts consecutive steps with no sends
-      and no deliveries. [stream] (default {!Engine_core.stream_default})
-      selects the chunked streamed calendar buckets; [~stream:false] is
-      the historical flat-lane ring — behaviour is identical either
-      way. [net] defaults to [Net.Reliable]; losses are
-      attributed through {!Events.Drop} with the {!Net} reason tags,
-      and [Net.Jitter] adds an extra per-send delay on top of the
-      adversary's choice (the calendar ring is widened by the jitter
-      bound, and [normalized_rounds] keeps dividing by the adversary's
-      [max_delay], so jitter shows up as stretched normalized time).
+      and no deliveries. [stream] is a [unit] that chooses nothing: it
+      once selected the streamed or flat-lane calendar ring, and the
+      engine now has one. The label stays so the benchmark's
+      [~stream:config.Runner.stream] ([benchmark/instance.ml]) keeps
+      compiling, while a caller asking for the old ring
+      ([~stream:false]) does not. [net] defaults to [Net.Reliable];
+      losses are attributed through {!Events.Drop} with the {!Net}
+      reason tags, and [Net.Jitter] adds an extra per-send delay on top
+      of the adversary's choice (the calendar ring is widened by the
+      jitter bound, and [normalized_rounds] keeps dividing by the
+      adversary's [max_delay], so jitter shows up as stretched
+      normalized time).
       [prof], when given, records per-step / per-handler-tag wall-clock
       and allocation into the attached {!Prof.t}; absent, the run does
       no profiling work at all. *)

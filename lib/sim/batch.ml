@@ -1,70 +1,10 @@
 open Fba_stdx
 
-(* A batch of in-flight messages as three parallel lanes instead of an
-   ['msg Envelope.t Vec.t]: pushing a message writes two ints and one
-   ['msg] into reusable buffers, so once the lanes are warm an enqueue
-   allocates nothing — and when ['msg] is an immediate (the packed
-   message plane) the whole batch lives outside the heap. Envelopes
-   are only materialized on demand, for the adversary-observation
-   interface. *)
+(* --- The delivery plane: a chunked segment arena ---
 
-type 'msg t = { srcs : int Vec.t; dsts : int Vec.t; msgs : 'msg Vec.t }
-
-let create () = { srcs = Vec.create (); dsts = Vec.create (); msgs = Vec.create () }
-
-let length t = Vec.length t.msgs
-
-let is_empty t = Vec.is_empty t.msgs
-
-let push t ~src ~dst msg =
-  Vec.push t.srcs src;
-  Vec.push t.dsts dst;
-  Vec.push t.msgs msg
-
-let src t i = Vec.get t.srcs i
-let dst t i = Vec.get t.dsts i
-let msg t i = Vec.get t.msgs i
-
-let clear t =
-  Vec.clear t.srcs;
-  Vec.clear t.dsts;
-  Vec.clear t.msgs
-
-let swap a b =
-  Vec.swap a.srcs b.srcs;
-  Vec.swap a.dsts b.dsts;
-  Vec.swap a.msgs b.msgs
-
-let append dst src =
-  Vec.append dst.srcs src.srcs;
-  Vec.append dst.dsts src.dsts;
-  Vec.append dst.msgs src.msgs
-
-let iter f t =
-  for i = 0 to length t - 1 do
-    f ~src:(Vec.get t.srcs i) ~dst:(Vec.get t.dsts i) (Vec.get t.msgs i)
-  done
-
-let to_envelopes t =
-  let rec build i acc =
-    if i < 0 then acc
-    else
-      build (i - 1)
-        (Envelope.make ~src:(Vec.get t.srcs i) ~dst:(Vec.get t.dsts i) (Vec.get t.msgs i) :: acc)
-  in
-  build (length t - 1) []
-
-let capacity_words t = Vec.capacity t.srcs + Vec.capacity t.dsts + Vec.capacity t.msgs
-
-(* --- Streamed delivery plane: a chunked segment arena ---
-
-   The double-buffered mailboxes above retain one flat lane per role
-   for the whole run, so a burst round's footprint is paid three or
-   four times over (current sends + staged + delivery buffer, each
-   with Vec doubling slack) and never given back. The arena replaces
-   the monolithic lanes with fixed-size segments threaded into chains:
-   a drain recycles each segment through the arena's free list the
-   moment its last message is handled, so sends emitted *by* those
+   In-flight messages live in fixed-size segments threaded into
+   chains. A drain recycles each segment through the arena's free list
+   the moment its last message is handled, so sends emitted *by* those
    deliveries refill the very segments just vacated — peak footprint
    tracks the largest single round, not a sum of adjacent ones.
 
@@ -77,9 +17,10 @@ module Seg = struct
   (* Two lanes, not three: the (src, dst) pair is fused into one word
      ([src lsl 31 lor dst] — node ids are < 2^31 by a huge margin; the
      packed plane's own ceiling is n = 2^18), so a stored message costs
-     2 words where the monolithic lanes pay 3. At wide-tier populations
-     the live burst is the footprint floor, and this is the one
-     per-message constant the exact delivery order still lets us cut. *)
+     2 words where three parallel lanes would pay 3. At wide-tier
+     populations the live burst is the footprint floor, and this is the
+     one per-message constant the exact delivery order still lets us
+     cut. *)
   type 'msg t = {
     sd : int array;  (* src lsl 31 lor dst *)
     mutable msgs : 'msg array;  (* [||] until the first push provides a filler *)

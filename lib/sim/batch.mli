@@ -1,57 +1,15 @@
-(** In-flight messages as three parallel (src, dst, msg) lanes.
+(** The delivery plane: in-flight messages in fixed-size segments,
+    recycled through a per-arena free list.
 
-    The engines' mailboxes and calendar buckets store messages here
-    instead of in ['msg Envelope.t Vec.t]: an enqueue writes into
-    reusable flat buffers (zero allocation once warm — and fully
-    unboxed when ['msg] is an immediate, as on the packed message
-    plane). {!to_envelopes} materializes real envelopes only when an
-    adversary actually asks to observe a batch. *)
-
-type 'msg t
-
-val create : unit -> 'msg t
-
-val length : 'msg t -> int
-
-val is_empty : 'msg t -> bool
-
-val push : 'msg t -> src:int -> dst:int -> 'msg -> unit
-
-val src : 'msg t -> int -> int
-
-val dst : 'msg t -> int -> int
-
-val msg : 'msg t -> int -> 'msg
-
-val clear : 'msg t -> unit
-(** Constant-time; buffers are retained for reuse. *)
-
-val swap : 'msg t -> 'msg t -> unit
-(** Exchange the lanes of two batches (the double-buffering step). *)
-
-val append : 'msg t -> 'msg t -> unit
-(** [append dst src] pushes every element of [src] onto [dst]. *)
-
-val iter : (src:int -> dst:int -> 'msg -> unit) -> 'msg t -> unit
-
-val to_envelopes : 'msg t -> 'msg Envelope.t list
-(** Materialize the batch, in order — the lazy adversary-observation
-    path. Costs one envelope per element; hot loops never call it. *)
-
-val capacity_words : 'msg t -> int
-(** Slots allocated across the three lanes (3 × lane capacity) — the
-    retained footprint, for peak-memory accounting of the buffered
-    (non-streamed) mailbox path. *)
-
-(** {1 Streamed delivery plane}
-
-    Fixed-size segments recycled through a per-arena free list. The
-    monolithic lanes above retain every burst's footprint for the whole
-    run, several times over (double buffering, doubling slack); chains
-    built from a shared arena give each drained segment back the moment
-    its last message is handled, so the sends a delivery triggers refill
-    the storage just vacated and peak footprint tracks the largest
-    single round. *)
+    The engines' mailboxes and calendar buckets ({!Engine_core}) are
+    chains built from one shared arena per run. Draining a chain gives
+    each segment back the moment its last message is handled, so the
+    sends a delivery triggers refill the storage just vacated and peak
+    footprint tracks the largest single round. An enqueue writes two
+    words into a reusable segment — zero allocation once warm, and
+    fully unboxed when ['msg] is an immediate, as on the packed message
+    plane. {!Chain.to_envelopes} materializes real envelopes only when
+    an adversary actually asks to observe a chain. *)
 
 (** The segment store: all chains of one engine run share one arena, so
     recycling moves storage between roles (delivery buffer → next

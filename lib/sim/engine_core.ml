@@ -3,7 +3,7 @@ open Fba_stdx
 (* --- Adversary records (shared between the two engines) ---
 
    Observation is lazy: [observed]/[observe] hand the adversary a
-   thunk that materializes envelopes from the engine's flat lanes only
+   thunk that materializes envelopes from the engine's chains only
    when called, so strategies that never look (or look once) cost
    nothing per round. The thunk's result is valid only for the
    duration of the call — the engine reuses the underlying buffers. *)
@@ -38,278 +38,119 @@ let validate_adversary_envelope ~who ~n ~(corrupted : Bitset.t) (e : _ Envelope.
   if not (Bitset.mem corrupted e.src) then
     invalid_arg (who ^ ": adversary may only send from corrupted identities")
 
-(* FBA_NO_STREAM flips the engines back onto the historical
-   double-buffered mailbox lanes everywhere at once — the ci-level A/B
-   switch for the streamed delivery plane, mirroring FBA_NO_COMPILE.
-   Behaviour is byte-identical either way (the streamed-vs-buffered
-   trace-identity property pins it); only the memory shape changes. *)
-let stream_default () = Sys.getenv_opt "FBA_NO_STREAM" = None
-
 (* Segment granularity: scale with the population so tiny test runs do
    not pay kilowords of arena slack per chain, while sweep-scale runs
    amortize chain bookkeeping over big segments. *)
 let seg_cap_for ~n = max 64 (min Batch.Arena.default_seg_cap n)
 
-(* --- Sync mailboxes, in two interchangeable shapes.
+(* --- Sync mailboxes: three chains over one segment arena.
 
-   [Buffered] is the historical plane: parallel (src, dst, msg) lanes
-   reused across rounds — [correct_out] collects the current round's
-   correct sends, [in_flight] holds what the commit step staged for
-   next round (byzantine first, then a *copy* of the correct sends),
-   [deliveries] is the double buffer [in_flight] is swapped into at
-   delivery time, and [prev_correct] keeps the previous round's correct
-   sends alive for non-rushing adversaries. Fast and allocation-free
-   once warm, but a burst round's footprint is retained several times
-   over for the rest of the run.
-
-   [Streamed] (the default) rebuilds the same schedule from chunked
-   arena segments: correct sends are *linked* after the staged
-   byzantine messages at commit (O(1), no copy), and the delivery step
-   drains the staged chain segment by segment, recycling each into the
-   shared arena the moment its last message is handled — so the sends
-   those deliveries trigger refill the storage just vacated. Delivery
-   order is identical by construction: byzantine pushes first, then
-   the correct chain in send order. --- *)
+   [correct] collects the current round's correct sends. At commit they
+   are *linked* after the byzantine messages already pushed into
+   [staged] (O(1), no copy), and the delivery step drains [staged]
+   segment by segment, recycling each into the shared arena the moment
+   its last message is handled — so the sends those deliveries trigger
+   refill the storage just vacated. Delivery order: byzantine pushes
+   first, then the correct chain in send order. [prev] keeps a copy of
+   the previous round's correct sends for non-rushing adversaries. --- *)
 
 module Mailbox = struct
-  type 'msg buffered = {
-    correct_out : 'msg Batch.t;
-    in_flight : 'msg Batch.t;
-    deliveries : 'msg Batch.t;
-    prev_correct : 'msg Batch.t;
-  }
-
-  type 'msg streamed = {
+  type 'msg t = {
     arena : 'msg Batch.Arena.t;
     correct : 'msg Batch.Chain.t;  (* current round's correct sends *)
     staged : 'msg Batch.Chain.t;  (* next round's deliveries: byz then correct *)
     prev : 'msg Batch.Chain.t;  (* previous round's correct sends (non-rushing) *)
   }
 
-  type 'msg t = Buffered of 'msg buffered * int ref | Streamed of 'msg streamed
+  let create ~n () =
+    let arena = Batch.Arena.create ~seg_cap:(seg_cap_for ~n) () in
+    {
+      arena;
+      correct = Batch.Chain.create arena;
+      staged = Batch.Chain.create arena;
+      prev = Batch.Chain.create arena;
+    }
 
-  let create ?stream ?seg_cap ~n () =
-    let stream = match stream with Some b -> b | None -> stream_default () in
-    if stream then begin
-      let arena =
-        Batch.Arena.create
-          ~seg_cap:(match seg_cap with Some c -> c | None -> seg_cap_for ~n)
-          ()
-      in
-      Streamed
-        {
-          arena;
-          correct = Batch.Chain.create arena;
-          staged = Batch.Chain.create arena;
-          prev = Batch.Chain.create arena;
-        }
-    end
-    else
-      Buffered
-        ( {
-            correct_out = Batch.create ();
-            in_flight = Batch.create ();
-            deliveries = Batch.create ();
-            prev_correct = Batch.create ();
-          },
-          ref 0 )
+  let push_correct t ~src ~dst msg = Batch.Chain.push t.correct ~src ~dst msg
 
-  let streamed = function Streamed _ -> true | Buffered _ -> false
+  let correct_length t = Batch.Chain.length t.correct
 
-  (* Current round's correct sends. *)
-  let push_correct t ~src ~dst msg =
-    match t with
-    | Buffered (b, _) -> Batch.push b.correct_out ~src ~dst msg
-    | Streamed s -> Batch.Chain.push s.correct ~src ~dst msg
-
-  let correct_length = function
-    | Buffered (b, _) -> Batch.length b.correct_out
-    | Streamed s -> Batch.Chain.length s.correct
-
-  let iter_correct f = function
-    | Buffered (b, _) -> Batch.iter f b.correct_out
-    | Streamed s -> Batch.Chain.iter f s.correct
+  let iter_correct f t = Batch.Chain.iter f t.correct
 
   (* Adversary observation (lazy; envelopes materialized on demand). *)
-  let correct_envelopes = function
-    | Buffered (b, _) -> Batch.to_envelopes b.correct_out
-    | Streamed s -> Batch.Chain.to_envelopes s.correct
+  let correct_envelopes t = Batch.Chain.to_envelopes t.correct
 
-  let prev_envelopes = function
-    | Buffered (b, _) -> Batch.to_envelopes b.prev_correct
-    | Streamed s -> Batch.Chain.to_envelopes s.prev
+  let prev_envelopes t = Batch.Chain.to_envelopes t.prev
 
-  (* Commit step. [begin_commit] readies the staging area (the
-     byzantine messages of the round are pushed first — adversary-
-     favorable tie-breaking), [push_staged] adds one of them, and
-     [commit] moves the round's correct sends in after them: a copy on
-     the buffered plane, an O(1) segment link on the streamed one. *)
-  let begin_commit = function
-    | Buffered (b, _) -> Batch.clear b.in_flight
-    | Streamed _ -> ()
-  (* streamed: the staged chain was fully drained by [drain] *)
-
-  let push_staged t ~src ~dst msg =
-    match t with
-    | Buffered (b, _) -> Batch.push b.in_flight ~src ~dst msg
-    | Streamed s -> Batch.Chain.push s.staged ~src ~dst msg
+  (* Commit step: the round's byzantine messages are pushed first
+     (adversary-favorable tie-breaking), then [commit] links the correct
+     sends in after them. *)
+  let push_staged t ~src ~dst msg = Batch.Chain.push t.staged ~src ~dst msg
 
   let commit t ~keep_prev =
-    match t with
-    | Buffered (b, _) ->
-      Batch.append b.in_flight b.correct_out;
-      if keep_prev then begin
-        (* Keep this round's correct sends alive for next round's
-           observation window. *)
-        Batch.clear b.prev_correct;
-        Batch.append b.prev_correct b.correct_out
-      end;
-      Batch.clear b.correct_out
-    | Streamed s ->
-      if keep_prev then begin
-        Batch.Chain.clear s.prev;
-        Batch.Chain.iter (fun ~src ~dst msg -> Batch.Chain.push s.prev ~src ~dst msg) s.correct
-      end;
-      Batch.Chain.transfer s.correct ~into:s.staged
+    if keep_prev then begin
+      Batch.Chain.clear t.prev;
+      Batch.Chain.iter (fun ~src ~dst msg -> Batch.Chain.push t.prev ~src ~dst msg) t.correct
+    end;
+    Batch.Chain.transfer t.correct ~into:t.staged
 
-  (* Delivery step. [stage] swaps the staged mailbox into the delivery
-     buffer (buffered plane only — the streamed chain *is* the delivery
-     buffer), [staged_any] reports whether anything is due, and [drain]
-     visits every due message in order: an indexed loop on the buffered
-     plane, a segment-recycling drain on the streamed one. *)
-  let stage = function
-    | Buffered (b, due) ->
-      Batch.swap b.deliveries b.in_flight;
-      Batch.clear b.in_flight;
-      due := Batch.length b.deliveries
-    | Streamed _ -> ()
+  let pending_any t = not (Batch.Chain.is_empty t.staged)
 
-  let staged_any = function
-    | Buffered (b, _) -> not (Batch.is_empty b.deliveries)
-    | Streamed s -> not (Batch.Chain.is_empty s.staged)
+  let drain t ~f = Batch.Chain.drain t.staged ~f
 
-  let drain t ~f =
-    match t with
-    | Buffered (b, due) ->
-      (* No clear: the buffer is reused at the next [stage] swap, as the
-         historical engine did. Handlers push into [correct_out], never
-         into [deliveries], so the captured length is stable. *)
-      let d = b.deliveries in
-      for i = 0 to !due - 1 do
-        f ~src:(Batch.src d i) ~dst:(Batch.dst d i) (Batch.msg d i)
-      done
-    | Streamed s -> Batch.Chain.drain s.staged ~f
+  (* Epoch reset for instance streams: the chains recycle their
+     segments back into the arena free list, so the next run's bursts
+     refill storage this one already created. Peak accounting is
+     deliberately not reset — the arena high-water is a property of
+     the stream, not of one instance. *)
+  let reset t =
+    Batch.Chain.clear t.correct;
+    Batch.Chain.clear t.staged;
+    Batch.Chain.clear t.prev
 
-  (* Anything staged for the next round (the quiescence check). *)
-  let pending_any = function
-    | Buffered (b, _) -> not (Batch.is_empty b.in_flight)
-    | Streamed s -> not (Batch.Chain.is_empty s.staged)
-
-  (* Epoch reset for instance streams: empty every lane in place. On
-     the streamed plane the chains recycle their segments back into the
-     arena free list, so the next run's bursts refill storage this one
-     already created; on the buffered plane the lanes keep their
-     capacity. Peak accounting is deliberately not reset — the arena
-     high-water is a property of the stream, not of one instance. *)
-  let reset = function
-    | Buffered (b, due) ->
-      Batch.clear b.correct_out;
-      Batch.clear b.in_flight;
-      Batch.clear b.deliveries;
-      Batch.clear b.prev_correct;
-      due := 0
-    | Streamed s ->
-      Batch.Chain.clear s.correct;
-      Batch.Chain.clear s.staged;
-      Batch.Chain.clear s.prev
-
-  (* Peak footprint of the delivery plane, in words: arena high-water
-     on the streamed plane, retained lane capacities on the buffered
-     one (lanes never shrink, so current capacity is the high-water). *)
-  let peak_words = function
-    | Buffered (b, _) ->
-      Batch.capacity_words b.correct_out + Batch.capacity_words b.in_flight
-      + Batch.capacity_words b.deliveries
-      + Batch.capacity_words b.prev_correct
-    | Streamed s -> Batch.Arena.peak_words s.arena
+  let peak_words t = Batch.Arena.peak_words t.arena
 end
 
 (* --- Async calendar queue: every delay is clamped to [1, width - 1],
    so a message scheduled at time t lands strictly within the next
    [width - 1] steps and a ring of [width] reusable buckets indexed by
    [at mod width] can never alias two distinct due times that are both
-   live. Scheduling is a push into flat storage — no hashing, no list
-   refs, no envelope. On the streamed plane the buckets are chains over
-   one shared arena: draining the due bucket recycles its segments
-   while the deliveries schedule into strictly-future buckets, which
-   take those same segments from the free list — so jitter-widened
-   rings no longer retain every bucket's burst high-water. --- *)
+   live. Scheduling is a push into a chain — no hashing, no list refs,
+   no envelope. The buckets share one arena: draining the due bucket
+   recycles its segments while the deliveries schedule into
+   strictly-future buckets, which take those same segments from the
+   free list — so jitter-widened rings do not retain every bucket's
+   burst high-water. --- *)
 
 module Calendar = struct
-  type 'msg buckets =
-    | Bbuf of 'msg Batch.t array
-    | Bstream of 'msg Batch.Arena.t * 'msg Batch.Chain.t array
+  type 'msg t = {
+    width : int;
+    arena : 'msg Batch.Arena.t;
+    buckets : 'msg Batch.Chain.t array;
+    mutable pending : int;
+  }
 
-  type 'msg t = { width : int; buckets : 'msg buckets; mutable pending : int }
-
-  let create ?stream ?seg_cap ~n ~max_delay () =
-    let stream = match stream with Some b -> b | None -> stream_default () in
+  let create ~n ~max_delay () =
     let width = max_delay + 1 in
-    let buckets =
-      if stream then begin
-        let arena =
-          Batch.Arena.create
-            ~seg_cap:(match seg_cap with Some c -> c | None -> seg_cap_for ~n)
-            ()
-        in
-        Bstream (arena, Array.init width (fun _ -> Batch.Chain.create arena))
-      end
-      else Bbuf (Array.init width (fun _ -> Batch.create ()))
-    in
-    { width; buckets; pending = 0 }
+    let arena = Batch.Arena.create ~seg_cap:(seg_cap_for ~n) () in
+    { width; arena; buckets = Array.init width (fun _ -> Batch.Chain.create arena); pending = 0 }
 
   let schedule t ~at ~src ~dst msg =
-    (match t.buckets with
-    | Bbuf b -> Batch.push b.(at mod t.width) ~src ~dst msg
-    | Bstream (_, b) -> Batch.Chain.push b.(at mod t.width) ~src ~dst msg);
+    Batch.Chain.push t.buckets.(at mod t.width) ~src ~dst msg;
     t.pending <- t.pending + 1
 
-  let due_count t ~time =
-    match t.buckets with
-    | Bbuf b -> Batch.length b.(time mod t.width)
-    | Bstream (_, b) -> Batch.Chain.length b.(time mod t.width)
+  let due_count t ~time = Batch.Chain.length t.buckets.(time mod t.width)
 
   (* Drain the bucket due at [time], in schedule order. Deliveries
      schedule at delay >= 1 < width, so they push into other buckets,
      never the one being drained — the chain-drain precondition. *)
-  let drain_due t ~time ~f =
-    match t.buckets with
-    | Bbuf b ->
-      let bucket = b.(time mod t.width) in
-      let due = Batch.length bucket in
-      for i = 0 to due - 1 do
-        f ~src:(Batch.src bucket i) ~dst:(Batch.dst bucket i) (Batch.msg bucket i)
-      done;
-      Batch.clear bucket
-    | Bstream (_, b) -> Batch.Chain.drain b.(time mod t.width) ~f
+  let drain_due t ~time ~f = Batch.Chain.drain t.buckets.(time mod t.width) ~f
 
   let pending t = t.pending
 
   let consumed t k = t.pending <- t.pending - k
 
-  (* Epoch reset: empty every bucket in place (streamed buckets recycle
-     their segments into the shared arena). Peak accounting survives,
-     as with {!Mailbox.reset}. *)
-  let reset t =
-    (match t.buckets with
-    | Bbuf b -> Array.iter Batch.clear b
-    | Bstream (_, b) -> Array.iter Batch.Chain.clear b);
-    t.pending <- 0
-
-  let peak_words t =
-    match t.buckets with
-    | Bbuf b -> Array.fold_left (fun acc bucket -> acc + Batch.capacity_words bucket) 0 b
-    | Bstream (arena, _) -> Batch.Arena.peak_words arena
+  let peak_words t = Batch.Arena.peak_words t.arena
 end
 
 (* --- Shared run state: everything both engine loops book-keep

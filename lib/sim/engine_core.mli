@@ -3,7 +3,7 @@
     {!Sync_engine} and {!Async_engine} used to be near-duplicate loops;
     everything they book-keep identically lives here instead — the
     adversary records and their validation, the reusable mailbox /
-    calendar-queue storage ({!Batch} lanes, so the steady-state engines
+    calendar-queue storage ({!Batch} chains, so the steady-state engines
     allocate nothing per message), and a per-run state ({!Make.t})
     carrying node states, metrics, decision tracking, the optional
     {!Events} sink and the instantiated {!Net} layer. The engines keep
@@ -17,7 +17,7 @@ open Fba_stdx
     The engines re-export these as [Sync_engine.adversary] /
     [Async_engine.adversary]; use those aliases in protocol code.
     Observation is lazy: the engine hands over thunks that materialize
-    envelopes from its flat lanes only when actually called, so
+    envelopes from its chains only when actually called, so
     strategies that never look cost nothing per round. A thunk's
     result is valid only for the duration of the call. *)
 
@@ -54,34 +54,20 @@ val validate_adversary_envelope :
 
 (** {1 Reusable delivery storage}
 
-    Both structures come in two interchangeable shapes behind one
-    interface: the historical double-buffered {!Batch} lanes, and the
-    streamed plane (default) built from {!Batch.Arena} segments that
-    are recycled as each is drained, so peak footprint tracks the
+    Both structures are chains over one {!Batch.Arena} per run: each
+    segment is recycled as it is drained, so peak footprint tracks the
     largest single round instead of retaining every burst for the whole
-    run. [FBA_NO_STREAM=1] (or [~stream:false]) selects the buffered
-    shape; delivery order is byte-identical either way. *)
-
-val stream_default : unit -> bool
-(** [true] unless [FBA_NO_STREAM] is set — the process-wide default for
-    the [?stream] parameters below and {!Fba_harness.Runner.config}. *)
-
-val seg_cap_for : n:int -> int
-(** Default arena segment granularity for an [n]-node run. *)
+    run. *)
 
 (** Synchronous mailboxes. The round schedule: correct sends are pushed
-    via [push_correct]; the commit step readies staging
-    ([begin_commit]), pushes the round's byzantine messages
-    ([push_staged]) and then moves the correct sends in after them
-    ([commit]); the next round's delivery step is [stage] + [drain]. *)
+    via [push_correct]; the commit step pushes the round's byzantine
+    messages ([push_staged]) and then links the correct sends in after
+    them ([commit]); the next round's delivery step is [drain]. *)
 module Mailbox : sig
   type 'msg t
 
-  val create : ?stream:bool -> ?seg_cap:int -> n:int -> unit -> 'msg t
-  (** [stream] defaults to {!stream_default}; [seg_cap] (streamed shape
-      only) to {!seg_cap_for}[ ~n]. *)
-
-  val streamed : 'msg t -> bool
+  val create : n:int -> unit -> 'msg t
+  (** Empty mailboxes whose arena segment size scales with [n]. *)
 
   val push_correct : 'msg t -> src:int -> dst:int -> 'msg -> unit
   (** Record one correct send of the current round. *)
@@ -99,39 +85,28 @@ module Mailbox : sig
   (** Materialize the previous round's correct sends (the non-rushing
       observation window; maintained only when [commit ~keep_prev]). *)
 
-  val begin_commit : 'msg t -> unit
-  (** Ready the staging area for the round's commit. *)
-
   val push_staged : 'msg t -> src:int -> dst:int -> 'msg -> unit
   (** Stage one byzantine message for delivery next round (before
       [commit], so byzantine messages deliver first). *)
 
   val commit : 'msg t -> keep_prev:bool -> unit
-  (** Move the round's correct sends into the staged schedule after the
-      byzantine ones — a copy on the buffered plane, an O(1) segment
-      link on the streamed one — and snapshot them into the previous-
-      round window when [keep_prev]. *)
+  (** Link the round's correct sends into the staged schedule after the
+      byzantine ones (O(1), no copy), and copy them into the
+      previous-round window when [keep_prev]. *)
 
-  val stage : 'msg t -> unit
-  (** Flip the staged schedule into the delivery buffer (buffered plane
-      only; the streamed chain {e is} the delivery buffer). *)
-
-  val staged_any : 'msg t -> bool
-  (** After [stage]: is anything due this round? *)
+  val pending_any : 'msg t -> bool
+  (** Is anything staged for delivery (the quiescence check)? *)
 
   val drain : 'msg t -> f:(src:int -> dst:int -> 'msg -> unit) -> unit
   (** Deliver everything staged, in order (byzantine first, then correct
-      sends in send order). On the streamed plane each segment is
-      recycled the moment its last message is handed to [f]. *)
-
-  val pending_any : 'msg t -> bool
-  (** Is anything staged for the next round (the quiescence check)? *)
+      sends in send order), recycling each segment the moment its last
+      message is handed to [f]. [f] may push correct sends. *)
 
   val reset : 'msg t -> unit
-  (** Epoch reset for instance streams: empty every lane in place —
-      streamed chains recycle their segments into the arena free list,
-      buffered lanes keep their capacity. Peak accounting survives (the
-      arena high-water belongs to the stream, not one instance). *)
+  (** Epoch reset for instance streams: empty every chain in place,
+      recycling the segments into the arena free list. Peak accounting
+      survives (the arena high-water belongs to the stream, not one
+      instance). *)
 
   val peak_words : 'msg t -> int
   (** Peak delivery-plane footprint of the run so far, in words. *)
@@ -139,14 +114,13 @@ end
 
 (** Asynchronous calendar queue: a ring of [max_delay + 1] reusable
     buckets indexed by [due mod width]. Delays clamped to
-    [\[1, max_delay\]] can never alias two live due times. On the
-    streamed plane the buckets are chains over one shared arena, so
-    draining the due bucket recycles segments that future buckets then
-    reuse. *)
+    [\[1, max_delay\]] can never alias two live due times. The buckets
+    are chains over one shared arena, so draining the due bucket
+    recycles segments that future buckets then reuse. *)
 module Calendar : sig
   type 'msg t
 
-  val create : ?stream:bool -> ?seg_cap:int -> n:int -> max_delay:int -> unit -> 'msg t
+  val create : n:int -> max_delay:int -> unit -> 'msg t
 
   val schedule : 'msg t -> at:int -> src:int -> dst:int -> 'msg -> unit
 
@@ -163,10 +137,6 @@ module Calendar : sig
 
   val consumed : 'msg t -> int -> unit
   (** Deduct [k] drained messages from [pending]. *)
-
-  val reset : 'msg t -> unit
-  (** Epoch reset: empty every bucket in place (streamed buckets
-      recycle their segments); peak accounting survives. *)
 
   val peak_words : 'msg t -> int
   (** Peak calendar footprint of the run so far, in words. *)

@@ -7,7 +7,7 @@
     [`Non_rushing] mode it only sees the previous round's messages. In
     both modes it has full information: every message ever sent is
     eventually reachable through [act]'s [observed] thunk (which
-    materializes envelopes from the engine's flat lanes only when
+    materializes envelopes from the engine's mailbox chains only when
     called — an adversary that never looks costs nothing per round).
 
     Delivery itself is pluggable: the [?net] network-condition layer
@@ -55,9 +55,11 @@ module Make (P : Protocol.S) = struct
      and interleave their rounds. *)
   type running = { r_step : unit -> bool; r_finish : unit -> result }
 
-  let start ?(quiet_limit = 3) ?stream ?mailbox ?events ?prof ?(net = Net.Reliable)
-      ~(config : P.config) ~n ~seed ~(adversary : adversary) ~(mode : mode) ~max_rounds ()
-      =
+  (* [stream] chooses nothing — there is one delivery plane; the unit
+     label stays only for callers written against the old signature. *)
+  let start ?(quiet_limit = 3) ?stream:(_ : unit option) ?mailbox ?events ?prof
+      ?(net = Net.Reliable) ~(config : P.config) ~n ~seed ~(adversary : adversary)
+      ~(mode : mode) ~max_rounds () =
     if quiet_limit < 1 then invalid_arg "Sync_engine.run: quiet_limit < 1";
     let corrupted = adversary.corrupted in
     let core = Core.create ?events ?prof ~net ~config ~n ~seed ~corrupted () in
@@ -67,7 +69,7 @@ module Make (P : Protocol.S) = struct
       | Some mb ->
         Engine_core.Mailbox.reset mb;
         mb
-      | None -> Engine_core.Mailbox.create ?stream ~n ()
+      | None -> Engine_core.Mailbox.create ~n ()
     in
     let send src dst msg =
       if dst < 0 || dst >= n then invalid_arg "Sync_engine: destination out of range";
@@ -105,7 +107,6 @@ module Make (P : Protocol.S) = struct
       (* Byzantine messages are delivered before correct ones next
          round: adversary-favorable tie-breaking, so races (e.g. the
          overload filter of Algorithm 3) resolve for the worst case. *)
-      Engine_core.Mailbox.begin_commit mb;
       List.iter
         (fun (e : P.msg Envelope.t) ->
           Core.record_send core ~src:e.src ~dst:e.dst e.msg;
@@ -152,13 +153,10 @@ module Make (P : Protocol.S) = struct
             cur_node := id;
             List.iter send_pair (P.on_round config st ~round:r)
         done;
-        (* Deliver last round's messages. On the buffered plane [stage]
-           swaps the staged mailbox into a separate delivery buffer; on
-           the streamed plane the drain recycles each segment as its last
-           message is handled, so [send]'s pushes refill the storage the
-           deliveries just vacated. *)
-        Engine_core.Mailbox.stage mb;
-        let delivered_any = Engine_core.Mailbox.staged_any mb in
+        (* Deliver last round's messages. The drain recycles each segment
+           as its last message is handled, so [send]'s pushes refill the
+           storage the deliveries just vacated. *)
+        let delivered_any = Engine_core.Mailbox.pending_any mb in
         Engine_core.Mailbox.drain mb ~f:(fun ~src ~dst msg ->
             Core.deliver core ~round:r ~src ~dst msg ~handle);
         Core.check_decisions core ~round:r;
@@ -196,11 +194,10 @@ module Make (P : Protocol.S) = struct
 
   let finish r = r.r_finish ()
 
-  let run ?quiet_limit ?stream ?events ?prof ?net ~(config : P.config) ~n ~seed
+  let run ?quiet_limit ?events ?prof ?net ~(config : P.config) ~n ~seed
       ~(adversary : adversary) ~(mode : mode) ~max_rounds () =
     let r =
-      start ?quiet_limit ?stream ?events ?prof ?net ~config ~n ~seed ~adversary ~mode
-        ~max_rounds ()
+      start ?quiet_limit ?events ?prof ?net ~config ~n ~seed ~adversary ~mode ~max_rounds ()
     in
     while r.r_step () do
       ()

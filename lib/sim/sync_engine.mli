@@ -11,8 +11,8 @@ type 'msg adversary = 'msg Engine_core.sync_adversary = {
       (** [observed ()] is the batch of correct-node messages the
           adversary is entitled to have seen when choosing its
           round-[round] messages (current round when rushing, previous
-          otherwise); it materializes envelopes from the engine's flat
-          lanes only when called, and the result is valid only for the
+          otherwise); it materializes envelopes from the engine's
+          mailbox chains only when called, and the result is valid only for the
           duration of the call. Returned envelopes must have a
           corrupted [src]. *)
 }
@@ -45,7 +45,7 @@ module Make (P : Protocol.S) : sig
 
   val start :
     ?quiet_limit:int ->
-    ?stream:bool ->
+    ?stream:unit ->
     ?mailbox:P.msg Engine_core.Mailbox.t ->
     ?events:Events.sink ->
     ?prof:Prof.t ->
@@ -64,8 +64,12 @@ module Make (P : Protocol.S) : sig
       instance stream ({!Fba_harness.Service}) can keep several runs
       concurrently open and interleave their rounds. [mailbox] hands
       in a previous run's delivery storage for epoch reuse; it is
-      {!Engine_core.Mailbox.reset} in place (its shape then overrides
-      [stream]). *)
+      {!Engine_core.Mailbox.reset} in place. [stream] is a [unit] that
+      chooses nothing: it once selected the streamed or double-buffered
+      mailbox, and the engine now has one delivery plane. The label
+      stays so the benchmark's [~stream:config.Runner.stream]
+      ([benchmark/instance.ml]) keeps compiling, while a caller asking
+      for the old plane ([~stream:false]) does not. *)
 
   val step : running -> bool
   (** Execute one round; [false] once the run's loop condition has
@@ -78,7 +82,6 @@ module Make (P : Protocol.S) : sig
 
   val run :
     ?quiet_limit:int ->
-    ?stream:bool ->
     ?events:Events.sink ->
     ?prof:Prof.t ->
     ?net:Net.spec ->
@@ -92,16 +95,11 @@ module Make (P : Protocol.S) : sig
     result
   (** [quiet_limit] (default 3) is the number of consecutive rounds
       with no traffic after which the engine declares quiescence —
-      protocols with longer planned gaps must raise it. [stream]
-      (default {!Engine_core.stream_default}, i.e. on unless
-      [FBA_NO_STREAM] is set) selects the chunked streamed mailbox;
-      [~stream:false] is the historical double-buffered plane —
-      delivery order and every observable output are identical either
-      way. [net] defaults to [Net.Reliable]; any other condition may
-      drop deliveries (attributed through {!Events.Drop} with the
-      {!Net} reason tags). [Net.Jitter] is a no-op here: the
-      synchronous delivery schedule {e is} the round structure. [prof],
-      when given, records per-round / per-handler-tag wall-clock and
-      allocation into the attached {!Prof.t}; absent, the run does no
-      profiling work at all. *)
+      protocols with longer planned gaps must raise it. [net] defaults
+      to [Net.Reliable]; any other condition may drop deliveries
+      (attributed through {!Events.Drop} with the {!Net} reason tags).
+      [Net.Jitter] is a no-op here: the synchronous delivery schedule
+      {e is} the round structure. [prof], when given, records per-round
+      / per-handler-tag wall-clock and allocation into the attached
+      {!Prof.t}; absent, the run does no profiling work at all. *)
 end

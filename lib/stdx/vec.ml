@@ -34,31 +34,15 @@ let pop t =
   t.len <- t.len - 1;
   t.data.(t.len)
 
-let capacity t = Array.length t.data
-
 let reset t =
   t.data <- [||];
   t.len <- 0
-
-let swap a b =
-  let data = a.data and len = a.len in
-  a.data <- b.data;
-  a.len <- b.len;
-  b.data <- data;
-  b.len <- len
 
 let iter f t =
   let i = ref 0 in
   while !i < t.len do
     f t.data.(!i);
     incr i
-  done
-
-let append dst src =
-  (* via the length, not [iter], so appending a vec to itself terminates *)
-  let n = src.len in
-  for i = 0 to n - 1 do
-    push dst src.data.(i)
   done
 
 let fold_left f init t =

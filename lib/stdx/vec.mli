@@ -1,11 +1,10 @@
 (** Growable arrays for allocation-free hot loops.
 
-    The simulation engines route every message through per-round
-    mailboxes; cons-list accumulation allocates two to three words per
-    message per round on top of the envelope itself. A [Vec] amortizes
-    that to zero: the backing array is reused across rounds ([clear]
-    keeps storage), and double-buffered mailboxes exchange their
-    contents with [swap] instead of copying. *)
+    Hot paths — AER's per-node backlogs and scratch lanes, the
+    interner's tables, the delivery plane's segment free list —
+    accumulate here instead of in cons lists, which allocate two to
+    three words per element. A [Vec] amortizes that to zero: the
+    backing array is reused ([clear] keeps storage). *)
 
 type 'a t
 
@@ -35,23 +34,13 @@ val clear : 'a t -> unit
 (** Set the length to zero. Storage is retained for reuse, so
     previously pushed elements stay reachable until overwritten. *)
 
-val capacity : 'a t -> int
-(** Allocated slots in the backing array (≥ [length]) — the retained
-    footprint [clear] keeps alive, in elements. *)
-
 val reset : 'a t -> unit
 (** Like [clear], but drop the backing array too — the eviction path:
     the next [push] starts from an empty allocation. *)
 
-val swap : 'a t -> 'a t -> unit
-(** Exchange the contents (storage and length) of two vectors in O(1). *)
-
 val iter : ('a -> unit) -> 'a t -> unit
 (** Iterate in push order over the elements present when iteration of
     each index occurs; elements pushed mid-iteration are visited. *)
-
-val append : 'a t -> 'a t -> unit
-(** [append dst src] pushes every element of [src] onto [dst]. *)
 
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 

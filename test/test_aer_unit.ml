@@ -25,9 +25,12 @@ let make_env ?(seed = 77L) () =
    way out. *)
 let unpack_outs cfg outs = List.map (fun (dst, m) -> (dst, Aer.unpack cfg m)) outs
 
+(* No engine runs here, so no [Aer.compile] either: [init] must build
+   the compiled tables itself on first use. *)
 let init_node cfg id =
   let ctx = Fba_sim.Ctx.make ~n ~id ~seed:77L in
   let st, outs = Aer.init cfg ctx in
+  Alcotest.(check bool) "init builds the compiled tables" true (Aer.config_compiled cfg <> None);
   (st, unpack_outs cfg outs)
 
 (* Find a correct, ignorant node to exercise. *)

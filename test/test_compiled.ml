@@ -14,16 +14,14 @@
      [Push_plan.targets] for every correct node, and the rows the
      build donates to the push cache are exactly the sampler's;
    - wire accounting: [Compiled.bits] equals [Packed.bits], including
-     for strings interned after compilation;
-   - trace identity: full runs with compilation on and off are
-     bit-identical (metrics fingerprint, outputs, JSONL event stream)
-     on adversarial scenarios, sync and async — the determinism goldens
-     (test_determinism) then pin the shared behaviour to the historical
-     wire trace. *)
+     for strings interned after compilation.
 
-module Attacks = Fba_adversary.Aer_attacks
+   Whole runs are pinned by the determinism and net goldens
+   (test_determinism, test_net), recorded when a tag-comparison
+   dispatch still ran beside the compiled one and both gave the same
+   fingerprints, outputs and event traces. *)
+
 module Runner = Fba_harness.Runner
-module Metrics = Fba_sim.Metrics
 module Cache = Fba_samplers.Cache
 module Sampler = Fba_samplers.Sampler
 module Push_plan = Fba_samplers.Push_plan
@@ -226,78 +224,6 @@ let test_bits_agree () =
   | (_ : int) -> Alcotest.fail "invalid tag accepted"
   | exception Invalid_argument _ -> ()
 
-(* --- Trace identity: compile on vs off --- *)
-
-module E = Fba_sim.Sync_engine.Make (Aer)
-module A = Fba_sim.Async_engine.Make (Aer)
-
-let fingerprint m =
-  let h = ref (Hash64.init 0x600DL) in
-  let n = Metrics.n m in
-  for i = 0 to n - 1 do
-    h := Hash64.add_int !h (Metrics.sent_messages_of m i);
-    h := Hash64.add_int !h (Metrics.sent_bits_of m i);
-    h := Hash64.add_int !h (Metrics.recv_messages_of m i);
-    h := Hash64.add_int !h (Metrics.recv_bits_of m i);
-    h := Hash64.add_int !h (match Metrics.decision_round m i with None -> -1 | Some r -> r)
-  done;
-  Hash64.finish (Hash64.add_int !h (Metrics.rounds m))
-
-let quiet_limit_of sc =
-  if Params.(sc.Scenario.params.max_poll_attempts) > 1 then
-    Params.(sc.Scenario.params.repoll_timeout) + 2
-  else 3
-
-let jsonl_sink () =
-  let buf = Buffer.create 4096 in
-  let sink = Fba_sim.Events.create () in
-  Fba_sim.Events.attach sink (Fba_sim.Events.Jsonl.consumer buf);
-  (sink, buf)
-
-let arb_run =
-  QCheck.make
-    ~print:(fun (n, seed) -> Printf.sprintf "n=%d seed=%Ld" n seed)
-    QCheck.Gen.(pair (int_range 24 64) (map Int64.of_int (int_range 1 1000)))
-
-let sync_run ~compile (n, seed) =
-  let sc = scenario ~n ~seed in
-  let events, buf = jsonl_sink () in
-  let cfg = Aer.config_of_scenario ~events ~compile sc in
-  let res =
-    E.run ~quiet_limit:(quiet_limit_of sc) ~events ~config:cfg ~n ~seed
-      ~adversary:(Attacks.cornering sc) ~mode:`Rushing ~max_rounds:300 ()
-  in
-  (res, buf)
-
-let prop_sync_compile_identical =
-  QCheck.Test.make ~name:"sync: compiled and dynamic runs are trace-identical" ~count:8 arb_run
-    (fun run ->
-      let on, on_buf = sync_run ~compile:true run in
-      let off, off_buf = sync_run ~compile:false run in
-      Int64.equal (fingerprint on.Fba_sim.Sync_engine.metrics)
-        (fingerprint off.Fba_sim.Sync_engine.metrics)
-      && on.Fba_sim.Sync_engine.outputs = off.Fba_sim.Sync_engine.outputs
-      && Buffer.contents on_buf = Buffer.contents off_buf)
-
-let async_run ~compile (n, seed) =
-  let sc = scenario ~n ~seed in
-  let events, buf = jsonl_sink () in
-  let cfg = Aer.config_of_scenario ~events ~compile sc in
-  let res =
-    A.run ~events ~config:cfg ~n ~seed ~adversary:(Attacks.async_cornering sc) ~max_time:4000 ()
-  in
-  (res, buf)
-
-let prop_async_compile_identical =
-  QCheck.Test.make ~name:"async: compiled and dynamic runs are trace-identical" ~count:5 arb_run
-    (fun run ->
-      let on, on_buf = async_run ~compile:true run in
-      let off, off_buf = async_run ~compile:false run in
-      Int64.equal (fingerprint on.Fba_sim.Async_engine.metrics)
-        (fingerprint off.Fba_sim.Async_engine.metrics)
-      && on.Fba_sim.Async_engine.outputs = off.Fba_sim.Async_engine.outputs
-      && Buffer.contents on_buf = Buffer.contents off_buf)
-
 let suites =
   [
     ( "compiled.int_table",
@@ -310,7 +236,4 @@ let suites =
         Alcotest.test_case "donated qi rows equal the sampler" `Quick test_seeded_rows_match_sampler;
         Alcotest.test_case "Compiled.bits equals Packed.bits" `Quick test_bits_agree;
       ] );
-    ( "compiled.parity",
-      List.map QCheck_alcotest.to_alcotest
-        [ prop_sync_compile_identical; prop_async_compile_identical ] );
   ]

@@ -3,13 +3,16 @@
    The mailbox/calendar-queue engine internals and the sampler cache
    layout are pure performance work: for a fixed (setup, n, seed) they
    must reproduce the exact per-node traffic and decision history the
-   cons-list engines produced. Two layers of evidence:
+   cons-list engines produced. Three layers of evidence:
 
    - recorded golden runs at n = 256: a 64-bit fingerprint over every
      node's sent/received message and bit counters plus its decision
      round, checked against values recorded from the pre-refactor
      engines — any reordering of deliveries, adversary observations or
      sampler draws shows up here;
+   - traced goldens at n = 48 (this file's non-rushing run, test_net's
+     lossy ones): the fingerprint plus digests of the decision vector
+     and of the whole JSONL event trace;
    - a qcheck property that running the same scenario twice (and the
      sync engine against a fresh scenario value) is bit-identical, so
      engine state can't leak across runs through reused storage. *)
@@ -106,6 +109,67 @@ let test_golden_intern_table () =
   if not (Int64.equal got 0x52c40008e5570c47L) then
     Alcotest.failf "intern table drifted: got 0x%LxL, recorded 0x52c40008e5570c47L" got
 
+(* --- Traced goldens ---
+
+   Each value below was recorded twice: on the streamed delivery plane
+   with compiled AER dispatch, and on the double-buffered mailbox lanes
+   with the tag-comparison dispatch those replaced. The two agreed, so
+   these goldens now stand where the twin-identity properties stood. A
+   traced golden holds a run's metrics fingerprint, a digest of its
+   decision vector and a digest of its JSONL event trace. *)
+
+let jsonl_sink () =
+  let buf = Buffer.create 4096 in
+  let sink = Fba_sim.Events.create () in
+  Fba_sim.Events.attach sink (Fba_sim.Events.Jsonl.consumer buf);
+  (sink, buf)
+
+let outputs_digest outs =
+  Hash64.finish
+    (Array.fold_left
+       (fun h o -> match o with None -> Hash64.add_int h (-1) | Some s -> Hash64.add_string h s)
+       (Hash64.init 0x0D7L) outs)
+
+(* Cornering AER with one JSONL sink on both the engine and the
+   config's phase markers; returns (metrics, outputs, trace). *)
+let traced_sync ?net ~mode ~n ~seed () =
+  let sc = Runner.scenario_of_setup Runner.default_setup ~n ~seed in
+  let events, buf = jsonl_sink () in
+  let cfg = Aer.config_of_scenario ~events sc in
+  let r =
+    Aer_sync.run ~quiet_limit:(quiet_limit_of sc) ~events ?net ~config:cfg ~n ~seed
+      ~adversary:(Attacks.cornering sc) ~mode ~max_rounds:300 ()
+  in
+  (r.Fba_sim.Sync_engine.metrics, r.Fba_sim.Sync_engine.outputs, buf)
+
+let traced_async ?net ~n ~seed () =
+  let sc = Runner.scenario_of_setup Runner.default_setup ~n ~seed in
+  let events, buf = jsonl_sink () in
+  let cfg = Aer.config_of_scenario ~events sc in
+  let r =
+    Aer_async.run ~events ?net ~config:cfg ~n ~seed ~adversary:(Attacks.async_cornering sc)
+      ~max_time:4000 ()
+  in
+  (r.Fba_sim.Async_engine.metrics, r.Fba_sim.Async_engine.outputs, buf)
+
+let check_traced_golden name ~fp ~outputs ~trace (m, outs, buf) =
+  let check what recorded got =
+    if not (Int64.equal recorded got) then
+      Alcotest.failf "%s %s drifted: got 0x%LxL, recorded 0x%LxL" name what got recorded
+  in
+  check "fingerprint" fp (fingerprint m);
+  check "outputs" outputs (outputs_digest outs);
+  check "trace" trace (Hash64.hash_string ~seed:0x7ACEL (Buffer.contents buf))
+
+(* `Non_rushing makes the engine rebuild the mailbox's previous-round
+   window at every commit. Cornering acts only in round 0, when that
+   window is still empty, so the window's contents are checked by
+   sim.sync's rushing-vs-non-rushing test. *)
+let test_golden_sync_non_rushing () =
+  check_traced_golden "sync-non-rushing" ~fp:0x577921a196aa87e3L ~outputs:0x27cda61dbfe282L
+    ~trace:0x385ac78f628287b8L
+    (traced_sync ~mode:`Non_rushing ~n:48 ~seed:7L ())
+
 let arb_run =
   QCheck.make
     ~print:(fun (n, seed) -> Printf.sprintf "n=%d seed=%Ld" n seed)
@@ -169,6 +233,8 @@ let suites =
         Alcotest.test_case "aer sync cornering n=256" `Slow test_golden_sync_cornering;
         Alcotest.test_case "aer async cornering n=256" `Slow test_golden_async_cornering;
         Alcotest.test_case "packed intern table n=256" `Slow test_golden_intern_table;
+        Alcotest.test_case "aer sync cornering non-rushing n=48 (traced)" `Quick
+          test_golden_sync_non_rushing;
       ] );
     ( "determinism.qcheck",
       List.map QCheck_alcotest.to_alcotest

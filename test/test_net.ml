@@ -85,6 +85,22 @@ let test_late_crash_is_noop () =
   if not (Int64.equal fp golden_cornering_fp) then
     Alcotest.failf "late-crash net drifted from the Reliable golden: 0x%LxL" fp
 
+(* Lossy conditions, pinned on traced runs (see
+   Test_determinism.check_traced_golden): the drops and delays must
+   keep landing on the same messages. *)
+let test_sync_drop_golden () =
+  Test_determinism.check_traced_golden "sync-drop" ~fp:0x666a55f5972214eL
+    ~outputs:0x90e5b9f0410e458dL ~trace:0xa20e75f4fec93c1eL
+    (Test_determinism.traced_sync ~net:(Net.Drop { rate = 0.05 }) ~mode:`Rushing ~n:48 ~seed:7L
+       ())
+
+let test_async_drop_jitter_golden () =
+  Test_determinism.check_traced_golden "async-drop-jitter" ~fp:0xbc73a70d058bf6f1L
+    ~outputs:0x27cda61dbfe282L ~trace:0x8d8916b18187d23fL
+    (Test_determinism.traced_async
+       ~net:(Net.Compose [ Net.Drop { rate = 0.03 }; Net.Jitter { extra = 2 } ])
+       ~n:48 ~seed:7L ())
+
 (* --- Net-layer qcheck properties --- *)
 
 let arb_queries =
@@ -321,6 +337,9 @@ let suites =
           test_sync_jitter_is_noop;
         Alcotest.test_case "crash after quiescence is a no-op (golden)" `Slow
           test_late_crash_is_noop;
+        Alcotest.test_case "sync cornering, 5% drop n=48 (traced)" `Quick test_sync_drop_golden;
+        Alcotest.test_case "async cornering, drop + jitter n=48 (traced)" `Quick
+          test_async_drop_jitter_golden;
       ] );
     ( "net.unit",
       [

@@ -3,12 +3,11 @@
 
    - qcheck property: every instance of an epoch-reset stream is
      trace-fingerprint-identical to a fresh one-shot Runner run of the
-     same derived seed — across pipeline widths, worker-domain counts,
-     the buffered delivery plane (config.stream = false, the
-     FBA_NO_STREAM shape) and narrow vs wide packed layouts.
+     same derived seed — across pipeline widths, worker-domain counts
+     and narrow vs wide packed layouts.
    - unit suite for the reset entry points themselves: no stale
-     interner ids, sampler rows or mailbox/calendar contents survive
-     an epoch boundary. *)
+     interner ids, sampler rows or mailbox contents survive an epoch
+     boundary. *)
 
 module Runner = Fba_harness.Runner
 module Service = Fba_harness.Service
@@ -29,19 +28,18 @@ let case_gen =
     let* instances = int_range 2 6 in
     let* width = oneofl [ 1; 2; 4 ] in
     let* jobs = oneofl [ 1; 2; 4 ] in
-    let* stream_plane = bool in
     let* wide = bool in
     let* seed = int_range 1 10_000 in
-    return (n, instances, width, jobs, stream_plane, wide, seed))
+    return (n, instances, width, jobs, wide, seed))
 
 let prop_stream_matches_oneshot =
   QCheck2.Test.make ~count:6 ~name:"service.stream = fresh one-shot runs" case_gen
-    (fun (n, instances, width, jobs, stream_plane, wide, seed) ->
+    (fun (n, instances, width, jobs, wide, seed) ->
       let setup =
         if wide then { Runner.default_setup with Runner.layout = Msg.Layout.Wide }
         else Runner.default_setup
       in
-      let config = { Runner.default_config with Runner.stream = stream_plane } in
+      let config = Runner.default_config in
       let stream =
         { Service.setup;
           config;
@@ -133,7 +131,7 @@ let test_cache_reset () =
   done
 
 (* Aer.config_epoch chains the whole per-run state (interner, quorum
-   caches, push plan, compile scratch) through a reset; the second
+   caches, compile scratch) through a reset; the second
    epoch must produce the exact execution a fresh config produces. *)
 let test_config_epoch () =
   let n = 48 in
@@ -163,55 +161,22 @@ let test_config_epoch () =
   let fp_fresh = run (Aer.config_of_scenario sc_fresh) sc_fresh in
   Alcotest.(check int64) "epoch-reset config replays the fresh execution" fp_fresh fp_epoch
 
-(* Mailbox/Calendar reset: nothing staged, pending or deliverable may
-   survive the epoch boundary, on either delivery-plane shape. *)
+(* Mailbox reset: nothing staged, pending or deliverable may survive
+   the epoch boundary. *)
 let test_mailbox_reset () =
-  List.iter
-    (fun stream ->
-      let mb : int Engine_core.Mailbox.t = Engine_core.Mailbox.create ~stream ~n:8 () in
-      Engine_core.Mailbox.push_correct mb ~src:0 ~dst:1 42;
-      Engine_core.Mailbox.begin_commit mb;
-      Engine_core.Mailbox.push_staged mb ~src:2 ~dst:3 7;
-      Engine_core.Mailbox.commit mb ~keep_prev:true;
-      Engine_core.Mailbox.push_correct mb ~src:1 ~dst:2 43;
-      Engine_core.Mailbox.reset mb;
-      Alcotest.(check bool)
-        (Printf.sprintf "stream=%b nothing pending" stream)
-        false
-        (Engine_core.Mailbox.pending_any mb);
-      Alcotest.(check int)
-        (Printf.sprintf "stream=%b no correct sends" stream)
-        0
-        (Engine_core.Mailbox.correct_length mb);
-      Engine_core.Mailbox.stage mb;
-      Alcotest.(check bool)
-        (Printf.sprintf "stream=%b nothing staged" stream)
-        false
-        (Engine_core.Mailbox.staged_any mb);
-      let delivered = ref 0 in
-      Engine_core.Mailbox.drain mb ~f:(fun ~src:_ ~dst:_ _ -> incr delivered);
-      Alcotest.(check int) (Printf.sprintf "stream=%b nothing delivered" stream) 0 !delivered)
-    [ true; false ]
-
-let test_calendar_reset () =
-  List.iter
-    (fun stream ->
-      let cal : int Engine_core.Calendar.t =
-        Engine_core.Calendar.create ~stream ~n:8 ~max_delay:4 ()
-      in
-      Engine_core.Calendar.schedule cal ~at:2 ~src:0 ~dst:1 5;
-      Engine_core.Calendar.schedule cal ~at:3 ~src:1 ~dst:2 6;
-      Engine_core.Calendar.reset cal;
-      Alcotest.(check int)
-        (Printf.sprintf "stream=%b nothing pending" stream)
-        0 (Engine_core.Calendar.pending cal);
-      for t = 0 to 4 do
-        Alcotest.(check int)
-          (Printf.sprintf "stream=%b bucket %d empty" stream t)
-          0
-          (Engine_core.Calendar.due_count cal ~time:t)
-      done)
-    [ true; false ]
+  let mb : int Engine_core.Mailbox.t = Engine_core.Mailbox.create ~n:8 () in
+  Engine_core.Mailbox.push_correct mb ~src:0 ~dst:1 42;
+  Engine_core.Mailbox.push_staged mb ~src:2 ~dst:3 7;
+  Engine_core.Mailbox.commit mb ~keep_prev:true;
+  Engine_core.Mailbox.push_correct mb ~src:1 ~dst:2 43;
+  Engine_core.Mailbox.reset mb;
+  Alcotest.(check bool) "nothing pending" false (Engine_core.Mailbox.pending_any mb);
+  Alcotest.(check int) "no correct sends" 0 (Engine_core.Mailbox.correct_length mb);
+  Alcotest.(check int) "no previous-round window" 0
+    (List.length (Engine_core.Mailbox.prev_envelopes mb));
+  let delivered = ref 0 in
+  Engine_core.Mailbox.drain mb ~f:(fun ~src:_ ~dst:_ _ -> incr delivered);
+  Alcotest.(check int) "nothing delivered" 0 !delivered
 
 (* The FBA_JOBS override behind Pool.recommended_jobs, exercised the
    way the service resolves jobs=0. *)
@@ -235,7 +200,6 @@ let suites =
         Alcotest.test_case "cache reset" `Quick test_cache_reset;
         Alcotest.test_case "config epoch parity" `Quick test_config_epoch;
         Alcotest.test_case "mailbox reset" `Quick test_mailbox_reset;
-        Alcotest.test_case "calendar reset" `Quick test_calendar_reset;
         Alcotest.test_case "FBA_JOBS override" `Quick test_fba_jobs_override;
       ] );
   ]

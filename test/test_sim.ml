@@ -108,25 +108,35 @@ let test_sync_adversary_validation () =
 let test_rushing_vs_non_rushing_observation () =
   let n = 4 in
   let corrupted = Bitset.of_list n [ 2 ] in
-  let observed_round0 = ref (-1) in
+  (* The (src, dst) pairs the adversary observes in rounds 0..2. *)
   let spy mode =
-    observed_round0 := -1;
+    let seen = Array.make 3 [] in
     let adversary =
       {
         Sync_engine.corrupted;
         act =
           (fun ~round ~observed ->
-            if round = 0 then observed_round0 := List.length (observed ());
+            if round < 3 then
+              seen.(round) <- List.map (fun (e : _ Envelope.t) -> (e.src, e.dst)) (observed ());
             []);
       }
     in
     ignore
       (Ring_sync.run ~config:{ Ring.n } ~n ~seed:1L ~adversary ~mode ~max_rounds:10 ());
-    !observed_round0
+    seen
   in
+  let rushing = spy `Rushing and non_rushing = spy `Non_rushing in
   (* Rushing sees node 0's round-0 token; non-rushing sees nothing yet. *)
-  Alcotest.(check int) "rushing sees current round" 1 (spy `Rushing);
-  Alcotest.(check int) "non-rushing sees nothing in round 0" 0 (spy `Non_rushing)
+  Alcotest.(check int) "rushing sees current round" 1 (List.length rushing.(0));
+  Alcotest.(check int) "non-rushing sees nothing in round 0" 0 (List.length non_rushing.(0));
+  (* From then on non-rushing sees exactly the previous round's sends:
+     the mailbox's previous-round window. *)
+  for r = 0 to 1 do
+    Alcotest.(check (list (pair int int)))
+      (Printf.sprintf "non-rushing round %d sees rushing round %d" (r + 1) r)
+      rushing.(r)
+      non_rushing.(r + 1)
+  done
 
 let test_async_delays () =
   let n = 4 in

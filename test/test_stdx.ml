@@ -254,16 +254,6 @@ let test_vec_clear_reuse () =
   Alcotest.(check (list string)) "of_list round trip" [ "x"; "y" ]
     (Vec.to_list (Vec.of_list [ "x"; "y" ]))
 
-let test_vec_swap () =
-  let a = Vec.of_list [ 1; 2; 3 ] and b = Vec.of_list [ 9 ] in
-  Vec.swap a b;
-  Alcotest.(check (list int)) "a got b" [ 9 ] (Vec.to_list a);
-  Alcotest.(check (list int)) "b got a" [ 1; 2; 3 ] (Vec.to_list b);
-  let sink = Vec.create () in
-  Vec.append sink a;
-  Vec.append sink b;
-  Alcotest.(check (list int)) "append concatenates" [ 9; 1; 2; 3 ] (Vec.to_list sink)
-
 let test_vec_iter_sees_mid_iteration_pushes () =
   let v = Vec.of_list [ 0; 1; 2 ] in
   let seen = ref [] in
@@ -473,7 +463,6 @@ let suites =
       [
         Alcotest.test_case "push/get/set" `Quick test_vec_push_get;
         Alcotest.test_case "clear reuses storage" `Quick test_vec_clear_reuse;
-        Alcotest.test_case "swap/append" `Quick test_vec_swap;
         Alcotest.test_case "iter sees appended" `Quick test_vec_iter_sees_mid_iteration_pushes;
       ] );
     ( "stdx.i64_table",
