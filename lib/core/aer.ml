@@ -99,7 +99,8 @@ let pack cfg m = Packed.pack cfg.layout cfg.intern m
 let unpack cfg p = Packed.unpack cfg.layout cfg.intern p
 
 (* Small imperative helpers over Hashtbl-as-set (poll answers only —
-   everything else lives in Int_table / position masks below). *)
+   everything else lives in Int_table / position masks below, apart
+   from the outstanding polls and the Fw1 burst's replay table). *)
 let set () : (int, unit) Hashtbl.t = Hashtbl.create 8
 
 let set_add tbl v =
@@ -156,13 +157,18 @@ type state = {
   pull_counts : Int_table.t;
       (* Pull dedup: label ids already routed per (x, s); capped at
          max_poll_attempts to bound the Fw1 amplification *)
-  fw1_targets : (int, (int, int) Hashtbl.t) Hashtbl.t;
-      (* Algorithm 2 second handler, per (s, x): verified w ↦ label id.
-         Stays a Hashtbl: its iteration order fixes the serve-all Fw2
-         burst's wire order, which the determinism goldens pin. *)
+  (* Algorithm 2's second handler, per (s, x): the distinct senders
+     y ∈ H(s, x) (position masks), every verified target w (one
+     presence set over (s, x, w)), and — until the majority burst —
+     the targets' (w, label id) in first-verified order, as a chain
+     per (s, x) through one flat lane. The burst serves the chain;
+     after it, a w is served on its first verified Fw1. *)
   f1s_masks : Int_table.t;  (* distinct y ∈ H(s,x) seen, keyed key_sx *)
   f1s_counts : Int_table.t;
-  f1_served : Int_table.t;  (* presence: (key_sx lsl 13) lor w *)
+  fw1_seen : Int_table.t;  (* presence: (key_sx lsl id_bits) lor w *)
+  fw1_last : Int_table.t;  (* key_sx -> lane offset of its latest target *)
+  fw1_lane : int Vec.t;  (* (w, rid, offset of the previous target or -1) triples *)
+  burst : (int, int) Hashtbl.t;  (* the burst's replay table, reset per burst *)
   fw2_masks : Int_table.t;  (* distinct z ∈ H(s,this), keyed key_sx *)
   fw2_counts : Int_table.t;
   polled : Int_table.t;  (* Algorithm 3's Polled set: presence, key_xs *)
@@ -252,6 +258,44 @@ let try_answer cfg st ~emit sid x =
     else Vec.push st.muted (key_sx lt ~sid ~x)
   end
 
+(* Append a pre-burst Fw1 target to its (s, x) chain. *)
+let record_target st tkey ~w ~rid =
+  let at = Vec.length st.fw1_lane in
+  Vec.push st.fw1_lane w;
+  Vec.push st.fw1_lane rid;
+  Vec.push st.fw1_lane (Int_table.get_or st.fw1_last tkey ~default:(-1));
+  Int_table.set st.fw1_last tkey at
+
+(* Add the chain ending at lane offset [at] to [h], oldest first. The
+   depth is the chain's length: one (s, x)'s distinct targets. *)
+let rec replay h lane at =
+  if at >= 0 then begin
+    replay h lane (Vec.get lane (at + 2));
+    Hashtbl.add h (Vec.get lane at) (Vec.get lane (at + 1))
+  end
+
+(* The majority burst: serve every recorded target of (s, x) once. The
+   wire order is the one the historical per-(s, x) [Hashtbl.create 8]
+   gave, which the determinism goldens pin: its bucket order, reversed
+   (its fold consed as it visited). Only a real Hashtbl reproduces
+   bucket order, so the chain is replayed, in first-verified order,
+   into the reset burst table — whose state is then exactly the
+   historical table's — and the walk is emitted back to front. *)
+let serve_burst cfg st ~emit ~sid ~x tkey =
+  let lt = cfg.layout in
+  Hashtbl.reset st.burst;
+  replay st.burst st.fw1_lane (Int_table.get_or st.fw1_last tkey ~default:(-1));
+  Vec.clear st.scratch_w;
+  Vec.clear st.scratch_rid;
+  Hashtbl.iter
+    (fun w rid ->
+      Vec.push st.scratch_w w;
+      Vec.push st.scratch_rid rid)
+    st.burst;
+  for i = Vec.length st.scratch_w - 1 downto 0 do
+    emit (Vec.get st.scratch_w i) (Packed.fw2 lt ~sid ~rid:(Vec.get st.scratch_rid i) ~x)
+  done
+
 (* Push phase acceptance: s enters L_x on a strict majority of I(s, x). *)
 let rec handle_push cfg st ~emit ~src sid =
   if st.decided_sid >= 0 || Int_table.mem st.candidates sid then ()
@@ -332,44 +376,21 @@ and handle_fw1 cfg st ~emit ~src p =
       if spos >= 0 && Cache.mem_rid cfg.qj ~x ~rid ~r:(Intern.label cfg.intern rid) ~y:w
       then begin
         let tkey = key_sx lt ~sid ~x in
-        let targets =
-          match Hashtbl.find st.fw1_targets tkey with
-          | t -> t
-          | exception Not_found ->
-            let t = Hashtbl.create 8 in
-            Hashtbl.add st.fw1_targets tkey t;
-            t
-        in
-        if not (Hashtbl.mem targets w) then Hashtbl.add targets w rid;
+        let fresh = Int_table.add st.fw1_seen ((tkey lsl lt.Msg.Layout.id_bits) lor w) in
         let c_new =
           mask_add st.f1s_masks st.f1s_counts ~mult:lt.Msg.Layout.mask_mult ~key:tkey ~pos:spos
         in
         let newly = c_new >= 0 in
         let c = if newly then c_new else Int_table.get_or st.f1s_counts tkey ~default:0 in
         let maj = Params.majority_h cfg.params in
-        if c >= maj then begin
+        if c < maj then (if fresh then record_target st tkey ~w ~rid)
+        else begin
           mark cfg st "fw2";
           if newly && c = maj then begin
-            (* Majority just reached: serve every verified target once.
-               The historical Hashtbl.fold consed as it visited, so the
-               wire order is the reverse of visit order — collect into
-               the scratch lanes, then emit back-to-front. *)
-            Vec.clear st.scratch_w;
-            Vec.clear st.scratch_rid;
-            Hashtbl.iter
-              (fun w rid ->
-                if Int_table.add st.f1_served ((tkey lsl lt.Msg.Layout.id_bits) lor w) then begin
-                  Vec.push st.scratch_w w;
-                  Vec.push st.scratch_rid rid
-                end)
-              targets;
-            for i = Vec.length st.scratch_w - 1 downto 0 do
-              emit (Vec.get st.scratch_w i)
-                (Packed.fw2 lt ~sid ~rid:(Vec.get st.scratch_rid i) ~x)
-            done
+            if fresh then record_target st tkey ~w ~rid;
+            serve_burst cfg st ~emit ~sid ~x tkey
           end
-          else if Int_table.add st.f1_served ((tkey lsl lt.Msg.Layout.id_bits) lor w) then
-            emit w (Packed.fw2 lt ~sid ~rid ~x)
+          else if fresh then emit w (Packed.fw2 lt ~sid ~rid ~x)
         end
       end
     end
@@ -485,10 +506,12 @@ let init cfg ctx =
       polls = Hashtbl.create 8;
       pull_labels = Int_table.create ~capacity:32 ();
       pull_counts = Int_table.create ~capacity:32 ();
-      fw1_targets = Hashtbl.create 32;
       f1s_masks = Int_table.create ~capacity:64 ();
       f1s_counts = Int_table.create ~capacity:32 ();
-      f1_served = Int_table.create ~capacity:64 ();
+      fw1_seen = Int_table.create ~capacity:64 ();
+      fw1_last = Int_table.create ~capacity:32 ();
+      fw1_lane = Vec.create ();
+      burst = Hashtbl.create 8;
       fw2_masks = Int_table.create ();
       fw2_counts = Int_table.create ();
       polled = Int_table.create ~capacity:32 ();

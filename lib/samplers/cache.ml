@@ -163,15 +163,19 @@ let quorum_xr t ~x ~r =
     q
 
 (* Top-level recursion on purpose: an inner [let rec loop] would
-   capture [a]/[y] in a fresh closure on every membership test. *)
-let rec mem_scan a y i stop = i < stop && (a.(i) = y || mem_scan a y (i + 1) stop)
+   capture [a]/[y] in a fresh closure on every membership test. The
+   [int] annotations matter as much: unannotated, both scans compile
+   polymorphic and pay a [caml_equal] call per slot (scripts/ci.sh
+   fails the build if one comes back). *)
+let rec mem_scan (a : int array) (y : int) i stop =
+  i < stop && (Array.unsafe_get a i = y || mem_scan a y (i + 1) stop)
 
 let mem_array a y = mem_scan a y 0 (Array.length a)
 
 (* Position-returning scan: handlers that record set membership by
    quorum position get the index from the same walk the verification
    already pays for. *)
-let rec pos_scan a y i stop =
+let rec pos_scan (a : int array) (y : int) i stop =
   if i >= stop then -1 else if Array.unsafe_get a i = y then i else pos_scan a y (i + 1) stop
 
 let pos_array a y = pos_scan a y 0 (Array.length a)

@@ -28,20 +28,21 @@ let key_sx t ~s ~x =
 let key_xr t ~x ~r =
   Hash64.add_int64 (Hash64.add_int (Hash64.add_int (Hash64.init t.seed) 0x4a) x) r
 
+(* [v] among [out.(pos .. pos+k-1)]. Top-level and int-typed, like
+   Cache's scans: a local loop would allocate a closure per draw. *)
+let rec mem_prefix (out : int array) pos (v : int) i k =
+  i < k && (out.(pos + i) = v || mem_prefix out pos v (i + 1) k)
+
 (* Draw the quorum for an absorbed key state into [out.(pos ..
    pos+d-1)]: counter-mode hashing with rejection of duplicates.
    Deterministic; terminates because d <= n. *)
 let quorum_into t key out ~pos =
-  let mem_prefix v k =
-    let rec loop i = i < k && (out.(pos + i) = v || loop (i + 1)) in
-    loop 0
-  in
   let k = ref 0 in
   let attempt = ref 0 in
   while !k < t.d do
-    let v = Hash64.to_range (Hash64.finish (Hash64.add_int key !attempt)) t.n in
+    let v = Hash64.draw key !attempt ~bound:t.n in
     incr attempt;
-    if not (mem_prefix v !k) then begin
+    if not (mem_prefix out pos v 0 !k) then begin
       out.(pos + !k) <- v;
       incr k
     end
@@ -62,17 +63,13 @@ let quorum_xr t ~x ~r = quorum_of_key t (key_xr t ~x ~r)
    for members and allocates nothing either way. *)
 let mem_of_key t key ~y =
   let out = t.scratch in
-  let mem_prefix v k =
-    let rec loop i = i < k && (out.(i) = v || loop (i + 1)) in
-    loop 0
-  in
   let found = ref false in
   let k = ref 0 in
   let attempt = ref 0 in
   while (not !found) && !k < t.d do
-    let v = Hash64.to_range (Hash64.finish (Hash64.add_int key !attempt)) t.n in
+    let v = Hash64.draw key !attempt ~bound:t.n in
     incr attempt;
-    if not (mem_prefix v !k) then begin
+    if not (mem_prefix out 0 v 0 !k) then begin
       if v = y then found := true;
       out.(!k) <- v;
       incr k

@@ -33,5 +33,10 @@ val to_range : int64 -> int -> int
     bias) onto [\[0, bound)]. Raises [Invalid_argument] if
     [bound <= 0]. *)
 
+val draw : t -> int -> bound:int -> int
+(** [draw key i ~bound] is [to_range (finish (add_int key i)) bound]
+    — the [i]-th counter-mode draw of a sampler key state — computed
+    without allocating. Raises [Invalid_argument] if [bound <= 0]. *)
+
 val hash_string : seed:int64 -> string -> int64
 (** One-shot convenience: [finish (add_string (init seed) s)]. *)

@@ -35,4 +35,4 @@ let cdiv a b =
   if b <= 0 then invalid_arg "Intx.cdiv: non-positive divisor";
   (a + b - 1) / b
 
-let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
+let clamp ~lo ~hi (x : int) = if x < lo then lo else if x > hi then hi else x

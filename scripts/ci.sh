@@ -4,6 +4,37 @@
 set -e
 cd "$(dirname "$0")/.."
 dune build @all
+
+# Polymorphic-compare guard: the modules every delivery runs through
+# must compare ints inline. A comparison the compiler cannot type as
+# int becomes a C call per use (caml_equal, caml_lessthan, ...); one
+# unannotated scan made each quorum-membership test pay one per slot.
+# Any such reference in these native objects fails the build, naming
+# the object and the symbol.
+if ! command -v nm > /dev/null 2>&1; then
+  echo "poly-compare guard FAILED: nm not found" >&2
+  exit 1
+fi
+objs=_build/default/lib
+guarded="$(ls "$objs"/samplers/.fba_samplers.objs/native/*.o "$objs"/sim/.fba_sim.objs/native/*.o)"
+for m in Int_table I64_table Hash64 Vec Intx Prng Bitset; do
+  guarded="$guarded $objs/stdx/.fba_stdx.objs/native/fba_stdx__$m.o"
+done
+for m in Aer Compiled Msg Intern; do
+  guarded="$guarded $objs/core/.fba_core.objs/native/fba_core__$m.o"
+done
+poly=0
+for o in $guarded; do
+  undefined="$(nm -u "$o")"
+  for sym in $(printf '%s\n' "$undefined" | awk '{print $NF}' \
+    | grep -xE '_?caml_(equal|notequal|compare|lessthan|lessequal|greaterthan|greaterequal|hash)' || true); do
+    echo "poly-compare guard FAILED: $o references $sym" >&2
+    poly=1
+  done
+done
+[ "$poly" = 0 ] || exit 1
+echo "poly-compare guard ok: $(echo $guarded | wc -w) objects, no polymorphic compare or hash"
+
 dune runtest
 
 # Environment-switch allowlist: the program may read only these FBA_*

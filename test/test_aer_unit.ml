@@ -253,6 +253,94 @@ let test_fw2_requires_h_membership () =
     (Array.to_list members);
   Alcotest.(check int) "answered exactly once" 1 !answers
 
+(* Algorithm 2's second handler on one (s, x) whose forwarding state
+   crosses every representation boundary. d_h = n puts every node in
+   every pull quorum, so each relay and sender check passes and sender
+   positions reach the second 62-bit mask word; d_j = 40 gives the pair
+   40 targets, past the 17- and 33-binding resizes of a
+   [Hashtbl.create 8]. The serve-all burst's wire order is the one the
+   historical per-pair table produced: a fresh [Hashtbl.create 8] fed
+   the targets in first-verified order, walked, and reversed (the walk
+   consed). *)
+let test_fw1_burst () =
+  let params = Params.make ~n ~seed:77L ~d_i:8 ~d_h:n ~d_j:40 ~gstring_bits:48 () in
+  let sc =
+    Scenario.make ~junk:Scenario.Junk_default ~params ~rng:(Prng.create 5L)
+      ~byzantine_fraction:0.1 ~knowledgeable_fraction:0.8 ()
+  in
+  let cfg = Aer.config_of_scenario sc in
+  let maj = Params.majority_h params in
+  Alcotest.(check int) "majority_h" 33 maj;
+  let z =
+    let rec loop i = if Scenario.knows_gstring sc i then i else loop (i + 1) in
+    loop 0
+  in
+  let st, _ = init_node cfg z in
+  let g = sc.Scenario.gstring in
+  let x = if z = 0 then 1 else 0 in
+  let r = 0x5EEDL in
+  let j = Params.sampler_j params in
+  let targets = Sampler.quorum_xr j ~x ~r in
+  Alcotest.(check int) "40 targets" 40 (Array.length targets);
+  (* Senders walk H(g, x) from its last position down, so the first two
+     sit at positions 63 and 62 — the second mask word. *)
+  let hq = Sampler.quorum_sx (Params.sampler_h params) ~s:g ~x in
+  let senders =
+    Array.of_list (List.filter (fun y -> y <> z) (List.rev (Array.to_list hq)))
+  in
+  let fw1 ?(r = r) ~src w = deliver cfg st ~src (Msg.Fw1 { x; s = g; r; w }) in
+  let outsider = List.find (fun w -> not (Array.mem w targets)) (List.init n Fun.id) in
+  (* First-verified order: a shuffle of the targets. Sender k forwards
+     the window order.(k .. k+7), so each of the first 32 senders
+     verifies one new target (the first verifies eight) and repeats
+     older ones; the 40th target comes with the burst. *)
+  let order = Array.init 40 Fun.id in
+  Prng.shuffle (Prng.create 13L) order;
+  let pre = ref [] in
+  for k = 0 to maj - 2 do
+    for i = k to k + 7 do
+      pre := fw1 ~src:senders.(k) targets.(order.(i)) @ !pre
+    done;
+    (* A repeated sender does not count twice. *)
+    pre := fw1 ~src:senders.(0) targets.(order.(k)) @ !pre
+  done;
+  (* A fresh sender naming a w outside J(x, r) is not counted either:
+     were it the 33rd sender, the burst would fire here. *)
+  pre := fw1 ~src:senders.(maj + 1) outsider @ !pre;
+  Alcotest.(check int) "no Fw2 before the 33rd distinct sender" 0 (List.length !pre);
+  let model = Hashtbl.create 8 in
+  Array.iter (fun i -> Hashtbl.add model targets.(i) r) order;
+  let wire = ref [] in
+  Hashtbl.iter (fun w _ -> wire := w :: !wire) model;
+  let verified = List.map (fun i -> targets.(i)) (Array.to_list order) in
+  Alcotest.(check bool) "the model's order is neither insertion order nor its reverse" true
+    (!wire <> verified && !wire <> List.rev verified);
+  let burst = fw1 ~src:senders.(maj - 1) targets.(order.(39)) in
+  Alcotest.(check (list int)) "burst: one Fw2 per target, in the historical wire order" !wire
+    (List.map fst burst);
+  List.iter
+    (fun (_, m) ->
+      Alcotest.(check bool) "burst carries Fw2(x, g, r)" true (m = Msg.Fw2 { x; s = g; r }))
+    burst;
+  Alcotest.(check int) "repeated w after the burst: nothing" 0
+    (List.length (fw1 ~src:senders.(maj) targets.(order.(5))));
+  Alcotest.(check int) "w outside J(x, r) after the burst: nothing" 0
+    (List.length (fw1 ~src:senders.(maj) outsider));
+  (* A label whose poll list names a w the burst did not serve. *)
+  let r2, w2 =
+    let rec loop r2 =
+      let j2 = Array.to_list (Sampler.quorum_xr j ~x ~r:r2) in
+      match List.find_opt (fun w -> not (Array.mem w targets)) j2 with
+      | Some w2 -> (r2, w2)
+      | None -> loop (Int64.succ r2)
+    in
+    loop (Int64.succ r)
+  in
+  Alcotest.(check bool) "fresh label: exactly one Fw2, to w, under that label" true
+    (fw1 ~r:r2 ~src:senders.(1) w2 = [ (w2, Msg.Fw2 { x; s = g; r = r2 }) ]);
+  Alcotest.(check int) "fresh label repeated: nothing" 0
+    (List.length (fw1 ~r:r2 ~src:senders.(2) w2))
+
 let suites =
   [
     ( "core.aer.handlers",
@@ -267,5 +355,6 @@ let suites =
         Alcotest.test_case "decision monotone" `Quick test_decision_is_monotone;
         Alcotest.test_case "fw2: H-membership + single answer" `Quick
           test_fw2_requires_h_membership;
+        Alcotest.test_case "fw1: sender filter, majority burst, wire order" `Quick test_fw1_burst;
       ] );
   ]

@@ -8,8 +8,9 @@
    - Int_table vs a Hashtbl model: randomized op sequences agree on
      every returned value (the table underlies all compiled-path
      per-node sets and counters);
-   - membership oracles: [Cache.pos_sid]/[pos_rid] agree with
-     [mem_sid]/[mem_rid] and index the cached quorum correctly;
+   - membership oracles: [Cache.mem_sid]/[mem_rid] agree with a plain
+     scan of the cached quorum, and [pos_sid]/[pos_rid] agree with them
+     and index the quorum correctly;
    - CSR fan-out vs Push_plan: the compiled push edges are exactly
      [Push_plan.targets] for every correct node, and the rows the
      build donates to the push cache are exactly the sampler's;
@@ -132,9 +133,14 @@ let test_pos_oracles () =
     let sid = Intern.find intern s in
     Alcotest.(check bool) "initials are interned" true (sid >= 0);
     let q = Cache.quorum_sid qh ~sid ~s ~x in
+    let last = Array.length q - 1 in
+    Alcotest.(check int) "pos_sid finds the last slot" last
+      (Cache.pos_sid qh ~sid ~s ~x ~y:q.(last));
     for y = 0 to n - 1 do
       let pos = Cache.pos_sid qh ~sid ~s ~x ~y in
       let mem = Cache.mem_sid qh ~sid ~s ~x ~y in
+      Alcotest.(check bool) "mem_sid = a plain scan of the quorum"
+        (Array.exists (Int.equal y) q) mem;
       Alcotest.(check bool) "pos_sid >= 0 iff mem_sid" mem (pos >= 0);
       if pos >= 0 then Alcotest.(check int) "pos_sid indexes the quorum" y q.(pos)
     done
@@ -143,12 +149,19 @@ let test_pos_oracles () =
   let rid = Intern.intern_label intern r in
   let x = 3 in
   let q = Cache.quorum_rid qj ~x ~rid ~r in
+  let last = Array.length q - 1 in
+  Alcotest.(check int) "pos_rid finds the last slot" last (Cache.pos_rid qj ~x ~rid ~r ~y:q.(last));
+  let members = ref 0 in
   for y = 0 to n - 1 do
     let pos = Cache.pos_rid qj ~x ~rid ~r ~y in
     let mem = Cache.mem_rid qj ~x ~rid ~r ~y in
+    Alcotest.(check bool) "mem_rid = a plain scan of the quorum" (Array.exists (Int.equal y) q) mem;
+    if mem then incr members;
     Alcotest.(check bool) "pos_rid >= 0 iff mem_rid" mem (pos >= 0);
     if pos >= 0 then Alcotest.(check int) "pos_rid indexes the quorum" y q.(pos)
-  done
+  done;
+  (* Both members and non-members were probed. *)
+  Alcotest.(check bool) "J quorum is a proper subset" true (!members = Array.length q && !members < n)
 
 (* --- CSR fan-out vs the Push_plan oracle --- *)
 

@@ -113,6 +113,18 @@ let prop_binomial_tail_monotone =
 
 (* --- Sampler invariants --- *)
 
+(* Hash64.draw is the samplers' allocation-free draw; the composition
+   it replaces is its oracle, error included. *)
+let prop_hash64_draw =
+  qtest ~count:500 "Hash64.draw = to_range (finish (add_int key i))"
+    QCheck2.Gen.(
+      triple int64 int (oneof [ int_range (-3) 0; int_range 1 2048; int_range 1 max_int ]))
+    (fun (key, i, bound) ->
+      let outcome f = match f () with v -> Some v | exception Invalid_argument _ -> None in
+      let drawn = outcome (fun () -> Hash64.draw key i ~bound) in
+      drawn = outcome (fun () -> Hash64.to_range (Hash64.finish (Hash64.add_int key i)) bound)
+      && (drawn = None) = (bound <= 0))
+
 let prop_sampler_quorum_invariants =
   qtest "quorums: exact size, distinct members, deterministic"
     QCheck2.Gen.(pair seed_gen (pair (int_range 0 1023) (small_string ~gen:printable)))
@@ -346,7 +358,12 @@ let suites =
     ("props.bitset", [ prop_bitset_model; prop_bitset_ops_model ]);
     ("props.stats", [ prop_percentile_bounded; prop_binomial_tail_monotone ]);
     ( "props.samplers",
-      [ prop_sampler_quorum_invariants; prop_sampler_membership; prop_push_plan_inverse ] );
+      [
+        prop_sampler_quorum_invariants;
+        prop_sampler_membership;
+        prop_push_plan_inverse;
+        prop_hash64_draw;
+      ] );
     ("props.histogram", [ prop_histogram_model; prop_histogram_percentile_monotone ]);
     ("props.extensions", [ prop_relay_assignment_consistent ]);
     ( "props.structures",
