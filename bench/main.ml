@@ -212,15 +212,15 @@ let measure_target name f =
   f ();
   Fba_sim.Batch.Peak.reset ();
   reset_rss_hwm ();
-  let t0 = Unix.gettimeofday () in
+  let t0 = Fba_stdx.Monotonic.now_ns () in
   let a0 = Gc.allocated_bytes () in
   let runs = ref 0 in
-  while !runs < 3 || (Unix.gettimeofday () -. t0 < 1.0 && !runs < 50) do
+  while !runs < 3 || (Fba_stdx.Monotonic.now_ns () - t0 < 1_000_000_000 && !runs < 50) do
     f ();
     incr runs
   done;
   let k = float_of_int !runs in
-  let time_ns = (Unix.gettimeofday () -. t0) /. k *. 1e9 in
+  let time_ns = float_of_int (Fba_stdx.Monotonic.now_ns () - t0) /. k in
   let words = (Gc.allocated_bytes () -. a0) /. 8.0 /. k in
   {
     r_name = name;
@@ -637,10 +637,10 @@ let measure_e2e ?(progress = stdout) (name, n, junk) =
   let sc = Runner.scenario_of_setup { Runner.default_setup with Runner.junk } ~n ~seed:1L in
   Fba_sim.Batch.Peak.reset ();
   reset_rss_hwm ();
-  let t0 = Unix.gettimeofday () in
+  let t0 = Fba_stdx.Monotonic.now_ns () in
   let a0 = Gc.allocated_bytes () in
   ignore (Runner.aer_sync ~adversary:(fun sc -> Attacks.cornering sc) sc);
-  let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+  let ns = float_of_int (Fba_stdx.Monotonic.now_ns () - t0) in
   let words = (Gc.allocated_bytes () -. a0) /. 8.0 in
   let peak = Fba_sim.Batch.Peak.get () in
   let rss = peak_rss_kb () in
@@ -673,16 +673,16 @@ let measure_service_pair ?(progress = stdout) ~jobs (n, instances) =
   let hist = Fba_stdx.Histogram.create () in
   Fba_sim.Batch.Peak.reset ();
   reset_rss_hwm ();
-  let t0 = Unix.gettimeofday () in
+  let t0 = Fba_stdx.Monotonic.now_ns () in
   let a0 = Gc.allocated_bytes () in
   for k = 0 to instances - 1 do
-    let ik = Unix.gettimeofday () in
+    let ik = Fba_stdx.Monotonic.now_ns () in
     let seed = Service.instance_seed stream_seed k in
     let sc = Runner.scenario_of_setup Runner.default_setup ~n ~seed in
     ignore (Runner.aer_sync ~adversary sc);
-    Fba_stdx.Histogram.add hist (max 0 (int_of_float ((Unix.gettimeofday () -. ik) *. 1e6)))
+    Fba_stdx.Histogram.add hist (max 0 ((Fba_stdx.Monotonic.now_ns () - ik) / 1000))
   done;
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = float_of_int (Fba_stdx.Monotonic.now_ns () - t0) /. 1e9 in
   let oneshot =
     {
       r_name = Printf.sprintf "service/oneshot-n%d" n;

@@ -273,18 +273,36 @@ let async_silent (sc : Scenario.t) =
 let async_of_sync ?(max_delay = 4) (sc : Scenario.t) (attack : sync) =
   if max_delay < 1 then invalid_arg "Aer_attacks.async_of_sync: max_delay < 1";
   let corrupted = sc.Scenario.corrupted in
-  let window : Aer.msg Envelope.t list ref = ref [] in
   (* The async observation hook is per-message (field-based); the
-     lifted sync strategy wants a batch, so accumulate a window. *)
-  let observe ~time:_ ~src ~dst msg = window := Envelope.make ~src ~dst msg :: !window in
+     lifted sync strategy wants a batch. A window's sends go into three
+     reused int lanes (an Aer.msg is one packed int), and its envelope
+     list is built only if the strategy asks for it, at most once:
+     cornering reads the round-0 window alone. [observed] is valid only
+     during [act], so the lanes are cleared as soon as it returns. *)
+  let srcs = Vec.create () and dsts = Vec.create () and msgs = Vec.create () in
+  let observe ~time:_ ~src ~dst msg =
+    Vec.push srcs src;
+    Vec.push dsts dst;
+    Vec.push msgs msg
+  in
+  let envelopes () =
+    let acc = ref [] in
+    for i = Vec.length msgs - 1 downto 0 do
+      acc := Envelope.make ~src:(Vec.get srcs i) ~dst:(Vec.get dsts i) (Vec.get msgs i) :: !acc
+    done;
+    !acc
+  in
   let inject ~time =
     if time mod max_delay = 0 then begin
-      let observed = List.rev !window in
-      window := [];
-      List.map
-        (fun e -> (e, 1))
-        (attack.Fba_sim.Sync_engine.act ~round:(time / max_delay)
-           ~observed:(fun () -> observed))
+      let window = lazy (envelopes ()) in
+      let out =
+        attack.Fba_sim.Sync_engine.act ~round:(time / max_delay) ~observed:(fun () ->
+            Lazy.force window)
+      in
+      Vec.clear srcs;
+      Vec.clear dsts;
+      Vec.clear msgs;
+      List.map (fun e -> (e, 1)) out
     end
     else []
   in

@@ -60,7 +60,7 @@ let intern t s =
 
 let find t s = match Hashtbl.find t.by_string s with sid -> sid | exception Not_found -> -1
 
-let string t sid = Vec.get t.strings sid
+let[@inline] string t sid = Vec.get t.strings sid
 
 let intern_label t r =
   match I64_table.get t.by_label r with
@@ -77,4 +77,4 @@ let intern_label t r =
     Vec.push t.labels r;
     rid
 
-let label t rid = Vec.get t.labels rid
+let[@inline] label t rid = Vec.get t.labels rid

@@ -182,11 +182,11 @@ module Packed = struct
   let tag_fw2 = 5
   let tag_answer = 6
 
-  let tag p = p land 7
-  let sid (lt : Layout.t) p = (p lsr 3) land lt.Layout.sid_mask
-  let rid (lt : Layout.t) p = (p lsr lt.Layout.rid_shift) land lt.Layout.rid_mask
-  let x (lt : Layout.t) p = (p lsr lt.Layout.x_shift) land lt.Layout.id_mask
-  let w (lt : Layout.t) p = (p lsr lt.Layout.w_shift) land lt.Layout.id_mask
+  let[@inline] tag p = p land 7
+  let[@inline] sid (lt : Layout.t) p = (p lsr 3) land lt.Layout.sid_mask
+  let[@inline] rid (lt : Layout.t) p = (p lsr lt.Layout.rid_shift) land lt.Layout.rid_mask
+  let[@inline] x (lt : Layout.t) p = (p lsr lt.Layout.x_shift) land lt.Layout.id_mask
+  let[@inline] w (lt : Layout.t) p = (p lsr lt.Layout.w_shift) land lt.Layout.id_mask
 
   (* Cold path: name the field, the value and the bound it missed —
      pulled out of the constructors so their fast path stays a shift
@@ -196,35 +196,35 @@ module Packed = struct
       (Printf.sprintf "Msg.Packed: %s=%d does not fit the layout's %d-bit %s field (max %d)"
          name v bits name ((1 lsl bits) - 1))
 
-  let check_sid (lt : Layout.t) v =
+  let[@inline] check_sid (lt : Layout.t) v =
     if v lsr lt.Layout.sid_bits <> 0 then field_overflow "sid" v lt.Layout.sid_bits else v
 
-  let check_rid (lt : Layout.t) v =
+  let[@inline] check_rid (lt : Layout.t) v =
     if v lsr lt.Layout.rid_bits <> 0 then field_overflow "rid" v lt.Layout.rid_bits else v
 
-  let check_id (lt : Layout.t) name v =
+  let[@inline] check_id (lt : Layout.t) name v =
     if v lsr lt.Layout.id_bits <> 0 then field_overflow name v lt.Layout.id_bits else v
 
-  let push (lt : Layout.t) ~sid = tag_push lor (check_sid lt sid lsl 3)
+  let[@inline] push (lt : Layout.t) ~sid = tag_push lor (check_sid lt sid lsl 3)
 
-  let poll (lt : Layout.t) ~sid ~rid =
+  let[@inline] poll (lt : Layout.t) ~sid ~rid =
     tag_poll lor (check_sid lt sid lsl 3) lor (check_rid lt rid lsl lt.Layout.rid_shift)
 
-  let pull (lt : Layout.t) ~sid ~rid =
+  let[@inline] pull (lt : Layout.t) ~sid ~rid =
     tag_pull lor (check_sid lt sid lsl 3) lor (check_rid lt rid lsl lt.Layout.rid_shift)
 
-  let fw1 (lt : Layout.t) ~sid ~rid ~x ~w =
+  let[@inline] fw1 (lt : Layout.t) ~sid ~rid ~x ~w =
     tag_fw1 lor (check_sid lt sid lsl 3)
     lor (check_rid lt rid lsl lt.Layout.rid_shift)
     lor (check_id lt "x" x lsl lt.Layout.x_shift)
     lor (check_id lt "w" w lsl lt.Layout.w_shift)
 
-  let fw2 (lt : Layout.t) ~sid ~rid ~x =
+  let[@inline] fw2 (lt : Layout.t) ~sid ~rid ~x =
     tag_fw2 lor (check_sid lt sid lsl 3)
     lor (check_rid lt rid lsl lt.Layout.rid_shift)
     lor (check_id lt "x" x lsl lt.Layout.x_shift)
 
-  let answer (lt : Layout.t) ~sid = tag_answer lor (check_sid lt sid lsl 3)
+  let[@inline] answer (lt : Layout.t) ~sid = tag_answer lor (check_sid lt sid lsl 3)
 
   let pack lt intern m =
     match m with

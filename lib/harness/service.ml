@@ -4,8 +4,6 @@ module Aer_sync = Fba_sim.Sync_engine.Make (Aer)
 module Engine_core = Fba_sim.Engine_core
 module Metrics = Fba_sim.Metrics
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
 (* Per-instance seeds are hash-derived from the stream seed, so the
    schedule of seeds depends only on (stream_seed, k) — never on the
    pipeline width, the domain count, or completion order. *)
@@ -99,7 +97,7 @@ let quiet_limit_of sc =
    instance of a lane pays the allocations; every later one resets in
    place. *)
 let open_instance t lane ~adversary k =
-  let t0 = now_ns () in
+  let t0 = Monotonic.now_ns () in
   let seed = instance_seed t.stream_seed k in
   let sc = Runner.scenario_of_setup ?intern:lane.intern t.setup ~n:t.n ~seed in
   lane.intern <- Some sc.Scenario.intern;
@@ -137,7 +135,7 @@ let close_instance oi =
     rounds_used = res.Fba_sim.Sync_engine.rounds_used;
     decided = !decided;
     agreed = !agreed;
-    latency_ns = max 0 (now_ns () - oi.oi_t0);
+    latency_ns = max 0 (Monotonic.now_ns () - oi.oi_t0);
   }
 
 (* Drive one contiguous block of instances through [width] lanes with
@@ -195,7 +193,7 @@ let run ?(stream = default_stream) ~adversary () =
   let t = stream in
   if t.instances < 0 then invalid_arg "Service.run: instances < 0";
   let jobs = Sweep.resolve_jobs t.jobs in
-  let t_start = now_ns () in
+  let t_start = Monotonic.now_ns () in
   (* Same stderr-only convention as the sweep heartbeat: opt-in, one
      line per completed instance, atomic counter because instances
      finish on arbitrary pool domains; stdout stays byte-identical. *)
@@ -204,7 +202,7 @@ let run ?(stream = default_stream) ~adversary () =
       let done_ = Atomic.make 0 in
       fun () ->
         let k = 1 + Atomic.fetch_and_add done_ 1 in
-        let dt = float_of_int (max 1 (now_ns () - t_start)) /. 1e9 in
+        let dt = float_of_int (max 1 (Monotonic.now_ns () - t_start)) /. 1e9 in
         Printf.eprintf "[service] %d/%d instances, %.1f inst/s\n%!" k t.instances
           (float_of_int k /. dt)
     end
@@ -223,7 +221,7 @@ let run ?(stream = default_stream) ~adversary () =
       nblocks
   in
   let results = Array.concat (Array.to_list per_block) in
-  let elapsed_ns = max 1 (now_ns () - t_start) in
+  let elapsed_ns = max 1 (Monotonic.now_ns () - t_start) in
   (* Latencies are µs-bucketed: Histogram keys by value, and raw
      nanosecond keys would give one bucket per sample. *)
   let hist = Histogram.create () in

@@ -108,7 +108,7 @@ let string_row t s =
    store); without one it is the very same array the string table uses,
    so the two views can never disagree. [s] is only read on a cold sid
    of a resolver-less cache. *)
-let row_sid t ~sid ~s =
+let[@inline] row_sid t ~sid ~s =
   if sid >= Array.length t.by_sid then begin
     let grown = Array.make (max (sid + 1) (2 * Array.length t.by_sid)) no_row in
     Array.blit t.by_sid 0 grown 0 (Array.length t.by_sid);
@@ -170,7 +170,7 @@ let quorum_xr t ~x ~r =
 let rec mem_scan (a : int array) (y : int) i stop =
   i < stop && (Array.unsafe_get a i = y || mem_scan a y (i + 1) stop)
 
-let mem_array a y = mem_scan a y 0 (Array.length a)
+let[@inline] mem_array a y = mem_scan a y 0 (Array.length a)
 
 (* Position-returning scan: handlers that record set membership by
    quorum position get the index from the same walk the verification
@@ -178,14 +178,14 @@ let mem_array a y = mem_scan a y 0 (Array.length a)
 let rec pos_scan (a : int array) (y : int) i stop =
   if i >= stop then -1 else if Array.unsafe_get a i = y then i else pos_scan a y (i + 1) stop
 
-let pos_array a y = pos_scan a y 0 (Array.length a)
+let[@inline] pos_array a y = pos_scan a y 0 (Array.length a)
 
 (* Membership caches the full quorum on a miss: protocol handlers test
    the same key many times, so one O(d)-hash evaluation up front beats
    repeated early-exit draws. The scan itself early-exits on [y]. *)
 let mem_sx t ~s ~x ~y = mem_array (quorum_sx t ~s ~x) y
 
-let quorum_sid t ~sid ~s ~x =
+let[@inline] quorum_sid t ~sid ~s ~x =
   let row = row_sid t ~sid ~s in
   let q = row.(x) in
   if q != unset then q
@@ -195,9 +195,9 @@ let quorum_sid t ~sid ~s ~x =
     q
   end
 
-let mem_sid t ~sid ~s ~x ~y = mem_array (quorum_sid t ~sid ~s ~x) y
+let[@inline] mem_sid t ~sid ~s ~x ~y = mem_array (quorum_sid t ~sid ~s ~x) y
 
-let pos_sid t ~sid ~s ~x ~y = pos_array (quorum_sid t ~sid ~s ~x) y
+let[@inline] pos_sid t ~sid ~s ~x ~y = pos_array (quorum_sid t ~sid ~s ~x) y
 
 let seed_sid_row t ~sid ~s ~x q =
   let row = row_sid t ~sid ~s in
@@ -234,12 +234,12 @@ let quorum_rid_slow t ~x ~rid ~r =
   end
   else quorum_rid_tbl t ~x ~rid ~r
 
-let quorum_rid t ~x ~rid ~r =
+let[@inline] quorum_rid t ~x ~rid ~r =
   if rid < Array.length t.rid_x && Array.unsafe_get t.rid_x rid = x then
     Array.unsafe_get t.rid_rows rid
   else quorum_rid_slow t ~x ~rid ~r
 
-let mem_rid t ~x ~rid ~r ~y = mem_array (quorum_rid t ~x ~rid ~r) y
+let[@inline] mem_rid t ~x ~rid ~r ~y = mem_array (quorum_rid t ~x ~rid ~r) y
 
 let pos_rid t ~x ~rid ~r ~y = pos_array (quorum_rid t ~x ~rid ~r) y
 

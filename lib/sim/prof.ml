@@ -22,8 +22,6 @@
    delivery handler: round bookkeeping, sends, adversary calls, GC
    time, the profiler's own snapshots. *)
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
 (* Total allocated words so far. The floats Gc reports are exact
    integer word counts (< 2^53 for any feasible run), so the int
    conversion is lossless and deltas sum exactly. quick_stat allocates
@@ -111,7 +109,7 @@ let start t ~tags =
   t.peak_mailbox_words <- 0;
   t.total_ns <- 0;
   t.total_words <- 0;
-  t.start_ns <- now_ns ();
+  t.start_ns <- Fba_stdx.Monotonic.now_ns ();
   t.start_words <- words_now ();
   t.last_ns <- t.start_ns;
   t.last_words <- t.start_words
@@ -119,7 +117,7 @@ let start t ~tags =
 (* Charge the elapsed (wall, alloc) since the previous snapshot to
    cell (cur_round, slot) and advance the cursor. *)
 let charge t ~slot =
-  let ns = now_ns () and words = words_now () in
+  let ns = Fba_stdx.Monotonic.now_ns () and words = words_now () in
   let cell = (t.cur_round * t.n_slots) + slot in
   t.wall.(cell) <- t.wall.(cell) + (ns - t.last_ns);
   t.alloc.(cell) <- t.alloc.(cell) + (words - t.last_words);

@@ -10,7 +10,7 @@
     profiler performs no extra work and no extra allocation.
 
     Attribution is a single running cursor over integer snapshots
-    ([Unix.gettimeofday] in whole nanoseconds; [Gc.quick_stat]
+    ({!Fba_stdx.Monotonic.now_ns} nanoseconds; [Gc.quick_stat]
     minor+major−promoted words). Each attribution point charges the
     delta since the previous snapshot to exactly one (round, slot)
     cell, so consecutive snapshots partition the run's timeline and

@@ -26,17 +26,17 @@ let length t = t.count
 
 (* Fibonacci multiplicative hashing: packed keys are structured (field
    concatenations), so low bits alone would cluster. *)
-let slot_of key mask = key * 0x9E3779B97F4A7C1 lsr 30 land mask
+let[@inline] slot_of key mask = key * 0x9E3779B97F4A7C1 lsr 30 land mask
 
 let rec probe keys key mask i =
   let k = Array.unsafe_get keys i in
   if k = key then i else if k = -1 then -1 - i else probe keys key mask ((i + 1) land mask)
 
-let find_slot t key = probe t.keys key t.mask (slot_of key t.mask)
+let[@inline] find_slot t key = probe t.keys key t.mask (slot_of key t.mask)
 
-let mem t key = find_slot t key >= 0
+let[@inline] mem t key = find_slot t key >= 0
 
-let get_or t key ~default =
+let[@inline] get_or t key ~default =
   let i = find_slot t key in
   if i >= 0 then Array.unsafe_get t.vals i else default
 
@@ -58,7 +58,7 @@ let grow t =
     end
   done
 
-let set t key v =
+let[@inline] set t key v =
   if key < 0 then invalid_arg "Int_table.set: negative key";
   if 2 * (t.count + 1) > t.mask + 1 then grow t;
   let i = find_slot t key in
@@ -75,7 +75,7 @@ let set t key v =
    the new count, [add_bit] maintains a 62-bit presence mask. All three
    are single-probe on the hit path. *)
 
-let add t key =
+let[@inline] add t key =
   if key < 0 then invalid_arg "Int_table.add: negative key";
   if 2 * (t.count + 1) > t.mask + 1 then grow t;
   let i = find_slot t key in
@@ -88,7 +88,7 @@ let add t key =
     true
   end
 
-let incr t key =
+let[@inline] incr t key =
   if key < 0 then invalid_arg "Int_table.incr: negative key";
   if 2 * (t.count + 1) > t.mask + 1 then grow t;
   let i = find_slot t key in
@@ -105,7 +105,7 @@ let incr t key =
     1
   end
 
-let add_bit t key ~bit =
+let[@inline] add_bit t key ~bit =
   if key < 0 then invalid_arg "Int_table.add_bit: negative key";
   if 2 * (t.count + 1) > t.mask + 1 then grow t;
   let b = 1 lsl bit in

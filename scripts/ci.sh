@@ -5,17 +5,69 @@ set -e
 cd "$(dirname "$0")/.."
 dune build @all
 
+# Lint guard: the default build is dune's release profile (see
+# dune-workspace), whose own flags are only -w -40. The root dune file
+# pins the dev profile's warnings-as-errors and strictness flags for
+# every profile; fail if the library flags lost them.
+lint_flags="$(dune printenv lib/core)"
+for want in -strict-sequence @1..3@5..28@30..39@43@46..47@49..57@61..62-40; do
+  case "$lint_flags" in
+    *"$want"*) ;;
+    *)
+      echo "lint guard FAILED: dune printenv lib/core has no $want" >&2
+      exit 1
+      ;;
+  esac
+done
+echo "lint guard ok: warnings are errors and -strict-sequence is on"
+
+if ! command -v nm > /dev/null 2>&1; then
+  echo "nm not found: the inline and poly-compare guards need it" >&2
+  exit 1
+fi
+objs=_build/default/lib
+
+# Inline guard: AER's handlers must get the per-delivery helpers
+# inlined. Two things undo that, and both leave a mark in Aer's object:
+# - an -opaque build (dune's dev profile) calls every helper through
+#   its module's block, and nothing crosses the module boundary;
+# - a helper the compiler no longer inlines (annotation dropped, body
+#   grown past what the non-flambda inliner accepts) is called by its
+#   own symbol.
+aer_o="$objs/core/.fba_core.objs/native/fba_core__Aer.o"
+aer_refs="$(nm -u "$aer_o" | awk '{print $NF}')"
+inline_fail=0
+for spec in \
+  "stdx__Int_table:slot_of find_slot mem get_or set add incr add_bit" \
+  "samplers__Cache:row_sid quorum_sid mem_sid pos_sid quorum_rid mem_rid mem_array pos_array" \
+  "stdx__Vec:get push" \
+  "core__Intern:string label" \
+  "core__Msg:tag sid rid x w check_sid check_rid check_id push poll pull fw1 fw2 answer"; do
+  m="camlFba_${spec%%:*}"
+  for f in ${spec#*:}; do
+    for sym in $(printf '%s\n' "$aer_refs" | grep -xE "_?$m(\.|__)${f}_[0-9]+" || true); do
+      echo "inline guard FAILED: $aer_o references $sym, an [@inline] helper left as a call" >&2
+      inline_fail=1
+    done
+  done
+done
+for m in stdx__Int_table samplers__Cache stdx__Vec core__Intern; do
+  m="camlFba_$m"
+  if printf '%s\n' "$aer_refs" | grep -qxE "_?$m" \
+    && ! printf '%s\n' "$aer_refs" | grep -qE "^_?$m(\.|__)"; then
+    echo "inline guard FAILED: $aer_o reaches $m only through its module block (an -opaque build)" >&2
+    inline_fail=1
+  fi
+done
+[ "$inline_fail" = 0 ] || exit 1
+echo "inline guard ok: $aer_o calls no [@inline] helper and no module only through its block"
+
 # Polymorphic-compare guard: the modules every delivery runs through
 # must compare ints inline. A comparison the compiler cannot type as
 # int becomes a C call per use (caml_equal, caml_lessthan, ...); one
 # unannotated scan made each quorum-membership test pay one per slot.
 # Any such reference in these native objects fails the build, naming
 # the object and the symbol.
-if ! command -v nm > /dev/null 2>&1; then
-  echo "poly-compare guard FAILED: nm not found" >&2
-  exit 1
-fi
-objs=_build/default/lib
 guarded="$(ls "$objs"/samplers/.fba_samplers.objs/native/*.o "$objs"/sim/.fba_sim.objs/native/*.o)"
 for m in Int_table I64_table Hash64 Vec Intx Prng Bitset; do
   guarded="$guarded $objs/stdx/.fba_stdx.objs/native/fba_stdx__$m.o"

@@ -108,6 +108,80 @@ let test_quorum_capture_strings_pass_filter () =
       | _ -> Alcotest.fail "capture should only push")
     envs
 
+(* --- async_of_sync: the lifted observation window --- *)
+
+let fields (e : Aer.msg Fba_sim.Envelope.t) = Fba_sim.Envelope.(e.src, e.dst, e.msg)
+
+let injections (adv : Attacks.async) time =
+  List.map (fun (e, d) -> (fields e, d)) (adv.Fba_sim.Async_engine.inject ~time)
+
+let test_async_window () =
+  (* Drive the lifted adversary by hand, as the async engine does:
+     [observe] on every correct send, [inject] once per time step. With
+     max_delay = 3 the sync strategy acts at times 0, 3, 6, ... on the
+     sends since the previous window's [inject]. *)
+  let sc = mk_scenario ~n:32 11L in
+  let corrupted = sc.Scenario.corrupted in
+  let byz = List.hd (Bitset.to_list corrupted) in
+  let acts = ref [] in
+  let recording =
+    {
+      Fba_sim.Sync_engine.corrupted;
+      act =
+        (fun ~round ~observed ->
+          let first = observed () in
+          let again = observed () in
+          acts := (round, List.map fields first, List.map fields again) :: !acts;
+          [ Fba_sim.Envelope.make ~src:byz ~dst:round (1000 + round) ]);
+    }
+  in
+  let adv = Attacks.async_of_sync ~max_delay:3 sc recording in
+  let send ~time ~src ~dst msg = adv.Fba_sim.Async_engine.observe ~time ~src ~dst msg in
+  let inject = injections adv in
+  let env = Alcotest.(triple int int int) in
+  let window = Alcotest.(pair (list env) (list env)) in
+  let injected = Alcotest.(list (pair env int)) in
+  let last_act () =
+    match !acts with
+    | (_, first, again) :: _ -> (first, again)
+    | [] -> Alcotest.fail "the strategy did not act"
+  in
+  send ~time:0 ~src:4 ~dst:5 40;
+  send ~time:0 ~src:6 ~dst:7 41;
+  Alcotest.check injected "round 0 injection, delay 1"
+    [ ((byz, 0, 1000), 1) ]
+    (inject 0);
+  Alcotest.check window "round 0 window: the sends, in send order, twice"
+    ([ (4, 5, 40); (6, 7, 41) ], [ (4, 5, 40); (6, 7, 41) ])
+    (last_act ());
+  send ~time:1 ~src:8 ~dst:9 42;
+  Alcotest.check injected "no act between windows" [] (inject 1);
+  send ~time:2 ~src:9 ~dst:8 43;
+  Alcotest.check injected "no act between windows" [] (inject 2);
+  send ~time:3 ~src:1 ~dst:2 44;
+  Alcotest.check injected "round 1 injection" [ ((byz, 1, 1001), 1) ] (inject 3);
+  Alcotest.check window "round 1 window: every send since the round 0 inject"
+    ([ (8, 9, 42); (9, 8, 43); (1, 2, 44) ], [ (8, 9, 42); (9, 8, 43); (1, 2, 44) ])
+    (last_act ());
+  List.iter (fun t -> ignore (inject t)) [ 4; 5 ];
+  Alcotest.check injected "round 2 injection" [ ((byz, 2, 1002), 1) ] (inject 6);
+  Alcotest.check window "the next window starts empty" ([], []) (last_act ());
+  Alcotest.(check (list int)) "one act per window" [ 2; 1; 0 ]
+    (List.map (fun (r, _, _) -> r) !acts);
+  (* A strategy that never looks still gets its injections. *)
+  let blind =
+    {
+      Fba_sim.Sync_engine.corrupted;
+      act = (fun ~round ~observed:_ -> [ Fba_sim.Envelope.make ~src:byz ~dst:(round + 1) 7 ]);
+    }
+  in
+  let adv = Attacks.async_of_sync ~max_delay:2 sc blind in
+  adv.observe ~time:0 ~src:4 ~dst:5 40;
+  Alcotest.check injected "blind strategy, round 0" [ ((byz, 1, 7), 1) ] (injections adv 0);
+  adv.observe ~time:1 ~src:4 ~dst:5 41;
+  Alcotest.check injected "blind strategy, between windows" [] (injections adv 1);
+  Alcotest.check injected "blind strategy, round 1" [ ((byz, 2, 7), 1) ] (injections adv 2)
+
 (* --- Corruption --- *)
 
 let test_corruption_random () =
@@ -176,6 +250,7 @@ let suites =
         Alcotest.test_case "cornering budget" `Quick test_cornering_budget;
         Alcotest.test_case "quorum capture passes filter" `Quick
           test_quorum_capture_strings_pass_filter;
+        Alcotest.test_case "async_of_sync observation window" `Quick test_async_window;
       ] );
     ( "adversary.corruption",
       [

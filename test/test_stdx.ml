@@ -265,6 +265,22 @@ let test_vec_iter_sees_mid_iteration_pushes () =
      visited too — the delivery loops rely on this. *)
   Alcotest.(check (list int)) "visited appended" [ 0; 1; 2; 10; 11 ] (List.rev !seen)
 
+let test_vec_boxed_reads () =
+  (* Vec.get inlines into this module; the let-bound int64 and float
+     reads below are the shape ocamlopt 5.1 unboxed as a float when
+     the generic read was not fenced (Intern.label's, in AER). *)
+  let labels = Vec.create () and floats = Vec.create () in
+  for i = 0 to 9 do
+    Vec.push labels (Int64.of_int ((i * 1000) + 7));
+    Vec.push floats (float_of_int i +. 0.5)
+  done;
+  for i = 0 to 9 do
+    let r = Vec.get labels i in
+    Alcotest.(check int64) "int64 element" (Int64.of_int ((i * 1000) + 7)) r;
+    let f = Vec.get floats i in
+    Alcotest.(check (float 0.)) "float element" (float_of_int i +. 0.5) f
+  done
+
 (* --- I64_table --- *)
 
 let test_i64_table_basic () =
@@ -464,6 +480,7 @@ let suites =
         Alcotest.test_case "push/get/set" `Quick test_vec_push_get;
         Alcotest.test_case "clear reuses storage" `Quick test_vec_clear_reuse;
         Alcotest.test_case "iter sees appended" `Quick test_vec_iter_sees_mid_iteration_pushes;
+        Alcotest.test_case "boxed int64 and float reads" `Quick test_vec_boxed_reads;
       ] );
     ( "stdx.i64_table",
       [
