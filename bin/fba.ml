@@ -162,12 +162,8 @@ let run_trace n byz know seed attack mode jsonl csv drop_rate partition =
           [ Drop { rate = drop_rate }; Partition { from_round = 1; rounds = partition } ])
   in
   let sink = Events.create () in
-  (* Per-round deliveries by kind, fed from the event stream (the old
-     [Trace.Traced] wrapper is no longer needed here). *)
   let trace = Fba_sim.Trace.create () in
-  Events.attach sink (function
-    | Events.Deliver { round; kind; _ } -> Fba_sim.Trace.record trace ~round ~kind
-    | _ -> ());
+  Events.attach sink (Fba_sim.Trace.consumer trace);
   (* Discarded deliveries, adversary- and net-attributed alike, keyed by
      the Drop reason tag. *)
   let drops : (string, int) Hashtbl.t = Hashtbl.create 8 in

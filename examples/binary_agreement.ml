@@ -31,15 +31,15 @@ let () =
   (* Bonus: trace an AER execution to see the paper's phase structure
      (pushes, then polls/pulls, then the Fw1 burst, Fw2s, answers). *)
   print_endline "AER message-kind trace (one row per round), n=64:";
-  let module Traced = Trace.Traced (Fba_core.Aer) in
-  let module Engine = Fba_sim.Sync_engine.Make (Traced) in
+  let module Engine = Fba_sim.Sync_engine.Make (Fba_core.Aer) in
   let sc =
     Fba_harness.Runner.scenario_of_setup Fba_harness.Runner.default_setup ~n:64 ~seed:7L
   in
   let trace = Trace.create () in
-  let cfg = (Fba_core.Aer.config_of_scenario sc, trace) in
+  let events = Fba_sim.Events.create () in
+  Fba_sim.Events.attach events (Trace.consumer trace);
   let _ =
-    Engine.run ~config:cfg ~n:64 ~seed:7L
+    Engine.run ~events ~config:(Fba_core.Aer.config_of_scenario sc) ~n:64 ~seed:7L
       ~adversary:
         (Fba_sim.Sync_engine.null_adversary ~corrupted:sc.Fba_core.Scenario.corrupted)
       ~mode:`Rushing ~max_rounds:30 ()

@@ -186,9 +186,6 @@ let run_block t ~adversary ~heartbeat ~lo ~hi =
   end;
   Array.map (function Some r -> r | None -> assert false) results
 
-let progress_enabled () =
-  match Sys.getenv_opt "FBA_PROGRESS" with None | Some "" | Some "0" -> false | Some _ -> true
-
 let run ?(stream = default_stream) ~adversary () =
   let t = stream in
   if t.instances < 0 then invalid_arg "Service.run: instances < 0";
@@ -198,7 +195,7 @@ let run ?(stream = default_stream) ~adversary () =
      line per completed instance, atomic counter because instances
      finish on arbitrary pool domains; stdout stays byte-identical. *)
   let heartbeat =
-    if progress_enabled () then begin
+    if Sweep.progress_enabled () then begin
       let done_ = Atomic.make 0 in
       fun () ->
         let k = 1 + Atomic.fetch_and_add done_ 1 in

@@ -179,7 +179,7 @@ end
 (* --- Process-wide peak-mailbox gauge ---
 
    Engines report each run's peak mailbox/calendar words here at run
-   end; the bench harness resets before a target and reads after, and
+   end; the benchmark resets before each rep and reads after, and
    the sweep heartbeat reports the running peak without threading a
    handle through every experiment signature. Atomic because sweep
    cells finish on arbitrary pool domains. *)

@@ -80,7 +80,7 @@ module Chain : sig
 end
 
 (** Process-wide peak-mailbox-words gauge: engines {!Peak.note} each
-    run's peak at run end; the bench harness brackets a target with
+    run's peak at run end; the benchmark brackets each rep with
     {!Peak.reset}/{!Peak.get}, and the sweep heartbeat reports the
     running peak. Atomic — sweep cells finish on arbitrary domains. *)
 module Peak : sig

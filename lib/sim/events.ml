@@ -9,8 +9,7 @@ type event =
   | Drop of { round : int; src : int; dst : int; kind : string; reason : string }
   | Decide of { round : int; id : int; value : string }
 
-(* First token of the pp rendering, e.g. "Fw1(x=3, ...)" -> "Fw1".
-   Same convention as Trace, so kind columns line up across tools. *)
+(* First token of the pp rendering, e.g. "Fw1(x=3, ...)" -> "Fw1". *)
 let kind_of_pp pp msg =
   let s = Format.asprintf "%a" pp msg in
   let stop = ref (String.length s) in

@@ -12,9 +12,9 @@
 
     Tracing is strictly opt-in: engines take an optional [?events]
     sink, and every emission site is guarded so a disabled run performs
-    no extra work and no extra allocation (the perf-regression gate of
-    [bench perf --json] is measured with tracing off and must not
-    move). *)
+    no extra work and no extra allocation (the test suite's exact
+    allocation budget for cornering n=128 runs with tracing off and
+    must hold). *)
 
 type event =
   | Round_start of { round : int }

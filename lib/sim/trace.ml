@@ -12,6 +12,10 @@ let record t ~round ~kind =
   if not (Hashtbl.mem t.kind_set kind) then Hashtbl.add t.kind_set kind ();
   if round > t.max_round then t.max_round <- round
 
+let consumer t = function
+  | Events.Deliver { round; kind; _ } -> record t ~round ~kind
+  | _ -> ()
+
 let kinds t = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) t.kind_set [])
 
 let rounds t = t.max_round + 1
@@ -46,48 +50,3 @@ let to_table t =
 let render t = Fba_stdx.Table.to_markdown (to_table t)
 
 let to_csv t = Fba_stdx.Table.to_csv (to_table t)
-
-(* First token of the pp rendering, e.g. "Fw1(x=3, ...)" -> "Fw1". *)
-let kind_of_pp pp msg =
-  let s = Format.asprintf "%a" pp msg in
-  let stop = ref (String.length s) in
-  String.iteri (fun i c -> if !stop = String.length s && (c = '(' || c = ' ') then stop := i) s;
-  String.sub s 0 !stop
-
-module Traced (P : Protocol.S) = struct
-  type config = P.config * t
-  type msg = P.msg
-  type state = P.state
-
-  let name = P.name ^ "-traced"
-
-  let compile (cfg, _) = P.compile cfg
-
-  let init (cfg, _) ctx = P.init cfg ctx
-
-  let on_round (cfg, _) st ~round = P.on_round cfg st ~round
-
-  let on_receive (cfg, trace) st ~round ~src msg =
-    record trace ~round ~kind:(kind_of_pp (P.pp_msg cfg) msg);
-    P.on_receive cfg st ~round ~src msg
-
-  (* The fast path must record too, so wrap P's when present; a [None]
-     inner protocol falls back to [on_receive] above. *)
-  let receive_into =
-    match P.receive_into with
-    | None -> None
-    | Some f ->
-      Some
-        (fun (cfg, trace) st ~round ~src msg ~emit ->
-          record trace ~round ~kind:(kind_of_pp (P.pp_msg cfg) msg);
-          f cfg st ~round ~src msg ~emit)
-
-  let output = P.output
-
-  let msg_bits (cfg, _) msg = P.msg_bits cfg msg
-
-  let pp_msg (cfg, _) = P.pp_msg cfg
-
-  let msg_tags (cfg, _) = P.msg_tags cfg
-  let msg_tag (cfg, _) msg = P.msg_tag cfg msg
-end

@@ -1,11 +1,11 @@
 (** Execution tracing: per-round message counts by kind.
 
-    Wrap any protocol with {!Traced} to collect, without touching the
-    protocol code, how many messages of each kind crossed the wire in
-    each round — the raw material for the phase diagrams one draws of
+    Attach {!consumer} to an {!Events} sink to collect, without touching
+    the protocol code, how many messages of each kind reached a handler
+    in each round — the raw material for the phase diagrams one draws of
     AER executions (pushes, then polls/pulls, then the Fw1 burst, then
-    Fw2s and answers). The kind of a message is the first token of its
-    [pp_msg] rendering, so every protocol gets sensible labels for
+    Fw2s and answers). Kinds are the engines' event labels
+    ({!Events.kind_of_pp}), so every protocol gets sensible labels for
     free. *)
 
 type t
@@ -13,6 +13,10 @@ type t
 val create : unit -> t
 
 val record : t -> round:int -> kind:string -> unit
+
+val consumer : t -> Events.event -> unit
+(** Records every [Deliver] event and ignores the rest. Attach with
+    {!Events.attach}. *)
 
 val kinds : t -> string list
 (** All kinds seen, sorted. *)
@@ -33,14 +37,3 @@ val render : t -> string
 val to_csv : t -> string
 (** The same table as {!render}, as RFC-4180-ish CSV — the
     kind-per-round counts in machine-readable form. *)
-
-(** Wrap a protocol so that every received message is recorded into the
-    given trace. The wrapped protocol is otherwise bit-for-bit
-    identical (same sends, same decisions, same accounting). *)
-module Traced (P : Protocol.S) : sig
-  include
-    Protocol.S
-      with type config = P.config * t
-       and type msg = P.msg
-       and type state = P.state
-end

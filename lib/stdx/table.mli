@@ -1,6 +1,6 @@
 (** Text tables for experiment output (markdown and CSV).
 
-    Every benchmark in [bench/main.ml] reproduces one of the paper's
+    Every experiment of [fba experiment] reproduces one of the paper's
     tables/figures as rows of one of these tables, so the renderer keeps
     the layout deterministic and diff-friendly. *)
 

@@ -282,24 +282,20 @@ let test_trace_records () =
   let rendered = Trace.render t in
   Alcotest.(check bool) "renders a table" true (String.length rendered > 0)
 
-let test_traced_protocol_transparent () =
-  (* The Traced wrapper must not change behaviour, only observe. *)
+let test_trace_sink_transparent () =
+  (* Tracing through an Events sink must not change behaviour, only
+     observe. *)
   let n = 5 in
-  let module TRing = Trace.Traced (Ring) in
-  let module TEngine = Sync_engine.Make (TRing) in
   let trace = Trace.create () in
-  let plain =
-    Ring_sync.run ~config:{ Ring.n } ~n ~seed:1L
+  let events = Events.create () in
+  Events.attach events (Trace.consumer trace);
+  let run ?events () =
+    Ring_sync.run ?events ~config:{ Ring.n } ~n ~seed:1L
       ~adversary:(Sync_engine.null_adversary ~corrupted:(no_corruption n))
       ~mode:`Rushing ~max_rounds:20 ()
   in
-  let traced =
-    TEngine.run
-      ~config:({ Ring.n }, trace)
-      ~n ~seed:1L
-      ~adversary:(Sync_engine.null_adversary ~corrupted:(no_corruption n))
-      ~mode:`Rushing ~max_rounds:20 ()
-  in
+  let plain = run () in
+  let traced = run ~events () in
   Alcotest.(check int) "same bits"
     (Metrics.total_bits_correct plain.Sync_engine.metrics)
     (Metrics.total_bits_correct traced.Sync_engine.metrics);
@@ -518,7 +514,7 @@ let suites =
     ( "sim.trace",
       [
         Alcotest.test_case "recording" `Quick test_trace_records;
-        Alcotest.test_case "wrapper transparency" `Quick test_traced_protocol_transparent;
+        Alcotest.test_case "sink transparency" `Quick test_trace_sink_transparent;
         Alcotest.test_case "totals and csv" `Quick test_trace_total_and_csv;
       ] );
     ( "sim.events",

@@ -9,6 +9,10 @@
    double-buffered lanes still ran beside it and both gave the same
    fingerprints, outputs and event traces.
 
+   The cornering tests pin two deterministic counters of one whole
+   cornering run at n=128: its peak mailbox words, exactly, and the
+   words it allocates, within 1% of the count recorded here.
+
    The wide_for boundary tests pin the packed plane's structural
    ceiling: past n = 2^18 the 63-bit immediate cannot host any wide
    layout, and the failure is a named [Immediate_exhausted] (pointing
@@ -16,6 +20,8 @@
    for feasible populations. *)
 
 module Batch = Fba_sim.Batch
+module Runner = Fba_harness.Runner
+module Aer_attacks = Fba_adversary.Aer_attacks
 open Fba_core
 
 (* --- Arena / Chain unit suite --- *)
@@ -152,6 +158,43 @@ let test_fused_lane_guard () =
   rejects "dst = -1" ~src:0 ~dst:(-1);
   Alcotest.(check int) "refused pushes store nothing" 3 (Batch.Chain.length c)
 
+(* --- Cornering n=128: the delivery plane's deterministic counters --- *)
+
+let cornering_n128 () =
+  let sc = Runner.scenario_of_setup Runner.default_setup ~n:128 ~seed:1L in
+  Runner.aer_sync ~adversary:(fun sc -> Aer_attacks.cornering sc) sc
+
+(* Segment accounting depends only on the run's sends and the segment
+   size, not on the compiler or the build profile, so the peak is exact. *)
+let test_cornering_peak_words () =
+  let r = cornering_n128 () in
+  Alcotest.(check int) "peak mailbox words" 274_176
+    (Fba_sim.Metrics.peak_mailbox_words r.Runner.metrics)
+
+(* Words this domain has allocated. [Gc.minor_words] reads the minor
+   heap's allocation pointer, so it is exact at any point, whereas the
+   minor count of [Gc.counters] (and so [Gc.allocated_bytes]) only
+   advances at minor collections. Major minus promoted words is what
+   was allocated directly in the major heap. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* One cornering n=128 run, scenario included, allocates this many
+   words on the default (release) build; [--profile dev] reads 0.6%
+   more. The budget allows 1%. *)
+let cornering_n128_words = 1_600_474.
+
+let test_cornering_alloc_budget () =
+  let before = allocated_words () in
+  ignore (cornering_n128 ());
+  let words = allocated_words () -. before in
+  let budget = 1.01 *. cornering_n128_words in
+  if words > budget then
+    Alcotest.failf "cornering n=128 allocated %.0f words, %+.2f%% over %.0f (budget %.0f)" words
+      ((words /. cornering_n128_words -. 1.) *. 100.)
+      cornering_n128_words budget
+
 (* --- wide_for structural ceiling --- *)
 
 let test_immediate_exhausted () =
@@ -197,6 +240,11 @@ let suites =
         Alcotest.test_case "drain recycles in flight" `Quick test_drain_recycles;
         Alcotest.test_case "process-wide peak gauge" `Quick test_peak_gauge;
         Alcotest.test_case "fused-lane guard at 2^31" `Quick test_fused_lane_guard;
+      ] );
+    ( "streamed.cornering",
+      [
+        Alcotest.test_case "n=128 peak mailbox words" `Quick test_cornering_peak_words;
+        Alcotest.test_case "n=128 allocation budget" `Quick test_cornering_alloc_budget;
       ] );
     ( "streamed.layout",
       [ Alcotest.test_case "immediate ceiling past n=2^18" `Quick test_immediate_exhausted ] );
