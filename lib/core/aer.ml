@@ -25,7 +25,6 @@ let config_of_scenario ?(strict_drop = false) ?events ?compile:(_ : unit option)
   let layout = scenario.Scenario.layout in
   let intern = scenario.Scenario.intern in
   let find s = Intern.find intern s in
-  let rid_bits = layout.Msg.Layout.rid_bits in
   {
     params;
     scenario;
@@ -33,7 +32,7 @@ let config_of_scenario ?(strict_drop = false) ?events ?compile:(_ : unit option)
     intern;
     qi = Cache.create ~find (Params.sampler_i params);
     qh = Cache.create ~find (Params.sampler_h params);
-    qj = Cache.create ~find ~rid_bits (Params.sampler_j params);
+    qj = Cache.create ~find (Params.sampler_j params);
     strict_drop;
     events;
     compiled = None;
@@ -52,10 +51,9 @@ let config_epoch ~prev (scenario : Scenario.t) =
   let layout = scenario.Scenario.layout in
   let intern = scenario.Scenario.intern in
   let find s = Intern.find intern s in
-  let rid_bits = layout.Msg.Layout.rid_bits in
   Cache.reset ~find prev.qi ~sampler:(Params.sampler_i params);
   Cache.reset ~find prev.qh ~sampler:(Params.sampler_h params);
-  Cache.reset ~find ~rid_bits prev.qj ~sampler:(Params.sampler_j params);
+  Cache.reset ~find prev.qj ~sampler:(Params.sampler_j params);
   {
     params;
     scenario;
@@ -72,7 +70,6 @@ let config_epoch ~prev (scenario : Scenario.t) =
 
 let config_params c = c.params
 let config_scenario c = c.scenario
-let config_layout c = c.layout
 let config_intern c = c.intern
 let config_compiled c = c.compiled
 
@@ -115,8 +112,8 @@ let set_card = Hashtbl.length
 (* The historical tables were keyed by (x, s) or (s, x) tuples; with
    both coordinates now small ints the pair packs into one immediate
    key, so every probe is hash-of-int with no per-lookup boxing. The
-   shifts are the run layout's field widths — wide layouts widen the
-   keys along with the wire words. *)
+   shifts are the run layout's field widths, so the keys widen with
+   the wire words. *)
 let key_xs (lt : Msg.Layout.t) ~x ~sid = (x lsl lt.Msg.Layout.sid_bits) lor sid
 let key_sx (lt : Msg.Layout.t) ~sid ~x = (sid lsl lt.Msg.Layout.id_bits) lor x
 
@@ -153,7 +150,7 @@ type state = {
   push_masks : Int_table.t;  (* distinct senders ∈ I(s, this), keyed sid *)
   push_counts : Int_table.t;
   polls : (int, poll) Hashtbl.t;
-  pull_labels : Int_table.t;  (* presence: (key_xs lsl 20) lor rid *)
+  pull_labels : Int_table.t;  (* presence: (key_xs lsl rid_bits) lor rid *)
   pull_counts : Int_table.t;
       (* Pull dedup: label ids already routed per (x, s); capped at
          max_poll_attempts to bound the Fw1 amplification *)
@@ -363,10 +360,15 @@ and handle_pull cfg st ~emit ~src p =
 
 and handle_fw1 cfg st ~emit ~src p =
   let lt = cfg.layout in
-  let sid = Packed.sid lt p in
-  if sid <> st.belief then defer cfg st ~src p
+  let sid = Packed.sid lt p and x = Packed.x lt p and w = Packed.w lt p in
+  let n = cfg.params.Params.n in
+  (* A forged id can fit the packed field and still be >= n. Such a
+     node is in no quorum: drop the message before any cache lookup
+     could index past the population. *)
+  if x >= n || w >= n then ()
+  else if sid <> st.belief then defer cfg st ~src p
   else begin
-    let rid = Packed.rid lt p and x = Packed.x lt p and w = Packed.w lt p in
+    let rid = Packed.rid lt p in
     let id = st.ctx.Fba_sim.Ctx.id in
     let s = Intern.string cfg.intern sid in
     if Cache.mem_sid cfg.qh ~sid ~s ~x:w ~y:id then begin
@@ -398,10 +400,11 @@ and handle_fw1 cfg st ~emit ~src p =
 
 and handle_fw2 cfg st ~emit ~src p =
   let lt = cfg.layout in
-  let sid = Packed.sid lt p in
-  if sid <> st.belief then defer cfg st ~src p
+  let sid = Packed.sid lt p and x = Packed.x lt p in
+  if x >= cfg.params.Params.n then () (* a forged id, as in handle_fw1 *)
+  else if sid <> st.belief then defer cfg st ~src p
   else begin
-    let rid = Packed.rid lt p and x = Packed.x lt p in
+    let rid = Packed.rid lt p in
     let id = st.ctx.Fba_sim.Ctx.id in
     if Cache.mem_rid cfg.qj ~x ~rid ~r:(Intern.label cfg.intern rid) ~y:id then begin
       let spos = Cache.pos_sid cfg.qh ~sid ~s:(Intern.string cfg.intern sid) ~x:id ~y:src in

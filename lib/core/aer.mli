@@ -64,11 +64,6 @@ val config_epoch : prev:config -> Scenario.t -> config
 val config_params : config -> Params.t
 val config_scenario : config -> Scenario.t
 
-val config_layout : config -> Msg.Layout.t
-(** The packed field widths of the run — the same value as
-    [(config_scenario cfg).layout]; every word this config packs or
-    decodes uses it. *)
-
 val config_compiled : config -> Compiled.t option
 (** The lowered run structure, once built ([None] before). The engines
     build it through {!Fba_sim.Protocol.S.compile} before the first

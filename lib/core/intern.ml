@@ -1,11 +1,5 @@
 open Fba_stdx
 
-(* Default capacity limits — the narrow packed layout's field widths
-   (Msg.Layout.narrow: 13-bit sid, 20-bit rid). Wide-layout scenarios
-   create their interner with the caps of their own layout. *)
-let max_strings = 1 lsl 13
-let max_labels = 1 lsl 20
-
 type t = {
   by_string : (string, int) Hashtbl.t;
   strings : string Vec.t;
@@ -15,7 +9,7 @@ type t = {
   mutable label_cap : int;
 }
 
-let create ?(max_strings = max_strings) ?(max_labels = max_labels) () =
+let create ~max_strings ~max_labels =
   {
     by_string = Hashtbl.create 64;
     strings = Vec.create ();
@@ -30,15 +24,14 @@ let label_cap t = t.label_cap
 
 (* Epoch reset: forget every registration but keep the hash buckets
    and vector storage warm, so the next run interns into memory this
-   one already paid for. Caps may be rebound when the next scenario
-   uses a different packed layout. *)
-let reset ?max_strings ?max_labels t =
+   one already paid for. The caps are the next scenario's layout's. *)
+let reset t ~max_strings ~max_labels =
   Hashtbl.clear t.by_string;
   Vec.clear t.strings;
   I64_table.clear t.by_label;
   Vec.clear t.labels;
-  (match max_strings with Some c -> t.string_cap <- c | None -> ());
-  (match max_labels with Some c -> t.label_cap <- c | None -> ())
+  t.string_cap <- max_strings;
+  t.label_cap <- max_labels
 
 let string_count t = Vec.length t.strings
 let label_count t = Vec.length t.labels

@@ -12,31 +12,22 @@
     the same run against a warm interner reassigns identical ids.
 
     Table capacities mirror the scenario's packed {!Msg.Layout}: an id
-    must fit its field. {!create}'s defaults are the narrow layout's
-    caps; wide-layout scenarios pass their own. *)
+    must fit its field, so the caps are the layout's [max_strings] and
+    [max_labels]. *)
 
 type t
 
-val create : ?max_strings:int -> ?max_labels:int -> unit -> t
-(** Caps default to {!max_strings} and {!max_labels} (the narrow
-    layout's field widths). *)
-
-val max_strings : int
-(** 2¹³ — the narrow layout's sid field width (default string cap). *)
-
-val max_labels : int
-(** 2²⁰ — the narrow layout's rid field width (default label cap). *)
+val create : max_strings:int -> max_labels:int -> t
 
 val string_cap : t -> int
 val label_cap : t -> int
 
-val reset : ?max_strings:int -> ?max_labels:int -> t -> unit
+val reset : t -> max_strings:int -> max_labels:int -> unit
 (** Epoch reset: forget every registered string and label while
     keeping the underlying tables' storage warm, so a long-lived
     instance stream ({!Fba_harness.Service}) re-interns into memory
-    the previous instance already paid for. Ids restart at 0; caps are
-    rebound when the optional arguments are given (a stream switching
-    packed layouts) and kept otherwise. *)
+    the previous instance already paid for. Ids restart at 0; the caps
+    are rebound to the next scenario's layout. *)
 
 val intern : t -> string -> int
 (** Id of the string, registering it first if unseen. Raises [Failure]

@@ -88,18 +88,9 @@ module Layout = struct
       mask_mult = (((1 lsl id_bits) - 1) / 62) + 1;
     }
 
-  (* The historical single-int layout, verbatim — the fast path every
-     golden and BENCH gate pins. *)
-  let narrow = make ~sid_bits:13 ~rid_bits:20 ~id_bits:13
-
-  let is_narrow t = t.sid_bits = 13 && t.rid_bits = 20 && t.id_bits = 13
-
-  (* The wide lane: node ids get exactly what n needs (floor 14, so a
-     forced-wide run at small n genuinely exercises non-narrow shifts),
-     strings get ~2x headroom over the initial distinct count (room for
-     adversarial registrations), and the poll-label field absorbs every
-     remaining bit — labels are drawn fresh per poll, so rid is the
-     field that scales with n. *)
+  (* The structural ceiling of the single-int word: past n = 2^18 the
+     node-id fields leave the label field under its id_bits + 1 floor
+     however few strings a run has. *)
   exception Immediate_exhausted of { n : int; id_bits : int }
 
   let () =
@@ -116,9 +107,13 @@ module Layout = struct
 
   let min_sid_bits = 4
 
-  let wide_for ~n ~strings =
-    if n < 1 then invalid_arg "Msg.Layout.wide_for: n must be positive";
-    let id_bits = max 14 (Intx.ceil_log2 (max 2 n)) in
+  (* Node ids get exactly what n needs, strings ~2x headroom over the
+     initial distinct count (room for adversarial registrations), and
+     the poll-label field every remaining bit — labels are drawn fresh
+     per poll, so rid is the field that scales with a run's length. *)
+  let fit ~n ~strings =
+    if n < 1 then invalid_arg "Msg.Layout.fit: n must be positive";
+    let id_bits = Intx.ceil_log2 (max 2 n) in
     (* Structural ceiling first: with even the minimal string budget,
        ids this wide leave the label field under its id_bits + 1 floor.
        No [strings] choice can fix that (it is n, not the scenario,
@@ -132,30 +127,11 @@ module Layout = struct
     if rid_bits < id_bits + 1 then
       invalid_arg
         (Printf.sprintf
-           "Msg.Layout.wide_for: n=%d with %d distinct strings needs sid:%d + x/w:%d bits, \
+           "Msg.Layout.fit: n=%d with %d distinct strings needs sid:%d + x/w:%d bits, \
             leaving rid:%d < %d — the run would exhaust poll labels; use fewer distinct \
             initial strings (Scenario.Junk_shared) or a smaller n"
            n strings sid_bits id_bits rid_bits (id_bits + 1));
     make ~sid_bits ~rid_bits ~id_bits
-
-  type choice = Auto | Narrow | Wide
-
-  let choose choice ~n ~strings =
-    match choice with
-    | Narrow ->
-      if n > narrow.max_n then
-        invalid_arg
-          (Printf.sprintf
-             "Msg.Layout.choose: Narrow caps node ids at %d bits (n <= %d), got n=%d"
-             narrow.id_bits narrow.max_n n)
-      else if strings > narrow.max_strings then
-        invalid_arg
-          (Printf.sprintf
-             "Msg.Layout.choose: Narrow caps distinct strings at %d, got %d"
-             narrow.max_strings strings)
-      else narrow
-    | Wide -> wide_for ~n ~strings
-    | Auto -> if n <= narrow.max_n && strings <= narrow.max_strings then narrow else wide_for ~n ~strings
 
   let pp fmt t =
     Format.fprintf fmt "tag:3|sid:%d|rid:%d|x:%d|w:%d (%d bits, n<=%d)" t.sid_bits t.rid_bits

@@ -25,7 +25,7 @@ val bits : Params.t -> t -> int
     ⌈log₂ n⌉ bits each, plus the payload (strings cost 8 bits per
     byte, labels {!Params.label_bits}, embedded identities ⌈log₂ n⌉).
     Wire accounting is a property of [params], not of the packed
-    {!Layout} — forcing the wide layout never changes measured bits. *)
+    {!Layout}: field widths never change measured bits. *)
 
 val pp : Format.formatter -> t -> unit
 
@@ -33,14 +33,11 @@ type msg = t
 (** Alias so {!Packed} (whose own [t] is [int]) can name the variant. *)
 
 (** First-class field widths for the packed plane. The packing order is
-    fixed ([tag:3 | sid | rid | x | w], LSB first); a layout chooses
-    the widths and precomputes every shift, mask and capacity the hot
-    paths need. {!narrow} is the historical
-    [tag:3|sid:13|rid:20|x:13|w:13] layout, kept verbatim as the fast
-    path for n ≤ 8192; {!wide_for} computes a layout for larger
-    populations from [n] and the number of distinct initial strings.
-    A layout belongs to a {!Scenario.t} and must be used consistently
-    for every word of a run. *)
+    fixed ([tag:3 | sid | rid | x | w], LSB first); a layout holds the
+    widths and precomputes every shift, mask and capacity the hot paths
+    need. {!fit} derives a run's layout from [n] and the number of
+    distinct initial strings. A layout belongs to a {!Scenario.t} and
+    must be used consistently for every word of a run. *)
 module Layout : sig
   type t = private {
     sid_bits : int;  (** string-id field width *)
@@ -66,11 +63,6 @@ module Layout : sig
   (** Raises [Invalid_argument] when the fields plus the 3-bit tag
       exceed the 63 bits of an OCaml immediate. *)
 
-  val narrow : t
-  (** [tag:3|sid:13|rid:20|x:13|w:13] — 62 bits, n ≤ 8192. *)
-
-  val is_narrow : t -> bool
-
   exception Immediate_exhausted of { n : int; id_bits : int }
   (** The single-int packed word's structural ceiling: [n] needs
       [id_bits]-bit node ids, and even with the minimal string budget
@@ -80,25 +72,17 @@ module Layout : sig
       the planned 2-int lane (paired words in [Stdx.Batch]-style
       parallel lanes). A printer is registered. *)
 
-  val wide_for : n:int -> strings:int -> t
+  val fit : n:int -> strings:int -> t
   (** Layout for a population of [n] nodes whose scenario starts with
-      [strings] distinct candidate strings: node ids get
-      [max 14 ⌈log₂ n⌉] bits, strings roughly 2× headroom over
-      [strings], and the label field every remaining bit. Raises
-      {!Immediate_exhausted} when no string budget could fit the widths
-      into 63 bits (n > 262144), and [Invalid_argument] (naming the
-      starved field, advising fewer distinct strings) when only the
+      [strings] distinct candidate strings: node ids get exactly
+      [⌈log₂ max(2, n)⌉] bits, strings roughly 2× headroom over
+      [strings], and the label field every remaining bit (at most 30).
+      Raises {!Immediate_exhausted} when no string budget could fit the
+      widths into 63 bits (n > 262144), and [Invalid_argument] (naming
+      the starved field, advising fewer distinct strings) when only the
       scenario's string count overflows — e.g. n = 262144 with hundreds
       of distinct strings; {!Scenario.Junk_shared} keeps such runs
       feasible. *)
-
-  type choice = Auto | Narrow | Wide
-
-  val choose : choice -> n:int -> strings:int -> t
-  (** [Auto] picks {!narrow} whenever it fits ([n] and [strings] within
-      its caps) and {!wide_for} above that; [Narrow]/[Wide] force one
-      lane, raising [Invalid_argument] if [Narrow] cannot address the
-      population. *)
 
   val total_bits : t -> int
 

@@ -13,32 +13,13 @@ type t = {
 }
 
 (* The packed field widths are fixed before the interner exists: count
-   the distinct initial strings, choose a layout for (n, strings), and
-   cap the interner's tables at the layout's field capacities. *)
-let distinct_strings ~gstring ~initial =
+   the distinct initial strings, fit a layout to (n, strings), and cap
+   the interner's tables at the layout's field capacities. *)
+let layout_of ~(params : Params.t) ~gstring ~initial =
   let seen = Hashtbl.create 64 in
   Hashtbl.replace seen gstring ();
   Array.iter (fun s -> Hashtbl.replace seen s ()) initial;
-  Hashtbl.length seen
-
-(* FBA_WIDE=1 forces the wide layout everywhere an explicit choice is
-   not supplied — the ci-level narrow-vs-wide A/B switch, needing no
-   per-experiment plumbing. *)
-let layout_default () =
-  match Sys.getenv_opt "FBA_WIDE" with
-  | Some v when v <> "" && v <> "0" -> Msg.Layout.Wide
-  | Some _ | None -> Msg.Layout.Auto
-
-let layout_of ?layout ~params ~gstring ~initial () =
-  (* Auto defers to the environment: FBA_WIDE biases the automatic
-     pick but never overrides an explicit Narrow/Wide request. *)
-  let choice =
-    match layout with
-    | Some Msg.Layout.Auto | None -> layout_default ()
-    | Some c -> c
-  in
-  Msg.Layout.choose choice ~n:params.Params.n
-    ~strings:(distinct_strings ~gstring ~initial)
+  Msg.Layout.fit ~n:params.Params.n ~strings:(Hashtbl.length seen)
 
 (* Packed messages need every payload registered: seed the interner
    with gstring and the initial candidates in a fixed order, so ids
@@ -46,15 +27,14 @@ let layout_of ?layout ~params ~gstring ~initial () =
    instance stream passes the previous epoch's interner back in; it is
    reset in place (same id assignment, warm storage). *)
 let intern_of ?intern ~(layout : Msg.Layout.t) ~gstring ~initial () =
+  let max_strings = layout.Msg.Layout.max_strings
+  and max_labels = layout.Msg.Layout.max_labels in
   let intern =
     match intern with
     | Some it ->
-      Intern.reset ~max_strings:layout.Msg.Layout.max_strings
-        ~max_labels:layout.Msg.Layout.max_labels it;
+      Intern.reset it ~max_strings ~max_labels;
       it
-    | None ->
-      Intern.create ~max_strings:layout.Msg.Layout.max_strings
-        ~max_labels:layout.Msg.Layout.max_labels ()
+    | None -> Intern.create ~max_strings ~max_labels
   in
   ignore (Intern.intern intern gstring);
   Array.iter (fun s -> ignore (Intern.intern intern s)) initial;
@@ -62,7 +42,7 @@ let intern_of ?intern ~(layout : Msg.Layout.t) ~gstring ~initial () =
 
 let random_string rng bits = Bytes.unsafe_to_string (Prng.bits rng bits)
 
-let make ?(junk = Junk_unique) ?gstring ?layout ?intern ~(params : Params.t) ~rng
+let make ?(junk = Junk_unique) ?gstring ?intern ~(params : Params.t) ~rng
     ~byzantine_fraction ~knowledgeable_fraction () =
   let n = params.Params.n in
   if byzantine_fraction < 0.0 || byzantine_fraction >= 1.0 /. 3.0 then
@@ -121,11 +101,11 @@ let make ?(junk = Junk_unique) ?gstring ?layout ?intern ~(params : Params.t) ~rn
             s
         end)
   in
-  let layout = layout_of ?layout ~params ~gstring ~initial () in
+  let layout = layout_of ~params ~gstring ~initial in
   { params; gstring; corrupted; knowledgeable; initial; layout;
     intern = intern_of ?intern ~layout ~gstring ~initial () }
 
-let of_assignment ?layout ~params ~gstring ~corrupted ~initial () =
+let of_assignment ~params ~gstring ~corrupted ~initial () =
   let n = params.Params.n in
   if Array.length initial <> n then
     invalid_arg "Scenario.of_assignment: initial array size mismatch";
@@ -136,7 +116,7 @@ let of_assignment ?layout ~params ~gstring ~corrupted ~initial () =
     if (not (Bitset.mem corrupted id)) && initial.(id) = gstring then
       Bitset.add knowledgeable id
   done;
-  let layout = layout_of ?layout ~params ~gstring ~initial () in
+  let layout = layout_of ~params ~gstring ~initial in
   { params; gstring; corrupted; knowledgeable; initial; layout;
     intern = intern_of ~layout ~gstring ~initial () }
 

@@ -23,8 +23,8 @@ type t = private {
   knowledgeable : Bitset.t;  (** correct nodes holding gstring initially *)
   initial : string array;  (** initial candidate of every node *)
   layout : Msg.Layout.t;
-      (** the run's packed field widths, chosen from [params.n] and the
-          distinct initial strings ({!Msg.Layout.choose}); every packed
+      (** the run's packed field widths, {!Msg.Layout.fit} to
+          [params.n] and the distinct initial strings; every packed
           word of the run uses it *)
   intern : Intern.t;
       (** the run's string/label interner, pre-seeded with [gstring]
@@ -35,7 +35,6 @@ type t = private {
 val make :
   ?junk:junk ->
   ?gstring:string ->
-  ?layout:Msg.Layout.choice ->
   ?intern:Intern.t ->
   params:Params.t ->
   rng:Prng.t ->
@@ -51,17 +50,13 @@ val make :
     [Invalid_argument] (so do fractions that cannot be realized, e.g.
     more knowledgeable nodes than correct ones). [gstring] defaults to
     a fresh uniformly random string of [params.gstring_bits] bits;
-    [junk] defaults to {!Junk_unique}. [layout] defaults to
-    {!Msg.Layout.Auto} — the narrow fast path whenever it fits — unless
-    the [FBA_WIDE] environment variable is set (non-empty, not "0"),
-    which flips the default to {!Msg.Layout.Wide} for A/B parity runs.
-    [intern] hands back a previous run's interner for epoch reuse: it
-    is {!Intern.reset} to the new layout's caps and re-seeded in
-    place, so the scenario's id assignment is identical to a fresh
-    interner's while its table storage stays warm. *)
+    [junk] defaults to {!Junk_unique}. [intern] hands back a previous
+    run's interner for epoch reuse: it is {!Intern.reset} to the new
+    layout's caps and re-seeded in place, so the scenario's id
+    assignment is identical to a fresh interner's while its table
+    storage stays warm. *)
 
 val of_assignment :
-  ?layout:Msg.Layout.choice ->
   params:Params.t ->
   gstring:string ->
   corrupted:Bitset.t ->

@@ -24,9 +24,7 @@ type cell
 type row
 
 val grid : full:bool -> cell list
+(** [full] enlarges n. *)
+
 val run_cell : cell -> row
 val render : full:bool -> out:out_channel -> row list -> unit
-
-val run : ?jobs:int -> ?full:bool -> out:out_channel -> unit -> unit
-(** [full] (default false) enlarges n; [jobs] (default auto) shards
-    grid cells across domains. *)

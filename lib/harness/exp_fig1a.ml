@@ -341,6 +341,3 @@ let render ~full ~out rows =
     output_string out (Table.to_markdown lb);
     Printf.fprintf out "\n"
   end
-
-let run ?(jobs = 0) ?(full = false) ~out () =
-  render ~full ~out (Sweep.cells ~jobs run_cell (grid ~full))

@@ -24,10 +24,7 @@ type cell
 type row
 
 val grid : full:bool -> cell list
+(** [full] enlarges the size grid and seed count. *)
+
 val run_cell : cell -> row
 val render : full:bool -> out:out_channel -> row list -> unit
-
-val run : ?jobs:int -> ?full:bool -> out:out_channel -> unit -> unit
-(** [full] (default false) enlarges the size grid and seed count;
-    [jobs] (default auto, {!Sweep.resolve_jobs}) shards grid cells
-    across domains — the output is identical for every value. *)

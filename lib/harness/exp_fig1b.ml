@@ -226,6 +226,3 @@ let render ~full ~out rows =
   Printf.fprintf out "\n### Reproduction vs paper\n\n";
   output_string out (Table.to_markdown repro);
   Printf.fprintf out "\n"
-
-let run ?(jobs = 0) ?(full = false) ~out () =
-  render ~full ~out (Sweep.cells ~jobs run_cell (grid ~full))

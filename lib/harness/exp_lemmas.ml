@@ -314,6 +314,3 @@ let render ~full:_ ~out rows =
         Printf.fprintf out "\n"
       | _ -> ())
     rows
-
-let run ?(jobs = 0) ?(full = false) ~out () =
-  render ~full ~out (Sweep.cells ~jobs run_cell (grid ~full))

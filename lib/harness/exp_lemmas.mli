@@ -26,11 +26,9 @@ val cell_size : cell -> int
     the grid (the jobs-invariance golden filters on it). *)
 
 val grid : full:bool -> cell list
+(** [full] enlarges the size grid. *)
+
 val run_cell : cell -> row
 val render : full:bool -> out:out_channel -> row list -> unit
 (** [render] tolerates subset grids: a section whose rows are absent
     is skipped entirely. *)
-
-val run : ?jobs:int -> ?full:bool -> out:out_channel -> unit -> unit
-(** [full] (default false) enlarges the size grid; [jobs] (default
-    auto) shards grid cells across domains. *)

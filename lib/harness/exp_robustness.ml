@@ -163,6 +163,3 @@ let render ~full ~out rows =
       "### Decide probability vs transient bisection (partition from round 1, length sweep)"
     ~cond_col:"partition rounds" rows
     (List.map (fun k -> Partition_len k) (partition_lens full))
-
-let run ?(jobs = 0) ?(full = false) ~out () =
-  render ~full ~out (Sweep.cells ~jobs run_cell (grid ~full))

@@ -25,14 +25,10 @@ type cell
 type row
 
 val grid : full:bool -> cell list
-(** Setting the [FBA_ROBUSTNESS_SMOKE] environment variable shrinks the
+(** [full] enlarges n, the seed count and the partition-length sweep.
+    Setting the [FBA_ROBUSTNESS_SMOKE] environment variable shrinks the
     grid to one drop rate and one partition length at n=48 (used by
     [scripts/ci.sh] to diff [--jobs] runs cheaply). *)
 
 val run_cell : cell -> row
 val render : full:bool -> out:out_channel -> row list -> unit
-
-val run : ?jobs:int -> ?full:bool -> out:out_channel -> unit -> unit
-(** [full] (default false) enlarges n, the seed count and the
-    partition-length sweep; [jobs] (default auto) shards grid cells
-    across domains — the output is byte-identical for every value. *)

@@ -18,9 +18,7 @@ type cell
 type row
 
 val grid : full:bool -> cell list
+(** [full] enlarges the size grid and search budget. *)
+
 val run_cell : cell -> row
 val render : full:bool -> out:out_channel -> row list -> unit
-
-val run : ?jobs:int -> ?full:bool -> out:out_channel -> unit -> unit
-(** [full] (default false) enlarges the size grid and search budget;
-    [jobs] (default auto) shards grid cells across domains. *)

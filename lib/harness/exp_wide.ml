@@ -2,8 +2,7 @@ open Fba_stdx
 module Attacks = Fba_adversary.Aer_attacks
 module Layout = Fba_core.Msg.Layout
 
-(* Populations strictly above the narrow plane's n = 8192 ceiling:
-   every cell here runs on the wide layout, and the interesting
+(* Populations strictly above fig1a's n = 8192: the interesting
    comparison is how the three protocol families scale once quorum
    polylogs are genuinely small against n. Even the default grid is
    batch work (tens of minutes per AER cell on one core — see
@@ -47,7 +46,7 @@ type cell = { variant : variant; n : int; seeds : int64 list }
 type row = {
   variant : variant;
   n : int;
-  id_bits : int;  (* the layout lane the runs used; narrow is 13 *)
+  id_bits : int;  (* node-id width of the runs' packed layout *)
   mean_time : float;
   mean_bits : float;
   mean_max_sent : float;
@@ -154,6 +153,3 @@ let render ~full:_ ~out rows =
        (polylog query fan-out under a silent adversary).\n"
       (exponent Aer) (exponent Grid) (exponent Naive)
   end
-
-let run ?(jobs = 0) ?(full = false) ~out () =
-  render ~full ~out (Sweep.cells ~jobs run_cell (grid ~full))

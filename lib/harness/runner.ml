@@ -15,7 +15,6 @@ type aer_setup = {
   d_override : (int * int * int) option;
   gstring_bits : int option;
   per_run_miss : float;
-  layout : Msg.Layout.choice;
 }
 
 let default_setup =
@@ -27,7 +26,6 @@ let default_setup =
     d_override = None;
     gstring_bits = None;
     per_run_miss = 0.05;
-    layout = Msg.Layout.Auto;
   }
 
 let scenario_of_setup ?intern setup ~n ~seed =
@@ -43,7 +41,7 @@ let scenario_of_setup ?intern setup ~n ~seed =
         ~knowledgeable_fraction:setup.knowledgeable_fraction ()
   in
   let rng = Prng.create (Hash64.finish (Hash64.add_string (Hash64.init seed) "workload")) in
-  Scenario.make ?intern ~junk:setup.junk ~layout:setup.layout ~params ~rng
+  Scenario.make ?intern ~junk:setup.junk ~params ~rng
     ~byzantine_fraction:setup.byzantine_fraction
     ~knowledgeable_fraction:setup.knowledgeable_fraction ()
 

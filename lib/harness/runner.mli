@@ -12,15 +12,10 @@ type aer_setup = {
   d_override : (int * int * int) option;  (** (d_i, d_h, d_j) if forced *)
   gstring_bits : int option;
   per_run_miss : float;
-  layout : Msg.Layout.choice;
-      (** packed field widths ({!Fba_core.Msg.Layout.choose}):
-          [Auto] (default) takes the narrow n ≤ 8192 fast path whenever
-          it fits and the wide lane above, honouring [FBA_WIDE] *)
 }
 
 val default_setup : aer_setup
-(** byz 0.10, knowledgeable 0.85, unique junk, [Auto] layout, defaults
-    elsewhere. *)
+(** byz 0.10, knowledgeable 0.85, unique junk, defaults elsewhere. *)
 
 val scenario_of_setup : ?intern:Intern.t -> aer_setup -> n:int -> seed:int64 -> Scenario.t
 (** Auto-sizes quorums via {!Params.make_for} unless [d_override].

@@ -36,22 +36,19 @@ type t = {
      so one rid almost always belongs to one poller [x] and
      [rid_x]/[rid_rows] resolve the quorum in two array loads with
      zero hashing; the rare adversarial reuse of a label across
-     pollers falls back to [xr_rid], the legacy (x, rid)-keyed table.
+     pollers falls back to [xr_rid], the legacy (x, rid)-keyed table,
+     keyed [rid * n + x] (x < n, so keys never collide).
      All keyings share the quorum arrays, so answers are identical
      whichever one a caller uses. *)
   mutable by_sid : int array array array;
   mutable rid_x : int array;  (* rid -> owning x, -1 = empty *)
   mutable rid_rows : int array array;
   xr_rid : (int, int array) Hashtbl.t;
-  (* Width of the packed rid field: the fallback table's (x, rid) keys
-     are [x lsl rid_bits lor rid], so the shift must clear the run's
-     label-id range (Msg.Layout.rid_bits; 20 = the narrow default). *)
-  mutable rid_bits : int;
 }
 
 let no_row : int array array = [||]
 
-let create ?find ?(rid_bits = 20) sampler =
+let create ?find sampler =
   {
     sampler;
     find;
@@ -65,7 +62,6 @@ let create ?find ?(rid_bits = 20) sampler =
     rid_x = [||];
     rid_rows = [||];
     xr_rid = Hashtbl.create 64;
-    rid_bits;
   }
 
 let sampler t = t.sampler
@@ -74,10 +70,9 @@ let sampler t = t.sampler
    memoized quorum while keeping the tables' storage warm. The dense
    rows are refilled with their physical sentinels, so nothing a stale
    row held can be mistaken for a fresh evaluation. *)
-let reset ?find ?rid_bits t ~sampler =
+let reset ?find t ~sampler =
   t.sampler <- sampler;
   (match find with Some _ -> t.find <- find | None -> ());
-  (match rid_bits with Some b -> t.rid_bits <- b | None -> ());
   let n = Sampler.n sampler in
   if Array.length t.salt <> n then
     t.salt <- Array.init n (fun x -> Sampler.key_xr sampler ~x ~r:0L)
@@ -203,7 +198,7 @@ let seed_sid_row t ~sid ~s ~x q =
   let row = row_sid t ~sid ~s in
   if row.(x) == unset then row.(x) <- q
 
-let key_rid t ~x ~rid = (x lsl t.rid_bits) lor rid
+let key_rid t ~x ~rid = (rid * Sampler.n t.sampler) + x
 
 (* Legacy (x, rid)-keyed path, now only the fallback for labels reused
    across pollers (and the oracle the rid-dense index is checked

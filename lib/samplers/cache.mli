@@ -17,28 +17,25 @@
 
 type t
 
-val create : ?find:(string -> int) -> ?rid_bits:int -> Sampler.t -> t
+val create : ?find:(string -> int) -> Sampler.t -> t
 (** [find] is a non-registering string -> interned-id resolver
     (e.g. [Fba_core.Intern.find]), returning [-1] for unknown strings.
     When supplied, the dense sid-indexed rows are the primary store and
     even string-keyed lookups route through them, leaving the string
     table to hold only strings the interner has never seen; without it
     the cache behaves as before the interned-id port (string table
-    primary, sid rows sharing its arrays). [rid_bits] (default 20, the
-    narrow packed layout's label field) is the shift that packs
-    {!quorum_rid}'s (x, rid) fallback keys — pass the run layout's
-    [rid_bits] so keys cannot collide when labels outgrow 2²⁰. *)
+    primary, sid rows sharing its arrays). *)
 
 val sampler : t -> Sampler.t
 
-val reset : ?find:(string -> int) -> ?rid_bits:int -> t -> sampler:Sampler.t -> unit
+val reset : ?find:(string -> int) -> t -> sampler:Sampler.t -> unit
 (** Epoch reset for instance streams ({!Fba_harness.Service}): rebind
     the cache to [sampler] (the next instance's draw seed), forget
-    every memoized quorum, and keep all table storage warm. [find] and
-    [rid_bits] are rebound when given, kept otherwise (the common case:
-    a stream over a fixed population reuses its interner in place, so
-    the old resolver closure stays valid). After a reset the cache
-    answers exactly as a fresh [create] over the same sampler would. *)
+    every memoized quorum, and keep all table storage warm. [find] is
+    rebound when given, kept otherwise (the common case: a stream over
+    a fixed population reuses its interner in place, so the old
+    resolver closure stays valid). After a reset the cache answers
+    exactly as a fresh [create] over the same sampler would. *)
 
 val quorum_sx : t -> s:string -> x:int -> int array
 (** Cached {!Sampler.quorum_sx}. The returned array is shared; callers
@@ -81,10 +78,10 @@ val seed_sid_row : t -> sid:int -> s:string -> x:int -> int array -> unit
 
 val quorum_rid : t -> x:int -> rid:int -> r:int64 -> int array
 (** Cached J-quorum keyed by [(x, rid)]; [r] must be the label whose
-    interned id is [rid] (read only on a cold key); [rid] must fit the
-    cache's [rid_bits]. Hot lookups are rid-dense:
-    two array loads, no hashing; a label reused across distinct
-    pollers (adversarial echo) falls back to the legacy keyed table. *)
+    interned id is [rid] (read only on a cold key), and [x] a node id
+    below the sampler's [n]. Hot lookups are rid-dense: two array
+    loads, no hashing; a label reused across distinct pollers
+    (adversarial echo) falls back to the legacy keyed table. *)
 
 val mem_rid : t -> x:int -> rid:int -> r:int64 -> y:int -> bool
 

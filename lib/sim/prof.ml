@@ -51,7 +51,6 @@ type t = {
   mutable total_words : int;
   mutable running : bool;
   mutable started : bool;  (* a run completed (or is underway) *)
-  mutable peak_mailbox_words : int;  (* delivery-plane high-water gauge *)
 }
 
 let create () =
@@ -72,7 +71,6 @@ let create () =
     total_words = 0;
     running = false;
     started = false;
-    peak_mailbox_words = 0;
   }
 
 let engine_slot t = t.n_slots - 1
@@ -106,7 +104,6 @@ let start t ~tags =
   ensure_rounds t 0;
   t.running <- true;
   t.started <- true;
-  t.peak_mailbox_words <- 0;
   t.total_ns <- 0;
   t.total_words <- 0;
   t.start_ns <- Fba_stdx.Monotonic.now_ns ();
@@ -185,11 +182,6 @@ let round_alloc t r = sum_round t t.alloc r
 
 let total_wall_ns t = t.total_ns
 let total_alloc_words t = t.total_words
-
-(* Gauge, not a cursor cell: set once by the engine at run end, so it
-   deliberately stays outside the [check] accounting identity. *)
-let note_peak_mailbox_words t w = t.peak_mailbox_words <- max t.peak_mailbox_words w
-let peak_mailbox_words t = t.peak_mailbox_words
 
 (* The accounting identity: every cell delta was charged between two
    consecutive snapshots, so the matrix must sum exactly — in integer

@@ -62,12 +62,6 @@ val stop : t -> unit
 (** End the run: charge the tail to the engine slot and fix the run
     totals. Idempotent. *)
 
-val note_peak_mailbox_words : t -> int -> unit
-(** Record the run's peak delivery-plane footprint (mailbox/calendar
-    words); engines call this once at run end. Keeps the maximum, so
-    multi-phase runs sharing one profiler report the larger phase. A
-    gauge, outside the {!check} accounting identity. *)
-
 (** {1 Reading the profile} (after {!stop}) *)
 
 val started : t -> bool
@@ -105,10 +99,6 @@ val round_alloc : t -> int -> int
 val total_wall_ns : t -> int
 val total_alloc_words : t -> int
 (** Run totals, measured independently as last − first snapshot. *)
-
-val peak_mailbox_words : t -> int
-(** Peak delivery-plane footprint noted by the engine (0 when no engine
-    reported one). *)
 
 val check : t -> bool
 (** The accounting identity: Σ cells = totals, exactly, for both wall

@@ -179,7 +179,6 @@ module Make (P : Protocol.S) = struct
       let peak = Engine_core.Mailbox.peak_words mb in
       Metrics.set_peak_mailbox_words core.metrics peak;
       Batch.Peak.note peak;
-      (match prof with None -> () | Some p -> Prof.note_peak_mailbox_words p peak);
       {
         metrics = core.metrics;
         outputs = core.outputs;

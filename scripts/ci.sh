@@ -99,7 +99,7 @@ dune runtest
 # Environment-switch allowlist: the program may read only these FBA_*
 # variables. Every other name is refused, so an A/B twin of a code path
 # cannot come back behind a new switch unnoticed.
-allowed="FBA_JOBS FBA_PROGRESS FBA_ROBUSTNESS_SMOKE FBA_WIDE_SWEEP_SIZES FBA_WIDE"
+allowed="FBA_JOBS FBA_PROGRESS FBA_ROBUSTNESS_SMOKE FBA_WIDE_SWEEP_SIZES"
 read_vars="$(grep -rhoE --include='*.ml' '"FBA_[A-Z0-9_]*' lib bin | tr -d '"' | sort -u)"
 for v in $read_vars; do
   case " $allowed " in
@@ -202,27 +202,11 @@ else
   exit 1
 fi
 
-# Wide-layout parity smoke: the packed field widths are representation,
-# not behaviour. Forcing every Auto-layout scenario onto the wide
-# layout (FBA_WIDE=1) must leave an experiment's report byte-identical
-# to the default narrow fast path; the full evidence is the
-# packed.engine narrow-vs-wide trace-identity property.
-dune exec bin/fba.exe -- experiment fig1a --jobs 2 > "$seq_out"
-FBA_WIDE=1 dune exec bin/fba.exe -- experiment fig1a --jobs 2 > "$par_out"
-if cmp -s "$seq_out" "$par_out"; then
-  echo "wide layout parity smoke ok: FBA_WIDE=1 output identical"
-else
-  echo "wide layout parity smoke FAILED: wide-layout run differs from narrow run" >&2
-  diff "$seq_out" "$par_out" >&2 || true
-  exit 1
-fi
-
 # Wide-sweep pipeline smoke: the wide experiment itself, shrunk to
-# populations that run in seconds (FBA_WIDE=1 keeps them on the wide
-# lane despite being under the n <= 8192 ceiling), must be
-# byte-identical sequential vs sharded like every other sweep.
-FBA_WIDE=1 FBA_WIDE_SWEEP_SIZES="256,512" dune exec bin/fba.exe -- experiment wide --jobs 1 > "$seq_out"
-FBA_WIDE=1 FBA_WIDE_SWEEP_SIZES="256,512" dune exec bin/fba.exe -- experiment wide --jobs 2 > "$par_out"
+# populations that run in seconds, must be byte-identical sequential
+# vs sharded like every other sweep.
+FBA_WIDE_SWEEP_SIZES="256,512" dune exec bin/fba.exe -- experiment wide --jobs 1 > "$seq_out"
+FBA_WIDE_SWEEP_SIZES="256,512" dune exec bin/fba.exe -- experiment wide --jobs 2 > "$par_out"
 if cmp -s "$seq_out" "$par_out"; then
   echo "wide sweep smoke ok: --jobs 2 output identical to --jobs 1"
 else

@@ -108,6 +108,57 @@ let test_quorum_capture_strings_pass_filter () =
       | _ -> Alcotest.fail "capture should only push")
     envs
 
+(* --- forged out-of-range ids --- *)
+
+(* At n = 96 the layout's node-id fields are 7 bits wide, so ids 96..127
+   fit a packed word while naming no node. Fw1 and Fw2 messages that
+   embed one must be dropped: the run ends as it does under a silent
+   adversary, with no correct node sending anything more. *)
+let test_forged_ids_dropped () =
+  let seed = 1L in
+  let silent = run_with Attacks.silent (mk_scenario seed) in
+  let sc = mk_scenario seed in
+  let n = Scenario.(sc.params.Params.n) in
+  let lt = sc.Scenario.layout and intern = sc.Scenario.intern in
+  let bad = n + 3 in
+  Alcotest.(check bool) "the forged id fits the id field" true (bad < lt.Msg.Layout.max_n);
+  let sid = Intern.intern intern sc.Scenario.gstring in
+  let rid = Intern.intern_label intern 0xF0F0L in
+  let forged =
+    [
+      Msg.Packed.fw1 lt ~sid ~rid ~x:0 ~w:bad;
+      Msg.Packed.fw1 lt ~sid ~rid ~x:bad ~w:0;
+      Msg.Packed.fw2 lt ~sid ~rid ~x:bad;
+    ]
+  in
+  let byz = List.hd (Bitset.to_list sc.Scenario.corrupted) in
+  let forging sc =
+    {
+      Fba_sim.Sync_engine.corrupted = sc.Scenario.corrupted;
+      act =
+        (fun ~round ~observed:_ ->
+          if round > 0 then []
+          else
+            List.concat_map
+              (fun dst ->
+                if Scenario.is_correct sc dst then
+                  List.map (fun m -> Fba_sim.Envelope.make ~src:byz ~dst m) forged
+                else [])
+              (List.init n Fun.id));
+    }
+  in
+  let res = run_with forging sc in
+  let sent r i = Fba_sim.Metrics.sent_messages_of r.Fba_sim.Sync_engine.metrics i in
+  for i = 0 to n - 1 do
+    if Scenario.is_correct sc i then begin
+      Alcotest.(check (option string))
+        (Printf.sprintf "node %d decides gstring" i)
+        (Some sc.Scenario.gstring) res.Fba_sim.Sync_engine.outputs.(i);
+      Alcotest.(check int) (Printf.sprintf "node %d sends as under silence" i) (sent silent i)
+        (sent res i)
+    end
+  done
+
 (* --- async_of_sync: the lifted observation window --- *)
 
 let fields (e : Aer.msg Fba_sim.Envelope.t) = Fba_sim.Envelope.(e.src, e.dst, e.msg)
@@ -251,6 +302,7 @@ let suites =
         Alcotest.test_case "quorum capture passes filter" `Quick
           test_quorum_capture_strings_pass_filter;
         Alcotest.test_case "async_of_sync observation window" `Quick test_async_window;
+        Alcotest.test_case "forged out-of-range ids dropped" `Quick test_forged_ids_dropped;
       ] );
     ( "adversary.corruption",
       [

@@ -161,7 +161,24 @@ let test_pos_oracles () =
     if pos >= 0 then Alcotest.(check int) "pos_rid indexes the quorum" y q.(pos)
   done;
   (* Both members and non-members were probed. *)
-  Alcotest.(check bool) "J quorum is a proper subset" true (!members = Array.length q && !members < n)
+  Alcotest.(check bool) "J quorum is a proper subset" true (!members = Array.length q && !members < n);
+  (* The same label reused by other pollers (an adversarial echo) takes
+     the cross-poller fallback table; its keys must keep x apart. *)
+  let sj = Params.sampler_j params in
+  List.iter
+    (fun x ->
+      let want = Sampler.quorum_xr sj ~x ~r in
+      Alcotest.(check (array int))
+        (Printf.sprintf "fallback quorum_rid x=%d" x)
+        want (Cache.quorum_rid qj ~x ~rid ~r);
+      for y = 0 to n - 1 do
+        let mem = Cache.mem_rid qj ~x ~rid ~r ~y in
+        let pos = Cache.pos_rid qj ~x ~rid ~r ~y in
+        Alcotest.(check bool) "fallback mem_rid = a plain scan" (Array.exists (Int.equal y) want) mem;
+        Alcotest.(check bool) "fallback pos_rid >= 0 iff mem_rid" mem (pos >= 0);
+        if pos >= 0 then Alcotest.(check int) "fallback pos_rid indexes the quorum" y want.(pos)
+      done)
+    [ 5; 7 ]
 
 (* --- CSR fan-out vs the Push_plan oracle --- *)
 

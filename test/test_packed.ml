@@ -1,20 +1,17 @@
 (* Packed message plane (Msg.Packed + Intern).
 
-   Three layers of evidence that the immediate-int wire plane is an
-   exact stand-in for the variant messages:
+   Evidence that the immediate-int wire plane is an exact stand-in for
+   the variant messages:
 
-   - layout goldens: hard-coded packed words pin the narrow layout
-     (tag:3 | sid:13 | rid:20 | x:13 | w:13, LSB first) so an
-     accidental field reshuffle cannot hide behind a self-consistent
-     codec, and Layout.choose is pinned at the n=8192 boundary;
+   - layout goldens: hard-coded packed words pin the field order
+     (tag:3 | sid | rid | x | w, LSB first) on a fixed
+     tag:3|sid:13|rid:20|x:13|w:13 layout, so an accidental field
+     reshuffle cannot hide behind a self-consistent codec;
    - qcheck properties: pack/unpack round-trips every constructor
-     across the full field ranges of both the narrow and the wide
-     layout at the boundary populations (n = 8191, 8192, 8193, 65536),
-     [Packed.bits] agrees with [Msg.bits] and [Packed.pp] renders
-     exactly as [Msg.pp] under every layout;
-   - narrow-vs-wide identity: at n <= 8192 a run forced onto the wide
-     layout is trace-identical to the narrow fast path — field widths
-     are representation, not behaviour;
+     across the full field ranges of the layouts Layout.fit gives at
+     the populations n = 8191, 8192, 8193 and 65536, [Packed.bits]
+     agrees with [Msg.bits] and [Packed.pp] renders exactly as
+     [Msg.pp] under every layout;
    - engine equivalence: running AER through the allocation-free
      [receive_into] fast path and through the list-returning
      [on_receive] fallback produces bit-identical metrics, outputs and
@@ -30,7 +27,10 @@ module Packed = Msg.Packed
 
 (* --- Layout goldens --- *)
 
-let nar = Msg.Layout.narrow
+let golden = Msg.Layout.make ~sid_bits:13 ~rid_bits:20 ~id_bits:13
+
+let intern_for (lt : Msg.Layout.t) =
+  Intern.create ~max_strings:lt.Msg.Layout.max_strings ~max_labels:lt.Msg.Layout.max_labels
 
 let contains_sub hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -38,13 +38,13 @@ let contains_sub hay needle =
   nn = 0 || go 0
 
 let test_layout_goldens () =
-  let it = Intern.create () in
+  let it = intern_for golden in
   Alcotest.(check int) "first string id" 0 (Intern.intern it "alpha");
   Alcotest.(check int) "second string id" 1 (Intern.intern it "beta");
   Alcotest.(check int) "interning is idempotent" 0 (Intern.intern it "alpha");
   Alcotest.(check int) "first label id" 0 (Intern.intern_label it 0x5EEDL);
   Alcotest.(check int) "second label id" 1 (Intern.intern_label it 42L);
-  let pack m = Packed.pack nar it m in
+  let pack m = Packed.pack golden it m in
   Alcotest.(check int) "Push alpha" 1 (pack (Msg.Push "alpha"));
   Alcotest.(check int) "Answer alpha" 6 (pack (Msg.Answer "alpha"));
   Alcotest.(check int) "Poll beta/0x5EED" 10 (pack (Msg.Poll { s = "beta"; r = 0x5EEDL }));
@@ -55,15 +55,15 @@ let test_layout_goldens () =
   Alcotest.(check int) "Fw2 x=5" 343597383685 (pack (Msg.Fw2 { x = 5; s = "alpha"; r = 0x5EEDL }))
 
 let test_field_boundaries () =
-  let max_sid = Intern.max_strings - 1 in
-  let max_rid = Intern.max_labels - 1 in
-  let p = Packed.fw1 nar ~sid:max_sid ~rid:max_rid ~x:8191 ~w:8191 in
+  let max_sid = golden.Msg.Layout.max_strings - 1 in
+  let max_rid = golden.Msg.Layout.max_labels - 1 in
+  let p = Packed.fw1 golden ~sid:max_sid ~rid:max_rid ~x:8191 ~w:8191 in
   Alcotest.(check int) "max word uses exactly 62 bits" 4611686018427387900 p;
   Alcotest.(check int) "tag at boundary" Packed.tag_fw1 (Packed.tag p);
-  Alcotest.(check int) "sid at boundary" max_sid (Packed.sid nar p);
-  Alcotest.(check int) "rid at boundary" max_rid (Packed.rid nar p);
-  Alcotest.(check int) "x at boundary" 8191 (Packed.x nar p);
-  Alcotest.(check int) "w at boundary" 8191 (Packed.w nar p);
+  Alcotest.(check int) "sid at boundary" max_sid (Packed.sid golden p);
+  Alcotest.(check int) "rid at boundary" max_rid (Packed.rid golden p);
+  Alcotest.(check int) "x at boundary" 8191 (Packed.x golden p);
+  Alcotest.(check int) "w at boundary" 8191 (Packed.w golden p);
   (* Overflow errors must name the overflowing field. *)
   let rejects name field f =
     match f () with
@@ -72,56 +72,28 @@ let test_field_boundaries () =
       if not (contains_sub msg (field ^ "=")) then
         Alcotest.failf "%s: error %S does not name field %s" name msg field
   in
-  rejects "sid overflow" "sid" (fun () -> Packed.push nar ~sid:(max_sid + 1));
-  rejects "rid overflow" "rid" (fun () -> Packed.poll nar ~sid:0 ~rid:(max_rid + 1));
-  rejects "x overflow" "x" (fun () -> Packed.fw2 nar ~sid:0 ~rid:0 ~x:8192);
-  rejects "w overflow" "w" (fun () -> Packed.fw1 nar ~sid:0 ~rid:0 ~x:0 ~w:8192);
-  rejects "negative sid" "sid" (fun () -> Packed.push nar ~sid:(-1))
-
-let test_layout_choose () =
-  let open Msg.Layout in
-  Alcotest.(check bool) "n=8191 Auto is narrow" true
-    (is_narrow (choose Auto ~n:8191 ~strings:64));
-  Alcotest.(check bool) "n=8192 Auto is narrow" true
-    (is_narrow (choose Auto ~n:8192 ~strings:64));
-  Alcotest.(check bool) "n=8193 Auto is wide" false
-    (is_narrow (choose Auto ~n:8193 ~strings:64));
-  let w = choose Auto ~n:65536 ~strings:10 in
-  Alcotest.(check int) "n=65536 id_bits" 16 w.id_bits;
-  Alcotest.(check bool) "n=65536 fits an immediate" true (total_bits w <= 63);
-  Alcotest.(check bool) "wide addresses the population" true (w.max_n >= 65536);
-  Alcotest.(check bool) "rid outgrows id" true (w.rid_bits >= w.id_bits + 1);
-  (* mask_mult of the narrow layout is the historical constant. *)
-  Alcotest.(check int) "narrow mask_mult is 133" 133 narrow.mask_mult;
-  (match choose Narrow ~n:8193 ~strings:4 with
-  | (_ : t) -> Alcotest.fail "Narrow at n=8193: expected Invalid_argument"
-  | exception Invalid_argument _ -> ());
-  (* A wide request that cannot fit 63 bits names the starved field. *)
-  (match wide_for ~n:262144 ~strings:5000 with
-  | (_ : t) -> Alcotest.fail "infeasible wide layout: expected Invalid_argument"
-  | exception Invalid_argument msg ->
-    Alcotest.(check bool) "error names rid" true (contains_sub msg "rid"))
+  rejects "sid overflow" "sid" (fun () -> Packed.push golden ~sid:(max_sid + 1));
+  rejects "rid overflow" "rid" (fun () -> Packed.poll golden ~sid:0 ~rid:(max_rid + 1));
+  rejects "x overflow" "x" (fun () -> Packed.fw2 golden ~sid:0 ~rid:0 ~x:8192);
+  rejects "w overflow" "w" (fun () -> Packed.fw1 golden ~sid:0 ~rid:0 ~x:0 ~w:8192);
+  rejects "negative sid" "sid" (fun () -> Packed.push golden ~sid:(-1))
 
 (* --- qcheck codec properties --- *)
 
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
-(* Boundary populations around the narrow/wide switch, each paired with
-   the layout Auto picks there — and, below the ceiling, the forced wide
-   layout too, so both lanes are exercised on either side of n = 8192. *)
+(* The layouts Layout.fit gives around n = 8192, where node ids go from
+   13 to 14 bits, and at n = 65536, each for two string budgets: 64
+   strings ("narrow", an 8-bit sid field) and 300 ("wide", 10 bits). *)
 let boundary_layouts =
-  [
-    ("n=8191/narrow", 8191, Msg.Layout.choose Msg.Layout.Narrow ~n:8191 ~strings:64);
-    ("n=8191/wide", 8191, Msg.Layout.wide_for ~n:8191 ~strings:300);
-    ("n=8192/narrow", 8192, Msg.Layout.choose Msg.Layout.Auto ~n:8192 ~strings:64);
-    ("n=8192/wide", 8192, Msg.Layout.wide_for ~n:8192 ~strings:300);
-    ("n=8193/wide", 8193, Msg.Layout.wide_for ~n:8193 ~strings:300);
-    ("n=65536/wide", 65536, Msg.Layout.wide_for ~n:65536 ~strings:300);
-  ]
-
-let intern_for (lt : Msg.Layout.t) =
-  Intern.create ~max_strings:lt.Msg.Layout.max_strings ~max_labels:lt.Msg.Layout.max_labels ()
+  List.concat_map
+    (fun n ->
+      List.map
+        (fun (budget, strings) ->
+          (Printf.sprintf "n=%d/%s" n budget, n, Msg.Layout.fit ~n ~strings))
+        [ ("narrow", 64); ("wide", 300) ])
+    [ 8191; 8192; 8193; 65536 ]
 
 (* Strings from a mix of arbitrary bytes and a small pool (so repeated
    interning — the realistic case — is exercised too); labels across
@@ -266,40 +238,13 @@ let prop_async_fallback_identical =
       && fast.Fba_sim.Async_engine.outputs = slow.Fba_sim.Async_engine.outputs
       && Buffer.contents fast_buf = Buffer.contents slow_buf)
 
-(* The wide layout is a representation change only: forcing it on a
-   population the narrow fast path covers must leave every observable
-   byte of the run unchanged. *)
-let prop_wide_trace_identical =
-  QCheck.Test.make ~name:"narrow and forced-wide runs are trace-identical (n <= 8192)"
-    ~count:6 arb_run (fun (n, seed) ->
-      let run layout =
-        let sc = Runner.scenario_of_setup { Runner.default_setup with layout } ~n ~seed in
-        let events, buf = jsonl_sink () in
-        let cfg = Aer.config_of_scenario ~events sc in
-        let r =
-          E_fast.run ~quiet_limit:(quiet_limit_of sc) ~events ~config:cfg ~n ~seed
-            ~adversary:(Attacks.cornering sc) ~mode:`Rushing ~max_rounds:300 ()
-        in
-        (r, buf, Msg.Layout.is_narrow (Aer.config_layout cfg))
-      in
-      let rn, rn_buf, rn_narrow = run Msg.Layout.Narrow in
-      let rw, rw_buf, rw_narrow = run Msg.Layout.Wide in
-      rn_narrow && (not rw_narrow)
-      && Int64.equal
-           (fingerprint rn.Fba_sim.Sync_engine.metrics)
-           (fingerprint rw.Fba_sim.Sync_engine.metrics)
-      && rn.Fba_sim.Sync_engine.outputs = rw.Fba_sim.Sync_engine.outputs
-      && Buffer.contents rn_buf = Buffer.contents rw_buf)
-
 let suites =
   [
     ( "packed.codec",
       Alcotest.test_case "layout goldens" `Quick test_layout_goldens
       :: Alcotest.test_case "field boundaries" `Quick test_field_boundaries
-      :: Alcotest.test_case "layout choice" `Quick test_layout_choose
       :: codec_props );
     ( "packed.engine",
-      QCheck_alcotest.to_alcotest prop_wide_trace_identical
-      :: List.map QCheck_alcotest.to_alcotest
-           [ prop_sync_fallback_identical; prop_async_fallback_identical ] );
+      List.map QCheck_alcotest.to_alcotest
+        [ prop_sync_fallback_identical; prop_async_fallback_identical ] );
   ]

@@ -3,8 +3,8 @@
 
    - qcheck property: every instance of an epoch-reset stream is
      trace-fingerprint-identical to a fresh one-shot Runner run of the
-     same derived seed — across pipeline widths, worker-domain counts
-     and narrow vs wide packed layouts.
+     same derived seed — across pipeline widths and worker-domain
+     counts.
    - unit suite for the reset entry points themselves: no stale
      interner ids, sampler rows or mailbox contents survive an epoch
      boundary. *)
@@ -28,17 +28,13 @@ let case_gen =
     let* instances = int_range 2 6 in
     let* width = oneofl [ 1; 2; 4 ] in
     let* jobs = oneofl [ 1; 2; 4 ] in
-    let* wide = bool in
     let* seed = int_range 1 10_000 in
-    return (n, instances, width, jobs, wide, seed))
+    return (n, instances, width, jobs, seed))
 
 let prop_stream_matches_oneshot =
   QCheck2.Test.make ~count:6 ~name:"service.stream = fresh one-shot runs" case_gen
-    (fun (n, instances, width, jobs, wide, seed) ->
-      let setup =
-        if wide then { Runner.default_setup with Runner.layout = Msg.Layout.Wide }
-        else Runner.default_setup
-      in
+    (fun (n, instances, width, jobs, seed) ->
+      let setup = Runner.default_setup in
       let config = Runner.default_config in
       let stream =
         { Service.setup;
@@ -92,12 +88,12 @@ let prop_schedule_invariance =
 (* Intern.reset must forget everything (no stale ids served) and
    reassign the same ids as a fresh interner on replay. *)
 let test_intern_reset () =
-  let it = Intern.create () in
+  let it = Intern.create ~max_strings:16 ~max_labels:16 in
   let id_a = Intern.intern it "alpha" in
   let _ = Intern.intern it "beta" in
   let lab = Intern.intern_label it 77L in
   Alcotest.(check int) "two strings registered" 2 (Intern.string_count it);
-  Intern.reset it;
+  Intern.reset it ~max_strings:16 ~max_labels:16;
   Alcotest.(check int) "strings forgotten" 0 (Intern.string_count it);
   Alcotest.(check int) "labels forgotten" 0 (Intern.label_count it);
   Alcotest.(check int) "no stale string id" (-1) (Intern.find it "alpha");

@@ -13,11 +13,11 @@
    cornering run at n=128: its peak mailbox words, exactly, and the
    words it allocates, within 1% of the count recorded here.
 
-   The wide_for boundary tests pin the packed plane's structural
-   ceiling: past n = 2^18 the 63-bit immediate cannot host any wide
-   layout, and the failure is a named [Immediate_exhausted] (pointing
-   at the planned 2-int lane), distinct from the fewer-strings advice
-   for feasible populations. *)
+   The layout tests pin the field widths Layout.fit derives from n and
+   the packed plane's structural ceiling: past n = 2^18 the 63-bit
+   immediate cannot host any layout, and the failure is a named
+   [Immediate_exhausted] (pointing at the planned 2-int lane), distinct
+   from the fewer-strings advice for feasible populations. *)
 
 module Batch = Fba_sim.Batch
 module Runner = Fba_harness.Runner
@@ -195,39 +195,56 @@ let test_cornering_alloc_budget () =
       ((words /. cornering_n128_words -. 1.) *. 100.)
       cornering_n128_words budget
 
-(* --- wide_for structural ceiling --- *)
+(* --- Layout.fit widths and structural ceiling --- *)
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
+let test_fit_widths () =
+  let open Msg.Layout in
+  List.iter
+    (fun (n, want) ->
+      let lt = fit ~n ~strings:64 in
+      Alcotest.(check int) (Printf.sprintf "n=%d id_bits" n) want lt.id_bits;
+      Alcotest.(check bool) (Printf.sprintf "n=%d fits an immediate" n) true
+        (total_bits lt <= 63);
+      Alcotest.(check bool) (Printf.sprintf "n=%d rid outgrows id" n) true
+        (lt.rid_bits >= lt.id_bits + 1))
+    [ (2, 1); (128, 7); (8192, 13); (8193, 14); (65536, 16) ];
+  (* A feasible n with too many strings names the starved field. *)
+  match fit ~n:262144 ~strings:5000 with
+  | (_ : t) -> Alcotest.fail "n=262144 with 5000 strings: expected Invalid_argument"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) "error names rid" true (contains msg "rid")
 
 let test_immediate_exhausted () =
   let open Msg.Layout in
   (* n = 2^18 is the last feasible population: 18-bit ids still leave a
      19-bit label field beside the minimal string budget. *)
-  let lt = wide_for ~n:262144 ~strings:8 in
+  let lt = fit ~n:262144 ~strings:8 in
   Alcotest.(check bool) "n=2^18 still fits" true (total_bits lt <= 63);
   Alcotest.(check bool) "n=2^18 addresses the population" true (lt.max_n >= 262144);
   Alcotest.(check int) "n=2^18 id_bits" 18 lt.id_bits;
-  (match wide_for ~n:262145 ~strings:8 with
+  (match fit ~n:262145 ~strings:8 with
   | (_ : t) -> Alcotest.fail "n=2^18+1: expected Immediate_exhausted"
   | exception Immediate_exhausted { n; id_bits } ->
     Alcotest.(check int) "exception carries n" 262145 n;
     Alcotest.(check int) "exception carries id_bits" 19 id_bits);
   (* The structural ceiling outranks the fewer-strings advice: a huge
      string budget at an infeasible n must not be blamed on strings. *)
-  (match wide_for ~n:524288 ~strings:5000 with
+  (match fit ~n:524288 ~strings:5000 with
   | (_ : t) -> Alcotest.fail "n=2^19: expected Immediate_exhausted"
   | exception Immediate_exhausted _ -> ());
   let msg =
     try
-      ignore (wide_for ~n:262145 ~strings:8);
+      ignore (fit ~n:262145 ~strings:8);
       ""
     with e -> Printexc.to_string e
   in
-  let contains needle =
-    let nh = String.length msg and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub msg i nn = needle || go (i + 1)) in
-    nn = 0 || go 0
-  in
-  Alcotest.(check bool) "printer names the ceiling" true (contains "262144");
-  Alcotest.(check bool) "printer points at the 2-int lane" true (contains "2-int")
+  Alcotest.(check bool) "printer names the ceiling" true (contains msg "262144");
+  Alcotest.(check bool) "printer points at the 2-int lane" true (contains msg "2-int")
 
 let suites =
   [
@@ -247,5 +264,8 @@ let suites =
         Alcotest.test_case "n=128 allocation budget" `Quick test_cornering_alloc_budget;
       ] );
     ( "streamed.layout",
-      [ Alcotest.test_case "immediate ceiling past n=2^18" `Quick test_immediate_exhausted ] );
+      [
+        Alcotest.test_case "Layout.fit field widths" `Quick test_fit_widths;
+        Alcotest.test_case "immediate ceiling past n=2^18" `Quick test_immediate_exhausted;
+      ] );
   ]
