@@ -45,34 +45,57 @@ let know_arg =
     & info [ "knowledgeable" ] ~docv:"FRACTION"
         ~doc:"Fraction of nodes that are correct and know gstring initially (above 1/2).")
 
+(* A flag value the library rejects is a usage error, not a crash:
+   report the library's message and exit 2, as [fba service] does for
+   its own flag checks. Only turning the flags into run inputs is
+   guarded; an exception raised during the run keeps cmdliner's
+   internal-error exit. *)
+let with_flags inputs run =
+  match inputs () with
+  | v -> run v
+  | exception Invalid_argument msg ->
+    prerr_endline ("fba: " ^ msg);
+    2
+
+let setup_of_flags byz know =
+  { Runner.default_setup with Runner.byzantine_fraction = byz; knowledgeable_fraction = know }
+
+let scenario_of_flags n byz know seed =
+  Runner.scenario_of_setup (setup_of_flags byz know) ~n ~seed:(Int64.of_int seed)
+
+let attack_name = function
+  | `Silent -> "silent"
+  | `Flood -> "flood"
+  | `Cornering -> "cornering"
+  | `Capture -> "capture"
+
+let sync_attack attack sc =
+  match attack with
+  | `Silent -> Attacks.silent sc
+  | `Flood -> Attacks.(compose sc [ push_flood sc; wrong_answer sc ])
+  | `Cornering -> Attacks.cornering sc
+  | `Capture -> Attacks.quorum_capture sc
+
+(* One AER run under [mode]; async runs also return their normalized
+   round count. *)
+let run_mode ?(config = Runner.default_config) attack mode sc =
+  match mode with
+  | `Async ->
+    let adversary sc =
+      match attack with
+      | `Cornering -> Attacks.async_cornering sc
+      | _ -> Attacks.async_of_sync sc (sync_attack attack sc)
+    in
+    let r, norm = Runner.aer_async ~config ~adversary sc in
+    (r, Some norm)
+  | (`Rushing | `Non_rushing) as m ->
+    (Runner.aer_sync ~config:{ config with Runner.mode = m } ~adversary:(sync_attack attack) sc,
+     None)
+
 let run_aer n byz know seed attack mode =
-  let setup =
-    { Runner.default_setup with
-      Runner.byzantine_fraction = byz;
-      knowledgeable_fraction = know }
-  in
-  let sc = Runner.scenario_of_setup setup ~n ~seed:(Int64.of_int seed) in
-  let sync_attack sc =
-    match attack with
-    | `Silent -> Attacks.silent sc
-    | `Flood -> Attacks.(compose sc [ push_flood sc; wrong_answer sc ])
-    | `Cornering -> Attacks.cornering sc
-    | `Capture -> Attacks.quorum_capture sc
-  in
-  let obs, norm =
-    match mode with
-    | `Async ->
-      let adversary sc =
-        match attack with
-        | `Cornering -> Attacks.async_cornering sc
-        | _ -> Attacks.async_of_sync sc (sync_attack sc)
-      in
-      let r, norm = Runner.aer_async ~adversary sc in
-      (r.Runner.obs, Some norm)
-    | (`Rushing | `Non_rushing) as m ->
-      let config = { Runner.default_config with Runner.mode = m } in
-      ((Runner.aer_sync ~config ~adversary:sync_attack sc).Runner.obs, None)
-  in
+  with_flags (fun () -> scenario_of_flags n byz know seed) @@ fun sc ->
+  let run, norm = run_mode attack mode sc in
+  let obs = run.Runner.obs in
   Format.printf "AER n=%d byzantine=%.2f knowledgeable=%.2f@." n byz know;
   Format.printf "  rounds: %d%s@." obs.Fba_harness.Obs.rounds
     (match norm with Some x -> Printf.sprintf " (normalized %.1f)" x | None -> "");
@@ -93,7 +116,13 @@ let run_aer_cmd =
 (* --- fba run-ba --- *)
 
 let run_ba n byz seed =
-  let r = Fba_core.Ba.run_sync ~n ~seed:(Int64.of_int seed) ~byzantine_fraction:byz () in
+  let seed = Int64.of_int seed in
+  (* Phase 1's configuration, and phase 2's floor on n. *)
+  with_flags (fun () ->
+      ignore (Fba_aeba.Aeba.make_config ~n ~seed ~byzantine_fraction:byz ());
+      ignore (Fba_core.Params.make ~n ~seed ()))
+  @@ fun () ->
+  let r = Fba_core.Ba.run_sync ~n ~seed ~byzantine_fraction:byz () in
   Format.printf "BA (aeba + AER) n=%d byzantine=%.2f@." n byz;
   Format.printf "  almost-everywhere fraction after phase 1: %.3f@." r.Fba_core.Ba.ae_fraction;
   Format.printf "  agreed: %d/%d correct nodes  rounds: %d  bits/node: %.0f@."
@@ -145,22 +174,21 @@ let partition_arg =
            (0 = no partition).")
 
 let run_trace n byz know seed attack mode jsonl csv drop_rate partition =
-  let setup =
-    { Runner.default_setup with
-      Runner.byzantine_fraction = byz;
-      knowledgeable_fraction = know }
-  in
-  let sc = Runner.scenario_of_setup setup ~n ~seed:(Int64.of_int seed) in
-  let net =
-    Fba_sim.Net.(
-      match (drop_rate > 0.0, partition > 0) with
-      | false, false -> Reliable
-      | true, false -> Drop { rate = drop_rate }
-      | false, true -> Partition { from_round = 1; rounds = partition }
-      | true, true ->
-        Compose
-          [ Drop { rate = drop_rate }; Partition { from_round = 1; rounds = partition } ])
-  in
+  with_flags (fun () ->
+      let sc = scenario_of_flags n byz know seed in
+      let net =
+        Fba_sim.Net.(
+          match (drop_rate > 0.0, partition > 0) with
+          | false, false -> Reliable
+          | true, false -> Drop { rate = drop_rate }
+          | false, true -> Partition { from_round = 1; rounds = partition }
+          | true, true ->
+            Compose
+              [ Drop { rate = drop_rate }; Partition { from_round = 1; rounds = partition } ])
+      in
+      ignore (Fba_sim.Net.instantiate net ~n ~seed:0L);
+      (sc, net))
+  @@ fun (sc, net) ->
   let sink = Events.create () in
   let trace = Fba_sim.Trace.create () in
   Events.attach sink (Fba_sim.Trace.consumer trace);
@@ -186,51 +214,16 @@ let run_trace n byz know seed attack mode jsonl csv drop_rate partition =
   let acc =
     Events.Phase_acc.create ~classify:(fun ~kind -> Fba_core.Aer.phase_of_kind kind) ~n ()
   in
-  let sync_attack sc =
-    match attack with
-    | `Silent -> Attacks.silent sc
-    | `Flood -> Attacks.(compose sc [ push_flood sc; wrong_answer sc ])
-    | `Cornering -> Attacks.cornering sc
-    | `Capture -> Attacks.quorum_capture sc
-  in
-  let run, norm =
-    match mode with
-    | `Async ->
-      let adversary sc =
-        match attack with
-        | `Cornering -> Attacks.async_cornering sc
-        | _ -> Attacks.async_of_sync sc (sync_attack sc)
-      in
-      let config =
-        { Runner.default_config with Runner.events = Some sink; phase_acc = Some acc; net }
-      in
-      let r, norm = Runner.aer_async ~config ~adversary sc in
-      (r, Some norm)
-    | (`Rushing | `Non_rushing) as m ->
-      let config =
-        { Runner.default_config with
-          Runner.mode = m;
-          events = Some sink;
-          phase_acc = Some acc;
-          net }
-      in
-      (Runner.aer_sync ~config ~adversary:sync_attack sc, None)
-  in
+  Events.attach sink (Events.Phase_acc.consumer acc);
+  let config = { Runner.default_config with Runner.events = Some sink; net } in
+  let run, norm = run_mode ~config attack mode sc in
   close_jsonl ();
   let obs = run.Runner.obs in
   let clock = match mode with `Async -> "time step" | _ -> "round" in
   if jsonl <> Some "-" then begin
     Format.printf "AER execution trace, n=%d byzantine=%.2f attack=%s@.@." n byz
-      (match attack with
-      | `Silent -> "silent"
-      | `Flood -> "flood"
-      | `Cornering -> "cornering"
-      | `Capture -> "capture");
-    Format.printf "Phase activations (first %s each phase became active):@." clock;
-    List.iter
-      (fun (name, round) -> Format.printf "  %-12s %s %d@." name clock round)
-      (Events.phases_seen sink);
-    Format.printf "@.Phase timeline (traffic split by message kind -> phase):@.@.";
+      (attack_name attack);
+    Format.printf "Phase timeline (traffic split by message kind -> phase):@.@.";
     print_string (Events.Phase_acc.render acc);
     Format.printf "@.Deliveries per %s, by message kind:@.@." clock;
     print_string
@@ -291,42 +284,11 @@ let profile_json_arg =
     & info [ "json" ]
         ~doc:"Emit the run's Telemetry JSON document (profile included) instead of tables.")
 
-let attack_name = function
-  | `Silent -> "silent"
-  | `Flood -> "flood"
-  | `Cornering -> "cornering"
-  | `Capture -> "capture"
-
 let run_profile n byz know seed attack mode top json =
-  let setup =
-    { Runner.default_setup with
-      Runner.byzantine_fraction = byz;
-      knowledgeable_fraction = know }
-  in
-  let sc = Runner.scenario_of_setup setup ~n ~seed:(Int64.of_int seed) in
+  with_flags (fun () -> scenario_of_flags n byz know seed) @@ fun sc ->
   let prof = Prof.create () in
-  let sync_attack sc =
-    match attack with
-    | `Silent -> Attacks.silent sc
-    | `Flood -> Attacks.(compose sc [ push_flood sc; wrong_answer sc ])
-    | `Cornering -> Attacks.cornering sc
-    | `Capture -> Attacks.quorum_capture sc
-  in
-  let run, norm =
-    match mode with
-    | `Async ->
-      let adversary sc =
-        match attack with
-        | `Cornering -> Attacks.async_cornering sc
-        | _ -> Attacks.async_of_sync sc (sync_attack sc)
-      in
-      let config = { Runner.default_config with Runner.prof = Some prof } in
-      let r, norm = Runner.aer_async ~config ~adversary sc in
-      (r, Some norm)
-    | (`Rushing | `Non_rushing) as m ->
-      let config = { Runner.default_config with Runner.mode = m; prof = Some prof } in
-      (Runner.aer_sync ~config ~adversary:sync_attack sc, None)
-  in
+  let config = { Runner.default_config with Runner.prof = Some prof } in
+  let run, norm = run_mode ~config attack mode sc in
   let rounds = Prof.rounds prof and slots = Prof.slots prof in
   (* Independent re-summation over the public cell accessors: the
      matrix must repartition the run totals exactly (integer ns and
@@ -491,19 +453,11 @@ let run_service n byz know seed attack instances width jobs check =
     Format.eprintf "service: need --jobs >= 0, --instances >= 0, --width >= 1@.";
     2
   end
-  else begin
-    let setup =
-      { Runner.default_setup with
-        Runner.byzantine_fraction = byz;
-        knowledgeable_fraction = know }
-    in
-    let adversary sc =
-      match attack with
-      | `Silent -> Attacks.silent sc
-      | `Flood -> Attacks.(compose sc [ push_flood sc; wrong_answer sc ])
-      | `Cornering -> Attacks.cornering sc
-      | `Capture -> Attacks.quorum_capture sc
-    in
+  else
+    (* Every instance shares (n, setup); only the seed differs. *)
+    with_flags (fun () -> ignore (scenario_of_flags n byz know seed)) @@ fun () ->
+    let setup = setup_of_flags byz know in
+    let adversary = sync_attack attack in
     let stream =
       { Service.default_stream with
         Service.setup;
@@ -556,7 +510,6 @@ let run_service n byz know seed attack instances width jobs check =
         1
       end
     end
-  end
 
 (* --- fba experiment --- *)
 

@@ -8,7 +8,6 @@ type config = {
   pk_rounds : int;  (* local rounds of each phase-king instance *)
   t_pk_end : int;  (* global round at which the root holds gstring *)
   rounds_total : int;
-  events : Fba_sim.Events.sink option;  (* phase markers, observation only *)
 }
 
 (* Smallest committee size m such that a uniformly sampled committee
@@ -26,8 +25,8 @@ let size_committee ~byzantine_fraction ~budget =
   in
   search 7
 
-let make_config ?group_size ?committee_size ?gstring_bits ?(byzantine_fraction = 0.1) ?events
-    ~n ~seed () =
+let make_config ?group_size ?committee_size ?gstring_bits ?(byzantine_fraction = 0.1) ~n ~seed
+    () =
   if n < 2 then invalid_arg "Aeba.make_config: n < 2";
   let m =
     match committee_size with
@@ -49,7 +48,7 @@ let make_config ?group_size ?committee_size ?gstring_bits ?(byzantine_fraction =
   let pk_rounds = 4 * pk_phases in
   let t_pk_end = 2 + pk_rounds in
   let rounds_total = t_pk_end + (2 * Committee_tree.levels tree) + 2 in
-  { n; seed; tree; contrib_bits; pk_rounds; t_pk_end; rounds_total; events }
+  { n; seed; tree; contrib_bits; pk_rounds; t_pk_end; rounds_total }
 
 let config_tree c = c.tree
 
@@ -101,26 +100,6 @@ type state = {
 let name = "aeba"
 let compile _ = ()
 
-(* Phase markers follow the global round schedule, so every node can
-   announce them; Events.phase keeps only the first activation. *)
-let mark cfg ~round name =
-  match cfg.events with None -> () | Some k -> Fba_sim.Events.phase k ~round name
-
-let mark_schedule cfg ~round =
-  match cfg.events with
-  | None -> ()
-  | Some _ ->
-    if round = 2 then mark cfg ~round "phase-king"
-    else if round >= cfg.t_pk_end then begin
-      let levels = Committee_tree.levels cfg.tree in
-      let off = round - cfg.t_pk_end in
-      if off mod 2 = 0 && off / 2 <= levels then begin
-        let level = off / 2 in
-        if level = levels then mark cfg ~round "inform"
-        else mark cfg ~round (Printf.sprintf "relay-L%d" level)
-      end
-    end
-
 let root_slot_of tree id =
   let root = Committee_tree.root tree in
   let slot = ref None in
@@ -145,7 +124,6 @@ let init cfg ctx =
       result = None;
     }
   in
-  mark cfg ~round:0 "contrib";
   let outs =
     match root_slot with
     | None -> []
@@ -179,7 +157,6 @@ let relay_sends cfg ~level ~index v =
   end
 
 let on_round cfg st ~round =
-  mark_schedule cfg ~round;
   let id = st.ctx.Fba_sim.Ctx.id in
   let outs = ref [] in
   (* Root committee: drive the per-slot phase-king instances. *)

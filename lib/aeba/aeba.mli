@@ -28,7 +28,6 @@ val make_config :
   ?committee_size:int ->
   ?gstring_bits:int ->
   ?byzantine_fraction:float ->
-  ?events:Fba_sim.Events.sink ->
   n:int ->
   seed:int64 ->
   unit ->
@@ -37,10 +36,9 @@ val make_config :
     containing ≥ ⌈m/3⌉ Byzantine members (breaking phase-king) stays
     below 0.005 given [byzantine_fraction] (default 0.1);
     [group_size = committee_size]; [gstring_bits = 8·⌈log₂ n⌉].
-    [events] receives {!Fba_sim.Events.Phase} markers as the round
-    schedule advances: "contrib", "phase-king", one "relay-L<level>"
-    per committee-tree level, and "inform" for the leaf-to-group hop.
-    Markers never alter protocol behaviour. *)
+    Raises [Invalid_argument] for [n < 2] or out-of-range overrides.
+    A run is observed through the engine's [?events] sink, whose
+    message kinds are {!msg_tags}' names. *)
 
 val config_tree : config -> Committee_tree.t
 

@@ -11,7 +11,6 @@ type config = {
   qh : Cache.t;  (* pull quorums H *)
   qj : Cache.t;  (* poll lists J *)
   strict_drop : bool;  (* drop belief-mismatched messages instead of buffering *)
-  events : Fba_sim.Events.sink option;  (* phase-marker sink, observation only *)
   mutable compiled : Compiled.t option;  (* built by [tables], at most once *)
   builder : Compiled.builder option;  (* reusable compile scratch (instance streams) *)
 }
@@ -19,7 +18,7 @@ type config = {
 (* [compile] chooses nothing — AER always runs on the compiled tables;
    the unit label stays only for callers written against the old
    signature. *)
-let config_of_scenario ?(strict_drop = false) ?events ?compile:(_ : unit option) ?builder
+let config_of_scenario ?(strict_drop = false) ?compile:(_ : unit option) ?builder
     (scenario : Scenario.t) =
   let params = scenario.Scenario.params in
   let layout = scenario.Scenario.layout in
@@ -34,7 +33,6 @@ let config_of_scenario ?(strict_drop = false) ?events ?compile:(_ : unit option)
     qh = Cache.create ~find (Params.sampler_h params);
     qj = Cache.create ~find (Params.sampler_j params);
     strict_drop;
-    events;
     compiled = None;
     builder;
   }
@@ -63,7 +61,6 @@ let config_epoch ~prev (scenario : Scenario.t) =
     qh = prev.qh;
     qj = prev.qj;
     strict_drop = prev.strict_drop;
-    events = prev.events;
     compiled = None;
     builder = (match prev.builder with Some _ as b -> b | None -> Some (Compiled.builder ()));
   }
@@ -143,7 +140,6 @@ type poll = {
 type state = {
   ctx : Fba_sim.Ctx.t;
   intern : Intern.t;  (* shared with the config; here so accessors resolve ids *)
-  mutable cur_round : int;  (* last round seen, for phase-marker stamps *)
   mutable belief : int;  (* s_this, as an interned id *)
   mutable decided_sid : int;  (* -1 while undecided *)
   candidates : Int_table.t;  (* L_x: presence keyed by sid *)
@@ -190,13 +186,6 @@ let phase_of_kind = function
   | "Fw2" -> "fw2"
   | kind -> kind
 
-(* Announce a phase transition (first activation only; Events.phase
-   dedups). Pure observation: never changes protocol behaviour. *)
-let mark cfg st name =
-  match cfg.events with
-  | None -> ()
-  | Some k -> Fba_sim.Events.phase k ~round:st.cur_round name
-
 (* Phase-indexed dispatch table: packed tag -> handler, one indexed
    load per message. Declared ahead of the handler recursion and filled
    right after it; tags 0 and 7 keep the failing stub. *)
@@ -211,8 +200,7 @@ let handler_table : handler array = Array.make 8 invalid_packed
    Handlers push outgoing messages through [emit] instead of returning
    lists; emission order is exactly the order the historical list API
    delivered, so schedules are byte-identical. *)
-let issue_poll ?(round = 0) cfg st ~emit sid =
-  mark cfg st "poll";
+let issue_poll ?(round = 0) (cfg : config) st ~emit sid =
   let id = st.ctx.Fba_sim.Ctx.id in
   let r = Prng.int64 st.ctx.Fba_sim.Ctx.rng in
   let rid = Intern.intern_label cfg.intern r in
@@ -343,7 +331,6 @@ and handle_pull cfg st ~emit ~src p =
            quorums of every poll-list member. The historical code consed
            (w ascending, z ascending) and returned the reversed list, so
            we emit w descending, z descending — the same wire order. *)
-        mark cfg st "fw1";
         let r = Intern.label cfg.intern rid in
         let qj = Cache.quorum_rid cfg.qj ~x:src ~rid ~r in
         for wi = Array.length qj - 1 downto 0 do
@@ -386,14 +373,11 @@ and handle_fw1 cfg st ~emit ~src p =
         let c = if newly then c_new else Int_table.get_or st.f1s_counts tkey ~default:0 in
         let maj = Params.majority_h cfg.params in
         if c < maj then (if fresh then record_target st tkey ~w ~rid)
-        else begin
-          mark cfg st "fw2";
-          if newly && c = maj then begin
-            if fresh then record_target st tkey ~w ~rid;
-            serve_burst cfg st ~emit ~sid ~x tkey
-          end
-          else if fresh then emit w (Packed.fw2 lt ~sid ~rid ~x)
+        else if newly && c = maj then begin
+          if fresh then record_target st tkey ~w ~rid;
+          serve_burst cfg st ~emit ~sid ~x tkey
         end
+        else if fresh then emit w (Packed.fw2 lt ~sid ~rid ~x)
       end
     end
   end
@@ -500,7 +484,6 @@ let init cfg ctx =
     {
       ctx;
       intern = cfg.intern;
-      cur_round = 0;
       belief = sid0;
       decided_sid = -1;
       candidates = Int_table.create ();
@@ -530,7 +513,6 @@ let init cfg ctx =
     }
   in
   ignore (Int_table.add st.candidates sid0);
-  mark cfg st "push";
   let acc = ref [] in
   let emit dst m = acc := (dst, m) :: !acc in
   let push_msg = Packed.push cfg.layout ~sid:sid0 in
@@ -549,7 +531,6 @@ let init cfg ctx =
    max_poll_attempts. With the default budget of 1 attempt this hook is
    inert and the protocol is exactly the paper's. *)
 let on_round cfg st ~round =
-  st.cur_round <- round;
   if st.decided_sid >= 0 || cfg.params.Params.max_poll_attempts <= 1 then []
   else begin
     let due = ref [] in
@@ -569,9 +550,7 @@ let on_round cfg st ~round =
 (* The engines' hot entry point: dispatch straight into the handlers,
    pushing outgoing messages through the engine's [emit] — no list, no
    tuples, no envelope. *)
-let receive_into_impl cfg st ~round ~src m ~emit =
-  st.cur_round <- round;
-  dispatch cfg st ~emit ~src m
+let receive_into_impl cfg st ~round:_ ~src m ~emit = dispatch cfg st ~emit ~src m
 
 let receive_into = Some receive_into_impl
 

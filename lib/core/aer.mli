@@ -29,7 +29,6 @@ type config
 
 val config_of_scenario :
   ?strict_drop:bool ->
-  ?events:Fba_sim.Events.sink ->
   ?compile:unit ->
   ?builder:Compiled.builder ->
   Scenario.t ->
@@ -40,13 +39,12 @@ val config_of_scenario :
     [strict_drop] (default false) applies the paper's pseudo-code
     literally, dropping belief-mismatched messages instead of buffering
     them (DESIGN.md substitution 6) — exposed for the ablation that
-    shows why we buffer. [events] receives {!Fba_sim.Events.Phase}
-    markers at the protocol's natural transitions (push → poll → fw1 →
-    fw2); pass the same sink to the engine to interleave them with the
-    message events. Markers never alter protocol behaviour. [compile]
-    is a [unit] that chooses nothing: it once switched between the
-    compiled tables ({!Compiled}) and a tag-comparison dispatch that ran
-    byte-identically, and only the compiled path remains. The label
+    shows why we buffer. The config carries no event sink: the engines
+    are the only observers of a run (their [?events] and [?prof]).
+    [compile] is a [unit] that chooses nothing: it once switched
+    between the compiled tables ({!Compiled}) and a tag-comparison
+    dispatch that ran byte-identically, and only the compiled path
+    remains. The label
     stays because the benchmark ([benchmark/instance.ml]) passes
     [~compile:config.Runner.compile]; a caller asking for the old path
     ([~compile:false]) fails to compile. [builder] supplies reusable
@@ -89,9 +87,10 @@ val unpack : config -> msg -> Msg.t
 (** Exact inverse of {!pack}. *)
 
 val phase_of_kind : string -> string
-(** Map a message kind (first token of {!Msg.pp}) onto the protocol
-    phase it belongs to: Push ↦ "push"; Poll, Pull and Answer ↦ "poll"
-    (the Algorithm 1 poll round-trip); Fw1 ↦ "fw1"; Fw2 ↦ "fw2"
+(** Map a message kind (a {!msg_tags} name, which is also the first
+    token of {!Msg.pp}) onto the protocol phase it belongs to:
+    Push ↦ "push"; Poll, Pull and Answer ↦ "poll" (the Algorithm 1
+    poll round-trip); Fw1 ↦ "fw1"; Fw2 ↦ "fw2"
     (the Algorithm 2/3 forwarding bursts). Unknown kinds map to
     themselves. The classifier for {!Fba_sim.Events.Phase_acc}: because
     every message belongs to exactly one phase, per-phase bits sum to

@@ -28,16 +28,16 @@ type phase1 = {
   p1_ae_fraction : float;
 }
 
-let run_phase1 ?(mode = `Rushing) ?aeba_adversary ?events ~n ~seed ~byzantine_fraction () =
+let run_phase1 ?(mode = `Rushing) ?aeba_adversary ~n ~seed ~byzantine_fraction () =
   let corrupted = sample_corruption ~n ~seed ~byzantine_fraction in
-  let acfg = Aeba.make_config ?events ~n ~seed ~byzantine_fraction () in
+  let acfg = Aeba.make_config ~n ~seed ~byzantine_fraction () in
   let a_adv =
     match aeba_adversary with
     | Some build -> build corrupted
     | None -> Fba_sim.Sync_engine.null_adversary ~corrupted
   in
   let res =
-    Aeba_engine.run ?events ~config:acfg ~n ~seed ~adversary:a_adv ~mode
+    Aeba_engine.run ~config:acfg ~n ~seed ~adversary:a_adv ~mode
       ~max_rounds:(Aeba.total_rounds acfg + 2) ()
   in
   let mask = Array.init n (fun i -> not (Bitset.mem corrupted i)) in
@@ -58,9 +58,9 @@ let run_phase1 ?(mode = `Rushing) ?aeba_adversary ?events ~n ~seed ~byzantine_fr
     p1_ae_fraction = float_of_int ae_count /. float_of_int n;
   }
 
-let run_sync ?(mode = `Rushing) ?aeba_adversary ?aer_adversary ?per_run_miss ?events ~n ~seed
+let run_sync ?(mode = `Rushing) ?aeba_adversary ?aer_adversary ?per_run_miss ~n ~seed
     ~byzantine_fraction () =
-  let phase1 = run_phase1 ~mode ?aeba_adversary ?events ~n ~seed ~byzantine_fraction () in
+  let phase1 = run_phase1 ~mode ?aeba_adversary ~n ~seed ~byzantine_fraction () in
   let corrupted = phase1.p1_corrupted in
   let mask = Array.init n (fun i -> not (Bitset.mem corrupted i)) in
   let reference = phase1.p1_reference in
@@ -86,14 +86,14 @@ let run_sync ?(mode = `Rushing) ?aeba_adversary ?aer_adversary ?per_run_miss ?ev
           | None -> Printf.sprintf "straggler-%d" i)
     in
     let scenario = Scenario.of_assignment ~params ~gstring ~corrupted ~initial () in
-    let cfg = Aer.config_of_scenario ?events scenario in
+    let cfg = Aer.config_of_scenario scenario in
     let aer_adv =
       match aer_adversary with
       | Some build -> build scenario
       | None -> Fba_sim.Sync_engine.null_adversary ~corrupted
     in
     let phase2 =
-      Aer_engine.run ?events ~config:cfg ~n ~seed:params.Params.seed ~adversary:aer_adv ~mode
+      Aer_engine.run ~config:cfg ~n ~seed:params.Params.seed ~adversary:aer_adv ~mode
         ~max_rounds:(100 + Params.(params.n)) ()
     in
     let agreed =

@@ -36,7 +36,6 @@ type phase1 = {
 val run_phase1 :
   ?mode:Fba_sim.Sync_engine.mode ->
   ?aeba_adversary:(Fba_stdx.Bitset.t -> Fba_aeba.Aeba.msg Fba_sim.Sync_engine.adversary) ->
-  ?events:Fba_sim.Events.sink ->
   n:int ->
   seed:int64 ->
   byzantine_fraction:float ->
@@ -51,7 +50,6 @@ val run_sync :
   ?aeba_adversary:(Fba_stdx.Bitset.t -> Fba_aeba.Aeba.msg Fba_sim.Sync_engine.adversary) ->
   ?aer_adversary:(Scenario.t -> Aer.msg Fba_sim.Sync_engine.adversary) ->
   ?per_run_miss:float ->
-  ?events:Fba_sim.Events.sink ->
   n:int ->
   seed:int64 ->
   byzantine_fraction:float ->
@@ -61,7 +59,6 @@ val run_sync :
     sampled uniformly from [seed]; adversary builders default to
     silence. If phase 1 leaves gstring known to at most half the nodes
     (a failed almost-everywhere phase — possible, rare), the result
-    reports it with [agreed = 0] and phase 2 is skipped. [events]
-    receives the whole composition's trace: AEBA committee-level phase
-    markers, AER pipeline markers, and every engine event of both
-    phases (rounds restart at 0 when phase 2 begins). *)
+    reports it with [agreed = 0] and phase 2 is skipped. The
+    composition is not traced: to observe one phase, run its protocol
+    on an engine with an [?events] sink. *)

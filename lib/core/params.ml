@@ -79,6 +79,8 @@ let majority_i t = (t.d_i / 2) + 1
 let majority_h t = (t.d_h / 2) + 1
 let majority_j t = (t.d_j / 2) + 1
 
+let quiet_limit t = if t.max_poll_attempts > 1 then t.repoll_timeout + 2 else 3
+
 let id_bits t = Intx.ceil_log2 t.n
 
 let label_bits = 64

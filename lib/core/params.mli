@@ -89,6 +89,12 @@ val majority_j : t -> int
 (** The "more than half of the quorum" thresholds ([d/2 + 1]) used by
     the push filter, the forwarding filters and the answer count. *)
 
+val quiet_limit : t -> int
+(** The synchronous engine's quiescence window ([?quiet_limit]) for an
+    AER run: re-polling nodes wake after [repoll_timeout] idle rounds,
+    so the cut-off must not fire before then — [repoll_timeout + 2]
+    when [max_poll_attempts > 1], else 3 (the engine's default). *)
+
 val id_bits : t -> int
 (** Bits to encode one node identity: ⌈log₂ n⌉. *)
 

@@ -215,12 +215,8 @@ let run_cell = function
           in
           let cfg = Aer.config_of_scenario ~strict_drop:strict sc in
           let module E = Fba_sim.Sync_engine.Make (Aer) in
-          let quiet_limit =
-            if Params.(params.max_poll_attempts) > 1 then Params.(params.repoll_timeout) + 2
-            else 3
-          in
           let res =
-            E.run ~quiet_limit ~config:cfg ~n ~seed:params.Params.seed
+            E.run ~quiet_limit:(Params.quiet_limit params) ~config:cfg ~n ~seed:params.Params.seed
               ~adversary:(Attacks.silent sc) ~mode:`Rushing ~max_rounds:200 ()
           in
           Obs.of_metrics ~metrics:res.Fba_sim.Sync_engine.metrics

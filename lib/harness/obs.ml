@@ -14,7 +14,6 @@ type observation = {
   max_sent_bits : int;
   max_recv_bits : int;
   load_imbalance : float;
-  phases : Fba_sim.Events.Phase_acc.row list;
 }
 
 let plurality_reference outputs corrupted =
@@ -31,7 +30,7 @@ let plurality_reference outputs corrupted =
     counts None
   |> Option.map fst
 
-let of_metrics ?(phases = []) ~metrics ~outputs ~reference () =
+let of_metrics ~metrics ~outputs ~reference () =
   let n = Fba_sim.Metrics.n metrics in
   let corrupted = Fba_sim.Metrics.corrupted metrics in
   let reference =
@@ -72,7 +71,6 @@ let of_metrics ?(phases = []) ~metrics ~outputs ~reference () =
     max_sent_bits = Fba_sim.Metrics.max_sent_bits_correct metrics;
     max_recv_bits = Fba_sim.Metrics.max_recv_bits_correct metrics;
     load_imbalance = Fba_sim.Metrics.load_imbalance metrics;
-    phases;
   }
 
 type summary = {

@@ -17,13 +17,9 @@ type observation = {
   max_sent_bits : int;
   max_recv_bits : int;
   load_imbalance : float;
-  phases : Fba_sim.Events.Phase_acc.row list;
-      (** per-phase breakdown when the run was traced (see
-          {!Fba_sim.Events.Phase_acc}); [[]] otherwise *)
 }
 
 val of_metrics :
-  ?phases:Fba_sim.Events.Phase_acc.row list ->
   metrics:Fba_sim.Metrics.t ->
   outputs:string option array ->
   reference:string option ->
@@ -32,8 +28,7 @@ val of_metrics :
 (** Reduce one engine result. [reference] is the value correct nodes
     were supposed to decide (gstring); [None] means plurality of
     correct outputs is used. All fractions are 0. (never NaN) when the
-    correct set is empty. [phases] defaults to the empty list for
-    untraced runs. *)
+    correct set is empty. *)
 
 type summary = {
   s_n : int;

@@ -52,7 +52,6 @@ type config = {
   max_rounds : int;
   max_time : int;
   events : Fba_sim.Events.sink option;
-  phase_acc : Fba_sim.Events.Phase_acc.t option;
   prof : Fba_sim.Prof.t option;
   flood : bool;
   net : Fba_sim.Net.spec;
@@ -66,7 +65,6 @@ let default_config =
     max_rounds = 300;
     max_time = 4000;
     events = None;
-    phase_acc = None;
     prof = None;
     flood = false;
     net = Fba_sim.Net.Reliable;
@@ -98,40 +96,18 @@ let aer_gauges (sc : Scenario.t) states =
     states;
   (!push_max, !cand_sum, !cand_max, !missing)
 
-(* When a phase accumulator is supplied, make sure a sink exists and
-   the accumulator listens on it; [Obs.of_metrics] then gets the rows. *)
-let wire_phase_acc events phase_acc =
-  match phase_acc with
-  | None -> events
-  | Some acc ->
-    let sink = match events with Some k -> k | None -> Fba_sim.Events.create () in
-    Fba_sim.Events.attach sink (Fba_sim.Events.Phase_acc.consumer acc);
-    Some sink
-
-let phase_rows = function
-  | None -> []
-  | Some acc -> Fba_sim.Events.Phase_acc.rows acc
-
 let aer_sync ?(config = default_config) ~adversary (sc : Scenario.t) =
-  let events = wire_phase_acc config.events config.phase_acc in
-  let cfg = Aer.config_of_scenario ?events sc in
+  let cfg = Aer.config_of_scenario sc in
   let n = Scenario.(sc.params.Params.n) in
-  (* Re-polling nodes wake up after repoll_timeout idle rounds; the
-     quiescence cutoff must not fire before then. *)
-  let quiet_limit =
-    if Params.(sc.Scenario.params.max_poll_attempts) > 1 then
-      Params.(sc.Scenario.params.repoll_timeout) + 2
-    else 3
-  in
   let res =
-    Aer_sync.run ~quiet_limit ?events ?prof:config.prof ~net:config.net ~config:cfg ~n
-      ~seed:sc.Scenario.params.Params.seed ~adversary:(adversary sc) ~mode:config.mode
-      ~max_rounds:config.max_rounds ()
+    Aer_sync.run ~quiet_limit:(Params.quiet_limit sc.Scenario.params) ?events:config.events
+      ?prof:config.prof ~net:config.net ~config:cfg ~n ~seed:sc.Scenario.params.Params.seed
+      ~adversary:(adversary sc) ~mode:config.mode ~max_rounds:config.max_rounds ()
   in
   let metrics = res.Fba_sim.Sync_engine.metrics in
   let obs =
-    Obs.of_metrics ~phases:(phase_rows config.phase_acc) ~metrics
-      ~outputs:res.Fba_sim.Sync_engine.outputs ~reference:(Some sc.Scenario.gstring) ()
+    Obs.of_metrics ~metrics ~outputs:res.Fba_sim.Sync_engine.outputs
+      ~reference:(Some sc.Scenario.gstring) ()
   in
   let push_max_messages, candidate_sum, candidate_max, gstring_missing =
     aer_gauges sc res.Fba_sim.Sync_engine.states
@@ -140,18 +116,17 @@ let aer_sync ?(config = default_config) ~adversary (sc : Scenario.t) =
     gstring_missing }
 
 let aer_async ?(config = default_config) ~adversary (sc : Scenario.t) =
-  let events = wire_phase_acc config.events config.phase_acc in
-  let cfg = Aer.config_of_scenario ?events sc in
+  let cfg = Aer.config_of_scenario sc in
   let n = Scenario.(sc.params.Params.n) in
   let res =
-    Aer_async.run ?events ?prof:config.prof ~net:config.net ~config:cfg ~n
+    Aer_async.run ?events:config.events ?prof:config.prof ~net:config.net ~config:cfg ~n
       ~seed:sc.Scenario.params.Params.seed ~adversary:(adversary sc)
       ~max_time:config.max_time ()
   in
   let metrics = res.Fba_sim.Async_engine.metrics in
   let obs =
-    Obs.of_metrics ~phases:(phase_rows config.phase_acc) ~metrics
-      ~outputs:res.Fba_sim.Async_engine.outputs ~reference:(Some sc.Scenario.gstring) ()
+    Obs.of_metrics ~metrics ~outputs:res.Fba_sim.Async_engine.outputs
+      ~reference:(Some sc.Scenario.gstring) ()
   in
   let push_max_messages, candidate_sum, candidate_max, gstring_missing =
     aer_gauges sc res.Fba_sim.Async_engine.states
@@ -165,8 +140,9 @@ let aer_phases ?(config = default_config) ~adversary (sc : Scenario.t) =
   let acc =
     Fba_sim.Events.Phase_acc.create ~classify:(fun ~kind -> Aer.phase_of_kind kind) ~n ()
   in
-  let run = aer_sync ~config:{ config with phase_acc = Some acc } ~adversary sc in
-  (run, acc)
+  let sink = match config.events with Some k -> k | None -> Fba_sim.Events.create () in
+  Fba_sim.Events.attach sink (Fba_sim.Events.Phase_acc.consumer acc);
+  (aer_sync ~config:{ config with events = Some sink } ~adversary sc, acc)
 
 let str_bits (sc : Scenario.t) = 8 * String.length sc.Scenario.gstring
 

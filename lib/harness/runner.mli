@@ -36,11 +36,11 @@ type config = {
   max_rounds : int;  (** sync round cap; default 300 *)
   max_time : int;  (** async time cap; default 4000 *)
   events : Fba_sim.Events.sink option;
-      (** trace sink (engine traffic + protocol phase markers);
-          [None] keeps the zero-allocation untraced path *)
-  phase_acc : Fba_sim.Events.Phase_acc.t option;
-      (** per-phase accumulator, attached to [events] (a sink is
-          created if [events] is [None]); fills [obs.phases] *)
+      (** trace sink for the AER runs: every engine event, each message
+          labelled with its {!Fba_core.Aer.msg_tags} name; [None] keeps
+          the zero-allocation untraced path. Attach
+          {!Fba_sim.Events.Phase_acc} to it (or use {!aer_phases}) for
+          a per-phase breakdown. *)
   prof : Fba_sim.Prof.t option;
       (** run profiler threaded into every engine run; [None] (default)
           keeps the zero-work unprofiled path. The engine re-arms the
@@ -89,8 +89,9 @@ val aer_sync :
   adversary:(Scenario.t -> Fba_adversary.Aer_attacks.sync) ->
   Scenario.t ->
   aer_run
-(** AER on the synchronous engine. Uses [config.mode], [max_rounds],
-    [events], [phase_acc]. *)
+(** AER on the synchronous engine, with the quiescence window
+    {!Fba_core.Params.quiet_limit}. Uses [config.mode], [max_rounds],
+    [events], [prof], [net]. *)
 
 val aer_async :
   ?config:config ->
@@ -98,8 +99,8 @@ val aer_async :
   Scenario.t ->
   aer_run * float
 (** AER on the asynchronous engine; also returns the normalized round
-    count (time / max_delay). Uses [config.max_time], [events],
-    [phase_acc]. *)
+    count (time / max_delay). Uses [config.max_time], [events], [prof],
+    [net]. *)
 
 val aer_phases :
   ?config:config ->
@@ -107,9 +108,11 @@ val aer_phases :
   Scenario.t ->
   aer_run * Fba_sim.Events.Phase_acc.t
 (** {!aer_sync} with a fresh phase accumulator classifying message
-    kinds via {!Fba_core.Aer.phase_of_kind} (overriding
-    [config.phase_acc]); returns the accumulator alongside the run
-    (whose [obs.phases] is already filled). *)
+    kinds via {!Fba_core.Aer.phase_of_kind}, attached to
+    [config.events] (or to a fresh sink when that is [None]); returns
+    the accumulator alongside the run. Its rows
+    ({!Fba_sim.Events.Phase_acc.rows}) are the run's per-phase
+    breakdown. *)
 
 val run_grid : ?config:config -> Scenario.t -> Obs.observation
 (** Grid baseline on the same workload (silent adversary — its

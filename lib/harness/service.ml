@@ -85,12 +85,6 @@ type open_instance = {
   oi_t0 : int;
 }
 
-(* Mirrors Runner.aer_sync's quiescence window. *)
-let quiet_limit_of sc =
-  if Params.(sc.Scenario.params.max_poll_attempts) > 1 then
-    Params.(sc.Scenario.params.repoll_timeout) + 2
-  else 3
-
 (* Open instance [k] on [lane]: build the scenario exactly as the
    one-shot path does (Runner.scenario_of_setup with the derived
    seed), but evaluate it into the lane's recycled storage. The first
@@ -108,7 +102,7 @@ let open_instance t lane ~adversary k =
   in
   lane.prev <- Some cfg;
   let running =
-    Aer_sync.start ~quiet_limit:(quiet_limit_of sc) ~mailbox:lane.mailbox
+    Aer_sync.start ~quiet_limit:(Params.quiet_limit sc.Scenario.params) ~mailbox:lane.mailbox
       ~net:t.config.Runner.net ~config:cfg ~n:t.n ~seed:sc.Scenario.params.Params.seed
       ~adversary:(adversary sc) ~mode:t.config.Runner.mode
       ~max_rounds:t.config.Runner.max_rounds ()
@@ -149,7 +143,7 @@ let run_block t ~adversary ~heartbeat ~lo ~hi =
   let count = hi - lo in
   let results = Array.make count None in
   if count > 0 then begin
-    let width = max 1 (min t.width count) in
+    let width = min t.width count in
     let lanes =
       Array.init width (fun _ ->
           {
@@ -189,6 +183,10 @@ let run_block t ~adversary ~heartbeat ~lo ~hi =
 let run ?(stream = default_stream) ~adversary () =
   let t = stream in
   if t.instances < 0 then invalid_arg "Service.run: instances < 0";
+  if t.width < 1 then invalid_arg "Service.run: width < 1";
+  (* Concurrently open instances would interleave one sink or profile. *)
+  if Option.is_some t.config.Runner.events then invalid_arg "Service.run: config.events is set";
+  if Option.is_some t.config.Runner.prof then invalid_arg "Service.run: config.prof is set";
   let jobs = Sweep.resolve_jobs t.jobs in
   let t_start = Monotonic.now_ns () in
   (* Same stderr-only convention as the sweep heartbeat: opt-in, one

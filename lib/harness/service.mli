@@ -45,10 +45,11 @@ type stream = {
   setup : Runner.aer_setup;  (** per-instance scenario shape *)
   config : Runner.config;
       (** run knobs; [mode], [max_rounds] and [net] are honoured
-          ([compile] and [stream] are [unit] and choose nothing).
-          [events], [phase_acc] and [prof] are ignored — concurrently
-          open instances would interleave a shared sink; trace one
-          instance with {!Runner.aer_sync} instead. *)
+          ([compile] and [stream] are [unit] and choose nothing, and
+          [flood] and [max_time] concern other runs). [events] and
+          [prof] must be [None] — concurrently open instances would
+          interleave one sink or profile; trace or profile one
+          instance with {!Runner.aer_sync} on its scenario instead. *)
   n : int;  (** population size of every instance *)
   stream_seed : int64;  (** root of the per-instance seed schedule *)
   instances : int;  (** number of instances to execute *)
@@ -90,7 +91,9 @@ val run :
   adversary:(Scenario.t -> Fba_adversary.Aer_attacks.sync) ->
   unit ->
   summary
-(** Execute the stream. Everything in [results] except [latency_ns]
+(** Execute the stream. Raises [Invalid_argument] naming the field when
+    [instances < 0], [width < 1], or [config.events] or [config.prof]
+    is [Some]. Everything in [results] except [latency_ns]
     is deterministic (identical across width/jobs); the throughput
     and latency fields are wall-clock. When [FBA_PROGRESS] is set
     (non-empty, not ["0"]) a heartbeat line

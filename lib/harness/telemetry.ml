@@ -82,7 +82,6 @@ let of_aer_run ?prof (run : Runner.aer_run) =
   dist t "decision_round" decision;
   dist t "sent_bits" sent_bits;
   dist t "recv_bits" recv_bits;
-  set_phases t obs.Obs.phases;
   (match prof with Some p when Fba_sim.Prof.started p -> set_prof t p | _ -> ());
   t
 

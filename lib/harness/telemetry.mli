@@ -58,9 +58,10 @@ val of_aer_run : ?prof:Fba_sim.Prof.t -> Runner.aer_run -> t
 (** The standard reduction: counters and gauges from the run's
     {!Obs.observation} and AER gauges, per-correct-node
     [decision_round] / [sent_bits] / [recv_bits] distributions from
-    its {!Fba_sim.Metrics}, phase rows when the run was traced, and
-    the profile when [prof] was attached to the run (ignored if it
-    never started). *)
+    its {!Fba_sim.Metrics}, and the profile when [prof] was attached
+    to the run (ignored if it never started). [phases] stays empty:
+    a run traced through {!Runner.aer_phases} adds its accumulator's
+    rows with {!set_phases}. *)
 
 val version : int
 (** The ["telemetry_version"] this writer emits. *)

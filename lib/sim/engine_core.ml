@@ -169,6 +169,7 @@ module Make (P : Protocol.S) = struct
     mutable undecided : int;
     events : Events.sink option;
     prof : Prof.t option;
+    tags : string array;
     net : Net.t;
   }
 
@@ -184,13 +185,13 @@ module Make (P : Protocol.S) = struct
       undecided = 0;
       events;
       prof;
+      tags = (match (events, prof) with None, None -> [||] | _ -> P.msg_tags config);
       net = Net.instantiate net ~n ~seed;
     }
 
   (* Profiling sites mirror the [events] guards: a run without a
      profiler attached does no extra work in the hot loops. *)
-  let prof_start t =
-    match t.prof with None -> () | Some p -> Prof.start p ~tags:(P.msg_tags t.config)
+  let prof_start t = match t.prof with None -> () | Some p -> Prof.start p ~tags:t.tags
 
   let prof_round t ~round =
     match t.prof with None -> () | Some p -> Prof.round p round
@@ -214,7 +215,10 @@ module Make (P : Protocol.S) = struct
     Metrics.record_send t.metrics ~src ~dst ~bits:(P.msg_bits t.config msg)
 
   (* Every tracing site is guarded on [events] so a disabled run does
-     no extra work (and no allocation) in the hot loops. *)
+     no extra work (and no allocation) in the hot loops. A message
+     event's kind is its handler-tag name, the profiler's slot name. *)
+  let kind_of t msg = t.tags.(P.msg_tag t.config msg)
+
   let trace_round_start t ~round =
     match t.events with
     | None -> ()
@@ -224,7 +228,7 @@ module Make (P : Protocol.S) = struct
     match t.events with
     | None -> ()
     | Some k ->
-      let kind = Events.kind_of_pp (P.pp_msg t.config) msg in
+      let kind = kind_of t msg in
       let bits = P.msg_bits t.config msg in
       if byzantine then Events.emit k (Events.Inject { round; src; dst; kind; bits; delay })
       else Events.emit k (Events.Send { round; src; dst; kind; bits; delay })
@@ -232,9 +236,7 @@ module Make (P : Protocol.S) = struct
   let trace_drop t ~round ~src ~dst msg reason =
     match t.events with
     | None -> ()
-    | Some k ->
-      Events.emit k
-        (Events.Drop { round; src; dst; kind = Events.kind_of_pp (P.pp_msg t.config) msg; reason })
+    | Some k -> Events.emit k (Events.Drop { round; src; dst; kind = kind_of t msg; reason })
 
   let check_decision t ~round id =
     if t.outputs.(id) = None then begin
@@ -283,13 +285,7 @@ module Make (P : Protocol.S) = struct
         | Some k ->
           Events.emit k
             (Events.Deliver
-               {
-                 round;
-                 src;
-                 dst;
-                 kind = Events.kind_of_pp (P.pp_msg t.config) msg;
-                 bits = P.msg_bits t.config msg;
-               }));
+               { round; src; dst; kind = kind_of t msg; bits = P.msg_bits t.config msg }));
         (match t.prof with
         | None -> handle dst st ~src msg
         | Some p ->

@@ -155,6 +155,10 @@ module Make (P : Protocol.S) : sig
     mutable undecided : int;
     events : Events.sink option;
     prof : Prof.t option;
+    tags : string array;
+        (** [P.msg_tags config], read once when [events] or [prof] is
+            attached ([[||]] otherwise): the profiler's slot names and
+            the [kind] of every message event *)
     net : Net.t;
   }
 
@@ -171,9 +175,9 @@ module Make (P : Protocol.S) : sig
   (** Fresh run state; instantiates [net] from [seed]. *)
 
   val prof_start : t -> unit
-  (** When a profiler is attached, (re)arm it with the protocol's
-      {!Protocol.S.msg_tags} and take the opening snapshot; free
-      otherwise. Call once, before {!init_nodes}. *)
+  (** When a profiler is attached, (re)arm it with [tags] and take the
+      opening snapshot; free otherwise. Call once, before
+      {!init_nodes}. *)
 
   val prof_round : t -> round:int -> unit
   (** Close the profiler's current round and open [round]; free when no
@@ -194,7 +198,8 @@ module Make (P : Protocol.S) : sig
   val trace_msg :
     t -> round:int -> byzantine:bool -> delay:int -> src:int -> dst:int -> P.msg -> unit
   (** Emits [Send] (correct) or [Inject] (byzantine) when a sink is
-      attached; free otherwise. *)
+      attached; free otherwise. Message events carry
+      [kind = tags.(P.msg_tag config msg)]. *)
 
   val trace_drop : t -> round:int -> src:int -> dst:int -> P.msg -> string -> unit
 

@@ -2,77 +2,20 @@ open Fba_stdx
 
 type event =
   | Round_start of { round : int }
-  | Phase of { round : int; name : string }
   | Send of { round : int; src : int; dst : int; kind : string; bits : int; delay : int }
   | Inject of { round : int; src : int; dst : int; kind : string; bits : int; delay : int }
   | Deliver of { round : int; src : int; dst : int; kind : string; bits : int }
   | Drop of { round : int; src : int; dst : int; kind : string; reason : string }
   | Decide of { round : int; id : int; value : string }
 
-(* First token of the pp rendering, e.g. "Fw1(x=3, ...)" -> "Fw1". *)
-let kind_of_pp pp msg =
-  let s = Format.asprintf "%a" pp msg in
-  let stop = ref (String.length s) in
-  String.iteri (fun i c -> if !stop = String.length s && (c = '(' || c = ' ') then stop := i) s;
-  String.sub s 0 !stop
+(* Consumers in attach order: attaching is rare, emitting is per event. *)
+type sink = { mutable consumers : (event -> unit) list }
 
-type sink = {
-  mutable consumers : (event -> unit) list;  (* reversed attach order *)
-  mutable phases : (string * int) list;  (* announced phases, reversed *)
-}
+let create () = { consumers = [] }
 
-let create () = { consumers = []; phases = [] }
+let attach t f = t.consumers <- t.consumers @ [ f ]
 
-let attach t f = t.consumers <- f :: t.consumers
-
-let emit t ev = List.iter (fun f -> f ev) (List.rev t.consumers)
-
-let phase t ~round name =
-  if not (List.mem_assoc name t.phases) then begin
-    t.phases <- (name, round) :: t.phases;
-    emit t (Phase { round; name })
-  end
-
-let phases_seen t = List.rev t.phases
-
-module Ring = struct
-  type t = {
-    slots : event array;
-    mutable next : int;  (* write cursor *)
-    mutable total : int;
-  }
-
-  let create ~capacity =
-    if capacity < 1 then invalid_arg "Events.Ring.create: capacity < 1";
-    { slots = Array.make capacity (Round_start { round = 0 }); next = 0; total = 0 }
-
-  let capacity t = Array.length t.slots
-
-  let consumer t ev =
-    t.slots.(t.next) <- ev;
-    t.next <- (t.next + 1) mod Array.length t.slots;
-    t.total <- t.total + 1
-
-  let length t = min t.total (Array.length t.slots)
-
-  let total t = t.total
-
-  let to_list t =
-    let cap = Array.length t.slots in
-    let len = length t in
-    let first = if t.total <= cap then 0 else t.next in
-    List.init len (fun i -> t.slots.((first + i) mod cap))
-end
-
-module Memory = struct
-  type t = event Vec.t
-
-  let create () = Vec.create ()
-  let consumer t ev = Vec.push t ev
-  let length = Vec.length
-  let iter = Vec.iter
-  let to_list = Vec.to_list
-end
+let emit t ev = List.iter (fun f -> f ev) t.consumers
 
 module Jsonl = struct
   let escape s =
@@ -93,8 +36,6 @@ module Jsonl = struct
 
   let to_string = function
     | Round_start { round } -> Printf.sprintf {|{"ev":"round_start","round":%d}|} round
-    | Phase { round; name } ->
-      Printf.sprintf {|{"ev":"phase","round":%d,"name":"%s"}|} round (escape name)
     | Send { round; src; dst; kind; bits; delay } ->
       Printf.sprintf {|{"ev":"send","round":%d,"src":%d,"dst":%d,"kind":"%s","bits":%d,"delay":%d}|}
         round src dst (escape kind) bits delay
@@ -203,7 +144,7 @@ module Phase_acc = struct
       let c = cell t ~round kind in
       touch c round;
       c.recv_bits.(dst) <- c.recv_bits.(dst) + bits
-    | Round_start _ | Phase _ | Drop _ | Decide _ -> ()
+    | Round_start _ | Drop _ | Decide _ -> ()
 
   let row_of c =
     let amax a = Array.fold_left max 0 a in

@@ -1,14 +1,18 @@
-(** Structured execution events: the phase-aware trace pipeline.
+(** Structured execution events: the engines' trace pipeline.
 
     The paper's communication bounds are per-phase (Lemmas 3–10 bound
     pushes, polls and the Fw1/Fw2 bursts separately), so whole-run
     {!Metrics} aggregates are too coarse to diagnose a lemma-gauge
-    regression. This module defines typed trace events emitted by the
-    engines ({!Sync_engine}, {!Async_engine}) and by protocols (phase
-    markers), and pluggable consumers: a preallocated ring buffer, an
-    unbounded in-memory collector, a JSONL writer, and a phase
+    regression. This module defines the typed events the engines
+    ({!Sync_engine}, {!Async_engine}) emit — the engines are the only
+    emitters — and pluggable consumers: a JSONL writer and a phase
     accumulator that splits every [Metrics]-style counter by protocol
     phase.
+
+    A message event's [kind] is the protocol's handler-tag name,
+    [(P.msg_tags config).(P.msg_tag config msg)] (see
+    {!Protocol.S.msg_tags}): the same table {!Prof} names its slots
+    from, so trace kinds and profiler slots agree by construction.
 
     Tracing is strictly opt-in: engines take an optional [?events]
     sink, and every emission site is guarded so a disabled run performs
@@ -20,10 +24,6 @@ type event =
   | Round_start of { round : int }
       (** Engine clock tick ([round] is the async time step for the
           asynchronous engine). *)
-  | Phase of { round : int; name : string }
-      (** A protocol announced that phase [name] became active. Emitted
-          via {!phase}, which deduplicates: each name appears once, at
-          the round of its first activation. *)
   | Send of { round : int; src : int; dst : int; kind : string; bits : int; delay : int }
       (** A correct node sent a message. [delay] is the delivery delay
           in engine steps (always 1 for the synchronous engine, the
@@ -39,16 +39,12 @@ type event =
   | Decide of { round : int; id : int; value : string }
       (** Node [id] fixed its output. *)
 
-val kind_of_pp : (Format.formatter -> 'msg -> unit) -> 'msg -> string
-(** First token of the message's [pp] rendering ("Fw1(x=3, ...)" ->
-    "Fw1") — the kind label engines stamp on message events. *)
-
 (** {1 Sinks}
 
     A sink fans each event out to its attached consumers, in attach
-    order. Consumers are plain [event -> unit] functions, so the ring
-    buffer, the JSONL writer and the phase accumulator below compose
-    freely and callers can attach ad-hoc closures. *)
+    order. Consumers are plain [event -> unit] functions, so the JSONL
+    writer and the phase accumulator below compose freely and callers
+    can attach ad-hoc closures. *)
 
 type sink
 
@@ -59,56 +55,6 @@ val create : unit -> sink
 val attach : sink -> (event -> unit) -> unit
 
 val emit : sink -> event -> unit
-
-val phase : sink -> round:int -> string -> unit
-(** [phase sink ~round name] emits [Phase {round; name}] the first time
-    [name] is announced and is a no-op afterwards. Protocol phases
-    overlap across nodes (every AER node pushes {e and} polls from
-    round 0), so the marker stream records each phase's activation
-    round rather than pretending execution is globally sequential. *)
-
-val phases_seen : sink -> (string * int) list
-(** Announced phases with their activation rounds, in announcement
-    order. *)
-
-(** {1 Preallocated ring buffer}
-
-    Bounded trace retention for long executions: the backing array is
-    allocated once at [create] and the newest events overwrite the
-    oldest on wrap-around. *)
-
-module Ring : sig
-  type t
-
-  val create : capacity:int -> t
-  (** Raises [Invalid_argument] if [capacity < 1]. *)
-
-  val consumer : t -> event -> unit
-  (** Attach with {!attach}. *)
-
-  val capacity : t -> int
-
-  val length : t -> int
-  (** Events currently retained ([<= capacity]). *)
-
-  val total : t -> int
-  (** Events ever consumed, including overwritten ones. *)
-
-  val to_list : t -> event list
-  (** Retained events, oldest first. *)
-end
-
-(** {1 Unbounded in-memory collector} *)
-
-module Memory : sig
-  type t
-
-  val create : unit -> t
-  val consumer : t -> event -> unit
-  val length : t -> int
-  val iter : (event -> unit) -> t -> unit
-  val to_list : t -> event list
-end
 
 (** {1 JSONL export}
 
@@ -139,11 +85,12 @@ end
     Splits the [Metrics] counters by protocol phase. Each [Send] and
     [Inject] is attributed to the phase [classify ~kind] names — for
     AER, {!Fba_core.Aer.phase_of_kind} maps message kinds onto the
-    push/poll/fw1/fw2/answer pipeline. Classification is by message
-    kind rather than by the latest {!Phase} marker because phases
-    overlap in time across nodes; kind-based attribution keeps the
+    push/poll/fw1/fw2 pipeline. Classification is by message kind
+    because phases overlap in time across nodes (every AER node pushes
+    {e and} polls from round 0); kind-based attribution keeps the
     invariant that per-phase bits sum exactly to
-    [Metrics.total_bits_all]. *)
+    [Metrics.total_bits_all]. Each row's [first_round] is the round its
+    phase first carried traffic. *)
 
 module Phase_acc : sig
   type t

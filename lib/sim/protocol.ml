@@ -56,20 +56,22 @@ module type S = sig
       for the paper's communication-complexity accounting. *)
 
   val msg_tags : config -> string array
-  (** Handler-tag names for profiler attribution ({!Prof}), indexed by
-      {!msg_tag}. One entry per message kind; names should match the
-      first token of [pp_msg] so profiler tables line up with trace
-      kinds. Called once per profiled run (never on hot paths). *)
+  (** Message-kind names, indexed by {!msg_tag}: one entry per kind.
+      They name the profiler's slots ({!Prof}) and are the [kind] of
+      every {!Events} message event, so trace kinds and profiler slots
+      agree by construction. Read once per traced or profiled run
+      (never on hot paths). *)
 
   val msg_tag : config -> msg -> int
   (** Dense tag of a message: [0 <= msg_tag c m < Array.length
       (msg_tags c)]. For packed message planes this is the wire tag
       (AER: the {!Fba_core.Compiled} dispatch jump-table index); for
       variant planes, the constructor index. Must be allocation-free —
-      the engines call it per profiled delivery. *)
+      the engines call it per traced or profiled message. *)
 
   val pp_msg : config -> Format.formatter -> msg -> unit
-  (** Render a message for traces and event kinds. Takes the config so
+  (** Render a message with its payload, for humans (envelope dumps,
+      test failures); the engines never call it. Takes the config so
       packed (interned-id) message planes can resolve payloads back to
       the real strings. *)
 end

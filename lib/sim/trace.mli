@@ -4,9 +4,9 @@
     the protocol code, how many messages of each kind reached a handler
     in each round — the raw material for the phase diagrams one draws of
     AER executions (pushes, then polls/pulls, then the Fw1 burst, then
-    Fw2s and answers). Kinds are the engines' event labels
-    ({!Events.kind_of_pp}), so every protocol gets sensible labels for
-    free. *)
+    Fw2s and answers). Kinds are the engines' event labels, the
+    protocol's {!Protocol.S.msg_tags} names, so every protocol gets the
+    labels its profiler slots carry. *)
 
 type t
 

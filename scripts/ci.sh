@@ -1,9 +1,9 @@
 #!/bin/sh
 # Build everything, guard the build flags and the delivery path's
 # objects, run the test suite, then smoke-test the command-line
-# surfaces: trace and profile exports, and byte-identical experiment
-# and service output at any worker count. Speed is measured by
-# benchmark/, not here.
+# surfaces: trace and profile exports, byte-identical experiment and
+# service output at any worker count, and exit 2 for flag values the
+# library rejects. Speed is measured by benchmark/, not here.
 set -e
 cd "$(dirname "$0")/.."
 dune build @all
@@ -116,13 +116,16 @@ echo "env allowlist ok: $(echo $read_vars | wc -w) FBA_* names read, all allowed
 # Trace pipeline smoke test: the fba trace subcommand must succeed on a
 # small scenario (its exit status already enforces the per-phase bits
 # == Metrics.total_bits_all cross-check) and its JSONL export must be
-# one parseable JSON object per line with the required keys.
+# one parseable JSON object per line with the required keys. The
+# engines are the only emitters, and a message event's kind is the
+# protocol's handler-tag name: for AER, one of Aer.msg_tags' names.
 jsonl="$(mktemp)"
 trap 'rm -f "$jsonl"' EXIT
 dune exec bin/fba.exe -- trace -n 48 --attack flood --jsonl "$jsonl" > /dev/null
 python3 - "$jsonl" <<'EOF'
 import json, sys
-evs = {"round_start", "phase", "send", "inject", "deliver", "drop", "decide"}
+evs = {"round_start", "send", "inject", "deliver", "drop", "decide"}
+kinds = {"Push", "Poll", "Pull", "Fw1", "Fw2", "Answer"}
 lines = 0
 with open(sys.argv[1]) as f:
     for i, line in enumerate(f, 1):
@@ -136,6 +139,8 @@ with open(sys.argv[1]) as f:
             sys.exit(f"line {i}: missing required key (ev/round): {o}")
         if o["ev"] not in evs:
             sys.exit(f"line {i}: unknown ev {o['ev']!r}")
+        if o["ev"] in ("send", "inject", "deliver", "drop") and o.get("kind") not in kinds:
+            sys.exit(f"line {i}: kind {o.get('kind')!r} is not an AER tag name")
         lines += 1
 if lines == 0:
     sys.exit("JSONL trace is empty")
@@ -231,3 +236,23 @@ else
   diff "$seq_out" "$par_out" >&2 || true
   exit 1
 fi
+
+# Flag-rejection smoke: a flag value the library refuses is a usage
+# error, reported as `fba: <library message>` with exit 2, not
+# cmdliner's internal-error exit 125.
+err="$(mktemp)"
+trap 'rm -f "$jsonl" "$telemetry" "$seq_out" "$par_out" "$err"' EXIT
+refused() {
+  want="$1"
+  shift
+  status=0
+  dune exec bin/fba.exe -- "$@" > /dev/null 2> "$err" || status=$?
+  if [ "$status" != 2 ] || ! grep -qF "fba: $want" "$err"; then
+    echo "flag smoke FAILED: fba $* exited $status; want 2 and \"fba: $want\" on stderr:" >&2
+    cat "$err" >&2
+    exit 1
+  fi
+}
+refused "Params.make: n must be at least 4" run-aer -n 3
+refused "Params.make_for: byzantine_fraction must be in [0, 1/3)" trace -n 48 --byzantine 0.5
+echo "flag smoke ok: rejected flag values exit 2 with the library's message"

@@ -155,13 +155,8 @@ let test_scenario_gstring_override_stable () =
 let run_sync ?(mode = `Rushing) ?(strict_drop = false) ~attack sc =
   let cfg = Aer.config_of_scenario ~strict_drop sc in
   let n = Scenario.(sc.params.Params.n) in
-  let quiet_limit =
-    if Params.(sc.Scenario.params.max_poll_attempts) > 1 then
-      Params.(sc.Scenario.params.repoll_timeout) + 2
-    else 3
-  in
-  Engine.run ~quiet_limit ~config:cfg ~n ~seed:sc.Scenario.params.Params.seed
-    ~adversary:(attack sc) ~mode ~max_rounds:200 ()
+  Engine.run ~quiet_limit:(Params.quiet_limit sc.Scenario.params) ~config:cfg ~n
+    ~seed:sc.Scenario.params.Params.seed ~adversary:(attack sc) ~mode ~max_rounds:200 ()
 
 let outcomes sc (res : Engine.result) =
   let ok = ref 0 and bad = ref 0 and und = ref 0 in

@@ -25,28 +25,15 @@ open Fba_stdx
 module Aer_sync = Fba_sim.Sync_engine.Make (Aer)
 module Aer_async = Fba_sim.Async_engine.Make (Aer)
 
-let fingerprint m =
-  let h = ref (Hash64.init 0x600DL) in
-  let n = Metrics.n m in
-  for i = 0 to n - 1 do
-    h := Hash64.add_int !h (Metrics.sent_messages_of m i);
-    h := Hash64.add_int !h (Metrics.sent_bits_of m i);
-    h := Hash64.add_int !h (Metrics.recv_messages_of m i);
-    h := Hash64.add_int !h (Metrics.recv_bits_of m i);
-    h := Hash64.add_int !h (match Metrics.decision_round m i with None -> -1 | Some r -> r)
-  done;
-  Hash64.finish (Hash64.add_int !h (Metrics.rounds m))
+let fingerprint = Fba_harness.Service.fingerprint
 
-(* Mirrors Runner.aer_sync's quiescence window so the goldens pin
-   the same executions the harness produces. *)
-let quiet_limit_of sc =
-  if Params.(sc.Scenario.params.max_poll_attempts) > 1 then
-    Params.(sc.Scenario.params.repoll_timeout) + 2
-  else 3
+(* Runner.aer_sync's quiescence window, so the goldens pin the same
+   executions the harness produces. *)
+let quiet_limit_of sc = Params.quiet_limit sc.Scenario.params
 
 let run_sync_res ?events ~n ~seed adv =
   let sc = Runner.scenario_of_setup Runner.default_setup ~n ~seed in
-  let cfg = Aer.config_of_scenario ?events sc in
+  let cfg = Aer.config_of_scenario sc in
   Aer_sync.run ~quiet_limit:(quiet_limit_of sc) ?events ~config:cfg ~n ~seed ~adversary:(adv sc)
     ~mode:`Rushing ~max_rounds:300 ()
 
@@ -54,7 +41,7 @@ let run_sync ~n ~seed adv = (run_sync_res ~n ~seed adv).Fba_sim.Sync_engine.metr
 
 let run_async_res ?events ~n ~seed adv =
   let sc = Runner.scenario_of_setup Runner.default_setup ~n ~seed in
-  let cfg = Aer.config_of_scenario ?events sc in
+  let cfg = Aer.config_of_scenario sc in
   Aer_async.run ?events ~config:cfg ~n ~seed ~adversary:(adv sc) ~max_time:4000 ()
 
 let run_async ~n ~seed adv = (run_async_res ~n ~seed adv).Fba_sim.Async_engine.metrics
@@ -116,7 +103,13 @@ let test_golden_intern_table () =
    with the tag-comparison dispatch those replaced. The two agreed, so
    these goldens now stand where the twin-identity properties stood. A
    traced golden holds a run's metrics fingerprint, a digest of its
-   decision vector and a digest of its JSONL event trace. *)
+   decision vector and a digest of its JSONL event trace.
+
+   The engines are a trace's only emitters. The trace digests were
+   re-derived when protocols stopped emitting phase markers: each is
+   [Hash64.hash_string ~seed:0x7ACEL] of the previously recorded run's
+   JSONL with its {"ev":"phase" lines removed, so the engine events
+   themselves did not move (fingerprints and outputs are unchanged). *)
 
 let jsonl_sink () =
   let buf = Buffer.create 4096 in
@@ -130,12 +123,12 @@ let outputs_digest outs =
        (fun h o -> match o with None -> Hash64.add_int h (-1) | Some s -> Hash64.add_string h s)
        (Hash64.init 0x0D7L) outs)
 
-(* Cornering AER with one JSONL sink on both the engine and the
-   config's phase markers; returns (metrics, outputs, trace). *)
+(* Cornering AER with a JSONL sink on the engine; returns (metrics,
+   outputs, trace). *)
 let traced_sync ?net ~mode ~n ~seed () =
   let sc = Runner.scenario_of_setup Runner.default_setup ~n ~seed in
   let events, buf = jsonl_sink () in
-  let cfg = Aer.config_of_scenario ~events sc in
+  let cfg = Aer.config_of_scenario sc in
   let r =
     Aer_sync.run ~quiet_limit:(quiet_limit_of sc) ~events ?net ~config:cfg ~n ~seed
       ~adversary:(Attacks.cornering sc) ~mode ~max_rounds:300 ()
@@ -145,7 +138,7 @@ let traced_sync ?net ~mode ~n ~seed () =
 let traced_async ?net ~n ~seed () =
   let sc = Runner.scenario_of_setup Runner.default_setup ~n ~seed in
   let events, buf = jsonl_sink () in
-  let cfg = Aer.config_of_scenario ~events sc in
+  let cfg = Aer.config_of_scenario sc in
   let r =
     Aer_async.run ~events ?net ~config:cfg ~n ~seed ~adversary:(Attacks.async_cornering sc)
       ~max_time:4000 ()
@@ -167,7 +160,7 @@ let check_traced_golden name ~fp ~outputs ~trace (m, outs, buf) =
    sim.sync's rushing-vs-non-rushing test. *)
 let test_golden_sync_non_rushing () =
   check_traced_golden "sync-non-rushing" ~fp:0x577921a196aa87e3L ~outputs:0x27cda61dbfe282L
-    ~trace:0x385ac78f628287b8L
+    ~trace:0x2fa12322c7885471L
     (traced_sync ~mode:`Non_rushing ~n:48 ~seed:7L ())
 
 let arb_run =
@@ -188,13 +181,11 @@ let prop_async_run_twice =
       Int64.equal fp1 fp2)
 
 (* Event tracing must be pure observation: a run with a loaded sink
-   (ring buffer + phase accumulator + JSONL buffer, i.e. every shipped
-   consumer) produces bit-identical metrics and the same decision
-   vector as the untraced run. *)
+   (phase accumulator + JSONL buffer, i.e. every shipped consumer)
+   produces bit-identical metrics and the same decision vector as the
+   untraced run. *)
 let loaded_sink ~n =
   let sink = Fba_sim.Events.create () in
-  let ring = Fba_sim.Events.Ring.create ~capacity:512 in
-  Fba_sim.Events.attach sink (Fba_sim.Events.Ring.consumer ring);
   let acc =
     Fba_sim.Events.Phase_acc.create ~classify:(fun ~kind -> Aer.phase_of_kind kind) ~n ()
   in

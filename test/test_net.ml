@@ -29,21 +29,15 @@ module Aer_async = Fba_sim.Async_engine.Make (Aer)
 
 let fingerprint = Test_determinism.fingerprint
 
-(* Mirrors Runner.aer_sync's quiescence window, like test_determinism. *)
-let quiet_limit_of sc =
-  if Params.(sc.Scenario.params.max_poll_attempts) > 1 then
-    Params.(sc.Scenario.params.repoll_timeout) + 2
-  else 3
-
 let run_sync ?events ?net ~n ~seed adv =
   let sc = Runner.scenario_of_setup Runner.default_setup ~n ~seed in
-  let cfg = Aer.config_of_scenario ?events sc in
-  Aer_sync.run ~quiet_limit:(quiet_limit_of sc) ?events ?net ~config:cfg ~n ~seed
+  let cfg = Aer.config_of_scenario sc in
+  Aer_sync.run ~quiet_limit:(Params.quiet_limit sc.Scenario.params) ?events ?net ~config:cfg ~n ~seed
     ~adversary:(adv sc) ~mode:`Rushing ~max_rounds:300 ()
 
 let run_async ?events ?net ~n ~seed adv =
   let sc = Runner.scenario_of_setup Runner.default_setup ~n ~seed in
-  let cfg = Aer.config_of_scenario ?events sc in
+  let cfg = Aer.config_of_scenario sc in
   Aer_async.run ?events ?net ~config:cfg ~n ~seed ~adversary:(adv sc) ~max_time:4000 ()
 
 let sync_fp res = fingerprint res.Fba_sim.Sync_engine.metrics
@@ -90,13 +84,13 @@ let test_late_crash_is_noop () =
    keep landing on the same messages. *)
 let test_sync_drop_golden () =
   Test_determinism.check_traced_golden "sync-drop" ~fp:0x666a55f5972214eL
-    ~outputs:0x90e5b9f0410e458dL ~trace:0xa20e75f4fec93c1eL
+    ~outputs:0x90e5b9f0410e458dL ~trace:0x5446c313942cc126L
     (Test_determinism.traced_sync ~net:(Net.Drop { rate = 0.05 }) ~mode:`Rushing ~n:48 ~seed:7L
        ())
 
 let test_async_drop_jitter_golden () =
   Test_determinism.check_traced_golden "async-drop-jitter" ~fp:0xbc73a70d058bf6f1L
-    ~outputs:0x27cda61dbfe282L ~trace:0x8d8916b18187d23fL
+    ~outputs:0x27cda61dbfe282L ~trace:0x189a55a6cc2314c3L
     (Test_determinism.traced_async
        ~net:(Net.Compose [ Net.Drop { rate = 0.03 }; Net.Jitter { extra = 2 } ])
        ~n:48 ~seed:7L ())
@@ -258,10 +252,6 @@ let test_crash_verdicts () =
 let test_crash_stop_engine_semantics () =
   let n = 48 and seed = 11L in
   let net = Net.Crash { at = 2; fraction = 0.25 } in
-  let mem = Events.Memory.create () in
-  let sink = Events.create () in
-  Events.attach sink (Events.Memory.consumer mem);
-  let res = run_sync ~events:sink ~net ~n ~seed Attacks.silent in
   let victims =
     match Net.crashed (Net.instantiate net ~n ~seed) with
     | Some (_, v) -> v
@@ -271,16 +261,15 @@ let test_crash_stop_engine_semantics () =
   let early_deliver_to_victim = ref 0 in
   let crash_drops = ref 0 in
   let mistargeted_crash_drops = ref 0 in
-  Events.Memory.iter
-    (fun ev ->
-      match ev with
-      | Events.Deliver { round; dst; _ } when Bitset.mem victims dst ->
-        if round >= 2 then incr late_deliver_to_victim else incr early_deliver_to_victim
-      | Events.Drop { round; dst; reason; _ } when reason = Net.reason_crash ->
-        if not (round >= 2 && Bitset.mem victims dst) then incr mistargeted_crash_drops;
-        incr crash_drops
-      | _ -> ())
-    mem;
+  let sink = Events.create () in
+  Events.attach sink (function
+    | Events.Deliver { round; dst; _ } when Bitset.mem victims dst ->
+      if round >= 2 then incr late_deliver_to_victim else incr early_deliver_to_victim
+    | Events.Drop { round; dst; reason; _ } when reason = Net.reason_crash ->
+      if not (round >= 2 && Bitset.mem victims dst) then incr mistargeted_crash_drops;
+      incr crash_drops
+    | _ -> ());
+  let res = run_sync ~events:sink ~net ~n ~seed Attacks.silent in
   Alcotest.(check int) "no deliveries to crashed receivers from the crash round" 0
     !late_deliver_to_victim;
   Alcotest.(check int) "net-crash drops only target victims from the crash round" 0

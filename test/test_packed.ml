@@ -20,9 +20,7 @@
 
 module Attacks = Fba_adversary.Aer_attacks
 module Runner = Fba_harness.Runner
-module Metrics = Fba_sim.Metrics
 open Fba_core
-open Fba_stdx
 module Packed = Msg.Packed
 
 (* --- Layout goldens --- *)
@@ -160,22 +158,7 @@ module E_slow = Fba_sim.Sync_engine.Make (Aer_fallback)
 module A_fast = Fba_sim.Async_engine.Make (Aer)
 module A_slow = Fba_sim.Async_engine.Make (Aer_fallback)
 
-let fingerprint m =
-  let h = ref (Hash64.init 0x600DL) in
-  let n = Metrics.n m in
-  for i = 0 to n - 1 do
-    h := Hash64.add_int !h (Metrics.sent_messages_of m i);
-    h := Hash64.add_int !h (Metrics.sent_bits_of m i);
-    h := Hash64.add_int !h (Metrics.recv_messages_of m i);
-    h := Hash64.add_int !h (Metrics.recv_bits_of m i);
-    h := Hash64.add_int !h (match Metrics.decision_round m i with None -> -1 | Some r -> r)
-  done;
-  Hash64.finish (Hash64.add_int !h (Metrics.rounds m))
-
-let quiet_limit_of sc =
-  if Params.(sc.Scenario.params.max_poll_attempts) > 1 then
-    Params.(sc.Scenario.params.repoll_timeout) + 2
-  else 3
+let fingerprint = Fba_harness.Service.fingerprint
 
 let jsonl_sink () =
   let buf = Buffer.create 4096 in
@@ -194,20 +177,19 @@ let prop_sync_fallback_identical =
       let run (type a) (run_engine : events:Fba_sim.Events.sink -> Aer.config -> a) =
         let sc = Runner.scenario_of_setup Runner.default_setup ~n ~seed in
         let events, buf = jsonl_sink () in
-        let cfg = Aer.config_of_scenario ~events sc in
-        (run_engine ~events cfg, buf, quiet_limit_of sc, sc)
+        (run_engine ~events (Aer.config_of_scenario sc), buf)
       in
-      let fast, fast_buf, _, _ =
+      let fast, fast_buf =
         run (fun ~events cfg ->
             let sc = Aer.config_scenario cfg in
-            E_fast.run ~quiet_limit:(quiet_limit_of sc) ~events ~config:cfg ~n ~seed
-              ~adversary:(Attacks.cornering sc) ~mode:`Rushing ~max_rounds:300 ())
+            E_fast.run ~quiet_limit:(Params.quiet_limit sc.Scenario.params) ~events ~config:cfg
+              ~n ~seed ~adversary:(Attacks.cornering sc) ~mode:`Rushing ~max_rounds:300 ())
       in
-      let slow, slow_buf, _, _ =
+      let slow, slow_buf =
         run (fun ~events cfg ->
             let sc = Aer.config_scenario cfg in
-            E_slow.run ~quiet_limit:(quiet_limit_of sc) ~events ~config:cfg ~n ~seed
-              ~adversary:(Attacks.cornering sc) ~mode:`Rushing ~max_rounds:300 ())
+            E_slow.run ~quiet_limit:(Params.quiet_limit sc.Scenario.params) ~events ~config:cfg
+              ~n ~seed ~adversary:(Attacks.cornering sc) ~mode:`Rushing ~max_rounds:300 ())
       in
       Int64.equal
         (fingerprint fast.Fba_sim.Sync_engine.metrics)
@@ -221,8 +203,8 @@ let prop_async_fallback_identical =
       let run_with runner =
         let sc = Runner.scenario_of_setup Runner.default_setup ~n ~seed in
         let events, buf = jsonl_sink () in
-        let cfg = Aer.config_of_scenario ~events sc in
-        (runner ~events ~config:cfg ~adversary:(Attacks.async_cornering sc), buf)
+        (runner ~events ~config:(Aer.config_of_scenario sc) ~adversary:(Attacks.async_cornering sc),
+         buf)
       in
       let fast, fast_buf =
         run_with (fun ~events ~config ~adversary ->

@@ -28,20 +28,15 @@ module Aer_async = Fba_sim.Async_engine.Make (Aer)
 
 let fingerprint = Test_determinism.fingerprint
 
-let quiet_limit_of sc =
-  if Params.(sc.Scenario.params.max_poll_attempts) > 1 then
-    Params.(sc.Scenario.params.repoll_timeout) + 2
-  else 3
-
 let run_sync ?events ?prof ~n ~seed adv =
   let sc = Runner.scenario_of_setup Runner.default_setup ~n ~seed in
-  let cfg = Aer.config_of_scenario ?events sc in
-  Aer_sync.run ~quiet_limit:(quiet_limit_of sc) ?events ?prof ~config:cfg ~n ~seed
+  let cfg = Aer.config_of_scenario sc in
+  Aer_sync.run ~quiet_limit:(Params.quiet_limit sc.Scenario.params) ?events ?prof ~config:cfg ~n ~seed
     ~adversary:(adv sc) ~mode:`Rushing ~max_rounds:300 ()
 
 let run_async ?events ?prof ~n ~seed adv =
   let sc = Runner.scenario_of_setup Runner.default_setup ~n ~seed in
-  let cfg = Aer.config_of_scenario ?events sc in
+  let cfg = Aer.config_of_scenario sc in
   Aer_async.run ?events ?prof ~config:cfg ~n ~seed ~adversary:(adv sc) ~max_time:4000 ()
 
 let arb_run =
@@ -52,11 +47,11 @@ let arb_run =
 (* --- Transparency: profiling on vs off is byte-identical --- *)
 
 let collect_events run =
-  let mem = Events.Memory.create () in
+  let evs = ref [] in
   let sink = Events.create () in
-  Events.attach sink (Events.Memory.consumer mem);
+  Events.attach sink (fun ev -> evs := ev :: !evs);
   let res = run ~events:sink in
-  (res, Events.Memory.to_list mem)
+  (res, List.rev !evs)
 
 let prop_sync_transparent =
   QCheck.Test.make ~name:"sync: attaching a profiler changes nothing observable" ~count:15

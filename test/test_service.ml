@@ -83,6 +83,25 @@ let prop_schedule_invariance =
           strip (Service.run ~stream:(stream w j) ~adversary:Attacks.cornering ()) = base)
         [ (3, 1); (2, 2); (4, 4) ])
 
+(* --- unit: inputs the stream cannot honour are refused --- *)
+
+let small_stream = { Service.default_stream with Service.n = 32; instances = 1 }
+
+let test_width_refused () =
+  Alcotest.check_raises "width 0" (Invalid_argument "Service.run: width < 1") (fun () ->
+      ignore
+        (Service.run ~stream:{ small_stream with Service.width = 0 } ~adversary:Attacks.cornering
+           ()))
+
+let test_observers_refused () =
+  let with_config config () =
+    ignore (Service.run ~stream:{ small_stream with Service.config } ~adversary:Attacks.cornering ())
+  in
+  Alcotest.check_raises "events sink" (Invalid_argument "Service.run: config.events is set")
+    (with_config { Runner.default_config with Runner.events = Some (Fba_sim.Events.create ()) });
+  Alcotest.check_raises "profiler" (Invalid_argument "Service.run: config.prof is set")
+    (with_config { Runner.default_config with Runner.prof = Some (Fba_sim.Prof.create ()) })
+
 (* --- unit: reset entry points --- *)
 
 (* Intern.reset must forget everything (no stale ids served) and
@@ -135,14 +154,9 @@ let test_config_epoch () =
   let sc_a = Runner.scenario_of_setup Runner.default_setup ~n ~seed:seed_a in
   let cfg_a = Aer.config_of_scenario sc_a in
   let module E = Fba_sim.Sync_engine.Make (Aer) in
-  let quiet_limit sc =
-    if Params.(sc.Scenario.params.max_poll_attempts) > 1 then
-      Params.(sc.Scenario.params.repoll_timeout) + 2
-    else 3
-  in
   let run cfg (sc : Scenario.t) =
     Service.fingerprint
-      (E.run ~quiet_limit:(quiet_limit sc) ~config:cfg ~n
+      (E.run ~quiet_limit:(Params.quiet_limit sc.Scenario.params) ~config:cfg ~n
          ~seed:sc.Scenario.params.Params.seed ~adversary:(Attacks.cornering sc)
          ~mode:`Rushing ~max_rounds:300 ())
         .Fba_sim.Sync_engine.metrics
@@ -189,6 +203,8 @@ let suites =
       [
         QCheck_alcotest.to_alcotest prop_stream_matches_oneshot;
         QCheck_alcotest.to_alcotest prop_schedule_invariance;
+        Alcotest.test_case "width < 1 refused" `Quick test_width_refused;
+        Alcotest.test_case "sink and profiler refused" `Quick test_observers_refused;
       ] );
     ( "service.reset",
       [

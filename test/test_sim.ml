@@ -313,41 +313,14 @@ let test_trace_sink_transparent () =
 let mk_send ~round ~src ~dst ~bits =
   Events.Send { round; src; dst; kind = "Token"; bits; delay = 1 }
 
-let test_events_ring_wraparound () =
-  let ring = Events.Ring.create ~capacity:3 in
-  Alcotest.(check int) "capacity" 3 (Events.Ring.capacity ring);
-  Alcotest.(check int) "empty length" 0 (Events.Ring.length ring);
-  Alcotest.(check (list int)) "empty to_list" []
-    (List.map (fun _ -> 0) (Events.Ring.to_list ring));
-  for r = 0 to 4 do
-    Events.Ring.consumer ring (Events.Round_start { round = r })
-  done;
-  Alcotest.(check int) "length capped" 3 (Events.Ring.length ring);
-  Alcotest.(check int) "total counts overwritten" 5 (Events.Ring.total ring);
-  let rounds =
-    List.map
-      (function Events.Round_start { round } -> round | _ -> -1)
-      (Events.Ring.to_list ring)
-  in
-  (* Oldest events (rounds 0 and 1) were overwritten; order preserved. *)
-  Alcotest.(check (list int)) "oldest first after wrap" [ 2; 3; 4 ] rounds;
-  Alcotest.check_raises "zero capacity rejected"
-    (Invalid_argument "Events.Ring.create: capacity < 1") (fun () ->
-      ignore (Events.Ring.create ~capacity:0))
-
-let test_events_phase_dedup () =
+let test_sink_attach_order () =
   let sink = Events.create () in
-  let mem = Events.Memory.create () in
-  Events.attach sink (Events.Memory.consumer mem);
-  Events.phase sink ~round:0 "push";
-  Events.phase sink ~round:3 "push";
-  (* duplicate: dropped *)
-  Events.phase sink ~round:2 "poll";
-  Alcotest.(check (list (pair string int)))
-    "first activation only"
-    [ ("push", 0); ("poll", 2) ]
-    (Events.phases_seen sink);
-  Alcotest.(check int) "one Phase event per name" 2 (Events.Memory.length mem)
+  let seen = ref [] in
+  List.iter (fun tag -> Events.attach sink (fun _ -> seen := tag :: !seen)) [ "a"; "b"; "c" ];
+  Events.emit sink (Events.Round_start { round = 0 });
+  Events.emit sink (Events.Round_start { round = 1 });
+  Alcotest.(check (list string)) "each event visits consumers in attach order"
+    [ "a"; "b"; "c"; "a"; "b"; "c" ] (List.rev !seen)
 
 let test_jsonl_escaping () =
   Alcotest.(check string) "plain" "abc" (Events.Jsonl.escape "abc");
@@ -407,11 +380,16 @@ let test_phase_acc_accounting () =
     (String.length rendered > 0
     && String.length (String.concat "" (String.split_on_char '\n' rendered)) > 0)
 
+(* Collect every event an engine run emits, in emission order. *)
+let collecting_sink () =
+  let evs = ref [] in
+  let sink = Events.create () in
+  Events.attach sink (fun ev -> evs := ev :: !evs);
+  (sink, fun () -> List.rev !evs)
+
 let test_engine_emits_events () =
   let n = 4 in
-  let sink = Events.create () in
-  let mem = Events.Memory.create () in
-  Events.attach sink (Events.Memory.consumer mem);
+  let sink, events = collecting_sink () in
   let corrupted = Bitset.of_list n [ 3 ] in
   let res =
     Ring_sync.run ~events:sink ~config:{ Ring.n } ~n ~seed:1L
@@ -419,7 +397,7 @@ let test_engine_emits_events () =
       ~mode:`Rushing ~max_rounds:20 ()
   in
   ignore res;
-  let count p = List.length (List.filter p (Events.Memory.to_list mem)) in
+  let count p = List.length (List.filter p (events ())) in
   (* Nodes 0, 1, 2 each send the token once; node 3 is corrupted. *)
   Alcotest.(check int) "sends" 3 (count (function Events.Send _ -> true | _ -> false));
   (* The hop 2 -> 3 is dropped at the Byzantine destination. *)
@@ -433,9 +411,7 @@ let test_engine_emits_events () =
 
 let test_async_engine_emits_events () =
   let n = 3 in
-  let sink = Events.create () in
-  let mem = Events.Memory.create () in
-  Events.attach sink (Events.Memory.consumer mem);
+  let sink, events = collecting_sink () in
   let adversary =
     {
       (Async_engine.null_adversary ~corrupted:(no_corruption n)) with
@@ -448,16 +424,11 @@ let test_async_engine_emits_events () =
   in
   Alcotest.(check bool) "all decided" true res.Async_engine.all_decided;
   let sends =
-    List.filter_map
-      (function Events.Send { delay; _ } -> Some delay | _ -> None)
-      (Events.Memory.to_list mem)
+    List.filter_map (function Events.Send { delay; _ } -> Some delay | _ -> None) (events ())
   in
   Alcotest.(check (list int)) "adversary-chosen delays recorded" [ 2; 2; 2 ] sends;
   let delivers =
-    List.length
-      (List.filter
-         (function Events.Deliver _ -> true | _ -> false)
-         (Events.Memory.to_list mem))
+    List.length (List.filter (function Events.Deliver _ -> true | _ -> false) (events ()))
   in
   (* Node 0 holds the token from init, so the engine stops as soon as
      node 2 decides — the wrap-around hop 2->0 is sent (third delay
@@ -519,8 +490,7 @@ let suites =
       ] );
     ( "sim.events",
       [
-        Alcotest.test_case "ring buffer wrap-around" `Quick test_events_ring_wraparound;
-        Alcotest.test_case "phase marker dedup" `Quick test_events_phase_dedup;
+        Alcotest.test_case "sink attach order" `Quick test_sink_attach_order;
         Alcotest.test_case "jsonl escaping" `Quick test_jsonl_escaping;
         Alcotest.test_case "jsonl consumer" `Quick test_jsonl_consumer_buffers_lines;
         Alcotest.test_case "phase accumulator accounting" `Quick test_phase_acc_accounting;
