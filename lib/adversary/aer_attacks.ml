@@ -1,7 +1,7 @@
 open Fba_stdx
 open Fba_core
 module Envelope = Fba_sim.Envelope
-module Cache = Fba_samplers.Cache
+module Sampler = Fba_samplers.Sampler
 module Push_plan = Fba_samplers.Push_plan
 module Packed = Msg.Packed
 
@@ -116,8 +116,8 @@ let cornering_plan ~labels_per_search (sc : Scenario.t) observed =
   let gstring = sc.Scenario.gstring in
   let gsid = Intern.intern (intern_of sc) gstring in
   let corrupted = sc.Scenario.corrupted in
-  let qh = Cache.create (Params.sampler_h params) in
-  let qj = Cache.create (Params.sampler_j params) in
+  let sh = Params.sampler_h params in
+  let sj = Params.sampler_j params in
   let rng = adversary_rng sc "cornering" in
   (* Rank poll-list members of the observed honest gstring polls. *)
   let freq : (int, int) Hashtbl.t = Hashtbl.create 97 in
@@ -155,56 +155,57 @@ let cornering_plan ~labels_per_search (sc : Scenario.t) observed =
     ranked;
   (* One searched pull request per corrupted node. Candidate labels are
      batch-drawn up front (explicit loops — the Prng sequence is pinned
-     by the recorded goldens, and [Array.init] order is unspecified),
-     then every candidate poll list is materialized in one
-     [precompute_xr] pass so scoring and the final scans read the flat
-     slab instead of allocating per-label quorum arrays. *)
+     by the recorded goldens, and [Array.init] order is unspecified).
+     Each candidate poll list is drawn into one reused row and scored
+     there; the best list so far is kept in a second row, which the
+     final scan reads. *)
   let nb = Array.length byz in
   let labels = Array.make (max 1 (nb * labels_per_search)) 0L in
   for i = 0 to (nb * labels_per_search) - 1 do
     labels.(i) <- Prng.int64 rng
   done;
-  let pairs = ref [] in
-  for i = nb - 1 downto 0 do
-    for j = labels_per_search - 1 downto 0 do
-      pairs := (byz.(i), labels.((i * labels_per_search) + j)) :: !pairs
-    done
-  done;
-  Cache.precompute_xr qj !pairs;
+  let d = Sampler.d sj in
+  let row = Array.make d 0 and best = Array.make d 0 in
+  let score q =
+    let acc = ref 0 in
+    for k = 0 to d - 1 do
+      match Hashtbl.find need q.(k) with
+      | n when !n > 0 -> incr acc
+      | _ | (exception Not_found) -> ()
+    done;
+    !acc
+  in
   let outs = ref [] in
   Array.iteri
     (fun i a ->
-      let score r =
-        let acc = ref 0 in
-        Cache.iter_xr qj ~x:a ~r (fun w ->
-            match Hashtbl.find need w with
-            | n when !n > 0 -> incr acc
-            | _ | (exception Not_found) -> ());
-        !acc
-      in
       let base = i * labels_per_search in
       let best_r = ref labels.(base) in
-      let best_score = ref (score !best_r) in
+      Sampler.quorum_into sj (Sampler.key_xr sj ~x:a ~r:!best_r) best ~pos:0;
+      let best_score = ref (score best) in
       for j = 1 to labels_per_search - 1 do
         let r = labels.(base + j) in
-        let sc' = score r in
+        Sampler.quorum_into sj (Sampler.key_xr sj ~x:a ~r) row ~pos:0;
+        let sc' = score row in
         if sc' > !best_score then begin
           best_score := sc';
-          best_r := r
+          best_r := r;
+          Array.blit row 0 best 0 d
         end
       done;
       let r = !best_r in
       let rid = Intern.intern_label (intern_of sc) r in
       let poll_msg = Packed.poll lt ~sid:gsid ~rid in
       let pull_msg = Packed.pull lt ~sid:gsid ~rid in
-      Cache.iter_xr qj ~x:a ~r (fun w ->
+      Array.iter
+        (fun w ->
           (match Hashtbl.find need w with
           | n when !n > 0 -> decr n
           | _ | (exception Not_found) -> ());
-          outs := Envelope.make ~src:a ~dst:w poll_msg :: !outs);
+          outs := Envelope.make ~src:a ~dst:w poll_msg :: !outs)
+        best;
       Array.iter
         (fun y -> outs := Envelope.make ~src:a ~dst:y pull_msg :: !outs)
-        (Cache.quorum_sx qh ~s:gstring ~x:a))
+        (Sampler.quorum_sx sh ~s:gstring ~x:a))
     byz;
   !outs
 
@@ -223,7 +224,7 @@ let quorum_capture ?(victims = 4) ?strings_per_victim ?(max_tries = 400) (sc : S
   let params = sc.Scenario.params in
   let n = params.Params.n in
   let corrupted = sc.Scenario.corrupted in
-  let qi = Cache.create (Params.sampler_i params) in
+  let si = Params.sampler_i params in
   let rng = adversary_rng sc "quorum_capture" in
   let strings_per_victim =
     match strings_per_victim with Some k -> k | None -> max 4 (n / 8)
@@ -251,7 +252,7 @@ let quorum_capture ?(victims = 4) ?strings_per_victim ?(max_tries = 400) (sc : S
           while !planted < strings_per_victim && !tries < max_tries * strings_per_victim do
             incr tries;
             let s = random_string rng params.Params.gstring_bits in
-            let quorum = Cache.quorum_sx qi ~s ~x:v in
+            let quorum = Sampler.quorum_sx si ~s ~x:v in
             let byz_members = Array.of_list (List.filter (Bitset.mem corrupted) (Array.to_list quorum)) in
             if Array.length byz_members >= maj then begin
               incr planted;
@@ -266,9 +267,6 @@ let quorum_capture ?(victims = 4) ?strings_per_victim ?(max_tries = 400) (sc : S
     end
   in
   { Fba_sim.Sync_engine.corrupted; act }
-
-let async_silent (sc : Scenario.t) =
-  Fba_sim.Async_engine.null_adversary ~corrupted:sc.Scenario.corrupted
 
 let async_of_sync ?(max_delay = 4) (sc : Scenario.t) (attack : sync) =
   if max_delay < 1 then invalid_arg "Aer_attacks.async_of_sync: max_delay < 1";

@@ -75,8 +75,6 @@ val quorum_capture :
 
 (** {2 Asynchronous variants} *)
 
-val async_silent : Scenario.t -> async
-
 val async_of_sync : ?max_delay:int -> Scenario.t -> sync -> async
 (** Lift a synchronous strategy: messages between correct nodes get
     [max_delay] (default 4), adversary traffic is instant, and the

@@ -23,15 +23,14 @@ let config_of_scenario ?(strict_drop = false) ?compile:(_ : unit option) ?builde
   let params = scenario.Scenario.params in
   let layout = scenario.Scenario.layout in
   let intern = scenario.Scenario.intern in
-  let find s = Intern.find intern s in
   {
     params;
     scenario;
     layout;
     intern;
-    qi = Cache.create ~find (Params.sampler_i params);
-    qh = Cache.create ~find (Params.sampler_h params);
-    qj = Cache.create ~find (Params.sampler_j params);
+    qi = Cache.create (Params.sampler_i params);
+    qh = Cache.create (Params.sampler_h params);
+    qj = Cache.create (Params.sampler_j params);
     strict_drop;
     compiled = None;
     builder;
@@ -41,17 +40,15 @@ let config_of_scenario ?(strict_drop = false) ?compile:(_ : unit option) ?builde
    quorum caches and compile scratch are the previous epoch's, reset
    in place — so instance k+1 evaluates into storage instance k
    already paid for. [scenario] must share the previous
-   scenario's interner value ({!Scenario.make}'s [?intern]); the
-   caches' resolver closures are rebound regardless. Behaviour is
-   identical to a fresh [config_of_scenario] on the same scenario. *)
+   scenario's interner value ({!Scenario.make}'s [?intern]). Behaviour
+   is identical to a fresh [config_of_scenario] on the same scenario. *)
 let config_epoch ~prev (scenario : Scenario.t) =
   let params = scenario.Scenario.params in
   let layout = scenario.Scenario.layout in
   let intern = scenario.Scenario.intern in
-  let find s = Intern.find intern s in
-  Cache.reset ~find prev.qi ~sampler:(Params.sampler_i params);
-  Cache.reset ~find prev.qh ~sampler:(Params.sampler_h params);
-  Cache.reset ~find prev.qj ~sampler:(Params.sampler_j params);
+  Cache.reset prev.qi ~sampler:(Params.sampler_i params);
+  Cache.reset prev.qh ~sampler:(Params.sampler_h params);
+  Cache.reset prev.qj ~sampler:(Params.sampler_j params);
   {
     params;
     scenario;
@@ -65,9 +62,7 @@ let config_epoch ~prev (scenario : Scenario.t) =
     builder = (match prev.builder with Some _ as b -> b | None -> Some (Compiled.builder ()));
   }
 
-let config_params c = c.params
 let config_scenario c = c.scenario
-let config_intern c = c.intern
 let config_compiled c = c.compiled
 
 (* The lowered tables, built on first use. The engines build them
@@ -173,7 +168,6 @@ type state = {
   scratch_w : int Vec.t;  (* reusable buffers for the Fw1 serve-all burst *)
   scratch_rid : int Vec.t;
   mutable push_sent : int;
-  mutable answers_emitted : int;
 }
 
 let name = "aer"
@@ -237,7 +231,6 @@ let try_answer cfg st ~emit sid x =
     if st.decided_sid >= 0 || cnt < cfg.params.Params.pull_filter then begin
       Int_table.set st.answer_counts sid (cnt + 1);
       ignore (Int_table.add st.answered (key_xs lt ~x ~sid));
-      st.answers_emitted <- st.answers_emitted + 1;
       emit x (Packed.answer lt ~sid)
     end
     else Vec.push st.muted (key_sx lt ~sid ~x)
@@ -509,7 +502,6 @@ let init cfg ctx =
       scratch_w = Vec.create ();
       scratch_rid = Vec.create ();
       push_sent = 0;
-      answers_emitted = 0;
     }
   in
   ignore (Int_table.add st.candidates sid0);
@@ -588,5 +580,3 @@ let candidates st =
 
 let candidate_count st = Int_table.length st.candidates
 let push_messages_sent st = st.push_sent
-let deferred_count st = Vec.length st.deferred_msg
-let answers_sent st = st.answers_emitted

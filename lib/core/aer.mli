@@ -59,7 +59,6 @@ val config_epoch : prev:config -> Scenario.t -> config
     Behaviour is identical to a fresh {!config_of_scenario}; [prev]
     must no longer be used once the new config exists. *)
 
-val config_params : config -> Params.t
 val config_scenario : config -> Scenario.t
 
 val config_compiled : config -> Compiled.t option
@@ -67,11 +66,6 @@ val config_compiled : config -> Compiled.t option
     build it through {!Fba_sim.Protocol.S.compile} before the first
     [init]; [init] and [msg_bits] build it on first use when no engine
     did, so every node runs on the same tables either way. *)
-
-val config_intern : config -> Intern.t
-(** The scenario's interner — the same value as
-    [(config_scenario cfg).intern]; adversaries and tests use it to
-    pack messages for injection. *)
 
 include Fba_sim.Protocol.S with type config := config and type msg = Msg.Packed.t
 (** Messages are packed immediates ({!Msg.Packed}): handlers run
@@ -110,10 +104,3 @@ val candidate_count : state -> int
 
 val push_messages_sent : state -> int
 (** Number of push-phase messages this node sent (Lemma 3). *)
-
-val deferred_count : state -> int
-(** Buffered messages awaiting a belief change. *)
-
-val answers_sent : state -> int
-(** Total Answer messages emitted (the Count_s filter of Algorithm 3
-    sums over strings here). *)

@@ -93,7 +93,8 @@ let run_sync ?(mode = `Rushing) ?aeba_adversary ?aer_adversary ?per_run_miss ~n 
       | None -> Fba_sim.Sync_engine.null_adversary ~corrupted
     in
     let phase2 =
-      Aer_engine.run ~config:cfg ~n ~seed:params.Params.seed ~adversary:aer_adv ~mode
+      Aer_engine.run ~quiet_limit:(Params.quiet_limit params) ~config:cfg ~n
+        ~seed:params.Params.seed ~adversary:aer_adv ~mode
         ~max_rounds:(100 + Params.(params.n)) ()
     in
     let agreed =

@@ -166,7 +166,7 @@ let build ?builder:b ~(scenario : Scenario.t) ~(qi : Cache.t) () =
             any := true
           end
         done;
-        if !any then Cache.seed_sid_row qi ~sid ~s ~x (Array.sub scratch 0 d)
+        if !any then Cache.seed_sid_row qi ~sid ~x (Array.sub scratch 0 d)
       done;
       Bytes.fill is_supp 0 n '\000'
     end

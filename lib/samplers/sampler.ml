@@ -18,10 +18,6 @@ let default_d ~n =
   let d = 4 * Intx.ceil_log2 (max 2 n) in
   Intx.clamp ~lo:1 ~hi:n d
 
-(* The absorbed key state fully determines a quorum, so it doubles as
-   the cache key ({!Cache} keys its open-addressing tables on it): even
-   a state collision between distinct (s, x) pairs is harmless because
-   colliding states draw identical quorums by construction. *)
 let key_sx t ~s ~x =
   Hash64.add_int (Hash64.add_string (Hash64.add_int (Hash64.init t.seed) 0x53) s) x
 

@@ -49,10 +49,12 @@ val mem_xr : t -> x:int -> r:int64 -> y:int -> bool
 
 (** {2 Key-state interface}
 
-    A quorum is a pure function of the absorbed 64-bit key state, so
-    the state works both as a compact cache key ({!Cache} uses it with
-    an open-addressing int64 table, avoiding per-lookup tuple boxing)
-    and as the input to batch evaluation into flat storage. *)
+    A quorum is a pure function of the absorbed 64-bit key state, so a
+    caller that evaluates many quorums can draw each one into storage
+    it owns and reuses: the scenario compiler draws push-quorum rows
+    into one scratch row, and the cornering adversary scores candidate
+    poll lists the same way. ({!Cache} keys its rows by interned ids,
+    not by key state.) *)
 
 val key_sx : t -> s:string -> x:int -> int64
 (** The absorbed key state of I/H-shaped quorums. *)
@@ -60,15 +62,10 @@ val key_sx : t -> s:string -> x:int -> int64
 val key_xr : t -> x:int -> r:int64 -> int64
 (** The absorbed key state of J-shaped quorums. *)
 
-val quorum_of_key : t -> int64 -> int array
-(** [quorum_of_key t (key_sx t ~s ~x)] = [quorum_sx t ~s ~x]. *)
-
 val quorum_into : t -> int64 -> int array -> pos:int -> unit
-(** Draw the quorum for a key state into [out.(pos .. pos + d - 1)] —
-    the building block of flat precomputed tables. *)
-
-val mem_of_key : t -> int64 -> y:int -> bool
-(** Early-exit membership on a key state; allocation-free. *)
+(** Draw the quorum for a key state into [out.(pos .. pos + d - 1)]:
+    [quorum_into t (key_sx t ~s ~x) out ~pos:0] fills [out] with
+    [quorum_sx t ~s ~x], allocating nothing. *)
 
 val majority_threshold : int -> int
 (** [majority_threshold k] is the smallest count that constitutes

@@ -6,6 +6,8 @@
 # library rejects. Speed is measured by benchmark/, not here.
 set -e
 cd "$(dirname "$0")/.."
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
 dune build @all
 
 # Lint guard: the default build is dune's release profile (see
@@ -119,8 +121,7 @@ echo "env allowlist ok: $(echo $read_vars | wc -w) FBA_* names read, all allowed
 # one parseable JSON object per line with the required keys. The
 # engines are the only emitters, and a message event's kind is the
 # protocol's handler-tag name: for AER, one of Aer.msg_tags' names.
-jsonl="$(mktemp)"
-trap 'rm -f "$jsonl"' EXIT
+jsonl="$tmp/trace.jsonl"
 dune exec bin/fba.exe -- trace -n 48 --attack flood --jsonl "$jsonl" > /dev/null
 python3 - "$jsonl" <<'EOF'
 import json, sys
@@ -154,8 +155,7 @@ EOF
 # versioned envelope.
 dune exec bin/fba.exe -- profile -n 48 --attack cornering > /dev/null
 echo "profile accounting smoke ok"
-telemetry="$(mktemp)"
-trap 'rm -f "$jsonl" "$telemetry"' EXIT
+telemetry="$tmp/telemetry.json"
 dune exec bin/fba.exe -- profile -n 48 --attack cornering --json > "$telemetry"
 python3 - "$telemetry" <<'EOF'
 import json, sys
@@ -180,9 +180,8 @@ EOF
 # Sweep-executor smoke test: the experiment sweeps must produce
 # byte-identical reports whether the grid runs sequentially or sharded
 # across worker domains. Uses the two cheapest experiments.
-seq_out="$(mktemp)"
-par_out="$(mktemp)"
-trap 'rm -f "$jsonl" "$telemetry" "$seq_out" "$par_out"' EXIT
+seq_out="$tmp/seq_out"
+par_out="$tmp/par_out"
 for e in samplers fig1a; do dune exec bin/fba.exe -- experiment "$e" --jobs 1; done > "$seq_out"
 for e in samplers fig1a; do dune exec bin/fba.exe -- experiment "$e" --jobs 2; done > "$par_out"
 if cmp -s "$seq_out" "$par_out"; then
@@ -240,8 +239,7 @@ fi
 # Flag-rejection smoke: a flag value the library refuses is a usage
 # error, reported as `fba: <library message>` with exit 2, not
 # cmdliner's internal-error exit 125.
-err="$(mktemp)"
-trap 'rm -f "$jsonl" "$telemetry" "$seq_out" "$par_out" "$err"' EXIT
+err="$tmp/err"
 refused() {
   want="$1"
   shift

@@ -113,8 +113,7 @@ let scenario ~n ~seed = Runner.scenario_of_setup Runner.default_setup ~n ~seed
 (* Build against a local push cache (what Aer.compile does with the
    config's qi), keeping the donated rows inspectable. *)
 let compiled_of sc =
-  let find s = Intern.find sc.Scenario.intern s in
-  let qi = Cache.create ~find (Params.sampler_i sc.Scenario.params) in
+  let qi = Cache.create (Params.sampler_i sc.Scenario.params) in
   let cp = Compiled.build ~scenario:sc ~qi () in
   (qi, cp)
 
@@ -124,9 +123,8 @@ let test_pos_oracles () =
   let sc = scenario ~n:64 ~seed:11L in
   let params = sc.Scenario.params in
   let intern = sc.Scenario.intern in
-  let find s = Intern.find intern s in
-  let qh = Cache.create ~find (Params.sampler_h params) in
-  let qj = Cache.create ~find (Params.sampler_j params) in
+  let qh = Cache.create (Params.sampler_h params) in
+  let qj = Cache.create (Params.sampler_j params) in
   let n = params.Params.n in
   for x = 0 to n - 1 do
     let s = sc.Scenario.initial.(x) in

@@ -70,6 +70,14 @@ let test_golden_async_cornering () =
     ~decided:231
     (run_async ~n:256 ~seed:7L (fun sc -> Attacks.async_cornering sc))
 
+(* Recorded at n=128, seed=1, while the capture attack still drew its
+   push quorums through a Cache: the port to direct Sampler queries
+   moved no execution. *)
+let test_golden_sync_quorum_capture () =
+  check_golden "sync-quorum-capture" ~fp:0x140d4f7d6a0381ddL ~bits:24206989 ~msgs:157541
+    ~rounds:8 ~decided:116
+    (run_sync ~n:128 ~seed:1L (fun sc -> Attacks.quorum_capture sc))
+
 (* Packed-path golden: the interner is the packed plane's side table —
    every string and label a run touches is registered in deterministic
    order, so its final contents are as much a fingerprint of the
@@ -223,6 +231,7 @@ let suites =
         Alcotest.test_case "aer sync silent n=256" `Slow test_golden_sync_silent;
         Alcotest.test_case "aer sync cornering n=256" `Slow test_golden_sync_cornering;
         Alcotest.test_case "aer async cornering n=256" `Slow test_golden_async_cornering;
+        Alcotest.test_case "aer sync quorum capture n=128" `Slow test_golden_sync_quorum_capture;
         Alcotest.test_case "packed intern table n=256" `Slow test_golden_intern_table;
         Alcotest.test_case "aer sync cornering non-rushing n=48 (traced)" `Quick
           test_golden_sync_non_rushing;

@@ -347,8 +347,9 @@ let prop_cache_equals_sampler =
     (fun (seed, x, s) ->
       let sampler = Fba_samplers.Sampler.create ~seed ~n:256 ~d:10 in
       let cache = Fba_samplers.Cache.create sampler in
-      Fba_samplers.Cache.quorum_sx cache ~s ~x = Fba_samplers.Sampler.quorum_sx sampler ~s ~x
-      && Fba_samplers.Cache.quorum_xr cache ~x ~r:seed
+      Fba_samplers.Cache.quorum_sid cache ~sid:0 ~s ~x
+      = Fba_samplers.Sampler.quorum_sx sampler ~s ~x
+      && Fba_samplers.Cache.quorum_rid cache ~x ~rid:0 ~r:seed
          = Fba_samplers.Sampler.quorum_xr sampler ~x ~r:seed)
 
 let suites =

@@ -73,21 +73,24 @@ let test_cache_equivalence () =
   let s = sampler () in
   let c = Cache.create s in
   for x = 0 to 20 do
-    Alcotest.(check (array int)) "sx agrees"
+    Alcotest.(check (array int)) "sid agrees"
       (Sampler.quorum_sx s ~s:"k" ~x)
-      (Cache.quorum_sx c ~s:"k" ~x);
-    Alcotest.(check (array int)) "xr agrees"
+      (Cache.quorum_sid c ~sid:0 ~s:"k" ~x);
+    Alcotest.(check (array int)) "rid agrees"
       (Sampler.quorum_xr s ~x ~r:(Int64.of_int x))
-      (Cache.quorum_xr c ~x ~r:(Int64.of_int x))
+      (Cache.quorum_rid c ~x ~rid:x ~r:(Int64.of_int x))
   done;
   Alcotest.(check bool) "mem agrees" true
-    (Cache.mem_sx c ~s:"k" ~x:1 ~y:(Sampler.quorum_sx s ~s:"k" ~x:1).(0))
+    (Cache.mem_sid c ~sid:0 ~s:"k" ~x:1 ~y:(Sampler.quorum_sx s ~s:"k" ~x:1).(0))
 
 let test_cache_returns_shared () =
   let c = Cache.create (sampler ()) in
-  let q1 = Cache.quorum_sx c ~s:"z" ~x:0 in
-  let q2 = Cache.quorum_sx c ~s:"z" ~x:0 in
-  Alcotest.(check bool) "physically shared" true (q1 == q2)
+  let q1 = Cache.quorum_sid c ~sid:0 ~s:"z" ~x:0 in
+  let q2 = Cache.quorum_sid c ~sid:0 ~s:"z" ~x:0 in
+  Alcotest.(check bool) "physically shared" true (q1 == q2);
+  let j1 = Cache.quorum_rid c ~x:0 ~rid:0 ~r:7L in
+  let j2 = Cache.quorum_rid c ~x:0 ~rid:0 ~r:7L in
+  Alcotest.(check bool) "rid lane physically shared" true (j1 == j2)
 
 (* --- Push_plan --- *)
 

@@ -123,27 +123,43 @@ let test_intern_reset () =
 
 (* Cache.reset onto a different sampler must answer exactly like a
    fresh cache over that sampler — stale rows from the first epoch
-   must not leak into quorum answers. *)
+   must not leak into quorum answers. Ids are reused across the reset
+   with new strings and labels, as they are after an interner reset.
+   Label id 3 is also queried by a second poller in each epoch, so the
+   cross-poller fallback table is checked through the reset as well as
+   the dense rows. *)
 let test_cache_reset () =
+  let module Cache = Fba_samplers.Cache in
   let s1 = Fba_samplers.Sampler.create ~seed:3L ~n:64 ~d:8 in
   let s2 = Fba_samplers.Sampler.create ~seed:9L ~n:64 ~d:8 in
-  let reused = Fba_samplers.Cache.create s1 in
+  let echo ~epoch ~r reused fresh =
+    List.iter
+      (fun x ->
+        Alcotest.(check (array int))
+          (Printf.sprintf "%s: rid 3 polled by x=%d" epoch x)
+          (Cache.quorum_rid fresh ~x ~rid:3 ~r)
+          (Cache.quorum_rid reused ~x ~rid:3 ~r))
+      [ 3; 20 ]
+  in
+  let reused = Cache.create s1 in
   for x = 0 to 15 do
-    ignore (Fba_samplers.Cache.quorum_sx reused ~s:"epoch-one" ~x);
-    ignore (Fba_samplers.Cache.quorum_xr reused ~x ~r:(Int64.of_int x))
+    ignore (Cache.quorum_sid reused ~sid:0 ~s:"epoch-one" ~x);
+    ignore (Cache.quorum_rid reused ~x ~rid:x ~r:(Int64.of_int x))
   done;
-  Fba_samplers.Cache.reset reused ~sampler:s2;
-  let fresh = Fba_samplers.Cache.create s2 in
+  echo ~epoch:"before reset" ~r:3L reused (Cache.create s1);
+  Cache.reset reused ~sampler:s2;
+  let fresh = Cache.create s2 in
   for x = 0 to 15 do
     Alcotest.(check (array int))
-      (Printf.sprintf "quorum_sx x=%d" x)
-      (Fba_samplers.Cache.quorum_sx fresh ~s:"epoch-two" ~x)
-      (Fba_samplers.Cache.quorum_sx reused ~s:"epoch-two" ~x);
+      (Printf.sprintf "quorum_sid x=%d" x)
+      (Cache.quorum_sid fresh ~sid:0 ~s:"epoch-two" ~x)
+      (Cache.quorum_sid reused ~sid:0 ~s:"epoch-two" ~x);
     Alcotest.(check (array int))
-      (Printf.sprintf "quorum_xr x=%d" x)
-      (Fba_samplers.Cache.quorum_xr fresh ~x ~r:(Int64.of_int (1000 + x)))
-      (Fba_samplers.Cache.quorum_xr reused ~x ~r:(Int64.of_int (1000 + x)))
-  done
+      (Printf.sprintf "quorum_rid x=%d" x)
+      (Cache.quorum_rid fresh ~x ~rid:x ~r:(Int64.of_int (1000 + x)))
+      (Cache.quorum_rid reused ~x ~rid:x ~r:(Int64.of_int (1000 + x)))
+  done;
+  echo ~epoch:"after reset" ~r:1003L reused fresh
 
 (* Aer.config_epoch chains the whole per-run state (interner, quorum
    caches, compile scratch) through a reset; the second
