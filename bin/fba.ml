@@ -564,8 +564,9 @@ let experiment_cmd =
 
 let service_cmd =
   let doc =
-    "Stream many BA instances through the epoch-reset agreement service: per-instance traces \
-     (deterministic, stdout) plus throughput and pipelined-latency percentiles (stderr)."
+    "Stream many BA instances through the agreement service (each a fresh one-shot run on a \
+     reused lane mailbox): per-instance traces (deterministic, stdout) plus throughput and \
+     pipelined-latency percentiles (stderr)."
   in
   Cmd.v (Cmd.info "service" ~doc)
     Term.(

@@ -28,6 +28,9 @@ let size_committee ~byzantine_fraction ~budget =
 let make_config ?group_size ?committee_size ?gstring_bits ?(byzantine_fraction = 0.1) ~n ~seed
     () =
   if n < 2 then invalid_arg "Aeba.make_config: n < 2";
+  (* Phase-king in each committee needs n > 3t. *)
+  if byzantine_fraction < 0.0 || byzantine_fraction >= 1.0 /. 3.0 then
+    invalid_arg "Aeba.make_config: byzantine_fraction must be in [0, 1/3)";
   let m =
     match committee_size with
     | Some m when m >= 1 -> m

@@ -36,7 +36,9 @@ val make_config :
     containing ≥ ⌈m/3⌉ Byzantine members (breaking phase-king) stays
     below 0.005 given [byzantine_fraction] (default 0.1);
     [group_size = committee_size]; [gstring_bits = 8·⌈log₂ n⌉].
-    Raises [Invalid_argument] for [n < 2] or out-of-range overrides.
+    Raises [Invalid_argument] for [n < 2], a [byzantine_fraction]
+    outside [\[0, 1/3)] (the committee BA needs n > 3t) or
+    out-of-range overrides.
     A run is observed through the engine's [?events] sink, whose
     message kinds are {!msg_tags}' names. *)
 

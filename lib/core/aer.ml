@@ -12,14 +12,12 @@ type config = {
   qj : Cache.t;  (* poll lists J *)
   strict_drop : bool;  (* drop belief-mismatched messages instead of buffering *)
   mutable compiled : Compiled.t option;  (* built by [tables], at most once *)
-  builder : Compiled.builder option;  (* reusable compile scratch (instance streams) *)
 }
 
 (* [compile] chooses nothing — AER always runs on the compiled tables;
    the unit label stays only for callers written against the old
    signature. *)
-let config_of_scenario ?(strict_drop = false) ?compile:(_ : unit option) ?builder
-    (scenario : Scenario.t) =
+let config_of_scenario ?(strict_drop = false) ?compile:(_ : unit option) (scenario : Scenario.t) =
   let params = scenario.Scenario.params in
   let layout = scenario.Scenario.layout in
   let intern = scenario.Scenario.intern in
@@ -33,33 +31,6 @@ let config_of_scenario ?(strict_drop = false) ?compile:(_ : unit option) ?builde
     qj = Cache.create (Params.sampler_j params);
     strict_drop;
     compiled = None;
-    builder;
-  }
-
-(* Epoch reuse for instance streams: a config for [scenario] whose
-   quorum caches and compile scratch are the previous epoch's, reset
-   in place — so instance k+1 evaluates into storage instance k
-   already paid for. [scenario] must share the previous
-   scenario's interner value ({!Scenario.make}'s [?intern]). Behaviour
-   is identical to a fresh [config_of_scenario] on the same scenario. *)
-let config_epoch ~prev (scenario : Scenario.t) =
-  let params = scenario.Scenario.params in
-  let layout = scenario.Scenario.layout in
-  let intern = scenario.Scenario.intern in
-  Cache.reset prev.qi ~sampler:(Params.sampler_i params);
-  Cache.reset prev.qh ~sampler:(Params.sampler_h params);
-  Cache.reset prev.qj ~sampler:(Params.sampler_j params);
-  {
-    params;
-    scenario;
-    layout;
-    intern;
-    qi = prev.qi;
-    qh = prev.qh;
-    qj = prev.qj;
-    strict_drop = prev.strict_drop;
-    compiled = None;
-    builder = (match prev.builder with Some _ as b -> b | None -> Some (Compiled.builder ()));
   }
 
 let config_scenario c = c.scenario
@@ -72,7 +43,7 @@ let tables cfg =
   match cfg.compiled with
   | Some cp -> cp
   | None ->
-    let cp = Compiled.build ?builder:cfg.builder ~scenario:cfg.scenario ~qi:cfg.qi () in
+    let cp = Compiled.build ~scenario:cfg.scenario ~qi:cfg.qi in
     cfg.compiled <- Some cp;
     cp
 
@@ -570,7 +541,6 @@ let msg_tag _cfg p = Packed.tag p
 
 let pp_msg (cfg : config) = Packed.pp cfg.layout cfg.intern
 
-let belief st = Intern.string st.intern st.belief
 let decided st = output st
 
 let candidates st =

@@ -30,7 +30,6 @@ type config
 val config_of_scenario :
   ?strict_drop:bool ->
   ?compile:unit ->
-  ?builder:Compiled.builder ->
   Scenario.t ->
   config
 (** Shared immutable setup (samplers, memoized quorums, initial
@@ -47,17 +46,9 @@ val config_of_scenario :
     remains. The label
     stays because the benchmark ([benchmark/instance.ml]) passes
     [~compile:config.Runner.compile]; a caller asking for the old path
-    ([~compile:false]) fails to compile. [builder] supplies reusable
-    compile scratch ({!Compiled.builder}) for instance streams. *)
-
-val config_epoch : prev:config -> Scenario.t -> config
-(** Epoch reuse for instance streams ({!Fba_harness.Service}): a
-    config for [scenario] whose quorum caches and compile scratch are
-    [prev]'s, reset in place — instance k+1 evaluates into
-    storage instance k already paid for. [scenario] must share
-    [prev]'s interner value ({!Scenario.make}'s [?intern] round-trip).
-    Behaviour is identical to a fresh {!config_of_scenario}; [prev]
-    must no longer be used once the new config exists. *)
+    ([~compile:false]) fails to compile. Every run builds its config
+    here, instance streams ({!Fba_harness.Service}) included: the
+    caches and tables are fresh per run. *)
 
 val config_scenario : config -> Scenario.t
 
@@ -91,9 +82,6 @@ val phase_of_kind : string -> string
     [Metrics.total_bits_all]. *)
 
 (** {2 State inspection (experiments and tests)} *)
-
-val belief : state -> string
-(** Current s_this. *)
 
 val decided : state -> string option
 

@@ -64,50 +64,7 @@ let sid_of intern s =
   if sid < 0 then invalid_arg "Compiled.build: initial candidate not interned";
   sid
 
-(* Reusable build scratch: an instance stream compiles thousands of
-   scenarios over one population, and every [build] otherwise pays a
-   fresh set of O(n)-sized working arrays plus the CSR output slabs.
-   The builder owns them all; arrays are grown on demand and re-zeroed
-   per build, so a build through a warm builder allocates only the
-   donated cache rows and the result record. The CSR slabs of the
-   returned [t] alias the builder (heap path), so at most one [t] per
-   builder is live — the next build overwrites the previous one's
-   tables. *)
-type builder = {
-  mutable b_node_sid : int array;
-  mutable b_group_count : int array;
-  mutable b_scratch : int array;
-  mutable b_is_supp : Bytes.t;
-  b_edge_y : int Vec.t;
-  b_edge_x : int Vec.t;
-  mutable b_push_off : int array;
-  mutable b_push_tgt : int array;
-  mutable b_next : int array;
-  mutable b_str_bits : int array;
-}
-
-let builder () =
-  {
-    b_node_sid = [||];
-    b_group_count = [||];
-    b_scratch = [||];
-    b_is_supp = Bytes.empty;
-    b_edge_y = Vec.create ();
-    b_edge_x = Vec.create ();
-    b_push_off = [||];
-    b_push_tgt = [||];
-    b_next = [||];
-    b_str_bits = [||];
-  }
-
-let ensure_int a len fill =
-  if Array.length a >= len then begin
-    Array.fill a 0 len fill;
-    a
-  end
-  else Array.make (max len (2 * Array.length a)) fill
-
-let build ?builder:b ~(scenario : Scenario.t) ~(qi : Cache.t) () =
+let build ~(scenario : Scenario.t) ~(qi : Cache.t) =
   let params = scenario.Scenario.params in
   let n = params.Params.n in
   let intern = scenario.Scenario.intern in
@@ -115,14 +72,7 @@ let build ?builder:b ~(scenario : Scenario.t) ~(qi : Cache.t) () =
   let d = Sampler.d si in
   (* Group correct nodes by initial sid (counting sort, sids are dense). *)
   let nsid = Intern.string_count intern in
-  let node_sid, group_count =
-    match b with
-    | None -> (Array.make n (-1), Array.make nsid 0)
-    | Some b ->
-      b.b_node_sid <- ensure_int b.b_node_sid n (-1);
-      b.b_group_count <- ensure_int b.b_group_count nsid 0;
-      (b.b_node_sid, b.b_group_count)
-  in
+  let node_sid = Array.make n (-1) and group_count = Array.make nsid 0 in
   for id = 0 to n - 1 do
     if Scenario.is_correct scenario id then begin
       let sid = sid_of intern scenario.Scenario.initial.(id) in
@@ -138,17 +88,8 @@ let build ?builder:b ~(scenario : Scenario.t) ~(qi : Cache.t) () =
      draw. Rows nobody pushes through are dropped — precomputing every
      (sid, x) row would cost O(#strings * n * d) space for entries the
      run never touches. *)
-  let scratch, is_supp, edge_y, edge_x =
-    match b with
-    | None -> (Array.make d 0, Bytes.make n '\000', Vec.create (), Vec.create ())
-    | Some b ->
-      b.b_scratch <- ensure_int b.b_scratch d 0;
-      if Bytes.length b.b_is_supp < n then b.b_is_supp <- Bytes.make n '\000'
-      else Bytes.fill b.b_is_supp 0 n '\000';
-      Vec.clear b.b_edge_y;
-      Vec.clear b.b_edge_x;
-      (b.b_scratch, b.b_is_supp, b.b_edge_y, b.b_edge_x)
-  in
+  let scratch = Array.make d 0 and is_supp = Bytes.make n '\000' in
+  let edge_y = Vec.create () and edge_x = Vec.create () in
   for sid = 0 to nsid - 1 do
     if group_count.(sid) > 0 then begin
       let s = Intern.string intern sid in
@@ -174,13 +115,7 @@ let build ?builder:b ~(scenario : Scenario.t) ~(qi : Cache.t) () =
   (* Counting sort of the edges by source node. Each y belongs to one
      sid group and its x loop ran ascending, so the stable fill keeps
      targets in ascending order per y — the order Push_plan produces. *)
-  let push_off =
-    match b with
-    | None -> Array.make (n + 1) 0
-    | Some b ->
-      b.b_push_off <- ensure_int b.b_push_off (n + 1) 0;
-      b.b_push_off
-  in
+  let push_off = Array.make (n + 1) 0 in
   for i = 0 to Vec.length edge_y - 1 do
     let y = Vec.get edge_y i in
     push_off.(y + 1) <- push_off.(y + 1) + 1
@@ -188,21 +123,8 @@ let build ?builder:b ~(scenario : Scenario.t) ~(qi : Cache.t) () =
   for y = 0 to n - 1 do
     push_off.(y + 1) <- push_off.(y + 1) + push_off.(y)
   done;
-  let push_tgt =
-    match b with
-    | None -> Array.make (Vec.length edge_x) 0
-    | Some b ->
-      b.b_push_tgt <- ensure_int b.b_push_tgt (Vec.length edge_x) 0;
-      b.b_push_tgt
-  in
-  let next =
-    match b with
-    | None -> Array.copy push_off
-    | Some b ->
-      b.b_next <- ensure_int b.b_next (n + 1) 0;
-      Array.blit push_off 0 b.b_next 0 (n + 1);
-      b.b_next
-  in
+  let push_tgt = Array.make (Vec.length edge_x) 0 in
+  let next = Array.copy push_off in
   for i = 0 to Vec.length edge_y - 1 do
     let y = Vec.get edge_y i in
     push_tgt.(next.(y)) <- Vec.get edge_x i;
@@ -219,21 +141,7 @@ let build ?builder:b ~(scenario : Scenario.t) ~(qi : Cache.t) () =
   tag_fixed.(Msg.Packed.tag_pull) <- header + Params.label_bits;
   tag_fixed.(Msg.Packed.tag_fw1) <- header + Params.label_bits + (2 * id_bits);
   tag_fixed.(Msg.Packed.tag_fw2) <- header + Params.label_bits + id_bits;
-  let str_bits =
-    match b with
-    | None -> Array.init nsid (fun sid -> 8 * String.length (Intern.string intern sid))
-    | Some b ->
-      (* Whole-array wipe, not just [0..nsid): a stale length from a
-         previous epoch sitting beyond this epoch's sid range would be
-         served by [bits] without consulting the interner. *)
-      if Array.length b.b_str_bits < nsid then
-        b.b_str_bits <- Array.make (max nsid (2 * Array.length b.b_str_bits)) (-1)
-      else Array.fill b.b_str_bits 0 (Array.length b.b_str_bits) (-1);
-      for sid = 0 to nsid - 1 do
-        b.b_str_bits.(sid) <- 8 * String.length (Intern.string intern sid)
-      done;
-      b.b_str_bits
-  in
+  let str_bits = Array.init nsid (fun sid -> 8 * String.length (Intern.string intern sid)) in
   let big = n >= big_threshold in
   {
     n;

@@ -25,19 +25,10 @@
 
 type t
 
-type builder
-(** Reusable build scratch for instance streams: owns every working
-    array and the CSR output slabs, grown on demand and re-zeroed per
-    build. At most one {!t} built through a given builder is live at a
-    time — the next build overwrites the previous result's tables. *)
-
-val builder : unit -> builder
-
-val build : ?builder:builder -> scenario:Scenario.t -> qi:Fba_samplers.Cache.t -> unit -> t
-(** Lower [scenario]. [qi] must be the run's push-quorum cache (its
-    sampler is the build's row source and it receives the warm rows).
-    With [builder], the build reuses the builder's arrays instead of
-    allocating fresh ones (see {!builder} for the aliasing contract). *)
+val build : scenario:Scenario.t -> qi:Fba_samplers.Cache.t -> t
+(** Lower [scenario] into fresh tables. [qi] must be the run's
+    push-quorum cache (its sampler is the build's row source and it
+    receives the warm rows). *)
 
 val n : t -> int
 

@@ -5,8 +5,8 @@ type t = {
   strings : string Vec.t;
   by_label : int I64_table.t;
   labels : int64 Vec.t;
-  mutable string_cap : int;
-  mutable label_cap : int;
+  string_cap : int;
+  label_cap : int;
 }
 
 let create ~max_strings ~max_labels =
@@ -18,20 +18,6 @@ let create ~max_strings ~max_labels =
     string_cap = max_strings;
     label_cap = max_labels;
   }
-
-let string_cap t = t.string_cap
-let label_cap t = t.label_cap
-
-(* Epoch reset: forget every registration but keep the hash buckets
-   and vector storage warm, so the next run interns into memory this
-   one already paid for. The caps are the next scenario's layout's. *)
-let reset t ~max_strings ~max_labels =
-  Hashtbl.clear t.by_string;
-  Vec.clear t.strings;
-  I64_table.clear t.by_label;
-  Vec.clear t.labels;
-  t.string_cap <- max_strings;
-  t.label_cap <- max_labels
 
 let string_count t = Vec.length t.strings
 let label_count t = Vec.length t.labels

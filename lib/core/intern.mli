@@ -6,10 +6,11 @@
     deterministic (single-threaded) order, and resolved back when a
     human-readable rendering or a sampler draw needs the raw value.
 
-    An interner belongs to one {!Scenario.t} (multicore sweeps build
-    one scenario — hence one interner — per grid cell, so no table is
-    ever shared across domains). Registration is idempotent: replaying
-    the same run against a warm interner reassigns identical ids.
+    An interner belongs to one {!Scenario.t} and lives as long as its
+    run: sweep cells and service instances each build their own
+    scenario, so no table is ever shared across runs or domains.
+    Registration is idempotent: replaying the same run against a warm
+    interner reassigns identical ids.
 
     Table capacities mirror the scenario's packed {!Msg.Layout}: an id
     must fit its field, so the caps are the layout's [max_strings] and
@@ -19,19 +20,9 @@ type t
 
 val create : max_strings:int -> max_labels:int -> t
 
-val string_cap : t -> int
-val label_cap : t -> int
-
-val reset : t -> max_strings:int -> max_labels:int -> unit
-(** Epoch reset: forget every registered string and label while
-    keeping the underlying tables' storage warm, so a long-lived
-    instance stream ({!Fba_harness.Service}) re-interns into memory
-    the previous instance already paid for. Ids restart at 0; the caps
-    are rebound to the next scenario's layout. *)
-
 val intern : t -> string -> int
 (** Id of the string, registering it first if unseen. Raises [Failure]
-    beyond {!string_cap} distinct strings. *)
+    beyond [max_strings] distinct strings. *)
 
 val find : t -> string -> int
 (** Id of the string, or [-1] if it was never registered. *)
@@ -43,7 +34,7 @@ val string_count : t -> int
 
 val intern_label : t -> int64 -> int
 (** Id of the label, registering it first if unseen. Raises [Failure]
-    beyond {!label_cap} distinct labels. *)
+    beyond [max_labels] distinct labels. *)
 
 val label : t -> int -> int64
 (** Inverse of {!intern_label}; the returned box is shared. *)

@@ -23,18 +23,11 @@ let layout_of ~(params : Params.t) ~gstring ~initial =
 
 (* Packed messages need every payload registered: seed the interner
    with gstring and the initial candidates in a fixed order, so ids
-   are stable regardless of which node or adversary packs first. An
-   instance stream passes the previous epoch's interner back in; it is
-   reset in place (same id assignment, warm storage). *)
-let intern_of ?intern ~(layout : Msg.Layout.t) ~gstring ~initial () =
-  let max_strings = layout.Msg.Layout.max_strings
-  and max_labels = layout.Msg.Layout.max_labels in
+   are stable regardless of which node or adversary packs first. *)
+let intern_of ~(layout : Msg.Layout.t) ~gstring ~initial =
   let intern =
-    match intern with
-    | Some it ->
-      Intern.reset it ~max_strings ~max_labels;
-      it
-    | None -> Intern.create ~max_strings ~max_labels
+    Intern.create ~max_strings:layout.Msg.Layout.max_strings
+      ~max_labels:layout.Msg.Layout.max_labels
   in
   ignore (Intern.intern intern gstring);
   Array.iter (fun s -> ignore (Intern.intern intern s)) initial;
@@ -42,7 +35,7 @@ let intern_of ?intern ~(layout : Msg.Layout.t) ~gstring ~initial () =
 
 let random_string rng bits = Bytes.unsafe_to_string (Prng.bits rng bits)
 
-let make ?(junk = Junk_unique) ?gstring ?intern ~(params : Params.t) ~rng
+let make ?(junk = Junk_unique) ?gstring ~(params : Params.t) ~rng
     ~byzantine_fraction ~knowledgeable_fraction () =
   let n = params.Params.n in
   if byzantine_fraction < 0.0 || byzantine_fraction >= 1.0 /. 3.0 then
@@ -103,7 +96,7 @@ let make ?(junk = Junk_unique) ?gstring ?intern ~(params : Params.t) ~rng
   in
   let layout = layout_of ~params ~gstring ~initial in
   { params; gstring; corrupted; knowledgeable; initial; layout;
-    intern = intern_of ?intern ~layout ~gstring ~initial () }
+    intern = intern_of ~layout ~gstring ~initial }
 
 let of_assignment ~params ~gstring ~corrupted ~initial () =
   let n = params.Params.n in
@@ -118,7 +111,7 @@ let of_assignment ~params ~gstring ~corrupted ~initial () =
   done;
   let layout = layout_of ~params ~gstring ~initial in
   { params; gstring; corrupted; knowledgeable; initial; layout;
-    intern = intern_of ~layout ~gstring ~initial () }
+    intern = intern_of ~layout ~gstring ~initial }
 
 let knowledgeable_fraction t =
   float_of_int (Bitset.cardinal t.knowledgeable) /. float_of_int Params.(t.params.n)

@@ -35,7 +35,6 @@ type t = private {
 val make :
   ?junk:junk ->
   ?gstring:string ->
-  ?intern:Intern.t ->
   params:Params.t ->
   rng:Prng.t ->
   byzantine_fraction:float ->
@@ -50,11 +49,7 @@ val make :
     [Invalid_argument] (so do fractions that cannot be realized, e.g.
     more knowledgeable nodes than correct ones). [gstring] defaults to
     a fresh uniformly random string of [params.gstring_bits] bits;
-    [junk] defaults to {!Junk_unique}. [intern] hands back a previous
-    run's interner for epoch reuse: it is {!Intern.reset} to the new
-    layout's caps and re-seeded in place, so the scenario's id
-    assignment is identical to a fresh interner's while its table
-    storage stays warm. *)
+    [junk] defaults to {!Junk_unique}. *)
 
 val of_assignment :
   params:Params.t ->

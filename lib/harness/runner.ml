@@ -28,7 +28,7 @@ let default_setup =
     per_run_miss = 0.05;
   }
 
-let scenario_of_setup ?intern setup ~n ~seed =
+let scenario_of_setup setup ~n ~seed =
   let params =
     match setup.d_override with
     | Some (d_i, d_h, d_j) ->
@@ -41,7 +41,7 @@ let scenario_of_setup ?intern setup ~n ~seed =
         ~knowledgeable_fraction:setup.knowledgeable_fraction ()
   in
   let rng = Prng.create (Hash64.finish (Hash64.add_string (Hash64.init seed) "workload")) in
-  Scenario.make ?intern ~junk:setup.junk ~params ~rng
+  Scenario.make ~junk:setup.junk ~params ~rng
     ~byzantine_fraction:setup.byzantine_fraction
     ~knowledgeable_fraction:setup.knowledgeable_fraction ()
 

@@ -17,12 +17,10 @@ type aer_setup = {
 val default_setup : aer_setup
 (** byz 0.10, knowledgeable 0.85, unique junk, defaults elsewhere. *)
 
-val scenario_of_setup : ?intern:Intern.t -> aer_setup -> n:int -> seed:int64 -> Scenario.t
+val scenario_of_setup : aer_setup -> n:int -> seed:int64 -> Scenario.t
 (** Auto-sizes quorums via {!Params.make_for} unless [d_override].
-    [intern] hands in a previous scenario's interner for epoch reuse
-    (instance streams, {!Service}): it is {!Intern.reset} to this
-    scenario's layout caps and repopulated — ids are identical to a
-    fresh interner's, so executions cannot tell the difference. *)
+    Every run builds its scenario here, each {!Service} instance
+    included. *)
 
 (** {1 Run configuration}
 

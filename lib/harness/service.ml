@@ -65,17 +65,6 @@ type summary = {
   p99_instance_latency_ns : int;
 }
 
-(* One pipeline lane: the storage an epoch chain reuses from instance
-   to instance. Concurrently open instances can never share an
-   interner (each run packs its own strings), so every lane owns a
-   full set — interner, config chain (quorum caches + compile scratch,
-   reset through Aer.config_epoch) and mailbox. *)
-type lane = {
-  mutable intern : Intern.t option;
-  mutable prev : Aer.config option;
-  mailbox : Aer.msg Engine_core.Mailbox.t;
-}
-
 (* An instance in flight on a lane. *)
 type open_instance = {
   oi_index : int;
@@ -85,24 +74,18 @@ type open_instance = {
   oi_t0 : int;
 }
 
-(* Open instance [k] on [lane]: build the scenario exactly as the
-   one-shot path does (Runner.scenario_of_setup with the derived
-   seed), but evaluate it into the lane's recycled storage. The first
-   instance of a lane pays the allocations; every later one resets in
-   place. *)
+(* Open instance [k] exactly as a one-shot run does (fresh scenario,
+   fresh config) on [lane], the mailbox that the lane's instances
+   deliver through one at a time. The mailbox is the one storage worth
+   reusing: its segment arena is the bulk of a run's allocation, and
+   [Sync_engine.start] resets it in place. *)
 let open_instance t lane ~adversary k =
   let t0 = Monotonic.now_ns () in
   let seed = instance_seed t.stream_seed k in
-  let sc = Runner.scenario_of_setup ?intern:lane.intern t.setup ~n:t.n ~seed in
-  lane.intern <- Some sc.Scenario.intern;
-  let cfg =
-    match lane.prev with
-    | None -> Aer.config_of_scenario sc
-    | Some prev -> Aer.config_epoch ~prev sc
-  in
-  lane.prev <- Some cfg;
+  let sc = Runner.scenario_of_setup t.setup ~n:t.n ~seed in
+  let cfg = Aer.config_of_scenario sc in
   let running =
-    Aer_sync.start ~quiet_limit:(Params.quiet_limit sc.Scenario.params) ~mailbox:lane.mailbox
+    Aer_sync.start ~quiet_limit:(Params.quiet_limit sc.Scenario.params) ~mailbox:lane
       ~net:t.config.Runner.net ~config:cfg ~n:t.n ~seed:sc.Scenario.params.Params.seed
       ~adversary:(adversary sc) ~mode:t.config.Runner.mode
       ~max_rounds:t.config.Runner.max_rounds ()
@@ -144,14 +127,7 @@ let run_block t ~adversary ~heartbeat ~lo ~hi =
   let results = Array.make count None in
   if count > 0 then begin
     let width = min t.width count in
-    let lanes =
-      Array.init width (fun _ ->
-          {
-            intern = None;
-            prev = None;
-            mailbox = Engine_core.Mailbox.create ~n:t.n ();
-          })
-    in
+    let lanes = Array.init width (fun _ -> Engine_core.Mailbox.create ~n:t.n ()) in
     let open_ : open_instance option array = Array.make width None in
     let next = ref lo in
     let remaining = ref count in
@@ -189,20 +165,7 @@ let run ?(stream = default_stream) ~adversary () =
   if Option.is_some t.config.Runner.prof then invalid_arg "Service.run: config.prof is set";
   let jobs = Sweep.resolve_jobs t.jobs in
   let t_start = Monotonic.now_ns () in
-  (* Same stderr-only convention as the sweep heartbeat: opt-in, one
-     line per completed instance, atomic counter because instances
-     finish on arbitrary pool domains; stdout stays byte-identical. *)
-  let heartbeat =
-    if Sweep.progress_enabled () then begin
-      let done_ = Atomic.make 0 in
-      fun () ->
-        let k = 1 + Atomic.fetch_and_add done_ 1 in
-        let dt = float_of_int (max 1 (Monotonic.now_ns () - t_start)) /. 1e9 in
-        Printf.eprintf "[service] %d/%d instances, %.1f inst/s\n%!" k t.instances
-          (float_of_int k /. dt)
-    end
-    else fun () -> ()
-  in
+  let heartbeat = Sweep.heartbeat ~label:"service" ~total:t.instances in
   (* Contiguous blocks, one per domain: lane storage stays
      domain-private, and instance k's block depends only on
      (instances, jobs) — never on scheduling. *)

@@ -1,19 +1,22 @@
 (** Agreement as a service: a long-lived instance stream.
 
-    Executes many BA instances over one fixed population size, reusing
-    every piece of per-run storage from instance to instance instead
-    of reallocating it — the interner ({!Fba_core.Intern.reset}),
-    quorum caches ({!Fba_samplers.Cache.reset}), compile scratch
-    ({!Fba_core.Compiled.builder}) and the engine's delivery storage
-    ({!Fba_sim.Engine_core.Mailbox.reset}), all chained through
-    {!Fba_core.Aer.config_epoch}.
+    Executes many BA instances over one fixed population size. Each
+    instance is opened exactly as a one-shot run is: a fresh scenario
+    ({!Runner.scenario_of_setup}), a fresh config
+    ({!Fba_core.Aer.config_of_scenario}), then
+    [Sync_engine.start ~mailbox]. The one storage reused from instance
+    to instance is a lane's mailbox
+    ({!Fba_sim.Engine_core.Mailbox.reset}): without it an instance
+    allocates about 20% more. Reusing the interner, quorum caches and
+    compile scratch as well would save about 1%, so they are fresh per
+    instance.
 
     {b Seeding discipline.} Instance [k] runs the scenario
     [Runner.scenario_of_setup setup ~n ~seed:(instance_seed stream_seed
-    k)] — the same construction as a fresh one-shot run, so per-instance
-    executions (message counters, decision rounds, fingerprints) are
-    byte-identical to {!Runner.aer_sync} on that scenario, for every
-    pipeline width and every [jobs] value. Epoch reuse is storage-only.
+    k)], so per-instance executions (message counters, decision rounds,
+    fingerprints) are byte-identical to {!Runner.aer_sync} on that
+    scenario, for every pipeline width and every [jobs] value. Mailbox
+    reuse is storage-only.
 
     {b Pipelining.} Each worker domain drives [width] lanes through a
     round-robin scheduler: [width] instances are concurrently open,
@@ -95,10 +98,9 @@ val run :
     [instances < 0], [width < 1], or [config.events] or [config.prof]
     is [Some]. Everything in [results] except [latency_ns]
     is deterministic (identical across width/jobs); the throughput
-    and latency fields are wall-clock. When [FBA_PROGRESS] is set
-    (non-empty, not ["0"]) a heartbeat line
-    [\[service\] k/N instances, X inst/s] is printed to {e stderr}
-    per completed instance — stdout stays byte-identical. *)
+    and latency fields are wall-clock. Each completed instance ticks a
+    ["service"] {!Sweep.heartbeat} (stderr, when [FBA_PROGRESS] is
+    set). *)
 
 val pp_trace : out_channel -> summary -> unit
 (** Print the deterministic face of a summary — one line per instance

@@ -15,16 +15,17 @@ val resolve_jobs : int -> int
 (** [resolve_jobs j] is [j] if positive, else {!default_jobs} [()]
     (the CLI convention: [--jobs 0] or an absent flag means "auto"). *)
 
-val progress_enabled : unit -> bool
-(** Whether the [FBA_PROGRESS] environment variable is set (non-empty,
-    not ["0"]): the switch for every stderr heartbeat. *)
+val heartbeat : label:string -> total:int -> unit -> unit
+(** [heartbeat ~label ~total] is the tick to call once per completed
+    unit of a [total]-unit job. When the [FBA_PROGRESS] environment
+    variable is set (non-empty, not ["0"]) each tick prints
+    [\[label\] k/total, X/s, peak mailbox words P] to {e stderr}: the
+    completion count (monotone from any domain), the completion rate
+    since the heartbeat was made, and {!Fba_sim.Batch.Peak}. Otherwise
+    a tick does nothing. Stdout is never touched. *)
 
 val cells : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [cells ~jobs run_cell grid] maps [run_cell] over [grid] on
     [resolve_jobs jobs] domains, preserving grid order. [~jobs:1]
-    runs inline (no domain is spawned).
-
-    When {!progress_enabled} [()], a heartbeat line
-    [\[sweep\] k/total cells] is printed to {e stderr} as each cell
-    completes — completion order, so the counter is monotone for any
-    [jobs] value while stdout stays byte-identical. *)
+    runs inline (no domain is spawned). Each completed cell ticks a
+    ["sweep"] {!heartbeat}. *)

@@ -4,7 +4,7 @@
 let unset : int array = [||]
 
 type t = {
-  mutable sampler : Sampler.t;
+  sampler : Sampler.t;
   (* I/H-shaped quorums: [by_sid] indexes dense rows of per-x slots by
      string id, so a lookup is two array loads and no string hashing.
      J-shaped quorums: the label id itself is the index. Labels are
@@ -25,17 +25,6 @@ let create sampler =
   { sampler; by_sid = [||]; rid_x = [||]; rid_rows = [||]; xr_rid = Hashtbl.create 64 }
 
 let sampler t = t.sampler
-
-(* Epoch reset: rebind to the next instance's sampler and drop every
-   memoized quorum while keeping the tables' storage warm. The dense
-   rows are refilled with their physical sentinels, so nothing a stale
-   row held can be mistaken for a fresh evaluation. *)
-let reset t ~sampler =
-  t.sampler <- sampler;
-  Array.fill t.by_sid 0 (Array.length t.by_sid) no_row;
-  Array.fill t.rid_x 0 (Array.length t.rid_x) (-1);
-  Array.fill t.rid_rows 0 (Array.length t.rid_rows) unset;
-  Hashtbl.clear t.xr_rid
 
 let[@inline] row_sid t ~sid =
   if sid >= Array.length t.by_sid then begin

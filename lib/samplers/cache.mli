@@ -21,13 +21,6 @@ val create : Sampler.t -> t
 
 val sampler : t -> Sampler.t
 
-val reset : t -> sampler:Sampler.t -> unit
-(** Epoch reset for instance streams ({!Fba_harness.Service}): rebind
-    the cache to [sampler] (the next instance's draw seed), forget
-    every memoized quorum, and keep all table storage warm. After a
-    reset the cache answers exactly as a fresh [create] over the same
-    sampler would. *)
-
 val quorum_sid : t -> sid:int -> s:string -> x:int -> int array
 (** Cached {!Sampler.quorum_sx} for the string whose interned id is
     [sid]; [s] must be that string (read only on a cold slot). The

@@ -81,10 +81,6 @@ let set t key v =
     t.count <- t.count + 1
   end
 
-let clear t =
-  Bytes.fill t.used 0 (Bytes.length t.used) '\000';
-  t.count <- 0
-
 let iter f t =
   for i = 0 to Array.length t.keys - 1 do
     if Bytes.get t.used i <> '\000' then f t.keys.(i) t.vals.(i)

@@ -1,12 +1,10 @@
 (** Open-addressing hash table keyed by [int64].
 
-    Built for the sampler caches: quorum lookups key on the absorbed
-    64-bit hash state of [(s, x)] or [(x, r)], so a generic [Hashtbl]
-    over those tuples boxes a fresh key on every probe. This table
-    probes with the int64 directly — no per-lookup allocation on hits
-    ([get] raises [Not_found] instead of returning an option) — using
-    linear probing over a power-of-two slot array at load factor
-    <= 1/2. Keys cannot be removed; [clear] drops everything. *)
+    It holds the interner's 64-bit poll labels. It probes with the
+    int64 directly: no polymorphic hash or compare, and no per-lookup
+    allocation on hits ([get] raises [Not_found] instead of returning
+    an option). Linear probing over a power-of-two slot array at load
+    factor <= 1/2. Keys cannot be removed. *)
 
 type 'a t
 
@@ -24,8 +22,5 @@ val find_opt : 'a t -> int64 -> 'a option
 
 val set : 'a t -> int64 -> 'a -> unit
 (** Insert or replace. *)
-
-val clear : 'a t -> unit
-(** Forget all bindings, retaining storage. *)
 
 val iter : (int64 -> 'a -> unit) -> 'a t -> unit

@@ -253,4 +253,5 @@ refused() {
 }
 refused "Params.make: n must be at least 4" run-aer -n 3
 refused "Params.make_for: byzantine_fraction must be in [0, 1/3)" trace -n 48 --byzantine 0.5
+refused "Aeba.make_config: byzantine_fraction must be in [0, 1/3)" run-ba -n 64 --byzantine 0.34
 echo "flag smoke ok: rejected flag values exit 2 with the library's message"

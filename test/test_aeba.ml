@@ -262,6 +262,18 @@ let test_aeba_config_validation () =
   Alcotest.(check bool) "higher byz -> larger committees" true
     (m (Aeba.config_tree cfg) >= m (Aeba.config_tree cfg2))
 
+(* Phase-king inside each committee needs n > 3t, so a fraction of
+   1/3 or more is refused before any committee is sized. *)
+let test_aeba_byzantine_refused () =
+  List.iter
+    (fun byz ->
+      Alcotest.check_raises
+        (Printf.sprintf "byzantine_fraction %g" byz)
+        (Invalid_argument "Aeba.make_config: byzantine_fraction must be in [0, 1/3)")
+        (fun () -> ignore (Aeba.make_config ~n:64 ~seed:1L ~byzantine_fraction:byz ())))
+    [ -0.1; 1.0 /. 3.0; 0.34; 0.5 ];
+  ignore (Aeba.make_config ~n:64 ~seed:1L ~byzantine_fraction:0.0 ())
+
 (* --- The asynchrony boundary (paper, Section 5) --- *)
 
 module Async_engine = Fba_sim.Async_engine.Make (Aeba)
@@ -382,6 +394,7 @@ let suites =
         Alcotest.test_case "gstring length" `Quick test_aeba_gstring_length;
         Alcotest.test_case "unanimous without faults" `Quick test_aeba_no_faults_unanimous;
         Alcotest.test_case "config validation/sizing" `Quick test_aeba_config_validation;
+        Alcotest.test_case "byzantine fraction >= 1/3 refused" `Quick test_aeba_byzantine_refused;
         Alcotest.test_case "biased contributions" `Quick test_aeba_biased_contribution;
         Alcotest.test_case "equivocating relays" `Quick test_aeba_equivocating_relay;
         Alcotest.test_case "asynchrony boundary (Sec. 5)" `Quick test_aeba_async_boundary;

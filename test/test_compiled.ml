@@ -114,7 +114,7 @@ let scenario ~n ~seed = Runner.scenario_of_setup Runner.default_setup ~n ~seed
    config's qi), keeping the donated rows inspectable. *)
 let compiled_of sc =
   let qi = Cache.create (Params.sampler_i sc.Scenario.params) in
-  let cp = Compiled.build ~scenario:sc ~qi () in
+  let cp = Compiled.build ~scenario:sc ~qi in
   (qi, cp)
 
 (* --- Position oracles --- *)

@@ -1,19 +1,18 @@
 (* Agreement-as-a-service: the instance stream must be a pure storage
    optimisation.
 
-   - qcheck property: every instance of an epoch-reset stream is
+   - qcheck property: every instance of a stream is
      trace-fingerprint-identical to a fresh one-shot Runner run of the
      same derived seed — across pipeline widths and worker-domain
      counts.
-   - unit suite for the reset entry points themselves: no stale
-     interner ids, sampler rows or mailbox contents survive an epoch
-     boundary. *)
+   - the one storage a stream reuses, its lanes' mailboxes: a reset
+     mailbox holds nothing of the previous instance, and the reuse
+     shows in a pinned allocation budget. *)
 
 module Runner = Fba_harness.Runner
 module Service = Fba_harness.Service
 module Attacks = Fba_adversary.Aer_attacks
 module Engine_core = Fba_sim.Engine_core
-open Fba_core
 open Fba_stdx
 
 (* --- qcheck: stream vs one-shot fingerprint identity --- *)
@@ -102,90 +101,34 @@ let test_observers_refused () =
   Alcotest.check_raises "profiler" (Invalid_argument "Service.run: config.prof is set")
     (with_config { Runner.default_config with Runner.prof = Some (Fba_sim.Prof.create ()) })
 
-(* --- unit: reset entry points --- *)
+(* --- unit: the lane mailbox is reused --- *)
 
-(* Intern.reset must forget everything (no stale ids served) and
-   reassign the same ids as a fresh interner on replay. *)
-let test_intern_reset () =
-  let it = Intern.create ~max_strings:16 ~max_labels:16 in
-  let id_a = Intern.intern it "alpha" in
-  let _ = Intern.intern it "beta" in
-  let lab = Intern.intern_label it 77L in
-  Alcotest.(check int) "two strings registered" 2 (Intern.string_count it);
-  Intern.reset it ~max_strings:16 ~max_labels:16;
-  Alcotest.(check int) "strings forgotten" 0 (Intern.string_count it);
-  Alcotest.(check int) "labels forgotten" 0 (Intern.label_count it);
-  Alcotest.(check int) "no stale string id" (-1) (Intern.find it "alpha");
-  let id_b = Intern.intern it "beta" in
-  Alcotest.(check int) "ids restart at 0" id_a id_b;
-  let lab2 = Intern.intern_label it 78L in
-  Alcotest.(check int) "label ids restart at 0" lab lab2
+(* Eight cornering n=128 instances on two lanes of one domain allocate
+   this many words per instance on the default (release) build;
+   [--profile dev] reads 0.7% more. Opening every instance on a fresh
+   mailbox instead of its lane's reads 16% more, so the 1% budget
+   catches a dropped reuse. *)
+let service_n128_words = 1_327_705.
 
-(* Cache.reset onto a different sampler must answer exactly like a
-   fresh cache over that sampler — stale rows from the first epoch
-   must not leak into quorum answers. Ids are reused across the reset
-   with new strings and labels, as they are after an interner reset.
-   Label id 3 is also queried by a second poller in each epoch, so the
-   cross-poller fallback table is checked through the reset as well as
-   the dense rows. *)
-let test_cache_reset () =
-  let module Cache = Fba_samplers.Cache in
-  let s1 = Fba_samplers.Sampler.create ~seed:3L ~n:64 ~d:8 in
-  let s2 = Fba_samplers.Sampler.create ~seed:9L ~n:64 ~d:8 in
-  let echo ~epoch ~r reused fresh =
-    List.iter
-      (fun x ->
-        Alcotest.(check (array int))
-          (Printf.sprintf "%s: rid 3 polled by x=%d" epoch x)
-          (Cache.quorum_rid fresh ~x ~rid:3 ~r)
-          (Cache.quorum_rid reused ~x ~rid:3 ~r))
-      [ 3; 20 ]
+let test_alloc_budget () =
+  let instances = 8 in
+  let stream =
+    { Service.default_stream with
+      Service.n = 128;
+      stream_seed = 1L;
+      instances;
+      width = 2;
+      jobs = 1 }
   in
-  let reused = Cache.create s1 in
-  for x = 0 to 15 do
-    ignore (Cache.quorum_sid reused ~sid:0 ~s:"epoch-one" ~x);
-    ignore (Cache.quorum_rid reused ~x ~rid:x ~r:(Int64.of_int x))
-  done;
-  echo ~epoch:"before reset" ~r:3L reused (Cache.create s1);
-  Cache.reset reused ~sampler:s2;
-  let fresh = Cache.create s2 in
-  for x = 0 to 15 do
-    Alcotest.(check (array int))
-      (Printf.sprintf "quorum_sid x=%d" x)
-      (Cache.quorum_sid fresh ~sid:0 ~s:"epoch-two" ~x)
-      (Cache.quorum_sid reused ~sid:0 ~s:"epoch-two" ~x);
-    Alcotest.(check (array int))
-      (Printf.sprintf "quorum_rid x=%d" x)
-      (Cache.quorum_rid fresh ~x ~rid:x ~r:(Int64.of_int (1000 + x)))
-      (Cache.quorum_rid reused ~x ~rid:x ~r:(Int64.of_int (1000 + x)))
-  done;
-  echo ~epoch:"after reset" ~r:1003L reused fresh
-
-(* Aer.config_epoch chains the whole per-run state (interner, quorum
-   caches, compile scratch) through a reset; the second
-   epoch must produce the exact execution a fresh config produces. *)
-let test_config_epoch () =
-  let n = 48 in
-  let seed_a = 11L and seed_b = 12L in
-  let sc_a = Runner.scenario_of_setup Runner.default_setup ~n ~seed:seed_a in
-  let cfg_a = Aer.config_of_scenario sc_a in
-  let module E = Fba_sim.Sync_engine.Make (Aer) in
-  let run cfg (sc : Scenario.t) =
-    Service.fingerprint
-      (E.run ~quiet_limit:(Params.quiet_limit sc.Scenario.params) ~config:cfg ~n
-         ~seed:sc.Scenario.params.Params.seed ~adversary:(Attacks.cornering sc)
-         ~mode:`Rushing ~max_rounds:300 ())
-        .Fba_sim.Sync_engine.metrics
-  in
-  ignore (run cfg_a sc_a);
-  let sc_b =
-    Runner.scenario_of_setup ~intern:sc_a.Scenario.intern Runner.default_setup ~n ~seed:seed_b
-  in
-  let cfg_b = Aer.config_epoch ~prev:cfg_a sc_b in
-  let fp_epoch = run cfg_b sc_b in
-  let sc_fresh = Runner.scenario_of_setup Runner.default_setup ~n ~seed:seed_b in
-  let fp_fresh = run (Aer.config_of_scenario sc_fresh) sc_fresh in
-  Alcotest.(check int64) "epoch-reset config replays the fresh execution" fp_fresh fp_epoch
+  let before = Test_streamed.allocated_words () in
+  ignore (Service.run ~stream ~adversary:Attacks.cornering ());
+  let words = (Test_streamed.allocated_words () -. before) /. float_of_int instances in
+  let budget = 1.01 *. service_n128_words in
+  if words > budget then
+    Alcotest.failf "service n=128 allocated %.0f words per instance, %+.2f%% over %.0f (budget %.0f)"
+      words
+      ((words /. service_n128_words -. 1.) *. 100.)
+      service_n128_words budget
 
 (* Mailbox reset: nothing staged, pending or deliverable may survive
    the epoch boundary. *)
@@ -221,12 +164,10 @@ let suites =
         QCheck_alcotest.to_alcotest prop_schedule_invariance;
         Alcotest.test_case "width < 1 refused" `Quick test_width_refused;
         Alcotest.test_case "sink and profiler refused" `Quick test_observers_refused;
+        Alcotest.test_case "n=128 allocation budget" `Quick test_alloc_budget;
       ] );
     ( "service.reset",
       [
-        Alcotest.test_case "intern reset" `Quick test_intern_reset;
-        Alcotest.test_case "cache reset" `Quick test_cache_reset;
-        Alcotest.test_case "config epoch parity" `Quick test_config_epoch;
         Alcotest.test_case "mailbox reset" `Quick test_mailbox_reset;
         Alcotest.test_case "FBA_JOBS override" `Quick test_fba_jobs_override;
       ] );

@@ -311,10 +311,7 @@ let test_i64_table_grow () =
   done;
   let sum = ref 0 in
   I64_table.iter (fun _ v -> sum := !sum + v) t;
-  Alcotest.(check int) "iter visits all" (999 * 1000 / 2) !sum;
-  I64_table.clear t;
-  Alcotest.(check int) "clear" 0 (I64_table.length t);
-  Alcotest.(check bool) "cleared key gone" false (I64_table.mem t (key 5))
+  Alcotest.(check int) "iter visits all" (999 * 1000 / 2) !sum
 
 (* --- Stats --- *)
 
