@@ -190,16 +190,10 @@ let run_trace n byz know seed attack mode jsonl csv drop_rate partition =
       (sc, net))
   @@ fun (sc, net) ->
   let sink = Events.create () in
-  let trace = Fba_sim.Trace.create () in
-  Events.attach sink (Fba_sim.Trace.consumer trace);
-  (* Discarded deliveries, adversary- and net-attributed alike, keyed by
-     the Drop reason tag. *)
-  let drops : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  Events.attach sink (function
-    | Events.Drop { reason; _ } ->
-      Hashtbl.replace drops reason
-        (1 + Option.value ~default:0 (Hashtbl.find_opt drops reason))
-    | _ -> ());
+  let tally =
+    Events.Tally.create ~classify:(fun ~kind -> Fba_core.Aer.phase_of_kind kind) ~n ()
+  in
+  Events.attach sink (Events.Tally.consumer tally);
   let close_jsonl =
     match jsonl with
     | None -> fun () -> ()
@@ -211,10 +205,6 @@ let run_trace n byz know seed attack mode jsonl csv drop_rate partition =
       Events.attach sink (Events.Jsonl.writer oc);
       fun () -> close_out oc
   in
-  let acc =
-    Events.Phase_acc.create ~classify:(fun ~kind -> Fba_core.Aer.phase_of_kind kind) ~n ()
-  in
-  Events.attach sink (Events.Phase_acc.consumer acc);
   let config = { Runner.default_config with Runner.events = Some sink; net } in
   let run, norm = run_mode ~config attack mode sc in
   close_jsonl ();
@@ -224,12 +214,12 @@ let run_trace n byz know seed attack mode jsonl csv drop_rate partition =
     Format.printf "AER execution trace, n=%d byzantine=%.2f attack=%s@.@." n byz
       (attack_name attack);
     Format.printf "Phase timeline (traffic split by message kind -> phase):@.@.";
-    print_string (Events.Phase_acc.render acc);
+    print_string (Events.Tally.render_phases tally);
     Format.printf "@.Deliveries per %s, by message kind:@.@." clock;
     print_string
-      (if csv then Fba_sim.Trace.to_csv trace else Fba_sim.Trace.render trace);
+      (if csv then Events.Tally.deliveries_csv tally else Events.Tally.render_deliveries tally);
     Format.printf "@.Drops by reason (adversary- and net-attributed):@.";
-    (match List.sort compare (Hashtbl.fold (fun r c acc -> (r, c) :: acc) drops []) with
+    (match Events.Tally.drops tally with
     | [] -> Format.printf "  (none)@."
     | reasons ->
       List.iter (fun (reason, count) -> Format.printf "  %-16s %d@." reason count) reasons);
@@ -240,7 +230,7 @@ let run_trace n byz know seed attack mode jsonl csv drop_rate partition =
   end;
   (* Accounting cross-check: kind-based phase attribution must repartition
      the run's total traffic exactly. *)
-  let phase_bits = Events.Phase_acc.total_bits acc in
+  let phase_bits = Events.Tally.total_bits tally in
   let total_bits = obs.Fba_harness.Obs.total_bits_all in
   if phase_bits = total_bits then begin
     if jsonl <> Some "-" then
@@ -302,7 +292,7 @@ let run_profile n byz know seed attack mode top json =
   done;
   let total_wall = Prof.total_wall_ns prof and total_alloc = Prof.total_alloc_words prof in
   let ok = !sum_wall = total_wall && !sum_alloc = total_alloc && Prof.check prof in
-  if json then print_endline (Telemetry.to_json (Telemetry.of_aer_run ~prof run))
+  if json then print_endline (Telemetry.to_json ~prof run)
   else begin
     let obs = run.Runner.obs in
     let clock = match mode with `Async -> "time step" | _ -> "round" in
@@ -459,13 +449,7 @@ let run_service n byz know seed attack instances width jobs check =
     let setup = setup_of_flags byz know in
     let adversary = sync_attack attack in
     let stream =
-      { Service.default_stream with
-        Service.setup;
-        n;
-        stream_seed = Int64.of_int seed;
-        instances;
-        width;
-        jobs }
+      { Service.setup; n; stream_seed = Int64.of_int seed; instances; width; jobs }
     in
     let s = Service.run ~stream ~adversary () in
     (* Deterministic per-instance trace to stdout (byte-identical for

@@ -8,7 +8,7 @@
 
      dune exec examples/binary_agreement.exe *)
 
-module Trace = Fba_sim.Trace
+module Tally = Fba_sim.Events.Tally
 
 let () =
   let n = 128 in
@@ -35,13 +35,13 @@ let () =
   let sc =
     Fba_harness.Runner.scenario_of_setup Fba_harness.Runner.default_setup ~n:64 ~seed:7L
   in
-  let trace = Trace.create () in
+  let tally = Tally.create ~n:64 () in
   let events = Fba_sim.Events.create () in
-  Fba_sim.Events.attach events (Trace.consumer trace);
+  Fba_sim.Events.attach events (Tally.consumer tally);
   let _ =
     Engine.run ~events ~config:(Fba_core.Aer.config_of_scenario sc) ~n:64 ~seed:7L
       ~adversary:
         (Fba_sim.Sync_engine.null_adversary ~corrupted:sc.Fba_core.Scenario.corrupted)
       ~mode:`Rushing ~max_rounds:30 ()
   in
-  print_string (Trace.render trace)
+  print_string (Tally.render_deliveries tally)

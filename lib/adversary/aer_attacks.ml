@@ -106,11 +106,14 @@ let wrong_answer (sc : Scenario.t) =
   in
   { Fba_sim.Sync_engine.corrupted; act }
 
+(* Candidate labels scored per corrupted node's pull request. *)
+let labels_per_search = 64
+
 (* The cornering plan: spend one protocol-legitimate pull request per
    corrupted node, with a label searched so its poll list hits the
    chosen victims, exhausting their Algorithm-3 answer filter. Returns
    the envelopes to inject. *)
-let cornering_plan ~labels_per_search (sc : Scenario.t) observed =
+let cornering_plan (sc : Scenario.t) observed =
   let params = sc.Scenario.params in
   let lt = layout_of sc in
   let gstring = sc.Scenario.gstring in
@@ -209,18 +212,21 @@ let cornering_plan ~labels_per_search (sc : Scenario.t) observed =
     byz;
   !outs
 
-let cornering ?(labels_per_search = 64) (sc : Scenario.t) =
+let cornering (sc : Scenario.t) =
   let fired = ref false in
   let act ~round ~observed =
     if round = 0 && not !fired then begin
       fired := true;
-      cornering_plan ~labels_per_search sc (observed ())
+      cornering_plan sc (observed ())
     end
     else []
   in
   { Fba_sim.Sync_engine.corrupted = sc.Scenario.corrupted; act }
 
-let quorum_capture ?(victims = 4) ?strings_per_victim ?(max_tries = 400) (sc : Scenario.t) =
+(* Hash searches allowed per string to plant. *)
+let max_tries = 400
+
+let quorum_capture ?(victims = 4) ?strings_per_victim (sc : Scenario.t) =
   let params = sc.Scenario.params in
   let n = params.Params.n in
   let corrupted = sc.Scenario.corrupted in
@@ -312,8 +318,9 @@ let async_of_sync ?(max_delay = 4) (sc : Scenario.t) (attack : sync) =
     inject;
   }
 
-let async_cornering ?(max_delay = 4) ?(labels_per_search = 64) (sc : Scenario.t) =
-  let base = async_of_sync ~max_delay sc (cornering ~labels_per_search sc) in
+let async_cornering (sc : Scenario.t) =
+  let max_delay = 4 in
+  let base = async_of_sync ~max_delay sc (cornering sc) in
   let lt = layout_of sc in
   let corrupted = sc.Scenario.corrupted in
   (* Content-inspecting schedule: traffic serving the adversary's own

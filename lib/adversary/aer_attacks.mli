@@ -48,18 +48,17 @@ val wrong_answer : Scenario.t -> sync
     workload and {!push_flood}, which plant non-gstring candidates in
     correct lists. *)
 
-val cornering : ?labels_per_search:int -> Scenario.t -> sync
+val cornering : Scenario.t -> sync
 (** The Lemma 6 rushing attack. In round 0 the adversary observes the
     polls correct nodes issue, ranks their poll-list members, and
     spends its budget of protocol-legitimate pull requests — one per
-    corrupted node, with an adversarially searched label r so that the
-    chosen victims sit in J(a, r) — to exhaust the victims' answer
-    filter before honest answers are due. Victims then stay silent
-    until they decide, stretching decision time. Requires the
+    corrupted node, with a label r searched among 64 candidates so
+    that the chosen victims sit in J(a, r) — to exhaust the victims'
+    answer filter before honest answers are due. Victims then stay
+    silent until they decide, stretching decision time. Requires the
     [`Rushing] engine mode to see round-0 polls. *)
 
-val quorum_capture :
-  ?victims:int -> ?strings_per_victim:int -> ?max_tries:int -> Scenario.t -> sync
+val quorum_capture : ?victims:int -> ?strings_per_victim:int -> Scenario.t -> sync
 (** The load-balance attack of Section 1 ("a Byzantine adversary can
     seize control of several Input Quorums, associated to a few nodes,
     and force these nodes to verify an almost-linear number of
@@ -70,8 +69,8 @@ val quorum_capture :
     members; the victim must accept and verify each. Succeeds only
     when quorums are small relative to the Byzantine fraction, i.e. it
     also demonstrates why quorum sizing matters. [victims] defaults to
-    4, [strings_per_victim] to n/8, [max_tries] to 400 hash searches
-    per string. *)
+    4 and [strings_per_victim] to n/8; the search gives up after 400
+    hash tries per string. *)
 
 (** {2 Asynchronous variants} *)
 
@@ -81,8 +80,8 @@ val async_of_sync : ?max_delay:int -> Scenario.t -> sync -> async
     lifted strategy's [act] runs once per [max_delay] window over the
     messages observed in that window. *)
 
-val async_cornering : ?max_delay:int -> ?labels_per_search:int -> Scenario.t -> async
+val async_cornering : Scenario.t -> async
 (** Full asynchronous scheduling power (Lemma 6's general case): the
     cornering floods plus content-inspecting delays — messages serving
     the adversary's own pull chains travel at speed 1, honest answer
-    traffic at [max_delay] (default 4). *)
+    traffic at [max_delay] 4. *)

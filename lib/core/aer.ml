@@ -143,7 +143,7 @@ type state = {
 
 let name = "aer"
 
-(* Message kind -> protocol phase, for Events.Phase_acc. *)
+(* Message kind -> protocol phase, for Events.Tally. *)
 let phase_of_kind = function
   | "Push" -> "push"
   | "Poll" | "Pull" | "Answer" -> "poll"

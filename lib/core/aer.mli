@@ -77,7 +77,7 @@ val phase_of_kind : string -> string
     Push ↦ "push"; Poll, Pull and Answer ↦ "poll" (the Algorithm 1
     poll round-trip); Fw1 ↦ "fw1"; Fw2 ↦ "fw2"
     (the Algorithm 2/3 forwarding bursts). Unknown kinds map to
-    themselves. The classifier for {!Fba_sim.Events.Phase_acc}: because
+    themselves. The classifier for {!Fba_sim.Events.Tally}: because
     every message belongs to exactly one phase, per-phase bits sum to
     [Metrics.total_bits_all]. *)
 

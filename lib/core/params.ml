@@ -17,10 +17,10 @@ let check_d name n = function
   | Some _ -> invalid_arg (Printf.sprintf "Params.make: %s out of range" name)
   | None -> assert false
 
-let make ?d_i ?d_h ?d_j ?gstring_bits ?pull_filter ?(max_poll_attempts = 1)
-    ?(repoll_timeout = 8) ~n ~seed () =
+let repoll_timeout = 8
+
+let make ?d_i ?d_h ?d_j ?gstring_bits ?pull_filter ?(max_poll_attempts = 1) ~n ~seed () =
   if max_poll_attempts < 1 then invalid_arg "Params.make: max_poll_attempts < 1";
-  if repoll_timeout < 1 then invalid_arg "Params.make: repoll_timeout < 1";
   if n < 4 then invalid_arg "Params.make: n must be at least 4";
   let log_n = Intx.ceil_log2 n in
   let dflt v d = match v with Some _ -> v | None -> Some (Intx.clamp ~lo:1 ~hi:n d) in
@@ -56,16 +56,15 @@ let size_quorum ~n ~bad_fraction ~budget =
   in
   search 7
 
-let make_for ?(per_run_miss = 0.05) ?gstring_bits ?pull_filter ?max_poll_attempts
-    ?repoll_timeout ~n ~seed ~byzantine_fraction ~knowledgeable_fraction () =
+let make_for ?(per_run_miss = 0.05) ?gstring_bits ?pull_filter ~n ~seed ~byzantine_fraction
+    ~knowledgeable_fraction () =
   if byzantine_fraction < 0.0 || byzantine_fraction >= 1.0 /. 3.0 then
     invalid_arg "Params.make_for: byzantine_fraction must be in [0, 1/3)";
   if knowledgeable_fraction <= 0.5 || knowledgeable_fraction > 1.0 then
     invalid_arg "Params.make_for: knowledgeable_fraction must be in (1/2, 1]";
   let d_i = size_quorum ~n ~bad_fraction:(1.0 -. knowledgeable_fraction) ~budget:per_run_miss in
   let d_hj = size_quorum ~n ~bad_fraction:byzantine_fraction ~budget:per_run_miss in
-  make ~d_i ~d_h:d_hj ~d_j:d_hj ?gstring_bits ?pull_filter ?max_poll_attempts ?repoll_timeout
-    ~n ~seed ()
+  make ~d_i ~d_h:d_hj ~d_j:d_hj ?gstring_bits ?pull_filter ~n ~seed ()
 
 let derive_sampler t tag d =
   let seed = Hash64.finish (Hash64.add_int (Hash64.init t.seed) tag) in

@@ -30,7 +30,7 @@ type t = private {
           let a node whose poll list drew a Byzantine majority retry
           with a fresh random sample, at the cost of multiplying the
           worst-case pull amplification by the same factor. *)
-  repoll_timeout : int;  (** rounds before an unanswered poll retries *)
+  repoll_timeout : int;  (** rounds before an unanswered poll retries: always 8 *)
 }
 
 val make :
@@ -40,7 +40,6 @@ val make :
   ?gstring_bits:int ->
   ?pull_filter:int ->
   ?max_poll_attempts:int ->
-  ?repoll_timeout:int ->
   n:int ->
   seed:int64 ->
   unit ->
@@ -55,8 +54,6 @@ val make_for :
   ?per_run_miss:float ->
   ?gstring_bits:int ->
   ?pull_filter:int ->
-  ?max_poll_attempts:int ->
-  ?repoll_timeout:int ->
   n:int ->
   seed:int64 ->
   byzantine_fraction:float ->
@@ -66,9 +63,10 @@ val make_for :
 (** Size the quorums for a concrete fault model: picks the smallest
     d_i (resp. d_h, d_j) such that the expected number of quorums with
     a bad majority across one execution stays below [per_run_miss]
-    (default 0.05). Push quorums face the ignorant-or-Byzantine
-    fraction [1 − knowledgeable_fraction]; pull quorums and poll lists
-    only the Byzantine fraction (their correct members eventually learn
+    (default 0.05), with the paper's single poll attempt. Push quorums
+    face the ignorant-or-Byzantine fraction
+    [1 − knowledgeable_fraction]; pull quorums and poll lists only the
+    Byzantine fraction (their correct members eventually learn
     gstring). This is the "large enough constants" knob the paper's
     asymptotic statements leave implicit — at simulated sizes the
     constants must be made explicit or the w.h.p. regime is silently

@@ -2,8 +2,6 @@ open Fba_stdx
 open Fba_core
 module Grid = Fba_baselines.Grid_aetoe
 module Grid_sync = Fba_sim.Sync_engine.Make (Grid)
-module Naive = Fba_baselines.Naive_aetoe
-module Naive_sync = Fba_sim.Sync_engine.Make (Naive)
 
 type result = {
   rounds : int;
@@ -28,9 +26,9 @@ let of_ba_result (r : Ba.result) =
     ae_fraction = r.Ba.ae_fraction;
   }
 
-(* Shared scaffolding: run phase 1, hand the assignment to a phase-2
-   runner, merge the accounting. *)
-let with_phase2 ~n ~seed ~byzantine_fraction run2 =
+(* Run phase 1, hand its assignment to the grid phase 2, merge the
+   accounting. *)
+let run_aeba_grid ~n ~seed ~byzantine_fraction =
   let p1 = Ba.run_phase1 ~n ~seed ~byzantine_fraction () in
   let corrupted = p1.Ba.p1_corrupted in
   let correct = n - Bitset.cardinal corrupted in
@@ -53,12 +51,20 @@ let with_phase2 ~n ~seed ~byzantine_fraction run2 =
           | Some v -> v
           | None -> Printf.sprintf "straggler-%d" i)
     in
-    let metrics2, outputs2 = run2 ~corrupted ~initial ~reference in
+    let cfg =
+      Grid.make_config ~n ~initial:(fun i -> initial.(i)) ~str_bits:(8 * String.length reference)
+    in
+    let res =
+      Grid_sync.run ~config:cfg ~n ~seed
+        ~adversary:(Fba_sim.Sync_engine.null_adversary ~corrupted)
+        ~mode:`Rushing ~max_rounds:(Grid.total_rounds + 2) ()
+    in
+    let metrics2 = res.Fba_sim.Sync_engine.metrics in
     let merged = Fba_sim.Metrics.merge_phases p1.Ba.p1_metrics metrics2 in
     let agreed = ref 0 in
     Array.iteri
       (fun i o -> if (not (Bitset.mem corrupted i)) && o = Some reference then incr agreed)
-      outputs2;
+      res.Fba_sim.Sync_engine.outputs;
     {
       rounds = Fba_sim.Metrics.rounds merged;
       bits_per_node = Fba_sim.Metrics.amortized_bits merged;
@@ -69,35 +75,3 @@ let with_phase2 ~n ~seed ~byzantine_fraction run2 =
       correct;
       ae_fraction = p1.Ba.p1_ae_fraction;
     }
-
-let run_aeba_grid ~n ~seed ~byzantine_fraction =
-  with_phase2 ~n ~seed ~byzantine_fraction (fun ~corrupted ~initial ~reference ->
-      let cfg =
-        Grid.make_config ~n
-          ~initial:(fun i -> initial.(i))
-          ~str_bits:(8 * String.length reference)
-      in
-      let res =
-        Grid_sync.run ~config:cfg ~n ~seed
-          ~adversary:(Fba_sim.Sync_engine.null_adversary ~corrupted)
-          ~mode:`Rushing ~max_rounds:(Grid.total_rounds + 2) ()
-      in
-      (res.Fba_sim.Sync_engine.metrics, res.Fba_sim.Sync_engine.outputs))
-
-let run_aeba_naive ~n ~seed ~byzantine_fraction ~flood =
-  with_phase2 ~n ~seed ~byzantine_fraction (fun ~corrupted ~initial ~reference ->
-      let cfg =
-        Naive.make_config ~n
-          ~initial:(fun i -> initial.(i))
-          ~str_bits:(8 * String.length reference)
-          ()
-      in
-      let adversary =
-        if flood then Naive.flood_adversary cfg ~corrupted
-        else Fba_sim.Sync_engine.null_adversary ~corrupted
-      in
-      let res =
-        Naive_sync.run ~config:cfg ~n ~seed ~adversary ~mode:`Rushing
-          ~max_rounds:(Naive.total_rounds + 2) ()
-      in
-      (res.Fba_sim.Sync_engine.metrics, res.Fba_sim.Sync_engine.outputs))

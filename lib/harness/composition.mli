@@ -23,7 +23,3 @@ val of_ba_result : Fba_core.Ba.result -> result
 
 val run_aeba_grid : n:int -> seed:int64 -> byzantine_fraction:float -> result
 (** Phase 1 + grid diffusion phase 2. *)
-
-val run_aeba_naive : n:int -> seed:int64 -> byzantine_fraction:float -> flood:bool -> result
-(** Phase 1 + naive sample-and-vote phase 2 (optionally under the
-    query-flooding attack). *)

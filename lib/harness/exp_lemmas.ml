@@ -228,12 +228,12 @@ let run_cell = function
        bounds (Lemma 3/5 → push, Lemma 4/6 → poll, Lemmas on
        forwarding → fw1/fw2). *)
     let sc = Runner.scenario_of_setup flood_setup ~n ~seed in
-    let run, acc = Runner.aer_phases ~adversary:flood_adversary sc in
+    let run, tally = Runner.aer_phases ~adversary:flood_adversary sc in
     Phase_breakdown_row
       {
         n;
         total_bits = run.Runner.obs.Obs.total_bits_all;
-        rendered = Fba_sim.Events.Phase_acc.render acc;
+        rendered = Fba_sim.Events.Tally.render_phases tally;
       }
 
 let render ~full:_ ~out rows =

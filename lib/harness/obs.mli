@@ -5,7 +5,11 @@
 
 type observation = {
   n : int;
-  rounds : int;  (** engine rounds (or normalized async rounds) *)
+  rounds : int;
+      (** [Metrics.rounds]: engine rounds, or for an async run its raw
+          time steps, not normalized rounds. [Exp_fig1a.time_of] relies
+          on that: it rescales decision times by the engine's
+          [normalized_rounds / rounds]. *)
   decided_fraction : float;  (** correct nodes that decided at all *)
   agreed_fraction : float;  (** correct nodes that decided the reference value *)
   wrong_decisions : int;  (** correct nodes that decided something else *)

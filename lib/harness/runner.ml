@@ -137,12 +137,12 @@ let aer_async ?(config = default_config) ~adversary (sc : Scenario.t) =
 
 let aer_phases ?(config = default_config) ~adversary (sc : Scenario.t) =
   let n = Scenario.(sc.params.Params.n) in
-  let acc =
-    Fba_sim.Events.Phase_acc.create ~classify:(fun ~kind -> Aer.phase_of_kind kind) ~n ()
+  let tally =
+    Fba_sim.Events.Tally.create ~classify:(fun ~kind -> Aer.phase_of_kind kind) ~n ()
   in
   let sink = match config.events with Some k -> k | None -> Fba_sim.Events.create () in
-  Fba_sim.Events.attach sink (Fba_sim.Events.Phase_acc.consumer acc);
-  (aer_sync ~config:{ config with events = Some sink } ~adversary sc, acc)
+  Fba_sim.Events.attach sink (Fba_sim.Events.Tally.consumer tally);
+  (aer_sync ~config:{ config with events = Some sink } ~adversary sc, tally)
 
 let str_bits (sc : Scenario.t) = 8 * String.length sc.Scenario.gstring
 

@@ -37,8 +37,8 @@ type config = {
       (** trace sink for the AER runs: every engine event, each message
           labelled with its {!Fba_core.Aer.msg_tags} name; [None] keeps
           the zero-allocation untraced path. Attach
-          {!Fba_sim.Events.Phase_acc} to it (or use {!aer_phases}) for
-          a per-phase breakdown. *)
+          {!Fba_sim.Events.Tally} to it (or use {!aer_phases}) for a
+          per-phase breakdown. *)
   prof : Fba_sim.Prof.t option;
       (** run profiler threaded into every engine run; [None] (default)
           keeps the zero-work unprofiled path. The engine re-arms the
@@ -74,7 +74,7 @@ type aer_run = {
   scenario : Scenario.t;
   obs : Obs.observation;
   metrics : Fba_sim.Metrics.t;
-      (** the raw engine metrics behind [obs] — {!Telemetry.of_aer_run}
+      (** the raw engine metrics behind [obs] — {!Telemetry.to_json}
           reads per-node distributions from here *)
   push_max_messages : int;  (** Lemma 3 gauge: worst correct push fan-out *)
   candidate_sum : int;  (** Lemma 4 gauge: Σ|L_x| over correct nodes *)
@@ -104,13 +104,12 @@ val aer_phases :
   ?config:config ->
   adversary:(Scenario.t -> Fba_adversary.Aer_attacks.sync) ->
   Scenario.t ->
-  aer_run * Fba_sim.Events.Phase_acc.t
-(** {!aer_sync} with a fresh phase accumulator classifying message
-    kinds via {!Fba_core.Aer.phase_of_kind}, attached to
-    [config.events] (or to a fresh sink when that is [None]); returns
-    the accumulator alongside the run. Its rows
-    ({!Fba_sim.Events.Phase_acc.rows}) are the run's per-phase
-    breakdown. *)
+  aer_run * Fba_sim.Events.Tally.t
+(** {!aer_sync} with a fresh tally classifying message kinds via
+    {!Fba_core.Aer.phase_of_kind}, attached to [config.events] (or to
+    a fresh sink when that is [None]); returns the tally alongside the
+    run. Its rows ({!Fba_sim.Events.Tally.rows}) are the run's
+    per-phase breakdown. *)
 
 val run_grid : ?config:config -> Scenario.t -> Obs.observation
 (** Grid baseline on the same workload (silent adversary — its

@@ -26,7 +26,6 @@ let fingerprint m =
 
 type stream = {
   setup : Runner.aer_setup;
-  config : Runner.config;
   n : int;
   stream_seed : int64;
   instances : int;
@@ -37,7 +36,6 @@ type stream = {
 let default_stream =
   {
     setup = Runner.default_setup;
-    config = Runner.default_config;
     n = 128;
     stream_seed = 42L;
     instances = 256;
@@ -74,8 +72,9 @@ type open_instance = {
   oi_t0 : int;
 }
 
-(* Open instance [k] exactly as a one-shot run does (fresh scenario,
-   fresh config) on [lane], the mailbox that the lane's instances
+(* Open instance [k] exactly as a one-shot [Runner.aer_sync] run with
+   the default config does (fresh scenario, fresh config, rushing,
+   reliable network) on [lane], the mailbox that the lane's instances
    deliver through one at a time. The mailbox is the one storage worth
    reusing: its segment arena is the bulk of a run's allocation, and
    [Sync_engine.start] resets it in place. *)
@@ -86,9 +85,9 @@ let open_instance t lane ~adversary k =
   let cfg = Aer.config_of_scenario sc in
   let running =
     Aer_sync.start ~quiet_limit:(Params.quiet_limit sc.Scenario.params) ~mailbox:lane
-      ~net:t.config.Runner.net ~config:cfg ~n:t.n ~seed:sc.Scenario.params.Params.seed
-      ~adversary:(adversary sc) ~mode:t.config.Runner.mode
-      ~max_rounds:t.config.Runner.max_rounds ()
+      ~config:cfg ~n:t.n ~seed:sc.Scenario.params.Params.seed ~adversary:(adversary sc)
+      ~mode:Runner.default_config.Runner.mode
+      ~max_rounds:Runner.default_config.Runner.max_rounds ()
   in
   { oi_index = k; oi_seed = seed; oi_scenario = sc; oi_running = running; oi_t0 = t0 }
 
@@ -160,9 +159,6 @@ let run ?(stream = default_stream) ~adversary () =
   let t = stream in
   if t.instances < 0 then invalid_arg "Service.run: instances < 0";
   if t.width < 1 then invalid_arg "Service.run: width < 1";
-  (* Concurrently open instances would interleave one sink or profile. *)
-  if Option.is_some t.config.Runner.events then invalid_arg "Service.run: config.events is set";
-  if Option.is_some t.config.Runner.prof then invalid_arg "Service.run: config.prof is set";
   let jobs = Sweep.resolve_jobs t.jobs in
   let t_start = Monotonic.now_ns () in
   let heartbeat = Sweep.heartbeat ~label:"service" ~total:t.instances in

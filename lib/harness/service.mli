@@ -13,10 +13,14 @@
 
     {b Seeding discipline.} Instance [k] runs the scenario
     [Runner.scenario_of_setup setup ~n ~seed:(instance_seed stream_seed
-    k)], so per-instance executions (message counters, decision rounds,
-    fingerprints) are byte-identical to {!Runner.aer_sync} on that
-    scenario, for every pipeline width and every [jobs] value. Mailbox
-    reuse is storage-only.
+    k)] under {!Runner.default_config} (rushing, the default round cap,
+    a reliable network), so per-instance executions (message counters,
+    decision rounds, fingerprints) are byte-identical to
+    {!Runner.aer_sync} on that scenario, for every pipeline width and
+    every [jobs] value. Mailbox reuse is storage-only. A stream takes
+    no sink or profiler: concurrently open instances would interleave
+    one; trace or profile one instance with {!Runner.aer_sync} on its
+    scenario instead.
 
     {b Pipelining.} Each worker domain drives [width] lanes through a
     round-robin scheduler: [width] instances are concurrently open,
@@ -46,13 +50,6 @@ val fingerprint : Fba_sim.Metrics.t -> int64
 
 type stream = {
   setup : Runner.aer_setup;  (** per-instance scenario shape *)
-  config : Runner.config;
-      (** run knobs; [mode], [max_rounds] and [net] are honoured
-          ([compile] and [stream] are [unit] and choose nothing, and
-          [flood] and [max_time] concern other runs). [events] and
-          [prof] must be [None] — concurrently open instances would
-          interleave one sink or profile; trace or profile one
-          instance with {!Runner.aer_sync} on its scenario instead. *)
   n : int;  (** population size of every instance *)
   stream_seed : int64;  (** root of the per-instance seed schedule *)
   instances : int;  (** number of instances to execute *)
@@ -62,7 +59,7 @@ type stream = {
 
 val default_stream : stream
 (** n 128, 256 instances, width 4, jobs 1, stream seed 42,
-    {!Runner.default_setup} / {!Runner.default_config}. *)
+    {!Runner.default_setup}. *)
 
 (** {1 Results} *)
 
@@ -95,12 +92,11 @@ val run :
   unit ->
   summary
 (** Execute the stream. Raises [Invalid_argument] naming the field when
-    [instances < 0], [width < 1], or [config.events] or [config.prof]
-    is [Some]. Everything in [results] except [latency_ns]
-    is deterministic (identical across width/jobs); the throughput
-    and latency fields are wall-clock. Each completed instance ticks a
-    ["service"] {!Sweep.heartbeat} (stderr, when [FBA_PROGRESS] is
-    set). *)
+    [instances < 0] or [width < 1]. Everything in [results] except
+    [latency_ns] is deterministic (identical across width/jobs); the
+    throughput and latency fields are wall-clock. Each completed
+    instance ticks a ["service"] {!Sweep.heartbeat} (stderr, when
+    [FBA_PROGRESS] is set). *)
 
 val pp_trace : out_channel -> summary -> unit
 (** Print the deterministic face of a summary — one line per instance

@@ -48,12 +48,15 @@ module Make (P : Protocol.S) = struct
 
   type nonrec result = P.state result
 
+  (* Quiet steps (no sends, no deliveries) with nothing in flight
+     before the run stops. *)
+  let quiet_limit = 6
+
   (* [stream] chooses nothing — there is one calendar plane; the unit
      label stays only for callers written against the old signature. *)
-  let run ?(quiet_limit = 6) ?stream:(_ : unit option) ?events ?prof ?(net = Net.Reliable)
-      ~(config : P.config) ~n ~seed ~(adversary : adversary) ~max_time () =
+  let run ?stream:(_ : unit option) ?events ?prof ?(net = Net.Reliable) ~(config : P.config) ~n
+      ~seed ~(adversary : adversary) ~max_time () =
     if adversary.max_delay < 1 then invalid_arg "Async_engine: max_delay < 1";
-    if quiet_limit < 1 then invalid_arg "Async_engine: quiet_limit < 1";
     let corrupted = adversary.corrupted in
     let core = Core.create ?events ?prof ~net ~config ~n ~seed ~corrupted () in
     Core.prof_start core;

@@ -38,7 +38,6 @@ module Make (P : Protocol.S) : sig
   type nonrec result = P.state result
 
   val run :
-    ?quiet_limit:int ->
     ?stream:unit ->
     ?events:Events.sink ->
     ?prof:Prof.t ->
@@ -50,8 +49,9 @@ module Make (P : Protocol.S) : sig
     max_time:int ->
     unit ->
     result
-  (** [quiet_limit] (default 6) counts consecutive steps with no sends
-      and no deliveries. [stream] is a [unit] that chooses nothing: it
+  (** The run stops once no node is undecided, or once nothing is in
+      flight and 6 consecutive steps had no sends and no deliveries, or
+      at [max_time]. [stream] is a [unit] that chooses nothing: it
       once selected the streamed or flat-lane calendar ring, and the
       engine now has one. The label stays so the benchmark's
       [~stream:config.Runner.stream] ([benchmark/instance.ml]) keeps

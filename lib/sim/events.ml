@@ -61,7 +61,7 @@ module Jsonl = struct
     output_char oc '\n'
 end
 
-module Phase_acc = struct
+module Tally = struct
   type row = {
     phase : string;
     first_round : int;
@@ -77,99 +77,147 @@ module Phase_acc = struct
 
   (* Mutable per-phase cell; per-node arrays sized once at creation
      (phases are few, so the n-sized arrays are cheap). *)
-  type cell = {
-    c_phase : string;
-    mutable c_first : int;
-    mutable c_last : int;
-    mutable c_msgs_correct : int;
-    mutable c_msgs_byz : int;
-    mutable c_bits_correct : int;
-    mutable c_bits_byz : int;
+  type phase = {
+    p_name : string;
+    mutable p_first : int;
+    mutable p_last : int;
+    mutable p_msgs_correct : int;
+    mutable p_msgs_byz : int;
+    mutable p_bits_correct : int;
+    mutable p_bits_byz : int;
     sent_bits : int array;  (* per correct-sender node *)
     recv_bits : int array;
     sent_msgs : int array;
   }
 
+  (* Per-kind cell: the phase the kind classifies into, resolved once,
+     and its deliveries per round. *)
+  type kind = {
+    k_name : string;
+    k_phase : phase;
+    mutable per_round : int array;  (* index = round, grown geometrically *)
+    mutable delivered : int;
+  }
+
   type t = {
     n : int;
     classify : kind:string -> string;
-    cells : (string, cell) Hashtbl.t;
-    mutable order : cell list;  (* reversed first-attribution order *)
+    kinds : (string, kind) Hashtbl.t;
+    phases : (string, phase) Hashtbl.t;
+    mutable order : phase list;  (* reversed first-attribution order *)
+    mutable last_delivery : int;  (* highest Deliver round, -1 before any *)
+    drops : (string, int) Hashtbl.t;
   }
 
   let create ?(classify = fun ~kind -> kind) ~n () =
-    { n; classify; cells = Hashtbl.create 8; order = [] }
+    {
+      n;
+      classify;
+      kinds = Hashtbl.create 8;
+      phases = Hashtbl.create 8;
+      order = [];
+      last_delivery = -1;
+      drops = Hashtbl.create 8;
+    }
 
-  let cell t ~round kind =
-    let name = t.classify ~kind in
-    match Hashtbl.find_opt t.cells name with
-    | Some c -> c
+  let phase t ~round name =
+    match Hashtbl.find_opt t.phases name with
+    | Some p -> p
     | None ->
-      let c =
+      let p =
         {
-          c_phase = name;
-          c_first = round;
-          c_last = round;
-          c_msgs_correct = 0;
-          c_msgs_byz = 0;
-          c_bits_correct = 0;
-          c_bits_byz = 0;
+          p_name = name;
+          p_first = round;
+          p_last = round;
+          p_msgs_correct = 0;
+          p_msgs_byz = 0;
+          p_bits_correct = 0;
+          p_bits_byz = 0;
           sent_bits = Array.make t.n 0;
           recv_bits = Array.make t.n 0;
           sent_msgs = Array.make t.n 0;
         }
       in
-      Hashtbl.add t.cells name c;
-      t.order <- c :: t.order;
-      c
+      Hashtbl.add t.phases name p;
+      t.order <- p :: t.order;
+      p
 
-  let touch c round =
-    if round < c.c_first then c.c_first <- round;
-    if round > c.c_last then c.c_last <- round
+  (* Kind [name]'s cell, with its phase's round span stretched to
+     [round]. *)
+  let touch t ~round name =
+    let k =
+      match Hashtbl.find_opt t.kinds name with
+      | Some k -> k
+      | None ->
+        let k =
+          {
+            k_name = name;
+            k_phase = phase t ~round (t.classify ~kind:name);
+            per_round = [||];
+            delivered = 0;
+          }
+        in
+        Hashtbl.add t.kinds name k;
+        k
+    in
+    let p = k.k_phase in
+    if round < p.p_first then p.p_first <- round;
+    if round > p.p_last then p.p_last <- round;
+    k
+
+  let deliver t k round =
+    if round >= Array.length k.per_round then begin
+      let a = Array.make (max (round + 1) (2 * Array.length k.per_round)) 0 in
+      Array.blit k.per_round 0 a 0 (Array.length k.per_round);
+      k.per_round <- a
+    end;
+    k.per_round.(round) <- k.per_round.(round) + 1;
+    k.delivered <- k.delivered + 1;
+    if round > t.last_delivery then t.last_delivery <- round
 
   let consumer t = function
-    | Send { round; src; kind; bits; _ } ->
-      let c = cell t ~round kind in
-      touch c round;
-      c.c_msgs_correct <- c.c_msgs_correct + 1;
-      c.c_bits_correct <- c.c_bits_correct + bits;
-      c.sent_bits.(src) <- c.sent_bits.(src) + bits;
-      c.sent_msgs.(src) <- c.sent_msgs.(src) + 1
-    | Inject { round; kind; bits; _ } ->
-      let c = cell t ~round kind in
-      touch c round;
-      c.c_msgs_byz <- c.c_msgs_byz + 1;
-      c.c_bits_byz <- c.c_bits_byz + bits
-    | Deliver { round; dst; kind; bits; _ } ->
-      let c = cell t ~round kind in
-      touch c round;
-      c.recv_bits.(dst) <- c.recv_bits.(dst) + bits
-    | Round_start _ | Drop _ | Decide _ -> ()
+    | Send { round; src; kind = name; bits; _ } ->
+      let p = (touch t ~round name).k_phase in
+      p.p_msgs_correct <- p.p_msgs_correct + 1;
+      p.p_bits_correct <- p.p_bits_correct + bits;
+      p.sent_bits.(src) <- p.sent_bits.(src) + bits;
+      p.sent_msgs.(src) <- p.sent_msgs.(src) + 1
+    | Inject { round; kind = name; bits; _ } ->
+      let p = (touch t ~round name).k_phase in
+      p.p_msgs_byz <- p.p_msgs_byz + 1;
+      p.p_bits_byz <- p.p_bits_byz + bits
+    | Deliver { round; dst; kind = name; bits; _ } ->
+      let k = touch t ~round name in
+      k.k_phase.recv_bits.(dst) <- k.k_phase.recv_bits.(dst) + bits;
+      deliver t k round
+    | Drop { reason; _ } ->
+      Hashtbl.replace t.drops reason
+        (1 + Option.value ~default:0 (Hashtbl.find_opt t.drops reason))
+    | Round_start _ | Decide _ -> ()
 
-  let row_of c =
+  (* --- Phase timeline --- *)
+
+  let row_of p =
     let amax a = Array.fold_left max 0 a in
     {
-      phase = c.c_phase;
-      first_round = c.c_first;
-      last_round = c.c_last;
-      msgs_correct = c.c_msgs_correct;
-      msgs_byz = c.c_msgs_byz;
-      bits_correct = c.c_bits_correct;
-      bits_byz = c.c_bits_byz;
-      max_sent_bits = amax c.sent_bits;
-      max_recv_bits = amax c.recv_bits;
-      max_fanout = amax c.sent_msgs;
+      phase = p.p_name;
+      first_round = p.p_first;
+      last_round = p.p_last;
+      msgs_correct = p.p_msgs_correct;
+      msgs_byz = p.p_msgs_byz;
+      bits_correct = p.p_bits_correct;
+      bits_byz = p.p_bits_byz;
+      max_sent_bits = amax p.sent_bits;
+      max_recv_bits = amax p.recv_bits;
+      max_fanout = amax p.sent_msgs;
     }
 
   let rows t = List.rev_map row_of t.order
 
   let total_bits t =
-    List.fold_left (fun acc r -> acc + r.bits_correct + r.bits_byz) 0 (rows t)
+    List.fold_left (fun acc p -> acc + p.p_bits_correct + p.p_bits_byz) 0 t.order
 
-  let total_messages t =
-    List.fold_left (fun acc r -> acc + r.msgs_correct + r.msgs_byz) 0 (rows t)
-
-  let render t =
+  let render_phases t =
     let tbl =
       Table.create
         ~columns:
@@ -209,4 +257,38 @@ module Phase_acc = struct
         Table.cell_int (fmax (fun r -> r.max_recv_bits));
       ];
     Table.to_markdown tbl
+
+  (* --- Deliveries per round, by kind ---
+
+     One row per round, one right-aligned count column per delivered
+     kind (sorted), and a stable trailing "total" row, present even
+     when nothing was delivered so downstream parsers can rely on it. *)
+
+  let deliveries_table t =
+    let ks =
+      List.sort
+        (fun a b -> String.compare a.k_name b.k_name)
+        (Hashtbl.fold (fun _ k acc -> if k.delivered > 0 then k :: acc else acc) t.kinds [])
+    in
+    let tbl =
+      Table.create
+        ~columns:(("round", Table.Right) :: List.map (fun k -> (k.k_name, Table.Right)) ks)
+    in
+    let count k round = if round < Array.length k.per_round then k.per_round.(round) else 0 in
+    for round = 0 to t.last_delivery do
+      Table.add_row tbl
+        (string_of_int round :: List.map (fun k -> string_of_int (count k round)) ks)
+    done;
+    Table.add_row tbl ("total" :: List.map (fun k -> string_of_int k.delivered) ks);
+    tbl
+
+  let render_deliveries t = Table.to_markdown (deliveries_table t)
+
+  let deliveries_csv t = Table.to_csv (deliveries_table t)
+
+  (* --- Drops by reason --- *)
+
+  let drops t =
+    List.sort (fun (a, _) (b, _) -> String.compare a b)
+      (Hashtbl.fold (fun reason count acc -> (reason, count) :: acc) t.drops [])
 end

@@ -5,9 +5,10 @@
     {!Metrics} aggregates are too coarse to diagnose a lemma-gauge
     regression. This module defines the typed events the engines
     ({!Sync_engine}, {!Async_engine}) emit — the engines are the only
-    emitters — and pluggable consumers: a JSONL writer and a phase
-    accumulator that splits every [Metrics]-style counter by protocol
-    phase.
+    emitters — and pluggable consumers: a JSONL writer and {!Tally},
+    the one accumulator that folds a traced run into its phase
+    timeline, its deliveries per round and kind, and its drops by
+    reason.
 
     A message event's [kind] is the protocol's handler-tag name,
     [(P.msg_tags config).(P.msg_tag config msg)] (see
@@ -43,8 +44,8 @@ type event =
 
     A sink fans each event out to its attached consumers, in attach
     order. Consumers are plain [event -> unit] functions, so the JSONL
-    writer and the phase accumulator below compose freely and callers
-    can attach ad-hoc closures. *)
+    writer and the tally below compose freely and callers can attach
+    ad-hoc closures. *)
 
 type sink
 
@@ -80,19 +81,26 @@ module Jsonl : sig
   (** Writes [to_string event ^ "\n"] to the channel. *)
 end
 
-(** {1 Phase accumulator}
+(** {1 Tally}
 
-    Splits the [Metrics] counters by protocol phase. Each [Send] and
-    [Inject] is attributed to the phase [classify ~kind] names — for
-    AER, {!Fba_core.Aer.phase_of_kind} maps message kinds onto the
-    push/poll/fw1/fw2 pipeline. Classification is by message kind
-    because phases overlap in time across nodes (every AER node pushes
-    {e and} polls from round 0); kind-based attribution keeps the
-    invariant that per-phase bits sum exactly to
-    [Metrics.total_bits_all]. Each row's [first_round] is the round its
-    phase first carried traffic. *)
+    One traced run, folded once per event into three views:
 
-module Phase_acc : sig
+    - the phase timeline: the [Metrics] counters split by protocol
+      phase. Each [Send], [Inject] and [Deliver] is attributed to the
+      phase [classify ~kind] names — for AER,
+      {!Fba_core.Aer.phase_of_kind} maps message kinds onto the
+      push/poll/fw1/fw2 pipeline. Classification is by message kind
+      because phases overlap in time across nodes (every AER node
+      pushes {e and} polls from round 0); kind-based attribution keeps
+      the invariant that per-phase bits sum exactly to
+      [Metrics.total_bits_all]. Each row's [first_round] is the round
+      its phase first carried traffic;
+    - deliveries per round by message kind: the raw material for the
+      phase diagrams one draws of AER executions (pushes, then
+      polls/pulls, then the Fw1 burst, then Fw2s and answers);
+    - drops by reason, adversary- and net-attributed alike. *)
+
+module Tally : sig
   type t
 
   type row = {
@@ -113,20 +121,31 @@ module Phase_acc : sig
       phase). [n] is the system size, for the per-node maxima. *)
 
   val consumer : t -> event -> unit
+  (** Attach with {!attach}. *)
 
   val rows : t -> row list
   (** One row per phase, in first-attribution order. *)
 
   val total_bits : t -> int
   (** Sum of [bits_correct + bits_byz] over all rows — equals
-      [Metrics.total_bits_all] of the same run when the accumulator saw
+      [Metrics.total_bits_all] of the same run when the tally saw
       every send. *)
 
-  val total_messages : t -> int
-
-  val render : t -> string
+  val render_phases : t -> string
   (** Markdown phase timeline: one row per phase with its round span,
       message counts (correct and Byzantine), bits per node (correct
-      senders, amortized over the accumulator's [n]) and worst fan-out,
-      plus a stable [total] row. *)
+      senders, amortized over the tally's [n]) and worst fan-out, plus
+      a stable [total] row. *)
+
+  val render_deliveries : t -> string
+  (** A markdown table of [Deliver] events: one row per round up to the
+      last delivery, one right-aligned count column per delivered kind
+      (sorted), plus a stable trailing [total] row (emitted even when
+      nothing was delivered). *)
+
+  val deliveries_csv : t -> string
+  (** The same table as {!render_deliveries}, as RFC-4180-ish CSV. *)
+
+  val drops : t -> (string * int) list
+  (** [Drop] events counted per reason tag, sorted by reason. *)
 end

@@ -128,10 +128,3 @@ let merge_phases first second =
        of the two, not their sum. *)
     peak_mailbox_words = max first.peak_mailbox_words second.peak_mailbox_words;
   }
-
-let pp_summary fmt t =
-  Format.fprintf fmt
-    "@[<v>nodes: %d (corrupt %d)@,rounds: %d@,bits/node (correct sends): %.1f@,\
-     max correct sender: %d bits@,load imbalance: %.2fx@,decided: %d/%d@]"
-    t.n (Bitset.cardinal t.corrupted) t.rounds (amortized_bits t)
-    (max_sent_bits_correct t) (load_imbalance t) (decided_count t) t.n

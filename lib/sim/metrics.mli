@@ -77,5 +77,3 @@ val merge_phases : t -> t -> t
     summed, rounds are added, and decisions are taken from [second]
     offset by [first]'s round count. Raises [Invalid_argument] if
     sizes or corruption sets differ. *)
-
-val pp_summary : Format.formatter -> t -> unit

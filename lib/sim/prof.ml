@@ -20,16 +20,19 @@
    AER these are precisely the Compiled dispatch jump-table indices)
    plus one trailing "engine" slot that absorbs everything outside a
    delivery handler: round bookkeeping, sends, adversary calls, GC
-   time, the profiler's own snapshots. *)
+   time, the wall time of the profiler's own snapshots. *)
 
-(* Total allocated words so far. The floats Gc reports are exact
-   integer word counts (< 2^53 for any feasible run), so the int
-   conversion is lossless and deltas sum exactly. quick_stat allocates
-   a small record per call; that self-cost lands in whichever cell is
-   being charged, which keeps the accounting identity intact. *)
+(* Total allocated words so far: minor words plus the major words not
+   promoted from the minor heap. [Gc.minor_words] and [Gc.counters]
+   are exact at every read. Not [Gc.quick_stat]: in OCaml 5.1 its
+   counts advance only at collections, which charges whole minor heaps
+   to single cells. The floats are exact integer word counts (< 2^53
+   for any feasible run), so the int conversion is lossless and deltas
+   sum exactly. [Gc.counters] allocates its result, a constant number
+   of words per call that [start] measures and [snapshot] subtracts. *)
 let words_now () =
-  let s = Gc.quick_stat () in
-  int_of_float (s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words)
+  let _, promoted, major = Gc.counters () in
+  int_of_float (Gc.minor_words () +. major -. promoted)
 
 type t = {
   mutable slot_names : string array;  (* protocol tags + trailing "engine" *)
@@ -45,6 +48,8 @@ type t = {
   mutable cur_round : int;
   mutable last_ns : int;
   mutable last_words : int;
+  mutable snap_words : int;  (* words one [words_now] call allocates *)
+  mutable self_words : int;  (* words allocated by the snapshots so far *)
   mutable start_ns : int;
   mutable start_words : int;
   mutable total_ns : int;
@@ -65,6 +70,8 @@ let create () =
     cur_round = 0;
     last_ns = 0;
     last_words = 0;
+    snap_words = 0;
+    self_words = 0;
     start_ns = 0;
     start_words = 0;
     total_ns = 0;
@@ -89,6 +96,13 @@ let ensure_rounds t r =
     t.cap_rounds <- cap
   end
 
+(* Allocated words, net of what every earlier snapshot allocated, so a
+   cell holds only the words of the code it covers. *)
+let snapshot t =
+  let w = words_now () - t.self_words in
+  t.self_words <- t.self_words + t.snap_words;
+  w
+
 (* Engines call this once per run, before any instrumentation, with
    the protocol's tag names. Restarting resets all cells, so one [t]
    profiles exactly the most recent run. *)
@@ -106,15 +120,19 @@ let start t ~tags =
   t.started <- true;
   t.total_ns <- 0;
   t.total_words <- 0;
+  let w = words_now () in
+  t.snap_words <- words_now () - w;
+  t.self_words <- 0;
   t.start_ns <- Fba_stdx.Monotonic.now_ns ();
-  t.start_words <- words_now ();
+  t.start_words <- snapshot t;
   t.last_ns <- t.start_ns;
   t.last_words <- t.start_words
 
 (* Charge the elapsed (wall, alloc) since the previous snapshot to
    cell (cur_round, slot) and advance the cursor. *)
 let charge t ~slot =
-  let ns = Fba_stdx.Monotonic.now_ns () and words = words_now () in
+  let ns = Fba_stdx.Monotonic.now_ns () in
+  let words = snapshot t in
   let cell = (t.cur_round * t.n_slots) + slot in
   t.wall.(cell) <- t.wall.(cell) + (ns - t.last_ns);
   t.alloc.(cell) <- t.alloc.(cell) + (words - t.last_words);

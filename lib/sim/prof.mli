@@ -10,14 +10,15 @@
     profiler performs no extra work and no extra allocation.
 
     Attribution is a single running cursor over integer snapshots
-    ({!Fba_stdx.Monotonic.now_ns} nanoseconds; [Gc.quick_stat]
-    minor+major−promoted words). Each attribution point charges the
-    delta since the previous snapshot to exactly one (round, slot)
-    cell, so consecutive snapshots partition the run's timeline and
-    {!check} can demand that the cell matrix sums {e exactly} — in
-    integer ns and words — to the run totals. [fba profile] exits
-    non-zero when the identity fails, mirroring the per-phase bit
-    accounting of [fba trace].
+    ({!Fba_stdx.Monotonic.now_ns} nanoseconds; [Gc.minor_words] plus
+    [Gc.counters]' major − promoted words, exact at every read, minus
+    the snapshots' own words, measured at {!start}). Each attribution
+    point charges the delta since the previous snapshot to exactly one
+    (round, slot) cell, so consecutive snapshots partition the run's
+    timeline and {!check} can demand that the cell matrix sums
+    {e exactly} — in integer ns and words — to the run totals.
+    [fba profile] exits non-zero when the identity fails, mirroring
+    the per-phase bit accounting of [fba trace].
 
     Slots are the protocol's message tags ({!Protocol.S.msg_tags};
     for AER these are the {!Fba_core.Compiled} dispatch jump-table
@@ -25,7 +26,9 @@
     counters on the compiled dispatch table) plus one trailing
     ["engine"] slot that absorbs everything outside a delivery
     handler: round bookkeeping, sends, adversary strategy calls, GC
-    pauses and the profiler's own snapshot cost. *)
+    pauses and the wall time of the profiler's own snapshots. A
+    handler slot's words are exactly the words its handlers
+    allocated. *)
 
 type t
 
@@ -42,7 +45,8 @@ val create : unit -> t
 
 val start : t -> tags:string array -> unit
 (** Begin a run: install [tags ^ \[|"engine"|\]] as the slot table,
-    reset all cells and take the opening snapshot. *)
+    reset all cells, measure the words one snapshot allocates and take
+    the opening snapshot. *)
 
 val round : t -> int -> unit
 (** Advance the round cursor (charging the gap to the current round's

@@ -149,11 +149,14 @@ print(f"trace JSONL ok: {lines} events")
 EOF
 
 # Profiler smoke test: `fba profile` must pass its own accounting
-# cross-check (the per-round x per-tag wall/alloc cells must sum
-# exactly to the run totals; it exits non-zero otherwise), and its
-# --json Telemetry document must parse, be pure ASCII, and carry the
-# versioned envelope.
+# cross-check on both engines (the per-round x per-tag wall/alloc
+# cells must sum exactly to the run totals; it exits non-zero
+# otherwise), and its
+# --json Telemetry document must parse, be pure ASCII, carry the
+# version 2 envelope (no "phases" key), and have its slots' wall
+# times and allocated words sum to the profile's totals.
 dune exec bin/fba.exe -- profile -n 48 --attack cornering > /dev/null
+dune exec bin/fba.exe -- profile -n 48 --attack cornering --mode async > /dev/null
 echo "profile accounting smoke ok"
 telemetry="$tmp/telemetry.json"
 dune exec bin/fba.exe -- profile -n 48 --attack cornering --json > "$telemetry"
@@ -163,16 +166,15 @@ raw = open(sys.argv[1], "rb").read()
 if any(b >= 128 for b in raw):
     sys.exit("telemetry document contains non-ASCII bytes")
 doc = json.loads(raw)
-if doc.get("telemetry_version") != 1:
+if doc.get("telemetry_version") != 2:
     sys.exit(f"unexpected telemetry_version: {doc.get('telemetry_version')!r}")
-for key in ("counters", "gauges", "dists", "phases", "prof"):
-    if key not in doc:
-        sys.exit(f"telemetry document missing {key!r}")
+if list(doc) != ["telemetry_version", "counters", "gauges", "dists", "prof"]:
+    sys.exit(f"unexpected telemetry keys: {list(doc)}")
 if doc["prof"] is None:
     sys.exit("profiled run exported prof: null")
-cells = sum(s["wall_ns"] for s in doc["prof"]["slots"])
-if cells != doc["prof"]["total_wall_ns"]:
-    sys.exit("prof slot wall times do not sum to total_wall_ns")
+for cell, total in (("wall_ns", "total_wall_ns"), ("alloc_words", "total_alloc_words")):
+    if sum(s[cell] for s in doc["prof"]["slots"]) != doc["prof"][total]:
+        sys.exit(f"prof slot {cell} do not sum to {total}")
 print(f"telemetry JSON ok: {len(doc['counters'])} counters, "
       f"{len(doc['prof']['slots'])} prof slots")
 EOF

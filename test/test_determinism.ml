@@ -189,15 +189,15 @@ let prop_async_run_twice =
       Int64.equal fp1 fp2)
 
 (* Event tracing must be pure observation: a run with a loaded sink
-   (phase accumulator + JSONL buffer, i.e. every shipped consumer)
+   (tally + JSONL buffer, i.e. every shipped consumer)
    produces bit-identical metrics and the same decision vector as the
    untraced run. *)
 let loaded_sink ~n =
   let sink = Fba_sim.Events.create () in
-  let acc =
-    Fba_sim.Events.Phase_acc.create ~classify:(fun ~kind -> Aer.phase_of_kind kind) ~n ()
+  let tally =
+    Fba_sim.Events.Tally.create ~classify:(fun ~kind -> Aer.phase_of_kind kind) ~n ()
   in
-  Fba_sim.Events.attach sink (Fba_sim.Events.Phase_acc.consumer acc);
+  Fba_sim.Events.attach sink (Fba_sim.Events.Tally.consumer tally);
   let buf = Buffer.create 4096 in
   Fba_sim.Events.attach sink (Fba_sim.Events.Jsonl.consumer buf);
   sink

@@ -106,13 +106,13 @@ let test_runner_phase_breakdown () =
   let adversary sc =
     Fba_adversary.Aer_attacks.(compose sc [ push_flood sc; wrong_answer sc ])
   in
-  let run, acc = Runner.aer_phases ~adversary sc in
+  let run, tally = Runner.aer_phases ~adversary sc in
   let obs = run.Runner.obs in
-  let rows = Fba_sim.Events.Phase_acc.rows acc in
+  let rows = Fba_sim.Events.Tally.rows tally in
   Alcotest.(check int) "phase bits sum to total_bits_all" obs.Obs.total_bits_all
-    (Fba_sim.Events.Phase_acc.total_bits acc);
+    (Fba_sim.Events.Tally.total_bits tally);
   Alcotest.(check bool) "phases observed" true (rows <> []);
-  let names = List.map (fun r -> r.Fba_sim.Events.Phase_acc.phase) rows in
+  let names = List.map (fun r -> r.Fba_sim.Events.Tally.phase) rows in
   List.iter
     (fun name ->
       Alcotest.(check bool) ("phase " ^ name ^ " is an AER phase") true
@@ -121,11 +121,11 @@ let test_runner_phase_breakdown () =
   Alcotest.(check bool) "push phase present" true (List.mem "push" names);
   let row_bits =
     List.fold_left
-      (fun a (r : Fba_sim.Events.Phase_acc.row) ->
-        a + r.Fba_sim.Events.Phase_acc.bits_correct + r.Fba_sim.Events.Phase_acc.bits_byz)
+      (fun a (r : Fba_sim.Events.Tally.row) ->
+        a + r.Fba_sim.Events.Tally.bits_correct + r.Fba_sim.Events.Tally.bits_byz)
       0 rows
   in
-  Alcotest.(check int) "rows agree with accumulator" (Fba_sim.Events.Phase_acc.total_bits acc)
+  Alcotest.(check int) "rows agree with the tally" (Fba_sim.Events.Tally.total_bits tally)
     row_bits;
   (* An untraced run of the same scenario is unaffected by tracing. *)
   let plain = Runner.aer_sync ~adversary sc in
@@ -167,13 +167,6 @@ let test_composition_grid () =
   Alcotest.(check bool) "phase2 bits accounted" true (r.Composition.phase2_bits_per_node > 0.0);
   Alcotest.(check bool) "phase2 below total" true
     (r.Composition.phase2_bits_per_node < r.Composition.bits_per_node)
-
-let test_composition_naive () =
-  let quiet = Composition.run_aeba_naive ~n:64 ~seed:16L ~byzantine_fraction:0.1 ~flood:false in
-  let flooded = Composition.run_aeba_naive ~n:64 ~seed:16L ~byzantine_fraction:0.1 ~flood:true in
-  Alcotest.(check int) "quiet agrees" quiet.Composition.correct quiet.Composition.agreed;
-  Alcotest.(check bool) "flooding costs more" true
-    (flooded.Composition.phase2_bits_per_node > quiet.Composition.phase2_bits_per_node)
 
 let test_composition_of_ba () =
   let ba = Fba_core.Ba.run_sync ~n:64 ~seed:13L ~byzantine_fraction:0.1 () in
@@ -234,7 +227,6 @@ let suites =
     ( "harness.composition",
       [
         Alcotest.test_case "aeba + grid" `Quick test_composition_grid;
-        Alcotest.test_case "aeba + naive (flood contrast)" `Quick test_composition_naive;
         Alcotest.test_case "of BA result" `Quick test_composition_of_ba;
       ] );
     ( "core.binary_ba",

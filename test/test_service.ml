@@ -17,9 +17,9 @@ open Fba_stdx
 
 (* --- qcheck: stream vs one-shot fingerprint identity --- *)
 
-let one_shot_fp ~config ~setup ~n ~seed =
+let one_shot_fp ~setup ~n ~seed =
   let sc = Runner.scenario_of_setup setup ~n ~seed in
-  Service.fingerprint (Runner.aer_sync ~config ~adversary:Attacks.cornering sc).Runner.metrics
+  Service.fingerprint (Runner.aer_sync ~adversary:Attacks.cornering sc).Runner.metrics
 
 let case_gen =
   QCheck2.Gen.(
@@ -34,22 +34,15 @@ let prop_stream_matches_oneshot =
   QCheck2.Test.make ~count:6 ~name:"service.stream = fresh one-shot runs" case_gen
     (fun (n, instances, width, jobs, seed) ->
       let setup = Runner.default_setup in
-      let config = Runner.default_config in
       let stream =
-        { Service.setup;
-          config;
-          n;
-          stream_seed = Int64.of_int seed;
-          instances;
-          width;
-          jobs }
+        { Service.setup; n; stream_seed = Int64.of_int seed; instances; width; jobs }
       in
       let s = Service.run ~stream ~adversary:Attacks.cornering () in
       Array.length s.Service.results = instances
       && Array.for_all
            (fun (r : Service.instance_result) ->
              Int64.equal r.Service.fingerprint
-               (one_shot_fp ~config ~setup ~n ~seed:r.Service.seed))
+               (one_shot_fp ~setup ~n ~seed:r.Service.seed))
            s.Service.results)
 
 (* Latency aside, a stream's deterministic face must not depend on how
@@ -91,15 +84,6 @@ let test_width_refused () =
       ignore
         (Service.run ~stream:{ small_stream with Service.width = 0 } ~adversary:Attacks.cornering
            ()))
-
-let test_observers_refused () =
-  let with_config config () =
-    ignore (Service.run ~stream:{ small_stream with Service.config } ~adversary:Attacks.cornering ())
-  in
-  Alcotest.check_raises "events sink" (Invalid_argument "Service.run: config.events is set")
-    (with_config { Runner.default_config with Runner.events = Some (Fba_sim.Events.create ()) });
-  Alcotest.check_raises "profiler" (Invalid_argument "Service.run: config.prof is set")
-    (with_config { Runner.default_config with Runner.prof = Some (Fba_sim.Prof.create ()) })
 
 (* --- unit: the lane mailbox is reused --- *)
 
@@ -163,7 +147,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_stream_matches_oneshot;
         QCheck_alcotest.to_alcotest prop_schedule_invariance;
         Alcotest.test_case "width < 1 refused" `Quick test_width_refused;
-        Alcotest.test_case "sink and profiler refused" `Quick test_observers_refused;
         Alcotest.test_case "n=128 allocation budget" `Quick test_alloc_budget;
       ] );
     ( "service.reset",

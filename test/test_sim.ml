@@ -268,27 +268,15 @@ let test_envelope_pp () =
   let s = Format.asprintf "%a" (Envelope.pp (Ring.pp_msg { Ring.n = 3 })) e in
   Alcotest.(check string) "pp" "1->2: Token" s
 
-(* --- Trace --- *)
-
-let test_trace_records () =
-  let t = Trace.create () in
-  Trace.record t ~round:1 ~kind:"Push";
-  Trace.record t ~round:1 ~kind:"Push";
-  Trace.record t ~round:2 ~kind:"Poll";
-  Alcotest.(check (list string)) "kinds sorted" [ "Poll"; "Push" ] (Trace.kinds t);
-  Alcotest.(check int) "rounds" 3 (Trace.rounds t);
-  Alcotest.(check int) "count" 2 (Trace.count t ~round:1 ~kind:"Push");
-  Alcotest.(check int) "absent" 0 (Trace.count t ~round:0 ~kind:"Poll");
-  let rendered = Trace.render t in
-  Alcotest.(check bool) "renders a table" true (String.length rendered > 0)
+(* --- Tracing --- *)
 
 let test_trace_sink_transparent () =
   (* Tracing through an Events sink must not change behaviour, only
      observe. *)
   let n = 5 in
-  let trace = Trace.create () in
+  let tally = Events.Tally.create ~n () in
   let events = Events.create () in
-  Events.attach events (Trace.consumer trace);
+  Events.attach events (Events.Tally.consumer tally);
   let run ?events () =
     Ring_sync.run ?events ~config:{ Ring.n } ~n ~seed:1L
       ~adversary:(Sync_engine.null_adversary ~corrupted:(no_corruption n))
@@ -302,11 +290,9 @@ let test_trace_sink_transparent () =
   Alcotest.(check bool) "same outputs" true
     (plain.Sync_engine.outputs = traced.Sync_engine.outputs);
   (* n tokens received in total (one per node, incl. the wrap-around). *)
-  let total = ref 0 in
-  for r = 0 to Trace.rounds trace - 1 do
-    total := !total + Trace.count trace ~round:r ~kind:"Token"
-  done;
-  Alcotest.(check int) "all deliveries traced" n !total
+  let csv = String.split_on_char '\n' (String.trim (Events.Tally.deliveries_csv tally)) in
+  Alcotest.(check string) "all deliveries traced" (Printf.sprintf "total,%d" n)
+    (List.nth csv (List.length csv - 1))
 
 (* --- Events --- *)
 
@@ -345,40 +331,92 @@ let test_jsonl_consumer_buffers_lines () =
     ^ {|{"ev":"send","round":0,"src":1,"dst":2,"kind":"Token","bits":16,"delay":1}|} ^ "\n")
     (Buffer.contents buf)
 
-let test_phase_acc_accounting () =
-  let acc =
-    Events.Phase_acc.create
-      ~classify:(fun ~kind -> if kind = "Token" then "transit" else kind)
+(* One tally fed one event stream, read through its three views by
+   the three tests below. Push is attributed before Poll, so the phase
+   rows come in first-attribution order, not sorted; the Fw1 drop
+   creates neither a row nor a column. *)
+let tally_fixture () =
+  let tally =
+    Events.Tally.create
+      ~classify:(fun ~kind ->
+        match kind with "Push" -> "push" | "Poll" | "Pull" -> "poll" | k -> k)
       ~n:4 ()
   in
-  let c = Events.Phase_acc.consumer acc in
-  c (mk_send ~round:0 ~src:0 ~dst:1 ~bits:10);
-  c (mk_send ~round:2 ~src:0 ~dst:2 ~bits:10);
-  c (mk_send ~round:2 ~src:1 ~dst:2 ~bits:30);
-  c (Events.Inject { round = 1; src = 3; dst = 0; kind = "Token"; bits = 7; delay = 1 });
-  c (Events.Deliver { round = 1; src = 0; dst = 1; kind = "Token"; bits = 10 });
-  c (Events.Deliver { round = 3; src = 1; dst = 2; kind = "Token"; bits = 30 });
-  (match Events.Phase_acc.rows acc with
-  | [ row ] ->
-    Alcotest.(check string) "phase name" "transit" row.Events.Phase_acc.phase;
-    Alcotest.(check int) "first round" 0 row.Events.Phase_acc.first_round;
-    Alcotest.(check int) "last round" 3 row.Events.Phase_acc.last_round;
-    Alcotest.(check int) "correct msgs" 3 row.Events.Phase_acc.msgs_correct;
-    Alcotest.(check int) "byz msgs" 1 row.Events.Phase_acc.msgs_byz;
-    Alcotest.(check int) "correct bits" 50 row.Events.Phase_acc.bits_correct;
-    Alcotest.(check int) "byz bits" 7 row.Events.Phase_acc.bits_byz;
-    (* node 0 sent 20 bits, node 1 sent 30. *)
-    Alcotest.(check int) "max sent" 30 row.Events.Phase_acc.max_sent_bits;
-    (* node 2 received 30 delivered bits, node 1 received 10. *)
-    Alcotest.(check int) "max recv" 30 row.Events.Phase_acc.max_recv_bits;
-    Alcotest.(check int) "max fanout" 2 row.Events.Phase_acc.max_fanout
-  | rows -> Alcotest.failf "expected one row, got %d" (List.length rows));
-  Alcotest.(check int) "total bits" 57 (Events.Phase_acc.total_bits acc);
-  Alcotest.(check int) "total msgs" 4 (Events.Phase_acc.total_messages acc);
-  let rendered = Events.Phase_acc.render acc in
-  Alcotest.(check bool) "render has total row" true
-    (String.length rendered > 0
-    && String.length (String.concat "" (String.split_on_char '\n' rendered)) > 0)
+  let c = Events.Tally.consumer tally in
+  let send ~round ~src ~dst ~kind ~bits =
+    c (Events.Send { round; src; dst; kind; bits; delay = 1 })
+  in
+  let deliver ~round ~src ~dst ~kind ~bits = c (Events.Deliver { round; src; dst; kind; bits }) in
+  let drop ~round ~kind ~reason = c (Events.Drop { round; src = 0; dst = 3; kind; reason }) in
+  c (Events.Round_start { round = 0 });
+  send ~round:0 ~src:0 ~dst:1 ~kind:"Push" ~bits:10;
+  send ~round:2 ~src:0 ~dst:2 ~kind:"Push" ~bits:10;
+  send ~round:2 ~src:1 ~dst:2 ~kind:"Poll" ~bits:30;
+  c (Events.Inject { round = 1; src = 3; dst = 0; kind = "Push"; bits = 7; delay = 1 });
+  deliver ~round:1 ~src:0 ~dst:1 ~kind:"Push" ~bits:10;
+  deliver ~round:3 ~src:1 ~dst:2 ~kind:"Poll" ~bits:30;
+  deliver ~round:3 ~src:2 ~dst:1 ~kind:"Pull" ~bits:5;
+  drop ~round:2 ~kind:"Fw1" ~reason:"byzantine-dst";
+  drop ~round:1 ~kind:"Push" ~reason:"net-loss";
+  drop ~round:3 ~kind:"Poll" ~reason:"net-loss";
+  c (Events.Decide { round = 3; id = 1; value = "g" });
+  tally
+
+(* Deliveries per round by message kind, and drops by reason. *)
+let test_trace_records () =
+  let tally = tally_fixture () in
+  Alcotest.(check string) "deliveries per round, sorted kinds"
+    (String.concat "\n"
+       [
+         "| round | Poll | Pull | Push |";
+         "| ----: | ---: | ---: | ---: |";
+         "|     0 |    0 |    0 |    0 |";
+         "|     1 |    0 |    0 |    1 |";
+         "|     2 |    0 |    0 |    0 |";
+         "|     3 |    1 |    1 |    0 |";
+         "| total |    1 |    1 |    1 |";
+         "";
+       ])
+    (Events.Tally.render_deliveries tally);
+  Alcotest.(check (list (pair string int))) "drops by reason"
+    [ ("byzantine-dst", 1); ("net-loss", 2) ]
+    (Events.Tally.drops tally);
+  Alcotest.(check (list (pair string int))) "no drops" []
+    (Events.Tally.drops (Events.Tally.create ~n:4 ()))
+
+let test_trace_total_and_csv () =
+  Alcotest.(check string) "csv with sorted columns and stable total row"
+    "round,Poll,Pull,Push\n0,0,0,0\n1,0,0,1\n2,0,0,0\n3,1,1,0\ntotal,1,1,1\n"
+    (Events.Tally.deliveries_csv (tally_fixture ()));
+  (* The total row survives an empty trace, so parsers can rely on it. *)
+  Alcotest.(check string) "empty trace keeps total row" "round\ntotal\n"
+    (Events.Tally.deliveries_csv (Events.Tally.create ~n:4 ()))
+
+let test_phase_acc_accounting () =
+  let tally = tally_fixture () in
+  let row (r : Events.Tally.row) =
+    Events.Tally.
+      [ r.first_round; r.last_round; r.msgs_correct; r.msgs_byz; r.bits_correct; r.bits_byz;
+        r.max_sent_bits; r.max_recv_bits; r.max_fanout ]
+  in
+  Alcotest.(check (list (pair string (list int))))
+    "phase rows: span, msgs, byz msgs, bits, byz bits, max sent/recv, fanout"
+    [ ("push", [ 0; 2; 2; 1; 20; 7; 20; 10; 2 ]); ("poll", [ 2; 3; 1; 0; 30; 0; 30; 30; 1 ]) ]
+    (List.map (fun r -> (r.Events.Tally.phase, row r)) (Events.Tally.rows tally));
+  Alcotest.(check int) "total bits" 57 (Events.Tally.total_bits tally);
+  Alcotest.(check string) "phase timeline"
+    (String.concat "\n"
+       [
+         "| phase | rounds | msgs | byz msgs | bits/node | max fanout | max recv bits |";
+         "| ----- | -----: | ---: | -------: | --------: | ---------: | ------------: |";
+         "| push  |    0-2 |    2 |        1 |       5.0 |          2 |            10 |";
+         "| poll  |    2-3 |    1 |        0 |       7.5 |          1 |            30 |";
+         "| total |    0-3 |    3 |        1 |      12.5 |          2 |            30 |";
+         "";
+       ])
+    (Events.Tally.render_phases tally);
+  Alcotest.(check int) "no phase rows" 0
+    (List.length (Events.Tally.rows (Events.Tally.create ~n:4 ())))
 
 (* Collect every event an engine run emits, in emission order. *)
 let collecting_sink () =
@@ -445,22 +483,6 @@ let test_metrics_imbalance_guards () =
   let quiet = Metrics.create ~n:3 ~corrupted:(Bitset.of_list 3 [ 2 ]) in
   Alcotest.(check (float 0.0)) "no correct traffic" 0.0 (Metrics.load_imbalance quiet);
   Alcotest.(check bool) "never NaN" false (Float.is_nan (Metrics.load_imbalance quiet))
-
-let test_trace_total_and_csv () =
-  let t = Trace.create () in
-  Trace.record t ~round:0 ~kind:"Push";
-  Trace.record t ~round:2 ~kind:"Push";
-  Trace.record t ~round:2 ~kind:"Poll";
-  Alcotest.(check int) "total" 2 (Trace.total t ~kind:"Push");
-  Alcotest.(check int) "total absent kind" 0 (Trace.total t ~kind:"Fw1");
-  let csv = Trace.to_csv t in
-  let lines = String.split_on_char '\n' (String.trim csv) in
-  Alcotest.(check (list string)) "csv with stable total row"
-    [ "round,Poll,Push"; "0,0,1"; "1,0,0"; "2,1,1"; "total,1,2" ]
-    lines;
-  (* The total row survives an empty trace, so parsers can rely on it. *)
-  let empty = String.trim (Trace.to_csv (Trace.create ())) in
-  Alcotest.(check string) "empty trace keeps total row" "round\ntotal" empty
 
 let suites =
   [
