@@ -33,7 +33,7 @@ let () =
       ~max_rounds:(Aeba.total_rounds cfg + 2) ()
   in
   let mask = Array.init n (fun i -> not (Bitset.mem corrupted i)) in
-  match Aeba.reference_string res.Fba_sim.Sync_engine.outputs mask with
+  match Plurality.of_outputs res.Fba_sim.Sync_engine.outputs ~counted:(Array.get mask) with
   | None -> print_endline "no agreement (should not happen)"
   | Some gstring ->
     let agree = ref 0 and correct = ref 0 in

@@ -25,28 +25,15 @@ let size_committee ~byzantine_fraction ~budget =
   in
   search 7
 
-let make_config ?group_size ?committee_size ?gstring_bits ?(byzantine_fraction = 0.1) ~n ~seed
-    () =
+let make_config ?(byzantine_fraction = 0.1) ~n ~seed () =
   if n < 2 then invalid_arg "Aeba.make_config: n < 2";
   (* Phase-king in each committee needs n > 3t. *)
   if byzantine_fraction < 0.0 || byzantine_fraction >= 1.0 /. 3.0 then
     invalid_arg "Aeba.make_config: byzantine_fraction must be in [0, 1/3)";
-  let m =
-    match committee_size with
-    | Some m when m >= 1 -> m
-    | Some _ -> invalid_arg "Aeba.make_config: committee_size < 1"
-    | None -> min n (size_committee ~byzantine_fraction ~budget:0.005)
-  in
-  let group_size = match group_size with Some g -> g | None -> m in
-  let tree = Committee_tree.build ~n ~seed ~group_size ~committee_size:m in
+  let m = min n (size_committee ~byzantine_fraction ~budget:0.005) in
+  let tree = Committee_tree.build ~n ~seed ~group_size:m ~committee_size:m in
   let m = Committee_tree.committee_size tree in
-  let gstring_bits =
-    match gstring_bits with
-    | Some b when b >= 1 -> b
-    | Some _ -> invalid_arg "Aeba.make_config: gstring_bits < 1"
-    | None -> 8 * Intx.ceil_log2 (max 2 n)
-  in
-  let contrib_bits = Intx.cdiv gstring_bits m in
+  let contrib_bits = Intx.cdiv (8 * Intx.ceil_log2 (max 2 n)) m in
   let pk_phases = ((m - 1) / 3) + 1 in
   let pk_rounds = 4 * pk_phases in
   let t_pk_end = 2 + pk_rounds in
@@ -70,33 +57,14 @@ type msg =
   | Relay of { level : int; index : int; v : string }
   | Inform of { v : string }
 
-(* Plurality tally with per-sender dedup. *)
-type tally = { mutable seen : int list; counts : (string, int) Hashtbl.t }
-
-let fresh_tally () = { seen = []; counts = Hashtbl.create 8 }
-
-let tally_add t ~src v =
-  if not (List.mem src t.seen) then begin
-    t.seen <- src :: t.seen;
-    Hashtbl.replace t.counts v (1 + Option.value ~default:0 (Hashtbl.find_opt t.counts v))
-  end
-
-let tally_plurality t =
-  Hashtbl.fold
-    (fun v c best ->
-      match best with
-      | Some (bv, bc) when c < bc || (c = bc && v >= bv) -> Some (bv, bc)
-      | _ -> Some (v, c))
-    t.counts None
-
 type state = {
   ctx : Fba_sim.Ctx.t;
   root_slot : int option;  (* my slot in the root committee, if any *)
   contribs : string option array;  (* received root contributions by slot *)
   mutable pk : Phase_king.t array;  (* one instance per root slot, from round 2 *)
   committee_values : (int * int, string) Hashtbl.t;  (* adopted per committee *)
-  relay_tallies : (int * int, tally) Hashtbl.t;
-  inform_tally : tally;
+  relay_tallies : (int * int, Plurality.t) Hashtbl.t;
+  inform_tally : Plurality.t;
   mutable result : string option;
 }
 
@@ -123,7 +91,7 @@ let init cfg ctx =
       pk = [||];
       committee_values = Hashtbl.create 4;
       relay_tallies = Hashtbl.create 4;
-      inform_tally = fresh_tally ();
+      inform_tally = Plurality.create ();
       result = None;
     }
   in
@@ -195,7 +163,7 @@ let on_round cfg st ~round =
       if level > 0 && round = cfg.t_pk_end + (2 * level) then begin
         let v =
           match Hashtbl.find_opt st.relay_tallies (level, index) with
-          | Some t -> (match tally_plurality t with Some (v, _) -> v | None -> default_contrib cfg)
+          | Some t -> (match Plurality.winner t with Some v -> v | None -> default_contrib cfg)
           | None -> default_contrib cfg
         in
         Hashtbl.replace st.committee_values (level, index) v;
@@ -205,8 +173,8 @@ let on_round cfg st ~round =
   (* Every node: final adoption from its leaf committee. *)
   if round = cfg.rounds_total && st.result = None then begin
     let v =
-      match tally_plurality st.inform_tally with
-      | Some (v, _) -> v
+      match Plurality.winner st.inform_tally with
+      | Some v -> v
       | None -> String.concat "" (List.init (Array.length st.contribs) (fun _ -> default_contrib cfg))
     in
     st.result <- Some v
@@ -243,26 +211,22 @@ let on_receive cfg st ~round:_ ~src m =
         match Hashtbl.find_opt st.relay_tallies (level, index) with
         | Some t -> t
         | None ->
-          let t = fresh_tally () in
+          let t = Plurality.create () in
           Hashtbl.add st.relay_tallies (level, index) t;
           t
       in
-      tally_add t ~src v
+      Plurality.add t ~src v
     end
   | Inform { v } ->
     let leaf_level = Committee_tree.levels tree in
     let g = Committee_tree.group_of tree id in
     if Committee_tree.is_member tree ~level:leaf_level ~index:g src then
-      tally_add st.inform_tally ~src v);
+      Plurality.add st.inform_tally ~src v);
   []
 
 let output st = st.result
 
-let node_output = output
-
 let msg_bits cfg m =
-  let id_bits = Intx.ceil_log2 (max 2 cfg.n) in
-  let header = 8 + (2 * id_bits) in
   let payload =
     match m with
     | Contrib { v; _ } -> 8 + (8 * String.length v)
@@ -270,7 +234,7 @@ let msg_bits cfg m =
     | Relay { v; _ } -> 16 + (8 * String.length v)
     | Inform { v } -> 8 * String.length v
   in
-  header + payload
+  Fba_sim.Metrics.header_bits ~n:cfg.n + payload
 
 let receive_into = None
 
@@ -283,20 +247,3 @@ let pp_msg _cfg fmt = function
 
 let msg_tags _cfg = [| "Contrib"; "Pk"; "Relay"; "Inform" |]
 let msg_tag _cfg = function Contrib _ -> 0 | Pk _ -> 1 | Relay _ -> 2 | Inform _ -> 3
-
-let reference_string outputs correct_mask =
-  let counts = Hashtbl.create 8 in
-  Array.iteri
-    (fun i o ->
-      match o with
-      | Some v when correct_mask.(i) ->
-        Hashtbl.replace counts v (1 + Option.value ~default:0 (Hashtbl.find_opt counts v))
-      | _ -> ())
-    outputs;
-  Hashtbl.fold
-    (fun v c best ->
-      match best with
-      | Some (_, bc) when c <= bc -> best
-      | _ -> Some (v, c))
-    counts None
-  |> Option.map fst

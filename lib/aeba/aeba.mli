@@ -23,22 +23,13 @@
 
 type config
 
-val make_config :
-  ?group_size:int ->
-  ?committee_size:int ->
-  ?gstring_bits:int ->
-  ?byzantine_fraction:float ->
-  n:int ->
-  seed:int64 ->
-  unit ->
-  config
-(** Defaults: [committee_size] is the smallest m whose probability of
+val make_config : ?byzantine_fraction:float -> n:int -> seed:int64 -> unit -> config
+(** Committees have the smallest size m whose probability of
     containing ≥ ⌈m/3⌉ Byzantine members (breaking phase-king) stays
-    below 0.005 given [byzantine_fraction] (default 0.1);
-    [group_size = committee_size]; [gstring_bits = 8·⌈log₂ n⌉].
-    Raises [Invalid_argument] for [n < 2], a [byzantine_fraction]
-    outside [\[0, 1/3)] (the committee BA needs n > 3t) or
-    out-of-range overrides.
+    below 0.005 given [byzantine_fraction] (default 0.1); groups have
+    size m, and gstring 8·⌈log₂ n⌉ bits before padding.
+    Raises [Invalid_argument] for [n < 2] or a [byzantine_fraction]
+    outside [\[0, 1/3)] (the committee BA needs n > 3t).
     A run is observed through the engine's [?events] sink, whose
     message kinds are {!msg_tags}' names. *)
 
@@ -63,13 +54,3 @@ type msg =
   | Inform of { v : string }  (** leaf committee -> group member *)
 
 include Fba_sim.Protocol.S with type config := config and type msg := msg
-
-val node_output : state -> string option
-(** Same as {!output}. *)
-
-(** {2 Evaluation helpers} *)
-
-val reference_string : (string option array -> bool array -> string option)
-(** [reference_string outputs correct_mask] is the plurality output
-    among correct nodes — the "gstring" an execution actually agreed
-    on, used to measure the almost-everywhere fraction. *)

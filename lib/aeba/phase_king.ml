@@ -1,3 +1,5 @@
+open Fba_stdx
+
 type msg = Value of string | King of string
 
 (* Four local rounds per phase, leaving one round of slack for the
@@ -8,12 +10,6 @@ type msg = Value of string | King of string
      4k+3  (king value delivered)
      4k+4  apply the king rule, start the next phase (or finish). *)
 
-type phase_tally = {
-  mutable seen_value : int list;  (* members already counted this phase *)
-  counts : (string, int) Hashtbl.t;
-  mutable king_value : string option;
-}
-
 type t = {
   members : int array;
   member_set : (int, int) Hashtbl.t;  (* id -> slot *)
@@ -21,11 +17,10 @@ type t = {
   faults : int;  (* tolerated faults: largest t with 3t < |members| *)
   mutable value : string;
   mutable cur_phase : int;
-  mutable tally : phase_tally;
+  mutable values : Plurality.t;  (* this phase's Value votes *)
+  mutable king_value : string option;  (* this phase's King proposal *)
   mutable done_ : bool;
 }
-
-let fresh_tally () = { seen_value = []; counts = Hashtbl.create 8; king_value = None }
 
 let create ~members ~me ~initial =
   if Array.length members = 0 then invalid_arg "Phase_king.create: empty member set";
@@ -39,7 +34,8 @@ let create ~members ~me ~initial =
     faults = (Array.length members - 1) / 3;
     value = initial;
     cur_phase = 0;
-    tally = fresh_tally ();
+    values = Plurality.create ();
+    king_value = None;
     done_ = false;
   }
 
@@ -51,26 +47,17 @@ let king_of t phase = t.members.(phase mod Array.length t.members)
 
 let broadcast t m = Array.to_list (Array.map (fun id -> (id, m)) t.members)
 
-(* Plurality with deterministic (lexicographic) tie-breaking. *)
-let plurality t =
-  Hashtbl.fold
-    (fun v c best ->
-      match best with
-      | Some (bv, bc) when c < bc || (c = bc && v >= bv) -> Some (bv, bc)
-      | _ -> Some (v, c))
-    t.tally.counts None
-
 let apply_king_rule t =
   let m = Array.length t.members in
   let keep_threshold = m - t.faults in
-  match plurality t with
+  match Plurality.winner t.values with
   | None ->
     (* Nothing received (all peers faulty): keep the current value. *)
     ()
-  | Some (maj, cnt) ->
-    if cnt >= keep_threshold then t.value <- maj
+  | Some maj ->
+    if Plurality.winner_votes t.values >= keep_threshold then t.value <- maj
     else begin
-      match t.tally.king_value with
+      match t.king_value with
       | Some kv -> t.value <- kv
       | None -> t.value <- maj (* faulty king stayed silent *)
     end
@@ -90,13 +77,13 @@ let on_round t ~round =
       if round > 0 then begin
         apply_king_rule t;
         t.cur_phase <- round / 4;
-        t.tally <- fresh_tally ()
+        t.values <- Plurality.create ();
+        t.king_value <- None
       end;
       broadcast t (Value t.value)
-    | 2 -> if king_of t t.cur_phase = t.me then
-        (match plurality t with
-        | Some (maj, _) -> broadcast t (King maj)
-        | None -> broadcast t (King t.value))
+    | 2 ->
+      if king_of t t.cur_phase = t.me then
+        broadcast t (King (Plurality.winner_or t.values ~default:t.value))
       else []
     | _ -> []
   end
@@ -104,15 +91,9 @@ let on_round t ~round =
 let on_receive t ~round:_ ~src msg =
   if (not t.done_) && Hashtbl.mem t.member_set src then begin
     match msg with
-    | Value v ->
-      if not (List.mem src t.tally.seen_value) then begin
-        t.tally.seen_value <- src :: t.tally.seen_value;
-        Hashtbl.replace t.tally.counts v
-          (1 + Option.value ~default:0 (Hashtbl.find_opt t.tally.counts v))
-      end
+    | Value v -> Plurality.add t.values ~src v
     | King v ->
-      if src = king_of t t.cur_phase && t.tally.king_value = None then
-        t.tally.king_value <- Some v
+      if src = king_of t t.cur_phase && t.king_value = None then t.king_value <- Some v
   end
 
 let current t = t.value

@@ -9,29 +9,11 @@ let make_config ~n ~initial ~str_bits =
 
 type msg = Along_row of string | Along_col of string
 
-type tally = { mutable seen : int list; counts : (string, int) Hashtbl.t }
-
-let fresh_tally () = { seen = []; counts = Hashtbl.create 8 }
-
-let tally_add t ~src v =
-  if not (List.mem src t.seen) then begin
-    t.seen <- src :: t.seen;
-    Hashtbl.replace t.counts v (1 + Option.value ~default:0 (Hashtbl.find_opt t.counts v))
-  end
-
-let tally_plurality t =
-  Hashtbl.fold
-    (fun v c best ->
-      match best with
-      | Some (bv, bc) when c < bc || (c = bc && v >= bv) -> Some (bv, bc)
-      | _ -> Some (v, c))
-    t.counts None
-
 type state = {
   ctx : Fba_sim.Ctx.t;
   value : string;
-  row_tally : tally;
-  col_tally : tally;
+  row_tally : Plurality.t;
+  col_tally : Plurality.t;
   mutable result : string option;
 }
 
@@ -58,9 +40,11 @@ let col_members cfg c =
 let init cfg ctx =
   let id = ctx.Fba_sim.Ctx.id in
   let value = cfg.initial id in
-  let st = { ctx; value; row_tally = fresh_tally (); col_tally = fresh_tally (); result = None } in
+  let st =
+    { ctx; value; row_tally = Plurality.create (); col_tally = Plurality.create (); result = None }
+  in
   (* Own value counts toward both majorities. *)
-  tally_add st.row_tally ~src:id value;
+  Plurality.add st.row_tally ~src:id value;
   let msg = Along_row value in
   let sends =
     Array.to_list
@@ -74,8 +58,8 @@ let on_round cfg st ~round =
   | 2 ->
     (* Row values arrived during round 1: forward the row majority
        down the column. *)
-    let maj = match tally_plurality st.row_tally with Some (v, _) -> v | None -> st.value in
-    tally_add st.col_tally ~src:id maj;
+    let maj = Plurality.winner_or st.row_tally ~default:st.value in
+    Plurality.add st.col_tally ~src:id maj;
     let msg = Along_col maj in
     Array.to_list
       (Array.map (fun dst -> (dst, msg)) (col_members cfg (col_of cfg id)))
@@ -83,24 +67,20 @@ let on_round cfg st ~round =
   | 4 ->
     (* Column values arrived during round 3: decide. *)
     if st.result = None then
-      st.result <-
-        Some (match tally_plurality st.col_tally with Some (v, _) -> v | None -> st.value);
+      st.result <- Some (Plurality.winner_or st.col_tally ~default:st.value);
     []
   | _ -> []
 
 let on_receive cfg st ~round:_ ~src m =
   let id = st.ctx.Fba_sim.Ctx.id in
   (match m with
-  | Along_row v -> if row_of cfg src = row_of cfg id then tally_add st.row_tally ~src v
-  | Along_col v -> if col_of cfg src = col_of cfg id then tally_add st.col_tally ~src v);
+  | Along_row v -> if row_of cfg src = row_of cfg id then Plurality.add st.row_tally ~src v
+  | Along_col v -> if col_of cfg src = col_of cfg id then Plurality.add st.col_tally ~src v);
   []
 
 let output st = st.result
 
-let msg_bits cfg m =
-  let id_bits = Intx.ceil_log2 (max 2 cfg.n) in
-  let header = 8 + (2 * id_bits) in
-  match m with Along_row _ | Along_col _ -> header + cfg.str_bits
+let msg_bits cfg (Along_row _ | Along_col _) = Fba_sim.Metrics.header_bits ~n:cfg.n + cfg.str_bits
 
 let receive_into = None
 

@@ -2,17 +2,12 @@ open Fba_stdx
 
 type config = { n : int; fanout : int; initial : int -> string; str_bits : int }
 
-let make_config ?fanout ~n ~initial ~str_bits () =
+let make_config ~n ~initial ~str_bits =
   if n < 2 then invalid_arg "Ks09_aetoe.make_config: n < 2";
   if str_bits < 1 then invalid_arg "Ks09_aetoe.make_config: str_bits < 1";
+  let log_n = Intx.ceil_log2 n in
   let fanout =
-    match fanout with
-    | Some f when f >= 1 && f <= n - 1 -> f
-    | Some _ -> invalid_arg "Ks09_aetoe.make_config: fanout out of range"
-    | None ->
-      let log_n = Intx.ceil_log2 n in
-      Intx.clamp ~lo:1 ~hi:(n - 1)
-        (max ((2 * log_n) + 1) (Intx.isqrt n * log_n / 4))
+    Intx.clamp ~lo:1 ~hi:(n - 1) (max ((2 * log_n) + 1) (Intx.isqrt n * log_n / 4))
   in
   { n; fanout; initial; str_bits }
 
@@ -21,8 +16,7 @@ type msg = Push of string
 type state = {
   ctx : Fba_sim.Ctx.t;
   value : string;
-  mutable seen : int list;
-  counts : (string, int) Hashtbl.t;
+  pushes : Plurality.t;
   mutable result : string option;
 }
 
@@ -32,44 +26,27 @@ let compile _ = ()
 let init cfg ctx =
   let id = ctx.Fba_sim.Ctx.id in
   let value = cfg.initial id in
-  let st = { ctx; value; seen = []; counts = Hashtbl.create 8; result = None } in
-  let targets =
-    Array.map
-      (fun v -> if v >= id then v + 1 else v)
-      (Prng.sample_without_replacement ctx.Fba_sim.Ctx.rng ~n:(cfg.n - 1) ~k:cfg.fanout)
-  in
+  let st = { ctx; value; pushes = Plurality.create (); result = None } in
+  let targets = Prng.sample_others ctx.Fba_sim.Ctx.rng ~n:cfg.n ~k:cfg.fanout ~self:id in
   (st, Array.to_list (Array.map (fun dst -> (dst, Push value)) targets))
 
 let on_round _cfg st ~round =
   if round = 2 && st.result = None then begin
-    (* Pushes arrived during round 1: adopt the plurality, own value as
-       the tie-breaking default. *)
-    let best =
-      Hashtbl.fold
-        (fun v c acc ->
-          match acc with
-          | Some (bv, bc) when c < bc || (c = bc && v >= bv) -> Some (bv, bc)
-          | _ -> Some (v, c))
-        st.counts None
-    in
-    st.result <- Some (match best with Some (v, _) -> v | None -> st.value)
+    (* Pushes arrived during round 1: adopt the plurality, own value
+       when none arrived. *)
+    st.result <- Some (Plurality.winner_or st.pushes ~default:st.value)
   end;
   []
 
 let on_receive _cfg st ~round:_ ~src (Push v) =
   (* One counted push per sender — but no membership filter: this is
      the vulnerability AER's sampler I closes. *)
-  if not (List.mem src st.seen) then begin
-    st.seen <- src :: st.seen;
-    Hashtbl.replace st.counts v (1 + Option.value ~default:0 (Hashtbl.find_opt st.counts v))
-  end;
+  Plurality.add st.pushes ~src v;
   []
 
 let output st = st.result
 
-let msg_bits cfg (Push _) =
-  let id_bits = Intx.ceil_log2 (max 2 cfg.n) in
-  8 + (2 * id_bits) + cfg.str_bits
+let msg_bits cfg (Push _) = Fba_sim.Metrics.header_bits ~n:cfg.n + cfg.str_bits
 
 let receive_into = None
 

@@ -14,9 +14,9 @@
 
 type config
 
-val make_config :
-  ?fanout:int -> n:int -> initial:(int -> string) -> str_bits:int -> unit -> config
-(** [fanout] defaults to ⌈√n⌉·⌈log₂ n⌉ / 4, at least 2·⌈log₂ n⌉+1. *)
+val make_config : n:int -> initial:(int -> string) -> str_bits:int -> config
+(** Each node pushes to ⌈√n⌉·⌈log₂ n⌉ / 4 others, at least
+    2·⌈log₂ n⌉+1 and at most n − 1. *)
 
 include Fba_sim.Protocol.S with type config := config
 

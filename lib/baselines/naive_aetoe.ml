@@ -2,16 +2,10 @@ open Fba_stdx
 
 type config = { n : int; fanout : int; initial : int -> string; str_bits : int }
 
-let make_config ?fanout ~n ~initial ~str_bits () =
+let make_config ~n ~initial ~str_bits =
   if n < 2 then invalid_arg "Naive_aetoe.make_config: n < 2";
   if str_bits < 1 then invalid_arg "Naive_aetoe.make_config: str_bits < 1";
-  let fanout =
-    match fanout with
-    | Some f when f >= 1 && f <= n -> f
-    | Some _ -> invalid_arg "Naive_aetoe.make_config: fanout out of range"
-    | None -> min n ((4 * Intx.ceil_log2 n) + 1)
-  in
-  { n; fanout; initial; str_bits }
+  { n; fanout = min (n - 1) ((4 * Intx.ceil_log2 n) + 1); initial; str_bits }
 
 type msg = Query | Reply of string
 
@@ -19,8 +13,7 @@ type state = {
   ctx : Fba_sim.Ctx.t;
   value : string;
   queried : int array;
-  mutable replies_seen : int list;
-  reply_counts : (string, int) Hashtbl.t;
+  replies : Plurality.t;
   answered : (int, unit) Hashtbl.t;
   mutable result : string option;
 }
@@ -31,19 +24,13 @@ let compile _ = ()
 let init cfg ctx =
   let id = ctx.Fba_sim.Ctx.id in
   let value = cfg.initial id in
-  let queried =
-    (* Sample targets other than self. *)
-    Array.map
-      (fun v -> if v >= id then v + 1 else v)
-      (Prng.sample_without_replacement ctx.Fba_sim.Ctx.rng ~n:(cfg.n - 1) ~k:cfg.fanout)
-  in
+  let queried = Prng.sample_others ctx.Fba_sim.Ctx.rng ~n:cfg.n ~k:cfg.fanout ~self:id in
   let st =
     {
       ctx;
       value;
       queried;
-      replies_seen = [];
-      reply_counts = Hashtbl.create 8;
+      replies = Plurality.create ();
       answered = Hashtbl.create 16;
       result = None;
     }
@@ -54,15 +41,7 @@ let on_round _cfg st ~round =
   if round = 3 && st.result = None then begin
     (* Replies arrived during round 2; adopt the plurality, falling
        back to the own value when the sample was empty. *)
-    let best =
-      Hashtbl.fold
-        (fun v c acc ->
-          match acc with
-          | Some (bv, bc) when c < bc || (c = bc && v >= bv) -> Some (bv, bc)
-          | _ -> Some (v, c))
-        st.reply_counts None
-    in
-    st.result <- Some (match best with Some (v, _) -> v | None -> st.value)
+    st.result <- Some (Plurality.winner_or st.replies ~default:st.value)
   end;
   []
 
@@ -77,22 +56,14 @@ let on_receive _cfg st ~round:_ ~src m =
       [ (src, Reply st.value) ]
     end
   | Reply v ->
-    if
-      st.result = None
-      && Array.exists (fun q -> q = src) st.queried
-      && not (List.mem src st.replies_seen)
-    then begin
-      st.replies_seen <- src :: st.replies_seen;
-      Hashtbl.replace st.reply_counts v
-        (1 + Option.value ~default:0 (Hashtbl.find_opt st.reply_counts v))
-    end;
+    if st.result = None && Array.exists (fun q -> q = src) st.queried then
+      Plurality.add st.replies ~src v;
     []
 
 let output st = st.result
 
 let msg_bits cfg m =
-  let id_bits = Intx.ceil_log2 (max 2 cfg.n) in
-  let header = 8 + (2 * id_bits) in
+  let header = Fba_sim.Metrics.header_bits ~n:cfg.n in
   match m with Query -> header | Reply _ -> header + cfg.str_bits
 
 let receive_into = None

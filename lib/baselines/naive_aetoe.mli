@@ -11,10 +11,9 @@
 
 type config
 
-val make_config :
-  ?fanout:int -> n:int -> initial:(int -> string) -> str_bits:int -> unit -> config
-(** [fanout] defaults to [4·⌈log₂ n⌉ + 1] (odd, so majorities are
-    unambiguous). *)
+val make_config : n:int -> initial:(int -> string) -> str_bits:int -> config
+(** Each node queries [4·⌈log₂ n⌉ + 1] others (odd, so majorities are
+    unambiguous), or all n − 1 of them when that is fewer. *)
 
 include Fba_sim.Protocol.S with type config := config
 

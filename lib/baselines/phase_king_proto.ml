@@ -1,4 +1,3 @@
-open Fba_stdx
 module Phase_king = Fba_aeba.Phase_king
 
 type config = { n : int; members : int array; initial : int -> string; str_bits : int }
@@ -36,10 +35,8 @@ let on_receive _cfg st ~round ~src m =
 
 let output st = st.result
 
-let msg_bits cfg m =
-  let id_bits = Intx.ceil_log2 (max 2 cfg.n) in
-  let header = 8 + (2 * id_bits) in
-  match m with Phase_king.Value _ | Phase_king.King _ -> header + 8 + cfg.str_bits
+let msg_bits cfg (Phase_king.Value _ | Phase_king.King _) =
+  Fba_sim.Metrics.header_bits ~n:cfg.n + 8 + cfg.str_bits
 
 let receive_into = None
 

@@ -137,8 +137,7 @@ let on_receive cfg st ~round:_ ~src m =
 let output st = st.result
 
 let msg_bits cfg m =
-  let id_bits = Intx.ceil_log2 (max 2 cfg.n) in
-  let header = 8 + (2 * id_bits) in
+  let header = Fba_sim.Metrics.header_bits ~n:cfg.n in
   match m with Report _ -> header + 8 + 1 | Proposal _ -> header + 8 + 2
 
 let receive_into = None

@@ -28,20 +28,19 @@ type phase1 = {
   p1_ae_fraction : float;
 }
 
-let run_phase1 ?(mode = `Rushing) ?aeba_adversary ~n ~seed ~byzantine_fraction () =
+let run_phase1 ~n ~seed ~byzantine_fraction () =
   let corrupted = sample_corruption ~n ~seed ~byzantine_fraction in
   let acfg = Aeba.make_config ~n ~seed ~byzantine_fraction () in
-  let a_adv =
-    match aeba_adversary with
-    | Some build -> build corrupted
-    | None -> Fba_sim.Sync_engine.null_adversary ~corrupted
-  in
   let res =
-    Aeba_engine.run ~config:acfg ~n ~seed ~adversary:a_adv ~mode
+    Aeba_engine.run ~config:acfg ~n ~seed
+      ~adversary:(Fba_sim.Sync_engine.null_adversary ~corrupted)
+      ~mode:`Rushing
       ~max_rounds:(Aeba.total_rounds acfg + 2) ()
   in
   let mask = Array.init n (fun i -> not (Bitset.mem corrupted i)) in
-  let reference = Aeba.reference_string res.Fba_sim.Sync_engine.outputs mask in
+  let reference =
+    Plurality.of_outputs res.Fba_sim.Sync_engine.outputs ~counted:(Array.get mask)
+  in
   let ae_count =
     match reference with
     | None -> 0
@@ -58,9 +57,8 @@ let run_phase1 ?(mode = `Rushing) ?aeba_adversary ~n ~seed ~byzantine_fraction (
     p1_ae_fraction = float_of_int ae_count /. float_of_int n;
   }
 
-let run_sync ?(mode = `Rushing) ?aeba_adversary ?aer_adversary ?per_run_miss ~n ~seed
-    ~byzantine_fraction () =
-  let phase1 = run_phase1 ~mode ?aeba_adversary ~n ~seed ~byzantine_fraction () in
+let run_sync ~n ~seed ~byzantine_fraction () =
+  let phase1 = run_phase1 ~n ~seed ~byzantine_fraction () in
   let corrupted = phase1.p1_corrupted in
   let mask = Array.init n (fun i -> not (Bitset.mem corrupted i)) in
   let reference = phase1.p1_reference in
@@ -72,9 +70,7 @@ let run_sync ?(mode = `Rushing) ?aeba_adversary ?aer_adversary ?per_run_miss ~n 
        everywhere. Undecided phase-1 stragglers start from a unique
        junk candidate, as the AER precondition allows. *)
     let params =
-      Params.make_for ?per_run_miss
-        ~gstring_bits:(8 * String.length gstring)
-        ~n
+      Params.make_for ~gstring_bits:(8 * String.length gstring) ~n
         ~seed:(Hash64.finish (Hash64.add_string (Hash64.init seed) "aer"))
         ~byzantine_fraction:(max 0.01 byzantine_fraction)
         ~knowledgeable_fraction:ae_fraction ()
@@ -87,14 +83,11 @@ let run_sync ?(mode = `Rushing) ?aeba_adversary ?aer_adversary ?per_run_miss ~n 
     in
     let scenario = Scenario.of_assignment ~params ~gstring ~corrupted ~initial () in
     let cfg = Aer.config_of_scenario scenario in
-    let aer_adv =
-      match aer_adversary with
-      | Some build -> build scenario
-      | None -> Fba_sim.Sync_engine.null_adversary ~corrupted
-    in
     let phase2 =
       Aer_engine.run ~quiet_limit:(Params.quiet_limit params) ~config:cfg ~n
-        ~seed:params.Params.seed ~adversary:aer_adv ~mode
+        ~seed:params.Params.seed
+        ~adversary:(Fba_sim.Sync_engine.null_adversary ~corrupted)
+        ~mode:`Rushing
         ~max_rounds:(100 + Params.(params.n)) ()
     in
     let agreed =

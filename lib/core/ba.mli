@@ -33,32 +33,21 @@ type phase1 = {
   p1_ae_fraction : float;
 }
 
-val run_phase1 :
-  ?mode:Fba_sim.Sync_engine.mode ->
-  ?aeba_adversary:(Fba_stdx.Bitset.t -> Fba_aeba.Aeba.msg Fba_sim.Sync_engine.adversary) ->
-  n:int ->
-  seed:int64 ->
-  byzantine_fraction:float ->
-  unit ->
-  phase1
-(** The almost-everywhere phase alone — exposed so alternative
-    phase-2 protocols (the Figure 1(b) baselines) can be composed with
-    the same substrate. *)
+val sample_corruption : n:int -> seed:int64 -> byzantine_fraction:float -> Fba_stdx.Bitset.t
+(** The ⌊byzantine_fraction·n⌋ corrupted identities, drawn uniformly
+    without replacement from a stream of [seed] labelled
+    ["corruption"]. *)
 
-val run_sync :
-  ?mode:Fba_sim.Sync_engine.mode ->
-  ?aeba_adversary:(Fba_stdx.Bitset.t -> Fba_aeba.Aeba.msg Fba_sim.Sync_engine.adversary) ->
-  ?aer_adversary:(Scenario.t -> Aer.msg Fba_sim.Sync_engine.adversary) ->
-  ?per_run_miss:float ->
-  n:int ->
-  seed:int64 ->
-  byzantine_fraction:float ->
-  unit ->
-  result
-(** Run the full composition on the synchronous engine. Corruption is
-    sampled uniformly from [seed]; adversary builders default to
-    silence. If phase 1 leaves gstring known to at most half the nodes
-    (a failed almost-everywhere phase — possible, rare), the result
-    reports it with [agreed = 0] and phase 2 is skipped. The
-    composition is not traced: to observe one phase, run its protocol
-    on an engine with an [?events] sink. *)
+val run_phase1 : n:int -> seed:int64 -> byzantine_fraction:float -> unit -> phase1
+(** The almost-everywhere phase alone, rushing and with silent
+    corrupted nodes — exposed so alternative phase-2 protocols (the
+    Figure 1(b) baselines) can be composed with the same substrate. *)
+
+val run_sync : n:int -> seed:int64 -> byzantine_fraction:float -> unit -> result
+(** Run the full composition on the synchronous engine, rushing.
+    Corruption is {!sample_corruption}, and the corrupted nodes stay
+    silent in both phases. If phase 1 leaves gstring known to at most
+    half the nodes (a failed almost-everywhere phase — possible, rare),
+    the result reports it with [agreed = 0] and phase 2 is skipped.
+    The composition is not traced: to observe one phase, run its
+    protocol on an engine with an [?events] sink. *)

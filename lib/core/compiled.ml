@@ -133,7 +133,7 @@ let build ~(scenario : Scenario.t) ~(qi : Cache.t) =
   (* Wire-size tables (mirrors Msg.bits / Msg.Packed.bits exactly;
      the compiled.tables suite pins the agreement). *)
   let id_bits = Params.id_bits params in
-  let header = 8 + (2 * id_bits) in
+  let header = Fba_sim.Metrics.header_bits ~n in
   let tag_fixed = Array.make 8 (-1) in
   tag_fixed.(Msg.Packed.tag_push) <- header;
   tag_fixed.(Msg.Packed.tag_answer) <- header;

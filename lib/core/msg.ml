@@ -10,7 +10,7 @@ type t =
 
 let bits params t =
   let id = Params.id_bits params in
-  let header = 8 + (2 * id) in
+  let header = Fba_sim.Metrics.header_bits ~n:params.Params.n in
   let str s = 8 * String.length s in
   let payload =
     match t with
@@ -230,7 +230,7 @@ module Packed = struct
      packed-codec qcheck property pins this). *)
   let bits lt params intern p =
     let id = Params.id_bits params in
-    let header = 8 + (2 * id) in
+    let header = Fba_sim.Metrics.header_bits ~n:params.Params.n in
     let str = 8 * String.length (Intern.string intern (sid lt p)) in
     let payload =
       match tag p with

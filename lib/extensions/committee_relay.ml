@@ -9,15 +9,10 @@ type config = {
   str_bits : int;
 }
 
-let make_config ?(committee_factor = 2.0) ?relays ~n ~seed ~initial ~str_bits () =
+let make_config ?relays ~n ~seed ~initial ~str_bits () =
   if n < 2 then invalid_arg "Committee_relay.make_config: n < 2";
   if str_bits < 1 then invalid_arg "Committee_relay.make_config: str_bits < 1";
-  if committee_factor <= 0.0 then
-    invalid_arg "Committee_relay.make_config: committee_factor <= 0";
-  let size =
-    Intx.clamp ~lo:1 ~hi:n
-      (int_of_float (ceil (committee_factor *. sqrt (float_of_int n))))
-  in
+  let size = Intx.clamp ~lo:1 ~hi:n (int_of_float (ceil (2.0 *. sqrt (float_of_int n)))) in
   let sampler =
     Fba_samplers.Sampler.create
       ~seed:(Hash64.finish (Hash64.add_int (Hash64.init seed) 0x5e1))
@@ -48,29 +43,11 @@ let is_relay_of cfg ~slot ~x =
 
 type msg = Exchange of string | Deliver of string
 
-type tally = { mutable seen : int list; counts : (string, int) Hashtbl.t }
-
-let fresh_tally () = { seen = []; counts = Hashtbl.create 8 }
-
-let tally_add t ~src v =
-  if not (List.mem src t.seen) then begin
-    t.seen <- src :: t.seen;
-    Hashtbl.replace t.counts v (1 + Option.value ~default:0 (Hashtbl.find_opt t.counts v))
-  end
-
-let tally_plurality t =
-  Hashtbl.fold
-    (fun v c best ->
-      match best with
-      | Some (bv, bc) when c < bc || (c = bc && v >= bv) -> Some (bv, bc)
-      | _ -> Some (v, c))
-    t.counts None
-
 type state = {
   ctx : Fba_sim.Ctx.t;
   slot : int option;  (* my committee slot, if a member *)
-  exchange_tally : tally;
-  deliver_tally : tally;
+  exchange_tally : Plurality.t;
+  deliver_tally : Plurality.t;
   mutable result : string option;
 }
 
@@ -80,13 +57,21 @@ let compile _ = ()
 let init cfg ctx =
   let id = ctx.Fba_sim.Ctx.id in
   let slot = Hashtbl.find_opt cfg.slot_of id in
-  let st = { ctx; slot; exchange_tally = fresh_tally (); deliver_tally = fresh_tally (); result = None } in
+  let st =
+    {
+      ctx;
+      slot;
+      exchange_tally = Plurality.create ();
+      deliver_tally = Plurality.create ();
+      result = None;
+    }
+  in
   let outs =
     match slot with
     | None -> []
     | Some _ ->
       let v = cfg.initial id in
-      tally_add st.exchange_tally ~src:id v;
+      Plurality.add st.exchange_tally ~src:id v;
       Array.to_list
         (Array.map (fun dst -> (dst, Exchange v)) cfg.members)
       |> List.filter (fun (dst, _) -> dst <> id)
@@ -102,11 +87,7 @@ let on_round cfg st ~round =
     (match st.slot with
     | None -> []
     | Some slot ->
-      let v =
-        match tally_plurality st.exchange_tally with
-        | Some (v, _) -> v
-        | None -> cfg.initial id
-      in
+      let v = Plurality.winner_or st.exchange_tally ~default:(cfg.initial id) in
       let outs = ref [] in
       for x = 0 to cfg.n - 1 do
         if is_relay_of cfg ~slot ~x then outs := (x, Deliver v) :: !outs
@@ -114,10 +95,7 @@ let on_round cfg st ~round =
       !outs)
   | 4 ->
     if st.result = None then
-      st.result <-
-        (match tally_plurality st.deliver_tally with
-        | Some (v, _) -> Some v
-        | None -> Some (cfg.initial id));
+      st.result <- Some (Plurality.winner_or st.deliver_tally ~default:(cfg.initial id));
     []
   | _ -> []
 
@@ -126,19 +104,16 @@ let on_receive cfg st ~round:_ ~src m =
   (match m with
   | Exchange v ->
     if st.slot <> None && Hashtbl.mem cfg.slot_of src then
-      tally_add st.exchange_tally ~src v
+      Plurality.add st.exchange_tally ~src v
   | Deliver v ->
     (match Hashtbl.find_opt cfg.slot_of src with
-    | Some slot when is_relay_of cfg ~slot ~x:id -> tally_add st.deliver_tally ~src v
+    | Some slot when is_relay_of cfg ~slot ~x:id -> Plurality.add st.deliver_tally ~src v
     | _ -> ()));
   []
 
 let output st = st.result
 
-let msg_bits cfg m =
-  let id_bits = Intx.ceil_log2 (max 2 cfg.n) in
-  let header = 8 + (2 * id_bits) in
-  match m with Exchange _ | Deliver _ -> header + cfg.str_bits
+let msg_bits cfg (Exchange _ | Deliver _) = Fba_sim.Metrics.header_bits ~n:cfg.n + cfg.str_bits
 
 let receive_into = None
 

@@ -5,7 +5,7 @@
     complexity").
 
     Construction:
-    + a public pseudo-random committee C of size ⌈c·√n⌉ is sampled from
+    + a public pseudo-random committee C of size ⌈2·√n⌉ is sampled from
       the shared seed (the adversary is non-adaptive, so w.h.p. a
       (1/2+ε) majority of C is correct and knowledgeable);
     + committee members exchange their candidates all-to-all within C
@@ -30,7 +30,6 @@
 type config
 
 val make_config :
-  ?committee_factor:float ->
   ?relays:int ->
   n:int ->
   seed:int64 ->
@@ -38,8 +37,8 @@ val make_config :
   str_bits:int ->
   unit ->
   config
-(** [committee_factor] (default 2.0) scales the √n committee;
-    [relays] defaults to [2·⌈log₂ n⌉ + 1]. *)
+(** The committee has ⌈2·√n⌉ members; [relays] defaults to
+    [2·⌈log₂ n⌉ + 1]. *)
 
 val committee : config -> int array
 

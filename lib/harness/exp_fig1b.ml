@@ -10,11 +10,6 @@ let seed_count full = if full then 3 else 2
 
 let byz = 0.10
 
-let random_corruption ~n ~seed =
-  let rng = Prng.create (Hash64.finish (Hash64.add_string (Hash64.init seed) "corruption")) in
-  let t = int_of_float (byz *. float_of_int n) in
-  Bitset.of_array n (Prng.sample_without_replacement rng ~n ~k:t)
-
 let random_inputs ~seed i =
   Int64.logand (Hash64.finish (Hash64.add_int (Hash64.init seed) i)) 1L = 1L
 
@@ -60,7 +55,7 @@ let run_rba ~coin ~n ~seeds =
   let per_seed =
     List.map
       (fun seed ->
-        let corrupted = random_corruption ~n ~seed in
+        let corrupted = Fba_core.Ba.sample_corruption ~n ~seed ~byzantine_fraction:byz in
         let t_assumed = max 1 ((n / 6) - 1) in
         (* Cap the logical rounds: a private-coin run that fails to
            converge within 24 rounds is reported as such (that failure
@@ -94,7 +89,7 @@ let run_pk ~n ~seeds =
   let per_seed =
     List.map
       (fun seed ->
-        let corrupted = random_corruption ~n ~seed in
+        let corrupted = Fba_core.Ba.sample_corruption ~n ~seed ~byzantine_fraction:byz in
         (* String agreement with (1/2+eps) shared inputs, like the other rows. *)
         let shared = Printf.sprintf "pk-value-%Ld" seed in
         let inputs i =

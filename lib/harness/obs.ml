@@ -16,25 +16,13 @@ type observation = {
   load_imbalance : float;
 }
 
-let plurality_reference outputs corrupted =
-  let counts = Hashtbl.create 8 in
-  Array.iteri
-    (fun i o ->
-      match o with
-      | Some v when not (Bitset.mem corrupted i) ->
-        Hashtbl.replace counts v (1 + Option.value ~default:0 (Hashtbl.find_opt counts v))
-      | _ -> ())
-    outputs;
-  Hashtbl.fold
-    (fun v c best -> match best with Some (_, bc) when c <= bc -> best | _ -> Some (v, c))
-    counts None
-  |> Option.map fst
-
 let of_metrics ~metrics ~outputs ~reference () =
   let n = Fba_sim.Metrics.n metrics in
   let corrupted = Fba_sim.Metrics.corrupted metrics in
   let reference =
-    match reference with Some r -> Some r | None -> plurality_reference outputs corrupted
+    match reference with
+    | Some _ -> reference
+    | None -> Plurality.of_outputs outputs ~counted:(fun i -> not (Bitset.mem corrupted i))
   in
   let correct = ref 0 and decided = ref 0 and agreed = ref 0 and wrong = ref 0 in
   let decision_rounds = ref [] in

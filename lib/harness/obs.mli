@@ -30,9 +30,10 @@ val of_metrics :
   unit ->
   observation
 (** Reduce one engine result. [reference] is the value correct nodes
-    were supposed to decide (gstring); [None] means plurality of
-    correct outputs is used. All fractions are 0. (never NaN) when the
-    correct set is empty. *)
+    were supposed to decide (gstring); [None] means the plurality of
+    correct outputs ({!Fba_stdx.Plurality.of_outputs}: ties go to the
+    smallest value). All fractions are 0. (never NaN) when the correct
+    set is empty. *)
 
 type summary = {
   s_n : int;

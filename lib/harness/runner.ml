@@ -168,7 +168,7 @@ let run_grid ?(config = default_config) (sc : Scenario.t) =
 let naive ?(config = default_config) (sc : Scenario.t) =
   let n = Scenario.(sc.params.Params.n) in
   let cfg =
-    Naive.make_config ~n ~initial:(fun i -> sc.Scenario.initial.(i)) ~str_bits:(str_bits sc) ()
+    Naive.make_config ~n ~initial:(fun i -> sc.Scenario.initial.(i)) ~str_bits:(str_bits sc)
   in
   let adversary =
     if config.flood then Naive.flood_adversary cfg ~corrupted:sc.Scenario.corrupted
@@ -197,7 +197,7 @@ module Ks09_sync = Fba_sim.Sync_engine.Make (Ks09)
 let ks09 ?(config = default_config) (sc : Scenario.t) =
   let n = Scenario.(sc.params.Params.n) in
   let cfg =
-    Ks09.make_config ~n ~initial:(fun i -> sc.Scenario.initial.(i)) ~str_bits:(str_bits sc) ()
+    Ks09.make_config ~n ~initial:(fun i -> sc.Scenario.initial.(i)) ~str_bits:(str_bits sc)
   in
   let adversary =
     if config.flood then Ks09.flood_adversary cfg ~corrupted:sc.Scenario.corrupted

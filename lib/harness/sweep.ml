@@ -1,5 +1,4 @@
-let default_jobs () = Fba_stdx.Pool.recommended_jobs ()
-let resolve_jobs j = if j > 0 then j else default_jobs ()
+let resolve_jobs j = if j > 0 then j else Fba_stdx.Pool.recommended_jobs ()
 
 (* Opt-in heartbeat: one stderr line per completed unit. Long grids and
    instance streams otherwise run for minutes with no sign of life.

@@ -8,11 +8,9 @@
     grid order, so the rendered output is byte-identical for every
     [jobs] value — parallelism only changes wall-clock. *)
 
-val default_jobs : unit -> int
-(** {!Fba_stdx.Pool.recommended_jobs} — the [--jobs] default. *)
-
 val resolve_jobs : int -> int
-(** [resolve_jobs j] is [j] if positive, else {!default_jobs} [()]
+(** [resolve_jobs j] is [j] if positive, else
+    {!Fba_stdx.Pool.recommended_jobs} [()]
     (the CLI convention: [--jobs 0] or an absent flag means "auto"). *)
 
 val heartbeat : label:string -> total:int -> unit -> unit

@@ -28,6 +28,8 @@ let create ~n ~corrupted =
 let n t = t.n
 let corrupted t = t.corrupted
 
+let header_bits ~n = 8 + (2 * Intx.ceil_log2 (max 2 n))
+
 let record_send t ~src ~dst ~bits =
   t.sent_msgs.(src) <- t.sent_msgs.(src) + 1;
   t.sent_bits.(src) <- t.sent_bits.(src) + bits;

@@ -15,6 +15,11 @@ val n : t -> int
 
 val corrupted : t -> Fba_stdx.Bitset.t
 
+val header_bits : n:int -> int
+(** Wire header of one message among [n] nodes: an 8-bit tag plus
+    source and destination ids of ⌈log₂ max(2, n)⌉ bits each. Every
+    protocol's [msg_bits] is this plus its payload. *)
+
 val record_send : t -> src:int -> dst:int -> bits:int -> unit
 (** Account one message of [bits] payload bits (headers included by the
     protocol's [msg_bits]). *)

@@ -103,8 +103,6 @@ let instantiate spec ~n ~seed =
   { state with
     trivial = state.drop = None && state.crash = None && state.partition = None }
 
-let reliable ~n = instantiate Reliable ~n ~seed:0L
-
 type verdict = Pass | Lose of string
 
 (* Bisection sides: ids [0, n/2) vs [n/2, n). *)

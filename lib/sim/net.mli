@@ -68,9 +68,6 @@ val instantiate : spec -> n:int -> seed:int64 -> t
     out-of-range parameters, duplicate condition kinds, or nested
     [Compose]. *)
 
-val reliable : n:int -> t
-(** [instantiate Reliable ~n ~seed:0L] — the zero-cost default. *)
-
 type verdict = Pass | Lose of string  (** [Lose reason] with one of the tags above *)
 
 val verdict : t -> round:int -> src:int -> dst:int -> verdict

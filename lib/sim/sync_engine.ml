@@ -43,9 +43,6 @@ module Make (P : Protocol.S) = struct
 
   type nonrec result = P.state result
 
-  let validate_adversary_envelope ~n ~corrupted e =
-    Engine_core.validate_adversary_envelope ~who:"Sync_engine" ~n ~corrupted e
-
   (* An in-flight run, advanced one round at a time. [step] executes
      one iteration of the historical round loop (false once the loop
      condition fails); [finish] is its epilogue. [run] below is
@@ -103,7 +100,7 @@ module Make (P : Protocol.S) = struct
       (* Ask the adversary for its round-[round] messages; [observed]
          materializes envelopes only if the strategy actually looks. *)
       let byz = adversary.act ~round ~observed in
-      List.iter (validate_adversary_envelope ~n ~corrupted) byz;
+      List.iter (Engine_core.validate_adversary_envelope ~who:"Sync_engine" ~n ~corrupted) byz;
       (* Byzantine messages are delivered before correct ones next
          round: adversary-favorable tie-breaking, so races (e.g. the
          overload filter of Algorithm 3) resolve for the worst case. *)

@@ -36,10 +36,6 @@ module Make (P : Protocol.S) : sig
 
   type nonrec result = P.state result
 
-  val validate_adversary_envelope : n:int -> corrupted:Bitset.t -> P.msg Envelope.t -> unit
-  (** Alias of {!Engine_core.validate_adversary_envelope} with this
-      engine's error prefix. *)
-
   type running
   (** An in-flight run, advanced one round per {!step}. *)
 

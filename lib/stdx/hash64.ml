@@ -38,8 +38,6 @@ let add_string t s =
   end;
   !acc
 
-let add_bytes t b = add_string t (Bytes.unsafe_to_string b)
-
 let[@inline] finish t = mix t
 
 let[@inline] to_range h bound =

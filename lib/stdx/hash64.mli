@@ -22,9 +22,6 @@ val add_int64 : t -> int64 -> t
 val add_string : t -> string -> t
 (** Absorb a string (content and length). *)
 
-val add_bytes : t -> Bytes.t -> t
-(** Absorb bytes (content and length). *)
-
 val finish : t -> int64
 (** Final avalanche; the result is uniformly mixed. *)
 

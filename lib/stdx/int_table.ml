@@ -136,8 +136,6 @@ let reset t =
   t.mask <- initial_capacity - 1;
   t.count <- 0
 
-let capacity_words t = 2 * (t.mask + 1)
-
 let iter f t =
   for i = 0 to Array.length t.keys - 1 do
     let key = Array.unsafe_get t.keys i in

@@ -48,9 +48,5 @@ val reset : t -> unit
     initial capacity — the state-eviction path: a table whose rows can
     no longer be referenced gives its words back to the GC. *)
 
-val capacity_words : t -> int
-(** Words currently held by the two backing arrays (2 × capacity) —
-    the retained footprint, for peak-memory accounting. *)
-
 val iter : (int -> int -> unit) -> t -> unit
 (** Iterate bindings in unspecified (slot) order. *)

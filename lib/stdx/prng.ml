@@ -58,10 +58,6 @@ let bits t k =
   end;
   b
 
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Prng.pick: empty array";
-  a.(int t (Array.length a))
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in
@@ -98,3 +94,10 @@ let sample_without_replacement t ~n ~k =
     done;
     out
   end
+
+let sample_others t ~n ~k ~(self : int) =
+  let a = sample_without_replacement t ~n:(n - 1) ~k in
+  for i = 0 to k - 1 do
+    if a.(i) >= self then a.(i) <- a.(i) + 1
+  done;
+  a

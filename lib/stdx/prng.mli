@@ -45,9 +45,6 @@ val bits : t -> int -> Bytes.t
 (** [bits t k] is [k] uniformly random bits packed into bytes (unused
     high bits of the last byte are zero). *)
 
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
@@ -55,3 +52,9 @@ val sample_without_replacement : t -> n:int -> k:int -> int array
 (** [sample_without_replacement t ~n ~k] draws [k] distinct integers
     uniformly from [\[0, n)]. Requires [0 <= k <= n]. The result is in
     selection order (not sorted). *)
+
+val sample_others : t -> n:int -> k:int -> self:int -> int array
+(** [sample_others t ~n ~k ~self] draws [k] distinct integers uniformly
+    from [\[0, n)] without [self] (a node's peers), with the draws of
+    [sample_without_replacement t ~n:(n - 1) ~k]. Requires
+    [0 <= k < n]. *)

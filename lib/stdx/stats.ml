@@ -102,7 +102,6 @@ module Growth = struct
   let polylog_fit points = linear_fit (log_points (fun x -> log (log x)) points)
 
   let power_exponent points = (power_fit points).slope
-  let polylog_exponent points = (polylog_fit points).slope
 
   let classify points =
     if Array.length points < 3 then invalid_arg "Growth.classify: need >= 3 sizes";

@@ -57,7 +57,4 @@ module Growth : sig
 
   val power_exponent : (int * float) array -> float
   (** Exponent of the best power-law fit (slope of log y on log n). *)
-
-  val polylog_exponent : (int * float) array -> float
-  (** Exponent k of the best log^k fit (slope of log y on log log n). *)
 end

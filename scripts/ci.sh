@@ -181,11 +181,13 @@ EOF
 
 # Sweep-executor smoke test: the experiment sweeps must produce
 # byte-identical reports whether the grid runs sequentially or sharded
-# across worker domains. Uses the two cheapest experiments.
+# across worker domains. Uses the two cheapest experiments, and fig1b,
+# the one report that runs AEBA's committees, phase-king, the grid and
+# the randomized BAs together.
 seq_out="$tmp/seq_out"
 par_out="$tmp/par_out"
-for e in samplers fig1a; do dune exec bin/fba.exe -- experiment "$e" --jobs 1; done > "$seq_out"
-for e in samplers fig1a; do dune exec bin/fba.exe -- experiment "$e" --jobs 2; done > "$par_out"
+for e in samplers fig1a fig1b; do dune exec bin/fba.exe -- experiment "$e" --jobs 1; done > "$seq_out"
+for e in samplers fig1a fig1b; do dune exec bin/fba.exe -- experiment "$e" --jobs 2; done > "$par_out"
 if cmp -s "$seq_out" "$par_out"; then
   echo "sweep jobs smoke ok: --jobs 2 output identical to --jobs 1"
 else

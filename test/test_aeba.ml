@@ -207,7 +207,9 @@ let test_aeba_agreement () =
   let n = 128 in
   let _, corrupted, res = run_aeba ~n ~byz_frac:0.1 ~seed:21L in
   let mask = Array.init n (fun i -> not (Bitset.mem corrupted i)) in
-  let reference = Aeba.reference_string res.Fba_sim.Sync_engine.outputs mask in
+  let reference =
+    Plurality.of_outputs res.Fba_sim.Sync_engine.outputs ~counted:(Array.get mask)
+  in
   Alcotest.(check bool) "has a reference" true (reference <> None);
   let agree = ref 0 and correct = ref 0 in
   Array.iteri
@@ -232,7 +234,7 @@ let test_aeba_gstring_length () =
   let n = 64 in
   let cfg, corrupted, res = run_aeba ~n ~byz_frac:0.1 ~seed:23L in
   let mask = Array.init n (fun i -> not (Bitset.mem corrupted i)) in
-  match Aeba.reference_string res.Fba_sim.Sync_engine.outputs mask with
+  match Plurality.of_outputs res.Fba_sim.Sync_engine.outputs ~counted:(Array.get mask) with
   | None -> Alcotest.fail "no reference"
   | Some g ->
     Alcotest.(check int) "gstring length matches config" (Aeba.config_gstring_bits cfg)
@@ -292,7 +294,7 @@ let run_aeba_async ~n ~seed ~delay_fn ~max_delay =
       ~max_time:(4 * (Aeba.total_rounds cfg + 2) * max_delay) ()
   in
   let mask = Array.init n (fun _ -> true) in
-  match Aeba.reference_string res.Fba_sim.Async_engine.outputs mask with
+  match Plurality.of_outputs res.Fba_sim.Async_engine.outputs ~counted:(Array.get mask) with
   | None -> (0.0, "")
   | Some r ->
     let agree = ref 0 in
@@ -333,7 +335,7 @@ let run_aeba_attacked ~n ~byz_frac ~seed ~attack =
 
 let ae_fraction ~n corrupted (res : Engine.result) =
   let mask = Array.init n (fun i -> not (Bitset.mem corrupted i)) in
-  match Aeba.reference_string res.Fba_sim.Sync_engine.outputs mask with
+  match Plurality.of_outputs res.Fba_sim.Sync_engine.outputs ~counted:(Array.get mask) with
   | None -> 0.0
   | Some r ->
     let agree = ref 0 and correct = ref 0 in

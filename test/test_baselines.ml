@@ -103,7 +103,7 @@ let test_grid_non_square () =
 let test_naive_correct () =
   let n = 200 in
   let corrupted, g, initial = workload ~n ~byz:0.1 ~kn:0.8 ~seed:6L in
-  let cfg = Naive.make_config ~n ~initial:(fun i -> initial.(i)) ~str_bits:136 () in
+  let cfg = Naive.make_config ~n ~initial:(fun i -> initial.(i)) ~str_bits:136 in
   let res =
     Naive_sync.run ~config:cfg ~n ~seed:6L
       ~adversary:(Fba_sim.Sync_engine.null_adversary ~corrupted)
@@ -117,7 +117,7 @@ let test_naive_flood_amplification () =
   let n = 200 in
   let run flood =
     let corrupted, _, initial = workload ~n ~byz:0.15 ~kn:0.8 ~seed:7L in
-    let cfg = Naive.make_config ~n ~initial:(fun i -> initial.(i)) ~str_bits:136 () in
+    let cfg = Naive.make_config ~n ~initial:(fun i -> initial.(i)) ~str_bits:136 in
     let adversary =
       if flood then Naive.flood_adversary cfg ~corrupted
       else Fba_sim.Sync_engine.null_adversary ~corrupted
@@ -132,6 +132,22 @@ let test_naive_flood_amplification () =
   (* 30 Byzantine queriers force ~30 extra replies of |s| bits per
      correct node — a Theta(t) additive hit on everyone. *)
   Alcotest.(check bool) "flooding amplifies naive load" true (flooded > 1.5 *. quiet)
+
+let test_naive_tiny () =
+  (* Below n = 22 the 4⌈log₂ n⌉ + 1 queries outnumber a node's peers;
+     each node then queries all n - 1 of them. *)
+  List.iter
+    (fun n ->
+      let cfg = Naive.make_config ~n ~initial:(fun _ -> "v") ~str_bits:8 in
+      let res =
+        Naive_sync.run ~config:cfg ~n ~seed:1L
+          ~adversary:(Fba_sim.Sync_engine.null_adversary ~corrupted:(Bitset.create n))
+          ~mode:`Rushing ~max_rounds:(Naive.total_rounds + 2) ()
+      in
+      Array.iteri
+        (fun i o -> Alcotest.(check (option string)) (Printf.sprintf "n=%d node %d" n i) (Some "v") o)
+        res.Fba_sim.Sync_engine.outputs)
+    [ 2; 16; 21 ]
 
 let test_grid_tiny () =
   (* n = 2: one row of two; must still terminate and agree. *)
@@ -152,7 +168,7 @@ module Ks09_sync = Fba_sim.Sync_engine.Make (Ks09)
 let test_ks09_correct () =
   let n = 200 in
   let corrupted, g, initial = workload ~n ~byz:0.1 ~kn:0.8 ~seed:20L in
-  let cfg = Ks09.make_config ~n ~initial:(fun i -> initial.(i)) ~str_bits:136 () in
+  let cfg = Ks09.make_config ~n ~initial:(fun i -> initial.(i)) ~str_bits:136 in
   let res =
     Ks09_sync.run ~config:cfg ~n ~seed:20L
       ~adversary:(Fba_sim.Sync_engine.null_adversary ~corrupted)
@@ -166,7 +182,7 @@ let test_ks09_receive_hotspot () =
   let n = 200 in
   let run flood =
     let corrupted, _, initial = workload ~n ~byz:0.15 ~kn:0.8 ~seed:21L in
-    let cfg = Ks09.make_config ~n ~initial:(fun i -> initial.(i)) ~str_bits:136 () in
+    let cfg = Ks09.make_config ~n ~initial:(fun i -> initial.(i)) ~str_bits:136 in
     let adversary =
       if flood then Ks09.flood_adversary ~victims:2 cfg ~corrupted
       else Fba_sim.Sync_engine.null_adversary ~corrupted
@@ -296,6 +312,7 @@ let suites =
       [
         Alcotest.test_case "correctness" `Quick test_naive_correct;
         Alcotest.test_case "flood amplification" `Quick test_naive_flood_amplification;
+        Alcotest.test_case "tiny n" `Quick test_naive_tiny;
       ] );
     ( "baselines.ks09",
       [

@@ -198,6 +198,30 @@ let prop_histogram_percentile_monotone =
       let rec mono = function a :: (b :: _ as rest) -> a <= b && mono rest | _ -> true in
       mono qs)
 
+(* --- Plurality --- *)
+
+let prop_plurality_model =
+  qtest "Plurality agrees with a list model"
+    QCheck2.Gen.(
+      list_size (int_range 0 60)
+        (pair (int_range 0 15) (string_size ~gen:(char_range 'a' 'c') (int_range 0 2))))
+    (fun votes ->
+      let t = Plurality.create () in
+      List.iter (fun (src, v) -> Plurality.add t ~src v) votes;
+      (* The model: each sender's first vote, then the most votes, then
+         the smallest string. *)
+      let _, firsts =
+        List.fold_left
+          (fun (seen, acc) (src, v) ->
+            if List.mem src seen then (seen, acc) else (src :: seen, v :: acc))
+          ([], []) votes
+      in
+      let count v = List.length (List.filter (String.equal v) firsts) in
+      let values = List.sort_uniq String.compare firsts in
+      let top = List.fold_left (fun m v -> max m (count v)) 0 values in
+      let expected = List.find_opt (fun v -> count v = top) values in
+      Plurality.winner t = expected && Plurality.winner_votes t = top)
+
 (* --- Committee relay assignment --- *)
 
 let prop_relay_assignment_consistent =
@@ -366,6 +390,7 @@ let suites =
         prop_hash64_draw;
       ] );
     ("props.histogram", [ prop_histogram_model; prop_histogram_percentile_monotone ]);
+    ("props.plurality", [ prop_plurality_model ]);
     ("props.extensions", [ prop_relay_assignment_consistent ]);
     ( "props.structures",
       [ prop_scenario_invariants; prop_committee_tree_shapes; prop_cache_equals_sampler ] );

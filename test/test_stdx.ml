@@ -434,6 +434,50 @@ let test_table_csv () =
   let csv = Table.to_csv t in
   Alcotest.(check string) "csv escaping" "a,b\n\"x,y\",plain\n" csv
 
+(* --- Plurality --- *)
+
+let tally votes =
+  let t = Plurality.create () in
+  List.iter (fun (src, v) -> Plurality.add t ~src v) votes;
+  t
+
+let test_plurality_one_vote_per_sender () =
+  let t = tally [ (1, "a"); (1, "b"); (1, "b"); (2, "b") ] in
+  Alcotest.(check (option string)) "second votes of src 1 ignored" (Some "a") (Plurality.winner t);
+  Alcotest.(check int) "one vote each" 1 (Plurality.winner_votes t);
+  Plurality.add t ~src:3 "b";
+  Alcotest.(check (option string)) "a new sender counts" (Some "b") (Plurality.winner t);
+  Alcotest.(check int) "b's votes" 2 (Plurality.winner_votes t)
+
+let test_plurality_ties () =
+  let winner votes = Plurality.winner (tally votes) in
+  Alcotest.(check (option string)) "b then a" (Some "a") (winner [ (1, "b"); (2, "a") ]);
+  Alcotest.(check (option string)) "a then b" (Some "a") (winner [ (1, "a"); (2, "b") ]);
+  Alcotest.(check (option string))
+    "tie at two votes, prefix is smaller" (Some "ab")
+    (winner [ (1, "b"); (2, "ab"); (3, "b"); (4, "ab"); (5, "c") ]);
+  Alcotest.(check (option string))
+    "most votes beats smaller" (Some "z")
+    (winner [ (1, "z"); (2, "a"); (3, "z") ])
+
+let test_plurality_empty () =
+  let t = Plurality.create () in
+  Alcotest.(check (option string)) "no winner" None (Plurality.winner t);
+  Alcotest.(check string) "default" "d" (Plurality.winner_or t ~default:"d");
+  Alcotest.(check int) "no votes" 0 (Plurality.winner_votes t);
+  Alcotest.(check string) "winner over default" "a"
+    (Plurality.winner_or (tally [ (0, "a") ]) ~default:"d")
+
+let test_plurality_of_outputs () =
+  let outputs = [| Some "x"; None; Some "y"; Some "y"; Some "x"; Some "x"; None |] in
+  let of_outputs counted = Plurality.of_outputs outputs ~counted in
+  Alcotest.(check (option string)) "all indices" (Some "x") (of_outputs (fun _ -> true));
+  Alcotest.(check (option string)) "rejected indices skipped" (Some "y")
+    (of_outputs (fun i -> i < 4));
+  Alcotest.(check (option string)) "tie to the smallest" (Some "x") (of_outputs (fun i -> i < 5));
+  Alcotest.(check (option string)) "only None counted" None (of_outputs (fun i -> i = 1));
+  Alcotest.(check (option string)) "nothing counted" None (of_outputs (fun _ -> false))
+
 let suites =
   [
     ( "stdx.intx",
@@ -503,5 +547,12 @@ let suites =
         Alcotest.test_case "markdown" `Quick test_table_markdown;
         Alcotest.test_case "arity check" `Quick test_table_arity;
         Alcotest.test_case "csv escaping" `Quick test_table_csv;
+      ] );
+    ( "stdx.plurality",
+      [
+        Alcotest.test_case "one vote per sender" `Quick test_plurality_one_vote_per_sender;
+        Alcotest.test_case "ties to the smallest value" `Quick test_plurality_ties;
+        Alcotest.test_case "empty tally" `Quick test_plurality_empty;
+        Alcotest.test_case "of_outputs" `Quick test_plurality_of_outputs;
       ] );
   ]
