@@ -91,7 +91,7 @@ let init cfg ctx =
       pk = [||];
       committee_values = Hashtbl.create 4;
       relay_tallies = Hashtbl.create 4;
-      inform_tally = Plurality.create ();
+      inform_tally = Plurality.create ~voters:(Committee_tree.committee_size cfg.tree);
       result = None;
     }
   in
@@ -205,23 +205,29 @@ let on_receive cfg st ~round:_ ~src m =
       && index >= 0
       && index < 1 lsl level
       && Committee_tree.is_member tree ~level ~index id
-      && Committee_tree.is_member tree ~level:(level - 1) ~index:(index / 2) src
     then begin
-      let t =
-        match Hashtbl.find_opt st.relay_tallies (level, index) with
-        | Some t -> t
-        | None ->
-          let t = Plurality.create () in
-          Hashtbl.add st.relay_tallies (level, index) t;
-          t
-      in
-      Plurality.add t ~src v
+      let parent = Committee_tree.committee tree ~level:(level - 1) ~index:(index / 2) in
+      match Array.find_index (Int.equal src) parent with
+      | None -> ()
+      | Some voter ->
+        let t =
+          match Hashtbl.find_opt st.relay_tallies (level, index) with
+          | Some t -> t
+          | None ->
+            let t = Plurality.create ~voters:(Array.length parent) in
+            Hashtbl.add st.relay_tallies (level, index) t;
+            t
+        in
+        Plurality.add t ~voter v
     end
   | Inform { v } ->
     let leaf_level = Committee_tree.levels tree in
     let g = Committee_tree.group_of tree id in
-    if Committee_tree.is_member tree ~level:leaf_level ~index:g src then
-      Plurality.add st.inform_tally ~src v);
+    (match
+       Array.find_index (Int.equal src) (Committee_tree.committee tree ~level:leaf_level ~index:g)
+     with
+    | Some voter -> Plurality.add st.inform_tally ~voter v
+    | None -> ()));
   []
 
 let output st = st.result

@@ -34,7 +34,7 @@ let create ~members ~me ~initial =
     faults = (Array.length members - 1) / 3;
     value = initial;
     cur_phase = 0;
-    values = Plurality.create ();
+    values = Plurality.create ~voters:(Array.length members);
     king_value = None;
     done_ = false;
   }
@@ -77,7 +77,7 @@ let on_round t ~round =
       if round > 0 then begin
         apply_king_rule t;
         t.cur_phase <- round / 4;
-        t.values <- Plurality.create ();
+        t.values <- Plurality.create ~voters:(Array.length t.members);
         t.king_value <- None
       end;
       broadcast t (Value t.value)
@@ -89,12 +89,14 @@ let on_round t ~round =
   end
 
 let on_receive t ~round:_ ~src msg =
-  if (not t.done_) && Hashtbl.mem t.member_set src then begin
-    match msg with
-    | Value v -> Plurality.add t.values ~src v
-    | King v ->
-      if src = king_of t t.cur_phase && t.king_value = None then t.king_value <- Some v
-  end
+  if not t.done_ then
+    match Hashtbl.find_opt t.member_set src with
+    | None -> ()
+    | Some voter -> (
+      match msg with
+      | Value v -> Plurality.add t.values ~voter v
+      | King v ->
+        if src = king_of t t.cur_phase && t.king_value = None then t.king_value <- Some v)
 
 let current t = t.value
 

@@ -2,8 +2,8 @@
     state machine.
 
     Deterministic agreement on a string among a fixed member set, for
-    [t < members/3] faults, in [t+1] phases of two rounds each. Used in
-    two places:
+    [t < members/3] faults, in [t+1] phases of four local rounds each.
+    Used in two places:
     - inside {!Aeba}, where each committee of Θ(log n) nodes agrees on
       the contributions forming gstring;
     - as the standalone deterministic baseline of Figure 1(b)
@@ -15,12 +15,19 @@
     translates global rounds), feed incoming messages to {!on_receive},
     and read {!output} once {!rounds_needed} local rounds have begun.
 
-    Round structure per phase k (0-based):
-    - local round 2k: every member broadcasts its current value;
-    - local round 2k+1: everyone tallies; the phase's king (the
-      (k mod members)-th member) broadcasts its plurality value;
-    - start of round 2k+2: members with a ≥ (2/3)·members plurality
-      keep it, others adopt the king's value.
+    Round structure per phase k (0-based); a message sent in local
+    round r arrives in round r+1, so each broadcast gets a round of its
+    own to land:
+    - local round 4k: every member broadcasts its current value;
+    - local round 4k+1: the values arrive and are tallied;
+    - local round 4k+2: the phase's king (the (k mod members)-th
+      member) broadcasts its plurality value;
+    - local round 4k+3: the king's value arrives;
+    - start of local round 4k+4: members whose plurality has at least
+      members − t votes (more than two thirds) keep it, others adopt
+      the king's value (their plurality if the king stayed silent);
+      then the next phase begins, or, at round 4·(t+1), the machine
+      finishes.
 
     Agreement: any phase whose king is correct aligns all correct
     members, and a (2/3)-locked value can never change afterwards.
@@ -41,7 +48,7 @@ val create : members:int array -> me:int -> initial:string -> t
     [t + 1] phases. *)
 
 val rounds_needed : t -> int
-(** Local rounds the machine runs: [2·(t+1)]. After calling
+(** Local rounds the machine runs: [4·(t+1)]. After calling
     {!on_round} with this round number minus one and delivering that
     round's messages, {!output} is final. *)
 

@@ -12,8 +12,8 @@ type msg = Along_row of string | Along_col of string
 type state = {
   ctx : Fba_sim.Ctx.t;
   value : string;
-  row_tally : Plurality.t;
-  col_tally : Plurality.t;
+  row_tally : Plurality.t;  (* voter: the sender's column *)
+  col_tally : Plurality.t;  (* voter: the sender's row *)
   mutable result : string option;
 }
 
@@ -23,34 +23,33 @@ let compile _ = ()
 let row_of cfg id = id / cfg.cols
 let col_of cfg id = id mod cfg.cols
 
-let row_members cfg r =
-  let first = r * cfg.cols in
-  let len = min cfg.cols (cfg.n - first) in
-  Array.init (max 0 len) (fun i -> first + i)
-
-let col_members cfg c =
-  let rows = Intx.cdiv cfg.n cfg.cols in
-  let acc = ref [] in
-  for r = rows - 1 downto 0 do
-    let id = (r * cfg.cols) + c in
-    if id < cfg.n then acc := id :: !acc
+(* [msg] to every node but [id] of the line [first], [first + stride],
+   ... below [stop] — a row has stride 1, a column stride [cols] — in
+   increasing id order, built back to front in one pass. *)
+let line_sends ~id ~first ~stride ~stop msg =
+  let sends = ref [] in
+  for i = (stop - 1 - first) / stride downto 0 do
+    let dst = first + (i * stride) in
+    if dst <> id then sends := (dst, msg) :: !sends
   done;
-  Array.of_list !acc
+  !sends
 
 let init cfg ctx =
   let id = ctx.Fba_sim.Ctx.id in
   let value = cfg.initial id in
   let st =
-    { ctx; value; row_tally = Plurality.create (); col_tally = Plurality.create (); result = None }
+    {
+      ctx;
+      value;
+      row_tally = Plurality.create ~voters:cfg.cols;
+      col_tally = Plurality.create ~voters:(Intx.cdiv cfg.n cfg.cols);
+      result = None;
+    }
   in
   (* Own value counts toward both majorities. *)
-  Plurality.add st.row_tally ~src:id value;
-  let msg = Along_row value in
-  let sends =
-    Array.to_list
-      (Array.map (fun dst -> (dst, msg)) (row_members cfg (row_of cfg id)))
-  in
-  (st, List.filter (fun (dst, _) -> dst <> id) sends)
+  Plurality.add st.row_tally ~voter:(col_of cfg id) value;
+  let first = row_of cfg id * cfg.cols in
+  (st, line_sends ~id ~first ~stride:1 ~stop:(min cfg.n (first + cfg.cols)) (Along_row value))
 
 let on_round cfg st ~round =
   let id = st.ctx.Fba_sim.Ctx.id in
@@ -59,11 +58,8 @@ let on_round cfg st ~round =
     (* Row values arrived during round 1: forward the row majority
        down the column. *)
     let maj = Plurality.winner_or st.row_tally ~default:st.value in
-    Plurality.add st.col_tally ~src:id maj;
-    let msg = Along_col maj in
-    Array.to_list
-      (Array.map (fun dst -> (dst, msg)) (col_members cfg (col_of cfg id)))
-    |> List.filter (fun (dst, _) -> dst <> id)
+    Plurality.add st.col_tally ~voter:(row_of cfg id) maj;
+    line_sends ~id ~first:(col_of cfg id) ~stride:cfg.cols ~stop:cfg.n (Along_col maj)
   | 4 ->
     (* Column values arrived during round 3: decide. *)
     if st.result = None then
@@ -74,8 +70,10 @@ let on_round cfg st ~round =
 let on_receive cfg st ~round:_ ~src m =
   let id = st.ctx.Fba_sim.Ctx.id in
   (match m with
-  | Along_row v -> if row_of cfg src = row_of cfg id then Plurality.add st.row_tally ~src v
-  | Along_col v -> if col_of cfg src = col_of cfg id then Plurality.add st.col_tally ~src v);
+  | Along_row v ->
+    if row_of cfg src = row_of cfg id then Plurality.add st.row_tally ~voter:(col_of cfg src) v
+  | Along_col v ->
+    if col_of cfg src = col_of cfg id then Plurality.add st.col_tally ~voter:(row_of cfg src) v);
   []
 
 let output st = st.result

@@ -26,7 +26,7 @@ let compile _ = ()
 let init cfg ctx =
   let id = ctx.Fba_sim.Ctx.id in
   let value = cfg.initial id in
-  let st = { ctx; value; pushes = Plurality.create (); result = None } in
+  let st = { ctx; value; pushes = Plurality.create ~voters:cfg.n; result = None } in
   let targets = Prng.sample_others ctx.Fba_sim.Ctx.rng ~n:cfg.n ~k:cfg.fanout ~self:id in
   (st, Array.to_list (Array.map (fun dst -> (dst, Push value)) targets))
 
@@ -41,7 +41,7 @@ let on_round _cfg st ~round =
 let on_receive _cfg st ~round:_ ~src (Push v) =
   (* One counted push per sender — but no membership filter: this is
      the vulnerability AER's sampler I closes. *)
-  Plurality.add st.pushes ~src v;
+  Plurality.add st.pushes ~voter:src v;
   []
 
 let output st = st.result

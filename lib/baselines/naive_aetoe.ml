@@ -30,7 +30,7 @@ let init cfg ctx =
       ctx;
       value;
       queried;
-      replies = Plurality.create ();
+      replies = Plurality.create ~voters:(Array.length queried);
       answered = Hashtbl.create 16;
       result = None;
     }
@@ -56,8 +56,10 @@ let on_receive _cfg st ~round:_ ~src m =
       [ (src, Reply st.value) ]
     end
   | Reply v ->
-    if st.result = None && Array.exists (fun q -> q = src) st.queried then
-      Plurality.add st.replies ~src v;
+    (if st.result = None then
+       match Array.find_index (Int.equal src) st.queried with
+       | Some voter -> Plurality.add st.replies ~voter v
+       | None -> ());
     []
 
 let output st = st.result

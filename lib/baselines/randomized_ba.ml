@@ -22,16 +22,22 @@ type msg =
   | Report of { k : int; b : bool }
   | Proposal of { k : int; p : bool option }
 
-(* Per logical round: dedup senders, count reports per bit and
-   proposals per bit/abstain. *)
+(* Per logical round: dedup senders (one bit per node id), count
+   reports per bit and proposals per bit/abstain. *)
 type round_tally = {
-  mutable rep_seen : int list;
+  rep_seen : Bitset.t;
   mutable rep : int array;  (* rep.(0), rep.(1) *)
-  mutable prop_seen : int list;
+  prop_seen : Bitset.t;
   mutable prop : int array;  (* prop.(0), prop.(1) *)
 }
 
-let fresh_round () = { rep_seen = []; rep = [| 0; 0 |]; prop_seen = []; prop = [| 0; 0 |] }
+let fresh_round n =
+  {
+    rep_seen = Bitset.create n;
+    rep = [| 0; 0 |];
+    prop_seen = Bitset.create n;
+    prop = [| 0; 0 |];
+  }
 
 type state = {
   ctx : Fba_sim.Ctx.t;
@@ -44,11 +50,11 @@ type state = {
 let name = "randomized-ba"
 let compile _ = ()
 
-let tally st k =
+let tally cfg st k =
   match Hashtbl.find_opt st.tallies k with
   | Some t -> t
   | None ->
-    let t = fresh_round () in
+    let t = fresh_round cfg.n in
     Hashtbl.add st.tallies k t;
     t
 
@@ -71,7 +77,7 @@ let on_round cfg st ~round =
   if round mod 4 = 2 && round / 4 < cfg.max_logical_rounds then begin
     (* Reports of logical round k arrived during round 4k+1. *)
     let k = round / 4 in
-    let t = tally st k in
+    let t = tally cfg st k in
     let threshold = (cfg.n + cfg.t_assumed) / 2 in
     let p =
       if t.rep.(1) > threshold then Some true
@@ -83,7 +89,7 @@ let on_round cfg st ~round =
   else if round mod 4 = 0 && round > 0 && round / 4 <= cfg.max_logical_rounds then begin
     (* Proposals of logical round k−1 arrived during round 4(k−1)+3. *)
     let k = (round / 4) - 1 in
-    let t = tally st k in
+    let t = tally cfg st k in
     let decide_threshold = (2 * cfg.t_assumed) + 1 in
     let adopt_threshold = cfg.t_assumed + 1 in
     (if t.prop.(1) >= decide_threshold then begin
@@ -113,18 +119,18 @@ let on_receive cfg st ~round:_ ~src m =
   (match m with
   | Report { k; b } ->
     if k >= 0 && k < cfg.max_logical_rounds then begin
-      let t = tally st k in
-      if not (List.mem src t.rep_seen) then begin
-        t.rep_seen <- src :: t.rep_seen;
+      let t = tally cfg st k in
+      if not (Bitset.mem t.rep_seen src) then begin
+        Bitset.add t.rep_seen src;
         let i = if b then 1 else 0 in
         t.rep.(i) <- t.rep.(i) + 1
       end
     end
   | Proposal { k; p } ->
     if k >= 0 && k < cfg.max_logical_rounds then begin
-      let t = tally st k in
-      if not (List.mem src t.prop_seen) then begin
-        t.prop_seen <- src :: t.prop_seen;
+      let t = tally cfg st k in
+      if not (Bitset.mem t.prop_seen src) then begin
+        Bitset.add t.prop_seen src;
         match p with
         | Some b ->
           let i = if b then 1 else 0 in

@@ -61,17 +61,17 @@ let init cfg ctx =
     {
       ctx;
       slot;
-      exchange_tally = Plurality.create ();
-      deliver_tally = Plurality.create ();
+      exchange_tally = Plurality.create ~voters:(Array.length cfg.members);
+      deliver_tally = Plurality.create ~voters:(Array.length cfg.members);
       result = None;
     }
   in
   let outs =
     match slot with
     | None -> []
-    | Some _ ->
+    | Some slot ->
       let v = cfg.initial id in
-      Plurality.add st.exchange_tally ~src:id v;
+      Plurality.add st.exchange_tally ~voter:slot v;
       Array.to_list
         (Array.map (fun dst -> (dst, Exchange v)) cfg.members)
       |> List.filter (fun (dst, _) -> dst <> id)
@@ -103,11 +103,12 @@ let on_receive cfg st ~round:_ ~src m =
   let id = st.ctx.Fba_sim.Ctx.id in
   (match m with
   | Exchange v ->
-    if st.slot <> None && Hashtbl.mem cfg.slot_of src then
-      Plurality.add st.exchange_tally ~src v
+    (match (st.slot, Hashtbl.find_opt cfg.slot_of src) with
+    | Some _, Some voter -> Plurality.add st.exchange_tally ~voter v
+    | _ -> ())
   | Deliver v ->
     (match Hashtbl.find_opt cfg.slot_of src with
-    | Some slot when is_relay_of cfg ~slot ~x:id -> Plurality.add st.deliver_tally ~src v
+    | Some slot when is_relay_of cfg ~slot ~x:id -> Plurality.add st.deliver_tally ~voter:slot v
     | _ -> ()));
   []
 

@@ -1,17 +1,26 @@
 (** Plurality votes over strings: the decision rule of every
     almost-everywhere→everywhere row and committee hop.
 
-    One vote per sender; the winner is the value with the most votes,
+    One vote per voter; the winner is the value with the most votes,
     ties going to the lexicographically smallest value, so the result
-    never depends on arrival or table order. *)
+    never depends on arrival or table order.
+
+    A tally's electorate is [k] voters, each named by a dense slot in
+    [\[0, k)]: the caller maps every sender it accepts to its slot (its
+    column in a grid row, its position in a committee), one slot per
+    sender. A vote is O(1): one bit of a ⌈k/8⌉-byte {!Bitset} says
+    whether the slot has voted, and a string-keyed table holds the
+    counts. *)
 
 type t
 
-val create : unit -> t
+val create : voters:int -> t
+(** An empty tally over the voter slots [\[0, voters)]. *)
 
-val add : t -> src:int -> string -> unit
-(** [add t ~src v] counts one vote for [v] from [src]; a later vote
-    from the same [src] is ignored. *)
+val add : t -> voter:int -> string -> unit
+(** [add t ~voter v] counts one vote for [v] from slot [voter]; a later
+    vote from the same slot is ignored. Raises [Invalid_argument] when
+    [voter] is outside [\[0, voters)]. *)
 
 val winner : t -> string option
 (** The value with the most votes, ties to the smallest; [None] when

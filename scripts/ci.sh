@@ -78,12 +78,14 @@ echo "inline guard ok: $aer_o calls no [@inline] helper and no module only throu
 # Any such reference in these native objects fails the build, naming
 # the object and the symbol.
 guarded="$(ls "$objs"/samplers/.fba_samplers.objs/native/*.o "$objs"/sim/.fba_sim.objs/native/*.o)"
-for m in Int_table I64_table Hash64 Vec Intx Prng Bitset; do
+for m in Int_table I64_table Hash64 Vec Intx Prng Bitset Plurality; do
   guarded="$guarded $objs/stdx/.fba_stdx.objs/native/fba_stdx__$m.o"
 done
 for m in Aer Compiled Msg Intern; do
   guarded="$guarded $objs/core/.fba_core.objs/native/fba_core__$m.o"
 done
+# The grid baseline's handler and its tallies run on every grid delivery.
+guarded="$guarded $objs/baselines/.fba_baselines.objs/native/fba_baselines__Grid_aetoe.o"
 poly=0
 for o in $guarded; do
   undefined="$(nm -u "$o")"

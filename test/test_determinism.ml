@@ -171,6 +171,57 @@ let test_golden_sync_non_rushing () =
     ~trace:0x2fa12322c7885471L
     (traced_sync ~mode:`Non_rushing ~n:48 ~seed:7L ())
 
+(* The grid baseline at n = 50: a ragged 7-column grid whose last row
+   holds one node. The test adversary is rushing and stuffs the ballot
+   for the minority: every message it sees from a node that does not
+   hold gstring, each corrupted node re-sends three times to that
+   message's destination. Replays from outside the destination's row
+   (column) fail the grid's line filter; replays from inside carry one
+   vote per corrupted voter, whatever they repeat. Replaying every
+   message instead would scale every count alike and move no
+   plurality. At seed 283 each of these changes moves decisions: a
+   tally that counts every copy, a column tally without the line
+   filter or keyed by the sender's column, and dropping both filters.
+   A reordered send list moves the trace. Recorded while the grid's
+   tallies still scanned a list of earlier senders. *)
+module Grid = Fba_baselines.Grid_aetoe
+module Grid_sync = Fba_sim.Sync_engine.Make (Grid)
+
+let minority_replay (sc : Scenario.t) =
+  let corrupted = sc.Scenario.corrupted in
+  let act ~round:_ ~observed =
+    let outs = ref [] in
+    List.iter
+      (fun { Fba_sim.Envelope.src; dst; msg } ->
+        if not (String.equal sc.Scenario.initial.(src) sc.Scenario.gstring) then
+          Bitset.iter
+            (fun c ->
+              if c <> dst then
+                for _ = 1 to 3 do
+                  outs := Fba_sim.Envelope.make ~src:c ~dst msg :: !outs
+                done)
+            corrupted)
+      (observed ());
+    List.rev !outs
+  in
+  { Fba_sim.Sync_engine.corrupted; act }
+
+let test_golden_grid_replay () =
+  let n = 50 and seed = 283L in
+  let sc = Runner.scenario_of_setup Runner.default_setup ~n ~seed in
+  let events, buf = jsonl_sink () in
+  let cfg =
+    Grid.make_config ~n ~initial:(fun i -> sc.Scenario.initial.(i))
+      ~str_bits:(8 * String.length sc.Scenario.gstring)
+  in
+  let r =
+    Grid_sync.run ~events ~config:cfg ~n ~seed ~adversary:(minority_replay sc) ~mode:`Rushing
+      ~max_rounds:(Grid.total_rounds + 2) ()
+  in
+  check_traced_golden "grid-replay" ~fp:0xd5a7101e2461a3a8L ~outputs:0xc296599c26f1bc60L
+    ~trace:0x2bad868dc1f5e6f6L
+    (r.Fba_sim.Sync_engine.metrics, r.Fba_sim.Sync_engine.outputs, buf)
+
 let arb_run =
   QCheck.make
     ~print:(fun (n, seed) -> Printf.sprintf "n=%d seed=%Ld" n seed)
@@ -235,6 +286,7 @@ let suites =
         Alcotest.test_case "packed intern table n=256" `Slow test_golden_intern_table;
         Alcotest.test_case "aer sync cornering non-rushing n=48 (traced)" `Quick
           test_golden_sync_non_rushing;
+        Alcotest.test_case "grid minority replay n=50 (traced)" `Quick test_golden_grid_replay;
       ] );
     ( "determinism.qcheck",
       List.map QCheck_alcotest.to_alcotest

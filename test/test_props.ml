@@ -206,14 +206,14 @@ let prop_plurality_model =
       list_size (int_range 0 60)
         (pair (int_range 0 15) (string_size ~gen:(char_range 'a' 'c') (int_range 0 2))))
     (fun votes ->
-      let t = Plurality.create () in
-      List.iter (fun (src, v) -> Plurality.add t ~src v) votes;
-      (* The model: each sender's first vote, then the most votes, then
-         the smallest string. *)
+      let t = Plurality.create ~voters:16 in
+      List.iter (fun (voter, v) -> Plurality.add t ~voter v) votes;
+      (* The model: each voter slot's first vote, then the most votes,
+         then the smallest string. *)
       let _, firsts =
         List.fold_left
-          (fun (seen, acc) (src, v) ->
-            if List.mem src seen then (seen, acc) else (src :: seen, v :: acc))
+          (fun (seen, acc) (voter, v) ->
+            if List.mem voter seen then (seen, acc) else (voter :: seen, v :: acc))
           ([], []) votes
       in
       let count v = List.length (List.filter (String.equal v) firsts) in

@@ -436,18 +436,28 @@ let test_table_csv () =
 
 (* --- Plurality --- *)
 
+(* Eight voter slots, [0, 8). *)
 let tally votes =
-  let t = Plurality.create () in
-  List.iter (fun (src, v) -> Plurality.add t ~src v) votes;
+  let t = Plurality.create ~voters:8 in
+  List.iter (fun (voter, v) -> Plurality.add t ~voter v) votes;
   t
 
 let test_plurality_one_vote_per_sender () =
   let t = tally [ (1, "a"); (1, "b"); (1, "b"); (2, "b") ] in
-  Alcotest.(check (option string)) "second votes of src 1 ignored" (Some "a") (Plurality.winner t);
+  Alcotest.(check (option string)) "second votes of slot 1 ignored" (Some "a")
+    (Plurality.winner t);
   Alcotest.(check int) "one vote each" 1 (Plurality.winner_votes t);
-  Plurality.add t ~src:3 "b";
-  Alcotest.(check (option string)) "a new sender counts" (Some "b") (Plurality.winner t);
-  Alcotest.(check int) "b's votes" 2 (Plurality.winner_votes t)
+  Plurality.add t ~voter:3 "b";
+  Alcotest.(check (option string)) "a new voter counts" (Some "b") (Plurality.winner t);
+  Alcotest.(check int) "b's votes" 2 (Plurality.winner_votes t);
+  List.iter
+    (fun voter ->
+      Alcotest.check_raises
+        (Printf.sprintf "slot %d of 8 refused" voter)
+        (Invalid_argument "Bitset: element out of range")
+        (fun () -> Plurality.add t ~voter "c"))
+    [ -1; 8 ];
+  Alcotest.(check int) "refused slots counted nothing" 2 (Plurality.winner_votes t)
 
 let test_plurality_ties () =
   let winner votes = Plurality.winner (tally votes) in
@@ -461,10 +471,16 @@ let test_plurality_ties () =
     (winner [ (1, "z"); (2, "a"); (3, "z") ])
 
 let test_plurality_empty () =
-  let t = Plurality.create () in
-  Alcotest.(check (option string)) "no winner" None (Plurality.winner t);
-  Alcotest.(check string) "default" "d" (Plurality.winner_or t ~default:"d");
-  Alcotest.(check int) "no votes" 0 (Plurality.winner_votes t);
+  List.iter
+    (fun voters ->
+      let t = Plurality.create ~voters in
+      let what = Printf.sprintf "%d voters: " voters in
+      Alcotest.(check (option string)) (what ^ "no winner") None (Plurality.winner t);
+      Alcotest.(check string) (what ^ "default") "d" (Plurality.winner_or t ~default:"d");
+      Alcotest.(check int) (what ^ "no votes") 0 (Plurality.winner_votes t))
+    [ 0; 8 ];
+  Alcotest.check_raises "no slot to vote from" (Invalid_argument "Bitset: element out of range")
+    (fun () -> Plurality.add (Plurality.create ~voters:0) ~voter:0 "a");
   Alcotest.(check string) "winner over default" "a"
     (Plurality.winner_or (tally [ (0, "a") ]) ~default:"d")
 
