@@ -3,6 +3,7 @@
 
 open Cmdliner
 module Attacks = Fba_adversary.Aer_attacks
+module Ba = Fba_harness.Ba
 module Runner = Fba_harness.Runner
 
 let n_arg =
@@ -122,20 +123,19 @@ let run_ba n byz seed =
       ignore (Fba_aeba.Aeba.make_config ~n ~seed ~byzantine_fraction:byz ());
       ignore (Fba_core.Params.make ~n ~seed ()))
   @@ fun () ->
-  let r = Fba_core.Ba.run_sync ~n ~seed ~byzantine_fraction:byz () in
+  let r = Ba.run_sync ~n ~seed ~byzantine_fraction:byz () in
   Format.printf "BA (aeba + AER) n=%d byzantine=%.2f@." n byz;
-  Format.printf "  almost-everywhere fraction after phase 1: %.3f@." r.Fba_core.Ba.ae_fraction;
-  Format.printf "  agreed: %d/%d correct nodes  rounds: %d  bits/node: %.0f@."
-    r.Fba_core.Ba.agreed r.Fba_core.Ba.correct
-    (Fba_sim.Metrics.rounds r.Fba_core.Ba.metrics)
-    (Fba_sim.Metrics.amortized_bits r.Fba_core.Ba.metrics);
-  (match r.Fba_core.Ba.gstring with
+  Format.printf "  almost-everywhere fraction after phase 1: %.3f@." r.Ba.ae_fraction;
+  Format.printf "  agreed: %d/%d correct nodes  rounds: %d  bits/node: %.0f@." r.Ba.agreed
+    r.Ba.correct (Fba_sim.Metrics.rounds r.Ba.metrics)
+    (Fba_sim.Metrics.amortized_bits r.Ba.metrics);
+  (match r.Ba.gstring with
   | Some g ->
     Format.printf "  gstring (%d bits): " (8 * String.length g);
     String.iter (fun c -> Format.printf "%02x" (Char.code c)) g;
     Format.printf "@."
   | None -> Format.printf "  phase 1 failed to converge@.");
-  if r.Fba_core.Ba.agreed = r.Fba_core.Ba.correct then 0 else 1
+  if r.Ba.agreed = r.Ba.correct then 0 else 1
 
 let run_ba_cmd =
   let doc = "Run the full Byzantine Agreement composition (aeba + AER)." in

@@ -8,6 +8,7 @@
 
      dune exec examples/binary_agreement.exe *)
 
+module Ba = Fba_harness.Ba
 module Tally = Fba_sim.Events.Tally
 
 let () =
@@ -15,18 +16,15 @@ let () =
   let inputs i = i mod 2 = 0 in
   Printf.printf
     "Binary agreement on a 50/50 input split, n=%d, 10%% Byzantine, vote-splitting adversary\n\n" n;
-  let r =
-    Fba_core.Binary_ba.run_sync ~inputs ~n ~seed:4242L ~byzantine_fraction:0.10 ()
-  in
-  (match r.Fba_core.Binary_ba.decided_bit with
+  let r = Ba.run_binary ~inputs ~n ~seed:4242L ~byzantine_fraction:0.10 () in
+  (match r.Ba.decided_bit with
   | Some b ->
-    Printf.printf "decision: %b (%d/%d correct nodes)\n" b r.Fba_core.Binary_ba.agreed
-      r.Fba_core.Binary_ba.correct;
+    Printf.printf "decision: %b (%d/%d correct nodes)\n" b r.Ba.agreed r.Ba.correct;
     Printf.printf "validity respected (decision was some correct node's input): %b\n"
-      r.Fba_core.Binary_ba.validity_respected
+      r.Ba.validity_respected
   | None -> print_endline "no decision");
   Printf.printf "total rounds across all three phases: %d\n\n"
-    (Fba_sim.Metrics.rounds r.Fba_core.Binary_ba.metrics);
+    (Fba_sim.Metrics.rounds r.Ba.metrics);
 
   (* Bonus: trace an AER execution to see the paper's phase structure
      (pushes, then polls/pulls, then the Fw1 burst, Fw2s, answers). *)

@@ -102,7 +102,7 @@ let init cfg ctx =
       (* Contribute private random bits for my slice of gstring. *)
       let v = Bytes.unsafe_to_string (Prng.bits ctx.Fba_sim.Ctx.rng cfg.contrib_bits) in
       st.contribs.(slot) <- Some v;
-      Array.to_list (Array.map (fun dst -> (dst, Contrib { slot; v })) root)
+      Array.fold_right (fun dst outs -> (dst, Contrib { slot; v }) :: outs) root []
   in
   (st, outs)
 
@@ -110,22 +110,24 @@ let assemble_gstring st =
   String.concat "" (Array.to_list (Array.map Phase_king.current st.pk))
 
 (* Sends for the dissemination hop of committee (level, index), whose
-   adopted value is [v]. *)
+   adopted value is [v]: each list is built in one back-to-front pass,
+   in member order. *)
 let relay_sends cfg ~level ~index v =
   let tree = cfg.tree in
-  if level >= Committee_tree.levels tree then begin
-    let group = Committee_tree.group_members tree index in
-    Array.to_list (Array.map (fun dst -> (dst, Inform { v })) group)
-  end
-  else begin
-    List.concat_map
-      (fun (cl, ci) ->
-        Array.to_list
-          (Array.map
-             (fun dst -> (dst, Relay { level = cl; index = ci; v }))
-             (Committee_tree.committee tree ~level:cl ~index:ci)))
+  if level >= Committee_tree.levels tree then
+    Array.fold_right
+      (fun dst outs -> (dst, Inform { v }) :: outs)
+      (Committee_tree.group_members tree index)
+      []
+  else
+    List.fold_right
+      (fun (cl, ci) outs ->
+        Array.fold_right
+          (fun dst outs -> (dst, Relay { level = cl; index = ci; v }) :: outs)
+          (Committee_tree.committee tree ~level:cl ~index:ci)
+          outs)
       (Committee_tree.children tree ~level ~index)
-  end
+      []
 
 let on_round cfg st ~round =
   let id = st.ctx.Fba_sim.Ctx.id in

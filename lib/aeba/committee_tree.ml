@@ -5,14 +5,11 @@ type t = {
   m : int;
   levels : int;
   groups : int;
-  sampler : Fba_samplers.Sampler.t;
+  committees : int array array array;  (* level -> index -> members, drawn once *)
   by_node : (int * int) list array;  (* node -> committee coordinates *)
 }
 
 let committee_key ~level ~index = Int64.of_int ((level * 0x100000) + index)
-
-let committee_raw sampler ~level ~index =
-  Fba_samplers.Sampler.quorum_xr sampler ~x:level ~r:(committee_key ~level ~index)
 
 let build ~n ~seed ~group_size ~committee_size =
   if n < 1 then invalid_arg "Committee_tree.build: n < 1";
@@ -27,16 +24,21 @@ let build ~n ~seed ~group_size ~committee_size =
       ~seed:(Hash64.finish (Hash64.add_int (Hash64.init seed) 0x77ee))
       ~n ~d:m
   in
+  let committees =
+    Array.init (levels + 1) (fun level ->
+        Array.init (1 lsl level) (fun index ->
+            Fba_samplers.Sampler.quorum_xr sampler ~x:level ~r:(committee_key ~level ~index)))
+  in
   let by_node = Array.make n [] in
-  for level = 0 to levels do
-    for index = 0 to (1 lsl level) - 1 do
-      Array.iter
-        (fun id -> by_node.(id) <- (level, index) :: by_node.(id))
-        (committee_raw sampler ~level ~index)
-    done
-  done;
+  Array.iteri
+    (fun level row ->
+      Array.iteri
+        (fun index members ->
+          Array.iter (fun id -> by_node.(id) <- (level, index) :: by_node.(id)) members)
+        row)
+    committees;
   Array.iteri (fun i l -> by_node.(i) <- List.rev l) by_node;
-  { n; m; levels; groups; sampler; by_node }
+  { n; m; levels; groups; committees; by_node }
 
 let n t = t.n
 let committee_size t = t.m
@@ -49,13 +51,11 @@ let check_coords t ~level ~index =
 
 let committee t ~level ~index =
   check_coords t ~level ~index;
-  committee_raw t.sampler ~level ~index
+  t.committees.(level).(index)
 
-let is_member t ~level ~index id =
-  check_coords t ~level ~index;
-  Array.exists (fun v -> v = id) (committee_raw t.sampler ~level ~index)
+let is_member t ~level ~index id = Array.exists (Int.equal id) (committee t ~level ~index)
 
-let root t = committee t ~level:0 ~index:0
+let root t = t.committees.(0).(0)
 
 let group_of t id =
   if id < 0 || id >= t.n then invalid_arg "Committee_tree.group_of: node out of range";

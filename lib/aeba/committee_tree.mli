@@ -33,12 +33,14 @@ val group_count : t -> int
 
 val committee : t -> level:int -> index:int -> int array
 (** Members of committee (level, index); deterministic in the seed.
-    Raises [Invalid_argument] for out-of-range coordinates. *)
+    {!build} draws every committee once, and each call returns that
+    same array: callers share it and must not mutate it. Raises
+    [Invalid_argument] for out-of-range coordinates. *)
 
 val is_member : t -> level:int -> index:int -> int -> bool
 
 val root : t -> int array
-(** [committee t ~level:0 ~index:0]. *)
+(** [committee t ~level:0 ~index:0], shared likewise. *)
 
 val group_of : t -> int -> int
 (** The group (= leaf committee index) that informs this node. *)

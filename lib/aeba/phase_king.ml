@@ -45,7 +45,7 @@ let rounds_needed t = 4 * phases t
 
 let king_of t phase = t.members.(phase mod Array.length t.members)
 
-let broadcast t m = Array.to_list (Array.map (fun id -> (id, m)) t.members)
+let broadcast t m = Array.fold_right (fun id outs -> (id, m) :: outs) t.members []
 
 let apply_king_rule t =
   let m = Array.length t.members in

@@ -10,31 +10,6 @@ module Sampler = Fba_samplers.Sampler
    fallback for anything runtime-dependent (poll labels, adversarial
    strings) and as the oracle the table tests compare against. *)
 
-(* CSR slabs spill to int32 Bigarrays above [big_threshold] nodes: at
-   n >= 65536 the edge array alone is tens of MB of boxed-free ints,
-   and halving it keeps per-node state cache-resident. The slabs are
-   only read during [init] (one pass per run), so the Int32 boxing a
-   Bigarray load implies never touches a delivery hot path — which is
-   also why none of the per-message tables use Bigarray. *)
-type slab =
-  | Heap of int array
-  | Big of (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-let big_threshold = 65536
-
-let slab_get s i =
-  match s with
-  | Heap a -> Array.unsafe_get a i
-  | Big b -> Int32.to_int (Bigarray.Array1.unsafe_get b i)
-
-let slab_of_array big a =
-  if not big then Heap a
-  else begin
-    let b = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (Array.length a) in
-    Array.iteri (fun i v -> Bigarray.Array1.unsafe_set b i (Int32.of_int v)) a;
-    Big b
-  end
-
 type t = {
   n : int;
   intern : Intern.t;
@@ -43,8 +18,8 @@ type t = {
      [push_tgt.(push_off.(y) .. push_off.(y+1) - 1)], targets in
      ascending order — exactly [Push_plan.targets], precomputed for
      every correct node in one pass per distinct initial string. *)
-  push_off : slab;  (* length n + 1 *)
-  push_tgt : slab;
+  push_off : int array;  (* length n + 1 *)
+  push_tgt : int array;
   (* Wire-size tables: [bits m = tag_fixed.(tag m) + str_bits.(sid m)].
      [tag_fixed] folds the header and every non-string payload field
      (already constant per tag); [str_bits] is the 8*length of each
@@ -142,24 +117,23 @@ let build ~(scenario : Scenario.t) ~(qi : Cache.t) =
   tag_fixed.(Msg.Packed.tag_fw1) <- header + Params.label_bits + (2 * id_bits);
   tag_fixed.(Msg.Packed.tag_fw2) <- header + Params.label_bits + id_bits;
   let str_bits = Array.init nsid (fun sid -> 8 * String.length (Intern.string intern sid)) in
-  let big = n >= big_threshold in
   {
     n;
     intern;
     sid_mask = scenario.Scenario.layout.Msg.Layout.sid_mask;
-    push_off = slab_of_array big push_off;
-    push_tgt = slab_of_array big push_tgt;
+    push_off;
+    push_tgt;
     tag_fixed;
     str_bits;
   }
 
-let push_start t ~y = slab_get t.push_off y
-let push_stop t ~y = slab_get t.push_off (y + 1)
-let push_target t i = slab_get t.push_tgt i
+let push_start t ~y = Array.unsafe_get t.push_off y
+let push_stop t ~y = Array.unsafe_get t.push_off (y + 1)
+let push_target t i = Array.unsafe_get t.push_tgt i
 
 let push_targets t ~y =
-  let lo = slab_get t.push_off y and hi = slab_get t.push_off (y + 1) in
-  Array.init (hi - lo) (fun i -> slab_get t.push_tgt (lo + i))
+  let lo = t.push_off.(y) in
+  Array.sub t.push_tgt lo (t.push_off.(y + 1) - lo)
 
 (* Cold path of [bits]: a string interned after compilation (packed by
    an adversary mid-run). Memoized like every other sid. *)

@@ -72,9 +72,9 @@ let init cfg ctx =
     | Some slot ->
       let v = cfg.initial id in
       Plurality.add st.exchange_tally ~voter:slot v;
-      Array.to_list
-        (Array.map (fun dst -> (dst, Exchange v)) cfg.members)
-      |> List.filter (fun (dst, _) -> dst <> id)
+      Array.fold_right
+        (fun dst outs -> if dst = id then outs else (dst, Exchange v) :: outs)
+        cfg.members []
   in
   (st, outs)
 

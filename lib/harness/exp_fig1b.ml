@@ -25,17 +25,13 @@ let proto_name = function
 
 type cell = { proto : proto; n : int; seeds : int64 list }
 
-(* One row of measurements. [phase2] isolates the a.e.→e. phase for
-   the compositions (the committee phase 1 is identical in both); for
-   the single-phase protocols it equals [bits]. *)
-type row = {
-  r_proto : proto;
-  r_n : int;
-  rounds : float;
-  bits : float;
-  phase2 : float;
-  agreed : float;
-}
+(* One run's measurements, or a cell's means over its seeds. [phase2]
+   isolates the a.e.→e. phase for the compositions (the committee
+   phase 1 is identical in both); for the other protocols, the bit
+   reduction included, it equals [bits]. *)
+type sample = { rounds : float; bits : float; phase2 : float; agreed : float }
+
+type row = { r_proto : proto; r_n : int; mean : sample }
 
 let name = "fig1b"
 
@@ -49,126 +45,85 @@ let grid ~full =
     (sizes full)
   @ List.map (fun n -> { proto = Phase_king; n; seeds }) (pk_sizes full)
 
-let mean l = Stats.mean (Array.of_list l)
+let sample ?phase2 ~metrics agreed =
+  let bits = Fba_sim.Metrics.amortized_bits metrics in
+  {
+    rounds = float_of_int (Fba_sim.Metrics.rounds metrics);
+    bits;
+    phase2 = Option.value phase2 ~default:bits;
+    agreed;
+  }
 
-let run_rba ~coin ~n ~seeds =
-  let per_seed =
-    List.map
-      (fun seed ->
-        let corrupted = Fba_core.Ba.sample_corruption ~n ~seed ~byzantine_fraction:byz in
-        let t_assumed = max 1 ((n / 6) - 1) in
-        (* Cap the logical rounds: a private-coin run that fails to
-           converge within 24 rounds is reported as such (that failure
-           is Ben-Or's scaling story), and an uncapped run at large n
-           costs tens of millions of messages. *)
-        let cfg =
-          RBA.make_config ~max_logical_rounds:24 ~n ~t_assumed ~coin
-            ~inputs:(random_inputs ~seed) ()
-        in
-        let adversary = RBA.split_vote_adversary cfg ~corrupted in
-        let res =
-          RBA_sync.run ~config:cfg ~n ~seed ~adversary ~mode:`Rushing
-            ~max_rounds:(RBA.max_engine_rounds cfg) ()
-        in
-        let obs =
-          Obs.of_metrics ~metrics:res.Fba_sim.Sync_engine.metrics
-            ~outputs:res.Fba_sim.Sync_engine.outputs ~reference:None ()
-        in
-        ( float_of_int obs.Obs.rounds,
-          obs.Obs.bits_per_node,
-          obs.Obs.agreed_fraction ))
-      seeds
+let fraction agreed correct = float_of_int agreed /. float_of_int (max 1 correct)
+
+(* A composition's phase 2 counts 0 bits when the hand-off skipped it. *)
+let of_ba (r : Ba.result) =
+  sample ~metrics:r.Ba.metrics
+    ~phase2:(Option.fold ~none:0.0 ~some:Fba_sim.Metrics.amortized_bits r.Ba.phase2_metrics)
+    (fraction r.Ba.agreed r.Ba.correct)
+
+(* A single-phase protocol: agreement on the plurality of the correct
+   outputs. *)
+let of_run (res : _ Fba_sim.Sync_engine.result) =
+  let obs =
+    Obs.of_metrics ~metrics:res.Fba_sim.Sync_engine.metrics
+      ~outputs:res.Fba_sim.Sync_engine.outputs ~reference:None ()
   in
-  let bits = mean (List.map (fun (_, b, _) -> b) per_seed) in
-  ( mean (List.map (fun (r, _, _) -> r) per_seed),
-    bits,
-    bits,
-    mean (List.map (fun (_, _, a) -> a) per_seed) )
+  sample ~metrics:res.Fba_sim.Sync_engine.metrics obs.Obs.agreed_fraction
 
-let run_pk ~n ~seeds =
-  let per_seed =
-    List.map
-      (fun seed ->
-        let corrupted = Fba_core.Ba.sample_corruption ~n ~seed ~byzantine_fraction:byz in
-        (* String agreement with (1/2+eps) shared inputs, like the other rows. *)
-        let shared = Printf.sprintf "pk-value-%Ld" seed in
-        let inputs i =
-          if i mod 4 = 0 then Printf.sprintf "junk-%d" i else shared
-        in
-        let cfg = PK.make_config ~n ~initial:inputs ~str_bits:(8 * String.length shared) in
-        let res =
-          PK_sync.run ~config:cfg ~n ~seed
-            ~adversary:(Fba_sim.Sync_engine.null_adversary ~corrupted)
-            ~mode:`Rushing ~max_rounds:(PK.total_rounds cfg) ()
-        in
-        let obs =
-          Obs.of_metrics ~metrics:res.Fba_sim.Sync_engine.metrics
-            ~outputs:res.Fba_sim.Sync_engine.outputs ~reference:None ()
-        in
-        (float_of_int obs.Obs.rounds, obs.Obs.bits_per_node, obs.Obs.agreed_fraction))
-      seeds
+let run_rba ~coin ~n seed =
+  let corrupted = Ba.sample_corruption ~n ~seed ~byzantine_fraction:byz in
+  let t_assumed = max 1 ((n / 6) - 1) in
+  (* Cap the logical rounds: a private-coin run that fails to converge
+     within 24 rounds is reported as such (that failure is Ben-Or's
+     scaling story), and an uncapped run at large n costs tens of
+     millions of messages. *)
+  let cfg =
+    RBA.make_config ~max_logical_rounds:24 ~n ~t_assumed ~coin ~inputs:(random_inputs ~seed) ()
   in
-  let bits = mean (List.map (fun (_, b, _) -> b) per_seed) in
-  ( mean (List.map (fun (r, _, _) -> r) per_seed),
-    bits,
-    bits,
-    mean (List.map (fun (_, _, a) -> a) per_seed) )
+  of_run
+    (RBA_sync.run ~config:cfg ~n ~seed ~adversary:(RBA.split_vote_adversary cfg ~corrupted)
+       ~mode:`Rushing ~max_rounds:(RBA.max_engine_rounds cfg) ())
 
-let composition_stats rows =
-  ( mean (List.map (fun (r : Composition.result) -> float_of_int r.Composition.rounds) rows),
-    mean (List.map (fun (r : Composition.result) -> r.Composition.bits_per_node) rows),
-    mean (List.map (fun (r : Composition.result) -> r.Composition.phase2_bits_per_node) rows),
-    mean
-      (List.map
-         (fun (r : Composition.result) ->
-           float_of_int r.Composition.agreed /. float_of_int (max 1 r.Composition.correct))
-         rows) )
+let run_pk ~n seed =
+  let corrupted = Ba.sample_corruption ~n ~seed ~byzantine_fraction:byz in
+  (* String agreement with (1/2+eps) shared inputs, like the other rows. *)
+  let shared = Printf.sprintf "pk-value-%Ld" seed in
+  let inputs i = if i mod 4 = 0 then Printf.sprintf "junk-%d" i else shared in
+  let cfg = PK.make_config ~n ~initial:inputs ~str_bits:(8 * String.length shared) in
+  of_run
+    (PK_sync.run ~config:cfg ~n ~seed
+       ~adversary:(Fba_sim.Sync_engine.null_adversary ~corrupted)
+       ~mode:`Rushing ~max_rounds:(PK.total_rounds cfg) ())
+
+let run_seed proto ~n seed =
+  match proto with
+  | Ba -> of_ba (Ba.run_sync ~n ~seed ~byzantine_fraction:byz ())
+  | Aeba_grid -> of_ba (Ba.run_grid ~n ~seed ~byzantine_fraction:byz ())
+  | Common_coin -> run_rba ~coin:(`Common 1234L) ~n seed
+  | Ben_or -> run_rba ~coin:`Local ~n seed
+  | Bit_reduction ->
+    (* The classical bit-output notion, via the reduction: BA's string
+       seeds the common coin of a binary agreement on real inputs
+       (50/50 split + vote-splitting adversary). *)
+    let r = Ba.run_binary ~inputs:(random_inputs ~seed) ~n ~seed ~byzantine_fraction:byz () in
+    sample ~metrics:r.Ba.metrics (fraction r.Ba.agreed r.Ba.correct)
+  | Phase_king -> run_pk ~n seed
 
 let run_cell { proto; n; seeds } =
-  let rounds, bits, phase2, agreed =
-    match proto with
-    | Ba ->
-      (* BA = aeba + AER (the paper). *)
-      composition_stats
-        (List.map
-           (fun seed ->
-             let r = Fba_core.Ba.run_sync ~n ~seed ~byzantine_fraction:byz () in
-             Composition.of_ba_result r)
-           seeds)
-    | Aeba_grid ->
-      (* aeba + grid (KLST11-style). *)
-      composition_stats
-        (List.map
-           (fun seed -> Composition.run_aeba_grid ~n ~seed ~byzantine_fraction:byz)
-           seeds)
-    | Common_coin -> run_rba ~coin:(`Common 1234L) ~n ~seeds
-    | Ben_or -> run_rba ~coin:`Local ~n ~seeds
-    | Bit_reduction ->
-      (* The classical bit-output notion, via the reduction: BA's
-         string seeds the common coin of a binary agreement on real
-         inputs (50/50 split + vote-splitting adversary). *)
-      let bit_rows =
-        List.map
-          (fun seed ->
-            let r =
-              Fba_core.Binary_ba.run_sync
-                ~inputs:(random_inputs ~seed)
-                ~n ~seed ~byzantine_fraction:byz ()
-            in
-            ( float_of_int (Fba_sim.Metrics.rounds r.Fba_core.Binary_ba.metrics),
-              Fba_sim.Metrics.amortized_bits r.Fba_core.Binary_ba.metrics,
-              float_of_int r.Fba_core.Binary_ba.agreed
-              /. float_of_int (max 1 r.Fba_core.Binary_ba.correct) ))
-          seeds
-      in
-      let bits = mean (List.map (fun (_, b, _) -> b) bit_rows) in
-      ( mean (List.map (fun (r, _, _) -> r) bit_rows),
-        bits,
-        bits,
-        mean (List.map (fun (_, _, a) -> a) bit_rows) )
-    | Phase_king -> run_pk ~n ~seeds
-  in
-  { r_proto = proto; r_n = n; rounds; bits; phase2; agreed }
+  let samples = List.map (run_seed proto ~n) seeds in
+  let mean f = Stats.mean (Array.of_list (List.map f samples)) in
+  {
+    r_proto = proto;
+    r_n = n;
+    mean =
+      {
+        rounds = mean (fun s -> s.rounds);
+        bits = mean (fun s -> s.bits);
+        phase2 = mean (fun s -> s.phase2);
+        agreed = mean (fun s -> s.agreed);
+      };
+  }
 
 let render ~full ~out rows =
   let tbl = Table.create
@@ -182,12 +137,12 @@ let render ~full ~out rows =
   let series : (string * int, float) Hashtbl.t = Hashtbl.create 32 in
   List.iter
     (fun r ->
-      let name = proto_name r.r_proto in
-      Hashtbl.add series (name, r.r_n) r.phase2;
+      let name = proto_name r.r_proto and m = r.mean in
+      Hashtbl.add series (name, r.r_n) m.phase2;
       Table.add_row tbl
-        [ name; Table.cell_int r.r_n; Table.cell_float r.rounds;
-          Table.cell_float ~decimals:0 r.bits; Table.cell_float ~decimals:0 r.phase2;
-          Printf.sprintf "%.3f" r.agreed ])
+        [ name; Table.cell_int r.r_n; Table.cell_float m.rounds;
+          Table.cell_float ~decimals:0 m.bits; Table.cell_float ~decimals:0 m.phase2;
+          Printf.sprintf "%.3f" m.agreed ])
     rows;
   Printf.fprintf out "## Figure 1(b) — Byzantine Agreement protocols\n\n";
   Printf.fprintf out "### Measurements (byz=%.2f, vote-splitting adversary for the binary \

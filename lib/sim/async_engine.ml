@@ -13,12 +13,9 @@
 
     The [?net] network-condition layer ({!Net}) defaults to [Reliable]
     (the paper's model, bit-identical to the goldens); off-model runs
-    may lose deliveries (i.i.d. loss, crash-stop receivers, transient
-    partitions) or stretch them ([Jitter] adds an extra per-send delay
-    on top of the adversary's choice — the calendar ring is widened by
-    the jitter bound so scheduling invariants hold). Shared bookkeeping
-    (calendar queue, adversary validation, metrics, decisions, tracing)
-    lives in {!Engine_core}. *)
+    may lose deliveries (i.i.d. loss, transient partitions). Shared
+    bookkeeping (calendar queue, adversary validation, metrics,
+    decisions, tracing) lives in {!Engine_core}. *)
 
 open Fba_stdx
 
@@ -60,13 +57,8 @@ module Make (P : Protocol.S) = struct
     let corrupted = adversary.corrupted in
     let core = Core.create ?events ?prof ~net ~config ~n ~seed ~corrupted () in
     Core.prof_start core;
-    (* The calendar ring must fit the adversary's delay bound plus the
-       worst-case network jitter, so jittered deliveries still land
-       strictly within the ring. *)
     let cal : P.msg Engine_core.Calendar.t =
-      Engine_core.Calendar.create ~n
-        ~max_delay:(adversary.max_delay + Net.max_extra_delay net)
-        ()
+      Engine_core.Calendar.create ~n ~max_delay:adversary.max_delay ()
     in
     let clamp_delay d = Intx.clamp ~lo:1 ~hi:adversary.max_delay d in
     (* Activity counters for quiescence detection. *)
@@ -75,19 +67,15 @@ module Make (P : Protocol.S) = struct
     let time = ref 0 in
     let cur_node = ref 0 in
     (* Send one message from correct node [!cur_node] at [!time]: the
-       adversary observes it, chooses its delay, and the network jitter
-       (0 under [Reliable]) stretches the delivery on top. One shared
-       closure — the delivery loop allocates nothing per message. *)
+       adversary observes it and chooses its delay. One shared closure
+       — the delivery loop allocates nothing per message. *)
     let emit dst msg =
       if dst < 0 || dst >= n then invalid_arg "Async_engine: destination out of range";
       incr sends_this_step;
       let t = !time and src = !cur_node in
       Core.record_send core ~src ~dst msg;
       adversary.observe ~time:t ~src ~dst msg;
-      let d =
-        clamp_delay (adversary.delay ~time:t ~src ~dst msg)
-        + Net.extra_delay core.net ~time:t ~src ~dst
-      in
+      let d = clamp_delay (adversary.delay ~time:t ~src ~dst msg) in
       Core.trace_msg core ~round:t ~byzantine:false ~delay:d ~src ~dst msg;
       Engine_core.Calendar.schedule cal ~at:(t + d) ~src ~dst msg
     in
@@ -106,7 +94,7 @@ module Make (P : Protocol.S) = struct
         (fun ((e : P.msg Envelope.t), d) ->
           Engine_core.validate_adversary_envelope ~who:"Async_engine" ~n ~corrupted e;
           Core.record_send core ~src:e.src ~dst:e.dst e.msg;
-          let d = clamp_delay d + Net.extra_delay core.net ~time ~src:e.src ~dst:e.dst in
+          let d = clamp_delay d in
           Core.trace_msg core ~round:time ~byzantine:true ~delay:d ~src:e.src ~dst:e.dst e.msg;
           Engine_core.Calendar.schedule cal ~at:(time + d) ~src:e.src ~dst:e.dst e.msg)
         pairs

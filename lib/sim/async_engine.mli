@@ -2,7 +2,7 @@
     [max_delay] bound; dividing completion time by [max_delay] gives
     the normalized asynchronous round count of Lemmas 6 and 10. The
     pluggable {!Net} layer (default [Reliable]) may additionally lose
-    deliveries or stretch them ([Jitter]). *)
+    deliveries. *)
 
 open Fba_stdx
 
@@ -58,11 +58,7 @@ module Make (P : Protocol.S) : sig
       compiling, while a caller asking for the old ring
       ([~stream:false]) does not. [net] defaults to [Net.Reliable];
       losses are attributed through {!Events.Drop} with the {!Net}
-      reason tags, and [Net.Jitter] adds an extra per-send delay on top
-      of the adversary's choice (the calendar ring is widened by the
-      jitter bound, and [normalized_rounds] keeps dividing by the
-      adversary's [max_delay], so jitter shows up as stretched
-      normalized time).
+      reason tags.
       [prof], when given, records per-step / per-handler-tag wall-clock
       and allocation into the attached {!Prof.t}; absent, the run does
       no profiling work at all. *)

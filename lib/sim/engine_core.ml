@@ -119,8 +119,8 @@ end
    no envelope. The buckets share one arena: draining the due bucket
    recycles its segments while the deliveries schedule into
    strictly-future buckets, which take those same segments from the
-   free list — so jitter-widened rings do not retain every bucket's
-   burst high-water. --- *)
+   free list — so the ring does not retain every bucket's burst
+   high-water. --- *)
 
 module Calendar = struct
   type 'msg t = {

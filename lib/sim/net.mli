@@ -14,11 +14,9 @@
     Conditions are specified as data ({!spec}), instantiated once per
     run with a PRNG stream split from the scenario seed
     ({!instantiate}), and consulted by the engines on every delivery
-    ({!verdict}) and — asynchronous engine only — on every send
-    ({!extra_delay}). Because each run owns its state and the engines
-    query in a deterministic order, every (spec, seed) pair is
-    reproducible and sweeps stay byte-identical for any [--jobs]
-    value. *)
+    ({!verdict}). Because each run owns its state and the engines query
+    in a deterministic order, every (spec, seed) pair is reproducible
+    and sweeps stay byte-identical for any [--jobs] value. *)
 
 (** What can go wrong on the wire. [round] means the synchronous round
     for {!Sync_engine} and the time step for {!Async_engine}. *)
@@ -26,20 +24,10 @@ type spec =
   | Reliable  (** the paper's model: every message is delivered *)
   | Drop of { rate : float }
       (** i.i.d. per-delivery loss with probability [rate] in [\[0,1\]] *)
-  | Crash of { at : int; fraction : float }
-      (** crash-stop receivers: at round [at], a [fraction] of ids
-          (chosen uniformly from the PRNG stream) stop receiving —
-          every message to them from then on is lost. Their state
-          machines starve; the rest of the system must cope. *)
   | Partition of { from_round : int; rounds : int }
       (** transient bisection: for rounds [from_round] to
           [from_round + rounds - 1] inclusive, messages between the two
           halves ([id < n/2] vs [id >= n/2]) are lost, symmetrically *)
-  | Jitter of { extra : int }
-      (** asynchronous engine only: each send gets an extra delay drawn
-          uniformly from [\[0, extra\]] on top of the adversary's
-          choice. The synchronous engine ignores it (its delivery
-          schedule {e is} the round structure). *)
   | Compose of spec list
       (** several conditions at once; at most one of each kind, no
           nesting *)
@@ -47,41 +35,24 @@ type spec =
 val reason_loss : string
 (** ["net-loss"] — the {!Events.Drop} reason tag for {!Drop}. *)
 
-val reason_crash : string
-(** ["net-crash"] — the reason tag for {!Crash}. *)
-
 val reason_partition : string
 (** ["net-partition"] — the reason tag for {!Partition}. *)
 
-val max_extra_delay : spec -> int
-(** Upper bound on {!extra_delay} for this spec — the asynchronous
-    engine widens its calendar ring by this much. *)
-
 type t
-(** Instantiated per-run state (PRNG streams, crash-victim set). *)
+(** Instantiated per-run state (the loss PRNG stream). *)
 
 val instantiate : spec -> n:int -> seed:int64 -> t
-(** Compile [spec] for a system of [n] nodes. Randomized conditions
-    draw from streams split from a root PRNG derived from [seed] (label
-    ["net"]) at fixed per-condition indices, so conditions never
-    perturb each other's streams. Raises [Invalid_argument] on
-    out-of-range parameters, duplicate condition kinds, or nested
-    [Compose]. *)
+(** Compile [spec] for a system of [n] nodes. {!Drop} draws from a
+    stream split from a root PRNG derived from [seed] (label ["net"])
+    at a fixed index. Raises [Invalid_argument] on out-of-range
+    parameters, duplicate condition kinds, or nested [Compose]. *)
 
 type verdict = Pass | Lose of string  (** [Lose reason] with one of the tags above *)
 
 val verdict : t -> round:int -> src:int -> dst:int -> verdict
 (** Fate of one delivery. {!Reliable} returns [Pass] without touching
-    any PRNG. Priority when several conditions apply: crash, then
-    partition, then i.i.d. loss. A {!Drop} condition performs exactly
-    one PRNG draw per query regardless of the outcome, so two nets with
-    the same seed and rates [p <= q] lose coupled subsets — the
-    monotonicity property in the test suite. *)
-
-val extra_delay : t -> time:int -> src:int -> dst:int -> int
-(** Jitter draw for one send (0 unless a {!Jitter} condition is
-    present). *)
-
-val crashed : t -> (int * Fba_stdx.Bitset.t) option
-(** The crash round and victim set, when a {!Crash} condition is
-    present — exposed for tests and reporting. *)
+    any PRNG. A partition cut takes priority over i.i.d. loss. A
+    {!Drop} condition performs exactly one PRNG draw per query it
+    reaches, whatever the outcome, so two nets with the same seed and
+    rates [p <= q] lose coupled subsets — the monotonicity property in
+    the test suite. *)

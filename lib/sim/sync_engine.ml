@@ -12,8 +12,8 @@
 
     Delivery itself is pluggable: the [?net] network-condition layer
     ({!Net}) defaults to [Reliable] — the paper's model, bit-identical
-    to the goldens — and may drop deliveries (i.i.d. loss, crash-stop
-    receivers, transient partitions) for off-model robustness runs.
+    to the goldens — and may drop deliveries (i.i.d. loss, transient
+    partitions) for off-model robustness runs.
     Shared bookkeeping (mailboxes, adversary validation, metrics,
     decisions, tracing) lives in {!Engine_core}. *)
 

@@ -94,8 +94,7 @@ module Make (P : Protocol.S) : sig
       protocols with longer planned gaps must raise it. [net] defaults
       to [Net.Reliable]; any other condition may drop deliveries
       (attributed through {!Events.Drop} with the {!Net} reason tags).
-      [Net.Jitter] is a no-op here: the synchronous delivery schedule
-      {e is} the round structure. [prof], when given, records per-round
-      / per-handler-tag wall-clock and allocation into the attached
-      {!Prof.t}; absent, the run does no profiling work at all. *)
+      [prof], when given, records per-round / per-handler-tag
+      wall-clock and allocation into the attached {!Prof.t}; absent,
+      the run does no profiling work at all. *)
 end

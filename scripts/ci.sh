@@ -242,6 +242,18 @@ else
   exit 1
 fi
 
+# Example smoke: every program under examples/ must run to completion
+# and exit 0. Two of them drive the BA compositions (Fba_harness.Ba),
+# which no other smoke runs.
+for src in examples/*.ml; do
+  x="$(basename "$src" .ml)"
+  if ! dune exec "examples/$x.exe" > /dev/null; then
+    echo "example smoke FAILED: examples/$x.exe exited non-zero" >&2
+    exit 1
+  fi
+done
+echo "example smoke ok: $(ls examples/*.ml | wc -l) examples exited 0"
+
 # Flag-rejection smoke: a flag value the library refuses is a usage
 # error, reported as `fba: <library message>` with exit 2, not
 # cmdliner's internal-error exit 125.

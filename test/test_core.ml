@@ -3,6 +3,7 @@ open Fba_core
 module Attacks = Fba_adversary.Aer_attacks
 module Engine = Fba_sim.Sync_engine.Make (Aer)
 module Async = Fba_sim.Async_engine.Make (Aer)
+module Ba = Fba_harness.Ba
 
 (* --- Params --- *)
 
@@ -346,12 +347,15 @@ let test_ba_end_to_end () =
 
 let test_ba_metrics_merged () =
   let r = Ba.run_sync ~n:64 ~seed:31L ~byzantine_fraction:0.1 () in
+  let phase2 =
+    match r.Ba.phase2_metrics with Some m -> m | None -> Alcotest.fail "phase 2 skipped"
+  in
   Alcotest.(check int) "rounds add up"
-    (Fba_sim.Metrics.rounds r.Ba.aeba_metrics + Fba_sim.Metrics.rounds r.Ba.aer_metrics)
+    (Fba_sim.Metrics.rounds r.Ba.aeba_metrics + Fba_sim.Metrics.rounds phase2)
     (Fba_sim.Metrics.rounds r.Ba.metrics);
   Alcotest.(check int) "bits add up"
     (Fba_sim.Metrics.total_bits_correct r.Ba.aeba_metrics
-    + Fba_sim.Metrics.total_bits_correct r.Ba.aer_metrics)
+    + Fba_sim.Metrics.total_bits_correct phase2)
     (Fba_sim.Metrics.total_bits_correct r.Ba.metrics)
 
 let test_ba_no_faults () =

@@ -222,6 +222,48 @@ let test_golden_grid_replay () =
     ~trace:0x2bad868dc1f5e6f6L
     (r.Fba_sim.Sync_engine.metrics, r.Fba_sim.Sync_engine.outputs, buf)
 
+(* The BA composition at n = 64, seed 13, byzantine fraction 0.1: its
+   phase 1 traced on the engine exactly as every [Ba] composition runs
+   it (rushing, silent corrupted nodes, the same corruption draw), and
+   [Ba.run_sync]'s merged metrics and outputs. The trace digest moves
+   if a committee's send list is reordered; every correct node leaves
+   phase 1 with gstring, so both runs share one outputs digest.
+   Recorded while the compositions still lived in [Fba_core]. *)
+module Aeba = Fba_aeba.Aeba
+module Aeba_sync = Fba_sim.Sync_engine.Make (Aeba)
+module Ba = Fba_harness.Ba
+
+let ba_n = 64
+
+let ba_seed = 13L
+
+let ba_byz = 0.1
+
+let test_golden_aeba_phase1 () =
+  let n = ba_n and seed = ba_seed in
+  let corrupted = Ba.sample_corruption ~n ~seed ~byzantine_fraction:ba_byz in
+  let config = Aeba.make_config ~n ~seed ~byzantine_fraction:ba_byz () in
+  let events, buf = jsonl_sink () in
+  let r =
+    Aeba_sync.run ~events ~config ~n ~seed
+      ~adversary:(Fba_sim.Sync_engine.null_adversary ~corrupted)
+      ~mode:`Rushing
+      ~max_rounds:(Aeba.total_rounds config + 2) ()
+  in
+  check_traced_golden "aeba-phase1" ~fp:0x5e197d3fdf066320L ~outputs:0xf228a9e61870284fL
+    ~trace:0xb599164ec408506fL
+    (r.Fba_sim.Sync_engine.metrics, r.Fba_sim.Sync_engine.outputs, buf)
+
+let test_golden_ba_run_sync () =
+  let r = Ba.run_sync ~n:ba_n ~seed:ba_seed ~byzantine_fraction:ba_byz () in
+  let check what recorded got =
+    if not (Int64.equal recorded got) then
+      Alcotest.failf "ba-run-sync %s drifted: got 0x%LxL, recorded 0x%LxL" what got recorded
+  in
+  check "fingerprint" 0x79c32a26b3be6780L (fingerprint r.Ba.metrics);
+  check "outputs" 0xf228a9e61870284fL (outputs_digest r.Ba.outputs);
+  Alcotest.(check int) "ba-run-sync agreed" 58 r.Ba.agreed
+
 let arb_run =
   QCheck.make
     ~print:(fun (n, seed) -> Printf.sprintf "n=%d seed=%Ld" n seed)
@@ -287,6 +329,8 @@ let suites =
         Alcotest.test_case "aer sync cornering non-rushing n=48 (traced)" `Quick
           test_golden_sync_non_rushing;
         Alcotest.test_case "grid minority replay n=50 (traced)" `Quick test_golden_grid_replay;
+        Alcotest.test_case "aeba phase 1 n=64 (traced)" `Quick test_golden_aeba_phase1;
+        Alcotest.test_case "ba run_sync n=64 merged metrics" `Quick test_golden_ba_run_sync;
       ] );
     ( "determinism.qcheck",
       List.map QCheck_alcotest.to_alcotest

@@ -1,7 +1,7 @@
 open Fba_stdx
 module Obs = Fba_harness.Obs
 module Runner = Fba_harness.Runner
-module Composition = Fba_harness.Composition
+module Ba = Fba_harness.Ba
 
 (* --- Obs --- *)
 
@@ -162,49 +162,40 @@ let test_sweep_jobs_invariance () =
   Alcotest.(check string) "byte-identical at jobs=1 and jobs=4" sequential sharded
 
 let test_composition_grid () =
-  let r = Composition.run_aeba_grid ~n:64 ~seed:12L ~byzantine_fraction:0.1 in
-  Alcotest.(check int) "everyone agrees" r.Composition.correct r.Composition.agreed;
-  Alcotest.(check bool) "phase2 bits accounted" true (r.Composition.phase2_bits_per_node > 0.0);
+  let r = Ba.run_grid ~n:64 ~seed:12L ~byzantine_fraction:0.1 () in
+  Alcotest.(check int) "everyone agrees" r.Ba.correct r.Ba.agreed;
+  let phase2 =
+    match r.Ba.phase2_metrics with
+    | Some m -> Fba_sim.Metrics.amortized_bits m
+    | None -> Alcotest.fail "phase 2 skipped"
+  in
+  Alcotest.(check bool) "phase2 bits accounted" true (phase2 > 0.0);
   Alcotest.(check bool) "phase2 below total" true
-    (r.Composition.phase2_bits_per_node < r.Composition.bits_per_node)
-
-let test_composition_of_ba () =
-  let ba = Fba_core.Ba.run_sync ~n:64 ~seed:13L ~byzantine_fraction:0.1 () in
-  let r = Composition.of_ba_result ba in
-  Alcotest.(check int) "agreed carried over" ba.Fba_core.Ba.agreed r.Composition.agreed;
-  Alcotest.(check (float 0.001)) "bits carried over"
-    (Fba_sim.Metrics.amortized_bits ba.Fba_core.Ba.metrics)
-    r.Composition.bits_per_node
+    (phase2 < Fba_sim.Metrics.amortized_bits r.Ba.metrics)
 
 (* --- Binary BA reduction --- *)
 
 let test_binary_ba () =
   let r =
-    Fba_core.Binary_ba.run_sync ~inputs:(fun i -> i mod 2 = 0) ~n:64 ~seed:14L
-      ~byzantine_fraction:0.1 ()
+    Ba.run_binary ~inputs:(fun i -> i mod 2 = 0) ~n:64 ~seed:14L ~byzantine_fraction:0.1 ()
   in
-  Alcotest.(check int) "unanimity among correct" r.Fba_core.Binary_ba.correct
-    r.Fba_core.Binary_ba.agreed;
-  Alcotest.(check bool) "validity" true r.Fba_core.Binary_ba.validity_respected;
-  Alcotest.(check bool) "decided" true (r.Fba_core.Binary_ba.decided_bit <> None)
+  Alcotest.(check int) "unanimity among correct" r.Ba.correct r.Ba.agreed;
+  Alcotest.(check bool) "validity" true r.Ba.validity_respected;
+  Alcotest.(check bool) "decided" true (r.Ba.decided_bit <> None)
 
 let test_binary_ba_no_attack () =
   let r =
-    Fba_core.Binary_ba.run_sync ~split_attack:false ~inputs:(fun i -> i mod 3 = 0) ~n:64
-      ~seed:18L ~byzantine_fraction:0.1 ()
+    Ba.run_binary ~split_attack:false ~inputs:(fun i -> i mod 3 = 0) ~n:64 ~seed:18L
+      ~byzantine_fraction:0.1 ()
   in
-  Alcotest.(check int) "agreement" r.Fba_core.Binary_ba.correct r.Fba_core.Binary_ba.agreed;
-  Alcotest.(check bool) "validity" true r.Fba_core.Binary_ba.validity_respected
+  Alcotest.(check int) "agreement" r.Ba.correct r.Ba.agreed;
+  Alcotest.(check bool) "validity" true r.Ba.validity_respected
 
 let test_binary_ba_validity_unanimous () =
   (* All-true inputs must decide true whatever the coin says. *)
-  let r =
-    Fba_core.Binary_ba.run_sync ~inputs:(fun _ -> true) ~n:64 ~seed:15L
-      ~byzantine_fraction:0.1 ()
-  in
-  Alcotest.(check (option bool)) "decides the unanimous input" (Some true)
-    r.Fba_core.Binary_ba.decided_bit;
-  Alcotest.(check bool) "validity" true r.Fba_core.Binary_ba.validity_respected
+  let r = Ba.run_binary ~inputs:(fun _ -> true) ~n:64 ~seed:15L ~byzantine_fraction:0.1 () in
+  Alcotest.(check (option bool)) "decides the unanimous input" (Some true) r.Ba.decided_bit;
+  Alcotest.(check bool) "validity" true r.Ba.validity_respected
 
 let suites =
   [
@@ -227,7 +218,6 @@ let suites =
     ( "harness.composition",
       [
         Alcotest.test_case "aeba + grid" `Quick test_composition_grid;
-        Alcotest.test_case "of BA result" `Quick test_composition_of_ba;
       ] );
     ( "core.binary_ba",
       [
