@@ -116,16 +116,19 @@ type state = {
   pull_counts : Int_table.t;
       (* Pull dedup: label ids already routed per (x, s); capped at
          max_poll_attempts to bound the Fw1 amplification *)
-  (* Algorithm 2's second handler, per (s, x): the distinct senders
-     y ∈ H(s, x) (position masks), every verified target w (one
-     presence set over (s, x, w)), and — until the majority burst —
-     the targets' (w, label id) in first-verified order, as a chain
-     per (s, x) through one flat lane. The burst serves the chain;
-     after it, a w is served on its first verified Fw1. *)
-  f1s_masks : Int_table.t;  (* distinct y ∈ H(s,x) seen, keyed key_sx *)
-  f1s_counts : Int_table.t;
-  fw1_seen : Int_table.t;  (* presence: (key_sx lsl id_bits) lor w *)
-  fw1_last : Int_table.t;  (* key_sx -> lane offset of its latest target *)
+  (* Algorithm 2's second handler. Every verified target (s, x, w)
+     maps to the label id it was first verified under, packed beside
+     the offset of its (s, x) record; a copy under that label has only
+     its relay's place in H(s, x) left to check. A record holds the
+     distinct relays y ∈ H(s, x) (⌈d_h/62⌉ position-mask words), their
+     count and — until the majority burst — the head of the (s, x)
+     chain of targets' (w, label id) in first-verified order, through
+     one flat lane. The burst serves the chain; after it, a w is
+     served on its first verified Fw1. Both tables are sized from
+     [Params] when the node verifies its first Fw1. *)
+  fw1_seen : Int_table.t;  (* (key_sx lsl id_bits) lor w -> (offset lsl rid_bits) lor rid *)
+  fw1_at : Int_table.t;  (* key_sx -> record offset, probed for fresh targets only *)
+  mutable fw1_recs : int array;  (* one record per fw1_at key: masks, count, chain head or -1 *)
   fw1_lane : int Vec.t;  (* (w, rid, offset of the previous target or -1) triples *)
   burst : (int, int) Hashtbl.t;  (* the burst's replay table, reset per burst *)
   fw2_masks : Int_table.t;  (* distinct z ∈ H(s,this), keyed key_sx *)
@@ -207,13 +210,47 @@ let try_answer cfg st ~emit sid x =
     else Vec.push st.muted (key_sx lt ~sid ~x)
   end
 
-(* Append a pre-burst Fw1 target to its (s, x) chain. *)
-let record_target st tkey ~w ~rid =
+(* An (s, x) record's words: relay masks over H(s, x)'s d_h
+   positions, then the count, then the chain head. *)
+let[@inline] fw1_mask_words cfg = (cfg.params.Params.d_h + 61) / 62
+
+(* The record of a freshly verified target's (s, x), appended on the
+   pair's first target. The node's first target sizes both tables for
+   2·d_h·d_j keys, twice the expected load: each poller x names d_j
+   targets w, and the node sits in H(s, w) for about d_h of every n
+   of them, so about d_h·d_j targets reach it per polled string.
+   Sized for d_h·d_j keys, the tables allocate less but measure
+   slower: they fill to near the one-half load bound, and every Fw1
+   copy probes one. *)
+let fw1_record cfg st tkey =
+  if Int_table.length st.fw1_seen = 0 then begin
+    let k = 2 * cfg.params.Params.d_h * cfg.params.Params.d_j in
+    Int_table.reserve st.fw1_seen k;
+    Int_table.reserve st.fw1_at k
+  end;
+  let at = Int_table.get_or st.fw1_at tkey ~default:(-1) in
+  if at >= 0 then at
+  else begin
+    let size = fw1_mask_words cfg + 2 in
+    let at = Int_table.length st.fw1_at * size in
+    if at + size > Array.length st.fw1_recs then begin
+      let a = Array.make (max (at + size) (max 64 (2 * Array.length st.fw1_recs))) 0 in
+      Array.blit st.fw1_recs 0 a 0 at;
+      st.fw1_recs <- a
+    end;
+    st.fw1_recs.(at + size - 1) <- -1;
+    Int_table.set st.fw1_at tkey at;
+    at
+  end
+
+(* Append a pre-burst Fw1 target to the chain whose head the record
+   keeps at offset [head]. *)
+let record_target st ~head ~w ~rid =
   let at = Vec.length st.fw1_lane in
   Vec.push st.fw1_lane w;
   Vec.push st.fw1_lane rid;
-  Vec.push st.fw1_lane (Int_table.get_or st.fw1_last tkey ~default:(-1));
-  Int_table.set st.fw1_last tkey at
+  Vec.push st.fw1_lane st.fw1_recs.(head);
+  st.fw1_recs.(head) <- at
 
 (* Add the chain ending at lane offset [at] to [h], oldest first. The
    depth is the chain's length: one (s, x)'s distinct targets. *)
@@ -229,21 +266,53 @@ let rec replay h lane at =
    (its fold consed as it visited). Only a real Hashtbl reproduces
    bucket order, so the chain is replayed, in first-verified order,
    into the reset burst table — whose state is then exactly the
-   historical table's — and the walk is emitted back to front. *)
-let serve_burst cfg st ~emit ~sid ~x tkey =
+   historical table's — and the walk is emitted back to front. The
+   walk is a fold (iter's order) over a closed function, so a burst
+   allocates no closure of its own. *)
+let serve_burst cfg st ~emit ~sid ~x ~head =
   let lt = cfg.layout in
   Hashtbl.reset st.burst;
-  replay st.burst st.fw1_lane (Int_table.get_or st.fw1_last tkey ~default:(-1));
+  replay st.burst st.fw1_lane st.fw1_recs.(head);
   Vec.clear st.scratch_w;
   Vec.clear st.scratch_rid;
-  Hashtbl.iter
-    (fun w rid ->
-      Vec.push st.scratch_w w;
-      Vec.push st.scratch_rid rid)
-    st.burst;
+  ignore
+    (Hashtbl.fold
+       (fun w rid st ->
+         Vec.push st.scratch_w w;
+         Vec.push st.scratch_rid rid;
+         st)
+       st.burst st);
   for i = Vec.length st.scratch_w - 1 downto 0 do
     emit (Vec.get st.scratch_w i) (Packed.fw2 lt ~sid ~rid:(Vec.get st.scratch_rid i) ~x)
   done
+
+(* A verified Fw1 copy from the relay at position [spos] of H(s, x),
+   against the (s, x) record at offset [at]: count the relay once, hold
+   fresh targets until the count reaches the H majority, then serve
+   them all at once, and serve each later fresh target on arrival. *)
+let count_relay cfg st ~emit ~sid ~x ~w ~rid ~fresh at spos =
+  let words = fw1_mask_words cfg in
+  let m = at + (spos / 62) and bit = 1 lsl (spos mod 62) in
+  let recs = st.fw1_recs in
+  let mask = Array.unsafe_get recs m in
+  let newly = mask land bit = 0 in
+  let c =
+    if newly then begin
+      let c = Array.unsafe_get recs (at + words) + 1 in
+      Array.unsafe_set recs m (mask lor bit);
+      Array.unsafe_set recs (at + words) c;
+      c
+    end
+    else Array.unsafe_get recs (at + words)
+  in
+  let head = at + words + 1 in
+  let maj = Params.majority_h cfg.params in
+  if c < maj then (if fresh then record_target st ~head ~w ~rid)
+  else if newly && c = maj then begin
+    if fresh then record_target st ~head ~w ~rid;
+    serve_burst cfg st ~emit ~sid ~x ~head
+  end
+  else if fresh then emit w (Packed.fw2 cfg.layout ~sid ~rid ~x)
 
 (* Push phase acceptance: s enters L_x on a strict majority of I(s, x). *)
 let rec handle_push cfg st ~emit ~src sid =
@@ -320,28 +389,37 @@ and handle_fw1 cfg st ~emit ~src p =
   else if sid <> st.belief then defer cfg st ~src p
   else begin
     let rid = Packed.rid lt p in
-    let id = st.ctx.Fba_sim.Ctx.id in
     let s = Intern.string cfg.intern sid in
-    if Cache.mem_sid cfg.qh ~sid ~s ~x:w ~y:id then begin
-      (* The sender verification returns src's position in H(s, x) —
-         the index the sender-set bitmask is keyed by. *)
+    let tkey = key_sx lt ~sid ~x in
+    let wkey = (tkey lsl lt.Msg.Layout.id_bits) lor w in
+    let seen = Int_table.get_or st.fw1_seen wkey ~default:(-1) in
+    if seen >= 0 && seen land lt.Msg.Layout.rid_mask = rid then begin
+      (* Verified before under this very label: this node ∈ H(s, w)
+         and w ∈ J(x, r) hold again, so only the relay is checked. Its
+         position in H(s, x) keys the relay mask. *)
       let spos = Cache.pos_sid cfg.qh ~sid ~s ~x ~y:src in
-      if spos >= 0 && Cache.mem_rid cfg.qj ~x ~rid ~r:(Intern.label cfg.intern rid) ~y:w
-      then begin
-        let tkey = key_sx lt ~sid ~x in
-        let fresh = Int_table.add st.fw1_seen ((tkey lsl lt.Msg.Layout.id_bits) lor w) in
-        let c_new =
-          mask_add st.f1s_masks st.f1s_counts ~mult:lt.Msg.Layout.mask_mult ~key:tkey ~pos:spos
-        in
-        let newly = c_new >= 0 in
-        let c = if newly then c_new else Int_table.get_or st.f1s_counts tkey ~default:0 in
-        let maj = Params.majority_h cfg.params in
-        if c < maj then (if fresh then record_target st tkey ~w ~rid)
-        else if newly && c = maj then begin
-          if fresh then record_target st tkey ~w ~rid;
-          serve_burst cfg st ~emit ~sid ~x tkey
+      if spos >= 0 then
+        count_relay cfg st ~emit ~sid ~x ~w ~rid ~fresh:false
+          (seen lsr lt.Msg.Layout.rid_bits) spos
+    end
+    else begin
+      let id = st.ctx.Fba_sim.Ctx.id in
+      if Cache.mem_sid cfg.qh ~sid ~s ~x:w ~y:id then begin
+        let spos = Cache.pos_sid cfg.qh ~sid ~s ~x ~y:src in
+        if spos >= 0 && Cache.mem_rid cfg.qj ~x ~rid ~r:(Intern.label cfg.intern rid) ~y:w
+        then begin
+          (* A target seen before keeps the label it was first verified
+             under; a fresh one is entered under this one. *)
+          let at =
+            if seen >= 0 then seen lsr lt.Msg.Layout.rid_bits
+            else begin
+              let at = fw1_record cfg st tkey in
+              Int_table.set st.fw1_seen wkey ((at lsl lt.Msg.Layout.rid_bits) lor rid);
+              at
+            end
+          in
+          count_relay cfg st ~emit ~sid ~x ~w ~rid ~fresh:(seen < 0) at spos
         end
-        else if fresh then emit w (Packed.fw2 lt ~sid ~rid ~x)
       end
     end
   end
@@ -456,10 +534,9 @@ let init cfg ctx =
       polls = Hashtbl.create 8;
       pull_labels = Int_table.create ~capacity:32 ();
       pull_counts = Int_table.create ~capacity:32 ();
-      f1s_masks = Int_table.create ~capacity:64 ();
-      f1s_counts = Int_table.create ~capacity:32 ();
-      fw1_seen = Int_table.create ~capacity:64 ();
-      fw1_last = Int_table.create ~capacity:32 ();
+      fw1_seen = Int_table.create ();
+      fw1_at = Int_table.create ();
+      fw1_recs = [||];
       fw1_lane = Vec.create ();
       burst = Hashtbl.create 8;
       fw2_masks = Int_table.create ();

@@ -13,16 +13,17 @@ let instance_seed stream_seed k =
 (* Same folding as the determinism goldens: every node's traffic
    counters plus its decision round, then the round count. *)
 let fingerprint m =
-  let h = ref (Hash64.init 0x600DL) in
-  let n = Metrics.n m in
-  for i = 0 to n - 1 do
-    h := Hash64.add_int !h (Metrics.sent_messages_of m i);
-    h := Hash64.add_int !h (Metrics.sent_bits_of m i);
-    h := Hash64.add_int !h (Metrics.recv_messages_of m i);
-    h := Hash64.add_int !h (Metrics.recv_bits_of m i);
-    h := Hash64.add_int !h (match Metrics.decision_round m i with None -> -1 | Some r -> r)
-  done;
-  Hash64.finish (Hash64.add_int !h (Metrics.rounds m))
+  let word j =
+    let i = j / 5 in
+    match j mod 5 with
+    | 0 -> Metrics.sent_messages_of m i
+    | 1 -> Metrics.sent_bits_of m i
+    | 2 -> Metrics.recv_messages_of m i
+    | 3 -> Metrics.recv_bits_of m i
+    | _ -> (match Metrics.decision_round m i with None -> -1 | Some r -> r)
+  in
+  let h = Hash64.add_ints (Hash64.init 0x600DL) (5 * Metrics.n m) word in
+  Hash64.finish (Hash64.add_int h (Metrics.rounds m))
 
 type stream = {
   setup : Runner.aer_setup;

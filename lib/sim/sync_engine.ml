@@ -68,8 +68,11 @@ module Make (P : Protocol.S) = struct
         mb
       | None -> Engine_core.Mailbox.create ~n ()
     in
+    (* Every correct send is booked as it is pushed, as the async
+       engine does; the metrics are sums, so the order is immaterial. *)
     let send src dst msg =
       if dst < 0 || dst >= n then invalid_arg "Sync_engine: destination out of range";
+      Core.record_send core ~src ~dst msg;
       Engine_core.Mailbox.push_correct mb ~src ~dst msg
     in
     (* All closures the delivery path needs are built once, reading the
@@ -110,9 +113,6 @@ module Make (P : Protocol.S) = struct
           Core.trace_msg core ~round ~byzantine:true ~delay:1 ~src:e.src ~dst:e.dst e.msg;
           Engine_core.Mailbox.push_staged mb ~src:e.src ~dst:e.dst e.msg)
         byz;
-      Engine_core.Mailbox.iter_correct
-        (fun ~src ~dst msg -> Core.record_send core ~src ~dst msg)
-        mb;
       (match events with
       | None -> ()
       | Some _ ->

@@ -38,6 +38,16 @@ let add_string t s =
   end;
   !acc
 
+(* [add_int] over [k] words in one call: a caller in another module
+   that folds [add_int] itself boxes the state at every step wherever
+   the call is not inlined (any [-opaque] build). *)
+let add_ints t k f =
+  let h = ref t in
+  for i = 0 to k - 1 do
+    h := add_int !h (f i)
+  done;
+  !h
+
 let[@inline] finish t = mix t
 
 let[@inline] to_range h bound =

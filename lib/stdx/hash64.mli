@@ -19,6 +19,11 @@ val add_int : t -> int -> t
 val add_int64 : t -> int64 -> t
 (** Absorb a 64-bit value. *)
 
+val add_ints : t -> int -> (int -> int) -> t
+(** [add_ints h k f] absorbs [f 0], ..., [f (k - 1)] in order: the same
+    state as folding {!add_int} over them, without boxing the steps
+    between. *)
+
 val add_string : t -> string -> t
 (** Absorb a string (content and length). *)
 

@@ -15,11 +15,11 @@ type t = {
 
 let initial_capacity = 16
 
+(* The first of c, 2c, 4c, ... that reaches [k]. *)
+let rec doubled_to c k = if c >= k then c else doubled_to (2 * c) k
+
 let create ?(capacity = initial_capacity) () =
-  let cap =
-    let rec up c = if c >= capacity then c else up (2 * c) in
-    up initial_capacity
-  in
+  let cap = doubled_to initial_capacity capacity in
   { keys = Array.make cap (-1); vals = Array.make cap 0; mask = cap - 1; count = 0 }
 
 let length t = t.count
@@ -40,23 +40,29 @@ let[@inline] get_or t key ~default =
   let i = find_slot t key in
   if i >= 0 then Array.unsafe_get t.vals i else default
 
-let grow t =
-  let old_keys = t.keys and old_vals = t.vals in
-  let cap = 2 * (t.mask + 1) in
-  t.keys <- Array.make cap (-1);
-  t.vals <- Array.make cap 0;
-  t.mask <- cap - 1;
-  for i = 0 to Array.length old_keys - 1 do
-    let key = old_keys.(i) in
-    if key >= 0 then begin
-      let j =
-        let rec free j = if t.keys.(j) = -1 then j else free ((j + 1) land t.mask) in
-        free (slot_of key t.mask)
-      in
-      t.keys.(j) <- key;
-      t.vals.(j) <- old_vals.(i)
-    end
-  done
+(* Rehash into the smallest power of two that holds [k] keys under
+   the one-half load bound and is no smaller than today's storage;
+   nothing moves when the table already fits. The keys are distinct,
+   so [probe] ends each one's walk at the free slot it takes. *)
+let reserve t k =
+  let cap = doubled_to (t.mask + 1) (2 * k) in
+  if cap > t.mask + 1 then begin
+    let old_keys = t.keys and old_vals = t.vals in
+    t.keys <- Array.make cap (-1);
+    t.vals <- Array.make cap 0;
+    t.mask <- cap - 1;
+    for i = 0 to Array.length old_keys - 1 do
+      let key = old_keys.(i) in
+      if key >= 0 then begin
+        let j = -1 - probe t.keys key t.mask (slot_of key t.mask) in
+        t.keys.(j) <- key;
+        t.vals.(j) <- old_vals.(i)
+      end
+    done
+  end
+
+(* Room for as many keys as there are slots: double the storage. *)
+let grow t = reserve t (t.mask + 1)
 
 let[@inline] set t key v =
   if key < 0 then invalid_arg "Int_table.set: negative key";

@@ -40,6 +40,12 @@ val add_bit : t -> int -> bit:int -> bool
     Together with a counter kept via {!incr} this represents sets of
     quorum positions without per-element storage. *)
 
+val reserve : t -> int -> unit
+(** [reserve t k] sizes the storage once so that [t] holds [k] keys
+    without growing: a table expected to fill can skip every doubling
+    on the way. Bindings are kept; a request the table already meets
+    (a smaller one included) changes nothing, so it never shrinks. *)
+
 val clear : t -> unit
 (** Remove every binding, keeping the storage. *)
 

@@ -341,6 +341,55 @@ let test_fw1_burst () =
   Alcotest.(check int) "fresh label repeated: nothing" 0
     (List.length (fw1 ~r:r2 ~src:senders.(2) w2))
 
+(* Algorithm 2's second handler checks three things for a relay y's
+   Fw1(x, s, r, w): this node ∈ H(s, w), w ∈ J(x, r) and y ∈ H(s, x).
+   Only the last differs between the copies of one (s, x, w, r), so a
+   target keeps the label it was first verified under. A copy naming
+   another label, or sent from outside H(s, x), must still not count
+   towards the relay majority. d_h = 8 leaves H(g, x) outsiders. *)
+let test_fw1_verification_cache () =
+  let params, sc, cfg = make_env () in
+  let g = sc.Scenario.gstring in
+  let h = Params.sampler_h params and j = Params.sampler_j params in
+  let z =
+    let rec loop i = if Scenario.knows_gstring sc i then i else loop (i + 1) in
+    loop 0
+  in
+  let st, _ = init_node cfg z in
+  (* A poller x, a label r and a w ∈ J(x, r) with z ∈ H(g, w). *)
+  let x, r, w =
+    let rec loop x r =
+      if x >= n then Alcotest.fail "no target names z"
+      else if x = z || r > 50L then loop (x + 1) 1L
+      else
+        match
+          List.find_opt
+            (fun w -> Sampler.mem_sx h ~s:g ~x:w ~y:z)
+            (Array.to_list (Sampler.quorum_xr j ~x ~r))
+        with
+        | Some w -> (x, r, w)
+        | None -> loop x (Int64.succ r)
+    in
+    loop 0 1L
+  in
+  let r2 =
+    let rec loop r2 = if Sampler.mem_xr j ~x ~r:r2 ~y:w then loop (Int64.succ r2) else r2 in
+    loop (Int64.succ r)
+  in
+  let relays = Sampler.quorum_sx h ~s:g ~x in
+  let outsider = List.find (fun y -> not (Array.mem y relays)) (List.init n Fun.id) in
+  let maj = Params.majority_h params in
+  let fw1 ?(r = r) src = deliver cfg st ~src (Msg.Fw1 { x; s = g; r; w }) in
+  for k = 0 to maj - 2 do
+    Alcotest.(check int) "no Fw2 below the relay majority" 0 (List.length (fw1 relays.(k)))
+  done;
+  Alcotest.(check int) "a copy under a label whose poll list leaves out w: not counted" 0
+    (List.length (fw1 ~r:r2 relays.(maj - 1)));
+  Alcotest.(check int) "a copy from outside H(g, x): not counted" 0
+    (List.length (fw1 outsider));
+  Alcotest.(check bool) "the majority relay's copy under r: exactly one Fw2, to w" true
+    (fw1 relays.(maj - 1) = [ (w, Msg.Fw2 { x; s = g; r }) ])
+
 let suites =
   [
     ( "core.aer.handlers",
@@ -356,5 +405,6 @@ let suites =
         Alcotest.test_case "fw2: H-membership + single answer" `Quick
           test_fw2_requires_h_membership;
         Alcotest.test_case "fw1: sender filter, majority burst, wire order" `Quick test_fw1_burst;
+        Alcotest.test_case "fw1: verified once per label" `Quick test_fw1_verification_cache;
       ] );
   ]

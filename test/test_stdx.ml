@@ -160,6 +160,14 @@ let test_hash_to_range () =
   Alcotest.check_raises "bound 0" (Invalid_argument "Hash64.to_range: non-positive bound")
     (fun () -> ignore (Hash64.to_range 5L 0))
 
+let test_hash_add_ints () =
+  let a = Array.init 50 (fun i -> (i * 7919) - 100) in
+  let folded = Array.fold_left Hash64.add_int (Hash64.init 3L) a in
+  Alcotest.(check int64) "add_int folded" folded
+    (Hash64.add_ints (Hash64.init 3L) 50 (Array.get a));
+  Alcotest.(check int64) "no words" (Hash64.init 3L)
+    (Hash64.add_ints (Hash64.init 3L) 0 (Array.get a))
+
 let test_hash_uniformity_rough () =
   (* Chi-square-free sanity: all 16 buckets populated over 4096 hashes. *)
   let buckets = Array.make 16 0 in
@@ -312,6 +320,52 @@ let test_i64_table_grow () =
   let sum = ref 0 in
   I64_table.iter (fun _ v -> sum := !sum + v) t;
   Alcotest.(check int) "iter visits all" (999 * 1000 / 2) !sum
+
+(* --- Int_table --- *)
+
+(* Words [f ()] allocates (an array past the minor heap's object limit
+   goes straight to the major heap, which the count includes), net of
+   what one read of the counter allocates itself. *)
+let words_during f =
+  let a = Test_streamed.allocated_words () in
+  let b = Test_streamed.allocated_words () in
+  f ();
+  let c = Test_streamed.allocated_words () in
+  int_of_float (c -. b -. (b -. a))
+
+let test_int_table_reserve () =
+  let t = Int_table.create () in
+  let key i = i * 0x10001 in
+  for i = 0 to 99 do
+    Int_table.set t (key i) (i + 1)
+  done;
+  Int_table.reserve t 3000;
+  Alcotest.(check int) "length kept" 100 (Int_table.length t);
+  for i = 0 to 99 do
+    if Int_table.get_or t (key i) ~default:0 <> i + 1 then
+      Alcotest.failf "key %d lost its value across the resize" i
+  done;
+  Alcotest.(check int) "a met request allocates nothing" 0
+    (words_during (fun () -> Int_table.reserve t 3000));
+  Alcotest.(check int) "a smaller request does not shrink the table" 0
+    (words_during (fun () -> Int_table.reserve t 150));
+  Alcotest.(check int) "reserved keys insert without growing" 0
+    (words_during (fun () ->
+         for i = 100 to 2999 do
+           Int_table.set t (key i) (i + 1)
+         done));
+  let sum = ref 0 in
+  Int_table.iter (fun k v -> if v = (k / 0x10001) + 1 then incr sum) t;
+  Alcotest.(check int) "every binding intact" 3000 !sum;
+  (* The same inserts into a table left at its initial size grow it, so
+     the reads above do see a resize. *)
+  let u = Int_table.create () in
+  Alcotest.(check bool) "an unreserved table grows" true
+    (words_during (fun () ->
+         for i = 0 to 2999 do
+           Int_table.set u (key i) (i + 1)
+         done)
+    > 0)
 
 (* --- Stats --- *)
 
@@ -521,6 +575,7 @@ let suites =
         Alcotest.test_case "deterministic" `Quick test_hash_deterministic;
         Alcotest.test_case "length absorption" `Quick test_hash_length_matters;
         Alcotest.test_case "to_range" `Quick test_hash_to_range;
+        Alcotest.test_case "add_ints" `Quick test_hash_add_ints;
         Alcotest.test_case "rough uniformity" `Quick test_hash_uniformity_rough;
       ] );
     ( "stdx.bitset",
@@ -544,6 +599,7 @@ let suites =
         Alcotest.test_case "basics" `Quick test_i64_table_basic;
         Alcotest.test_case "growth keeps keys" `Quick test_i64_table_grow;
       ] );
+    ("stdx.int_table", [ Alcotest.test_case "reserve" `Quick test_int_table_reserve ]);
     ( "stdx.stats",
       [
         Alcotest.test_case "mean/median/percentile" `Quick test_stats_basic;
