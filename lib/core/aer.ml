@@ -12,7 +12,11 @@ type config = {
   qj : Cache.t;  (* poll lists J *)
   strict_drop : bool;  (* drop belief-mismatched messages instead of buffering *)
   mutable compiled : Compiled.t option;  (* built by [tables], at most once *)
+  burst : burst;  (* the Fw1 burst's scratch: a burst ends inside one handler call *)
 }
+
+(* One burst's targets, oldest first, and their emission order. *)
+and burst = { order : Hashtbl_order.t; mutable burst_w : int array; mutable burst_rid : int array }
 
 (* [compile] chooses nothing — AER always runs on the compiled tables;
    the unit label stays only for callers written against the old
@@ -31,6 +35,7 @@ let config_of_scenario ?(strict_drop = false) ?compile:(_ : unit option) (scenar
     qj = Cache.create (Params.sampler_j params);
     strict_drop;
     compiled = None;
+    burst = { order = Hashtbl_order.create (); burst_w = [||]; burst_rid = [||] };
   }
 
 let config_scenario c = c.scenario
@@ -60,7 +65,7 @@ let unpack cfg p = Packed.unpack cfg.layout cfg.intern p
 
 (* Small imperative helpers over Hashtbl-as-set (poll answers only —
    everything else lives in Int_table / position masks below, apart
-   from the outstanding polls and the Fw1 burst's replay table). *)
+   from the outstanding polls). *)
 let set () : (int, unit) Hashtbl.t = Hashtbl.create 8
 
 let set_add tbl v =
@@ -124,13 +129,13 @@ type state = {
      count and — until the majority burst — the head of the (s, x)
      chain of targets' (w, label id) in first-verified order, through
      one flat lane. The burst serves the chain; after it, a w is
-     served on its first verified Fw1. Both tables are sized from
-     [Params] when the node verifies its first Fw1. *)
+     served on its first verified Fw1, and copies of a verified w
+     change nothing. Both tables are sized from [Params] when the node
+     verifies its first Fw1. *)
   fw1_seen : Int_table.t;  (* (key_sx lsl id_bits) lor w -> (offset lsl rid_bits) lor rid *)
   fw1_at : Int_table.t;  (* key_sx -> record offset, probed for fresh targets only *)
   mutable fw1_recs : int array;  (* one record per fw1_at key: masks, count, chain head or -1 *)
   fw1_lane : int Vec.t;  (* (w, rid, offset of the previous target or -1) triples *)
-  burst : (int, int) Hashtbl.t;  (* the burst's replay table, reset per burst *)
   fw2_masks : Int_table.t;  (* distinct z ∈ H(s,this), keyed key_sx *)
   fw2_counts : Int_table.t;
   polled : Int_table.t;  (* Algorithm 3's Polled set: presence, key_xs *)
@@ -139,8 +144,6 @@ type state = {
   muted : int Vec.t;  (* answer-ready (s, x) keys gated by the filter *)
   deferred_src : int Vec.t;  (* belief-mismatched messages, parallel lanes *)
   deferred_msg : int Vec.t;
-  scratch_w : int Vec.t;  (* reusable buffers for the Fw1 serve-all burst *)
-  scratch_rid : int Vec.t;
   mutable push_sent : int;
 }
 
@@ -252,38 +255,35 @@ let record_target st ~head ~w ~rid =
   Vec.push st.fw1_lane st.fw1_recs.(head);
   st.fw1_recs.(head) <- at
 
-(* Add the chain ending at lane offset [at] to [h], oldest first. The
-   depth is the chain's length: one (s, x)'s distinct targets. *)
-let rec replay h lane at =
-  if at >= 0 then begin
-    replay h lane (Vec.get lane (at + 2));
-    Hashtbl.add h (Vec.get lane at) (Vec.get lane (at + 1))
-  end
-
-(* The majority burst: serve every recorded target of (s, x) once. The
-   wire order is the one the historical per-(s, x) [Hashtbl.create 8]
-   gave, which the determinism goldens pin: its bucket order, reversed
-   (its fold consed as it visited). Only a real Hashtbl reproduces
-   bucket order, so the chain is replayed, in first-verified order,
-   into the reset burst table — whose state is then exactly the
-   historical table's — and the walk is emitted back to front. The
-   walk is a fold (iter's order) over a closed function, so a burst
-   allocates no closure of its own. *)
+(* The majority burst: serve every recorded target of (s, x) once, in
+   the wire order the historical per-(s, x) [Hashtbl.create 8] gave,
+   which the determinism goldens pin: that table's fold, consed
+   (Hashtbl_order.reversed_fold). The chain runs newest first, so it
+   is laid out in the scratch lanes back to front. *)
 let serve_burst cfg st ~emit ~sid ~x ~head =
-  let lt = cfg.layout in
-  Hashtbl.reset st.burst;
-  replay st.burst st.fw1_lane st.fw1_recs.(head);
-  Vec.clear st.scratch_w;
-  Vec.clear st.scratch_rid;
-  ignore
-    (Hashtbl.fold
-       (fun w rid st ->
-         Vec.push st.scratch_w w;
-         Vec.push st.scratch_rid rid;
-         st)
-       st.burst st);
-  for i = Vec.length st.scratch_w - 1 downto 0 do
-    emit (Vec.get st.scratch_w i) (Packed.fw2 lt ~sid ~rid:(Vec.get st.scratch_rid i) ~x)
+  let lane = st.fw1_lane and b = cfg.burst in
+  let k = ref 0 and at = ref st.fw1_recs.(head) in
+  while !at >= 0 do
+    incr k;
+    at := Vec.get lane (!at + 2)
+  done;
+  let k = !k in
+  if Array.length b.burst_w < k then begin
+    b.burst_w <- Array.make (2 * k) 0;
+    b.burst_rid <- Array.make (2 * k) 0
+  end;
+  let ws = b.burst_w and rids = b.burst_rid in
+  let i = ref k and at = ref st.fw1_recs.(head) in
+  while !at >= 0 do
+    decr i;
+    ws.(!i) <- Vec.get lane !at;
+    rids.(!i) <- Vec.get lane (!at + 1);
+    at := Vec.get lane (!at + 2)
+  done;
+  let order = Hashtbl_order.reversed_fold b.order ws k in
+  for i = 0 to k - 1 do
+    let p = order.(i) in
+    emit ws.(p) (Packed.fw2 cfg.layout ~sid ~rid:rids.(p) ~x)
   done
 
 (* A verified Fw1 copy from the relay at position [spos] of H(s, x),
@@ -393,7 +393,16 @@ and handle_fw1 cfg st ~emit ~src p =
     let tkey = key_sx lt ~sid ~x in
     let wkey = (tkey lsl lt.Msg.Layout.id_bits) lor w in
     let seen = Int_table.get_or st.fw1_seen wkey ~default:(-1) in
-    if seen >= 0 && seen land lt.Msg.Layout.rid_mask = rid then begin
+    if
+      seen >= 0
+      && Array.unsafe_get st.fw1_recs ((seen lsr lt.Msg.Layout.rid_bits) + fw1_mask_words cfg)
+         >= Params.majority_h cfg.params
+    then
+      (* Past the majority the target has had its Fw2 (in the burst or
+         on its first copy), and the count and relay masks decide
+         nothing more: a later copy, under any label, changes nothing. *)
+      ()
+    else if seen >= 0 && seen land lt.Msg.Layout.rid_mask = rid then begin
       (* Verified before under this very label: this node ∈ H(s, w)
          and w ∈ J(x, r) hold again, so only the relay is checked. Its
          position in H(s, x) keys the relay mask. *)
@@ -538,7 +547,6 @@ let init cfg ctx =
       fw1_at = Int_table.create ();
       fw1_recs = [||];
       fw1_lane = Vec.create ();
-      burst = Hashtbl.create 8;
       fw2_masks = Int_table.create ();
       fw2_counts = Int_table.create ();
       polled = Int_table.create ~capacity:32 ();
@@ -547,8 +555,6 @@ let init cfg ctx =
       muted = Vec.create ();
       deferred_src = Vec.create ();
       deferred_msg = Vec.create ();
-      scratch_w = Vec.create ();
-      scratch_rid = Vec.create ();
       push_sent = 0;
     }
   in
@@ -626,4 +632,5 @@ let candidates st =
   !acc
 
 let candidate_count st = Int_table.length st.candidates
+let fw1_entries st = (Int_table.length st.fw1_seen, Int_table.length st.fw1_at)
 let push_messages_sent st = st.push_sent

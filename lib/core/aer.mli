@@ -32,9 +32,14 @@ val config_of_scenario :
   ?compile:unit ->
   Scenario.t ->
   config
-(** Shared immutable setup (samplers, memoized quorums, initial
-    candidate assignment). The same value must be used for every node
-    of an execution — quorum caches inside are shared deliberately.
+(** The setup every node of one execution shares (samplers, memoized
+    quorums, initial candidate assignment) and the execution's scratch.
+    The same value must be used for every node of an execution —
+    quorum caches inside are shared deliberately. A config belongs to
+    that one execution: its quorum caches, its compiled tables and the
+    Fw1 burst's scratch lanes are mutable and unsynchronized, so it
+    must not serve two executions at once, nor executions on different
+    domains.
     [strict_drop] (default false) applies the paper's pseudo-code
     literally, dropping belief-mismatched messages instead of buffering
     them (DESIGN.md substitution 6) — exposed for the ablation that
@@ -92,3 +97,7 @@ val candidate_count : state -> int
 
 val push_messages_sent : state -> int
 (** Number of push-phase messages this node sent (Lemma 3). *)
+
+val fw1_entries : state -> int * int
+(** The Fw1 targets (s, x, w) this node has verified, and the (s, x)
+    pairs they fall in. *)

@@ -66,6 +66,7 @@ module Make (P : Protocol.S) = struct
     let delivered_this_step = ref 0 in
     let time = ref 0 in
     let cur_node = ref 0 in
+    let metrics = core.metrics in
     (* Send one message from correct node [!cur_node] at [!time]: the
        adversary observes it and chooses its delay. One shared closure
        — the delivery loop allocates nothing per message. *)
@@ -73,17 +74,13 @@ module Make (P : Protocol.S) = struct
       if dst < 0 || dst >= n then invalid_arg "Async_engine: destination out of range";
       incr sends_this_step;
       let t = !time and src = !cur_node in
-      Core.record_send core ~src ~dst msg;
+      Metrics.record_send metrics ~src ~dst ~bits:(P.msg_bits config msg);
       adversary.observe ~time:t ~src ~dst msg;
       let d = clamp_delay (adversary.delay ~time:t ~src ~dst msg) in
       Core.trace_msg core ~round:t ~byzantine:false ~delay:d ~src ~dst msg;
       Engine_core.Calendar.schedule cal ~at:(t + d) ~src ~dst msg
     in
-    let receive = Core.handler_of core ~emit in
-    let handle dst st ~src msg =
-      cur_node := dst;
-      receive st ~round:!time ~src msg
-    in
+    let deliver = Core.delivery core ~emit ~cur_node ~round:time in
     let emit_pair (dst, msg) = emit dst msg in
     let dispatch_correct src out =
       cur_node := src;
@@ -131,8 +128,7 @@ module Make (P : Protocol.S) = struct
       if due > 0 then begin
         Engine_core.Calendar.consumed cal due;
         delivered_this_step := !delivered_this_step + due;
-        Engine_core.Calendar.drain_due cal ~time:t ~f:(fun ~src ~dst msg ->
-            Core.deliver core ~round:t ~src ~dst msg ~handle)
+        Engine_core.Calendar.drain_due cal ~time:t ~f:deliver
       end;
       dispatch_byzantine ~time:t (adversary.inject ~time:t);
       Core.check_decisions core ~round:t;

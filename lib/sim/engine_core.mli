@@ -207,24 +207,24 @@ module Make (P : Protocol.S) : sig
 
   val check_decisions : t -> round:int -> unit
 
-  val handler_of :
+  val delivery :
     t ->
     emit:(int -> P.msg -> unit) ->
-    P.state -> round:int -> src:int -> P.msg -> unit
-  (** The per-delivery protocol entry point: [P.receive_into] when the
-      protocol provides it, otherwise [P.on_receive] drained through
-      [emit] in list order. Build it once per run (it captures [emit]). *)
-
-  val deliver :
-    t ->
-    round:int ->
+    cur_node:int ref ->
+    round:int ref ->
     src:int ->
     dst:int ->
     P.msg ->
-    handle:(int -> P.state -> src:int -> P.msg -> unit) ->
     unit
-  (** The shared delivery step: {!Net.verdict} first (free under
-      [Reliable]), then the Byzantine-destination drop, then
-      [handle dst state ~src msg] (see {!handler_of}). Network losses
-      are traced through {!Events.Drop} with the {!Net} reason tags. *)
+  (** The function a run drains its mailbox or calendar through. Build
+      it once per run: it captures [emit], the engine's send. Each
+      message to a correct node sets [cur_node] to its destination and
+      reaches the protocol ([P.receive_into] when the protocol provides
+      it, otherwise [P.on_receive] drained through [emit] in list
+      order) at the round read from [round]. A run with no [events], no
+      [prof] and a {!Net.trivial} network does only that. Any other
+      first asks {!Net.verdict}, drops messages to Byzantine
+      destinations, and traces and profiles each delivery; network
+      losses are traced through {!Events.Drop} with the {!Net} reason
+      tags. *)
 end

@@ -66,6 +66,8 @@ let instantiate spec ~n ~seed =
   in
   { state with trivial = state.drop = None && state.partition = None }
 
+let trivial t = t.trivial
+
 type verdict = Pass | Lose of string
 
 (* Bisection sides: ids [0, n/2) vs [n/2, n). *)

@@ -47,6 +47,11 @@ val instantiate : spec -> n:int -> seed:int64 -> t
     at a fixed index. Raises [Invalid_argument] on out-of-range
     parameters, duplicate condition kinds, or nested [Compose]. *)
 
+val trivial : t -> bool
+(** No condition can lose a delivery: {!verdict} is [Pass] for every
+    query. True for {!Reliable}, and for a zero drop rate, a zero-round
+    partition or an empty [Compose]. *)
+
 type verdict = Pass | Lose of string  (** [Lose reason] with one of the tags above *)
 
 val verdict : t -> round:int -> src:int -> dst:int -> verdict

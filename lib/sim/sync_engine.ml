@@ -70,9 +70,10 @@ module Make (P : Protocol.S) = struct
     in
     (* Every correct send is booked as it is pushed, as the async
        engine does; the metrics are sums, so the order is immaterial. *)
+    let metrics = core.metrics in
     let send src dst msg =
       if dst < 0 || dst >= n then invalid_arg "Sync_engine: destination out of range";
-      Core.record_send core ~src ~dst msg;
+      Metrics.record_send metrics ~src ~dst ~bits:(P.msg_bits config msg);
       Engine_core.Mailbox.push_correct mb ~src ~dst msg
     in
     (* All closures the delivery path needs are built once, reading the
@@ -81,11 +82,7 @@ module Make (P : Protocol.S) = struct
     let cur_round = ref 0 in
     let cur_node = ref 0 in
     let emit dst msg = send !cur_node dst msg in
-    let receive = Core.handler_of core ~emit in
-    let handle dst st ~src msg =
-      cur_node := dst;
-      receive st ~round:!cur_round ~src msg
-    in
+    let deliver = Core.delivery core ~emit ~cur_node ~round:cur_round in
     let send_pair (dst, msg) = send !cur_node dst msg in
     let observed =
       match mode with
@@ -154,8 +151,7 @@ module Make (P : Protocol.S) = struct
            as its last message is handled, so [send]'s pushes refill the
            storage the deliveries just vacated. *)
         let delivered_any = Engine_core.Mailbox.pending_any mb in
-        Engine_core.Mailbox.drain mb ~f:(fun ~src ~dst msg ->
-            Core.deliver core ~round:r ~src ~dst msg ~handle);
+        Engine_core.Mailbox.drain mb ~f:deliver;
         Core.check_decisions core ~round:r;
         prev_correct := commit_round ~round:r;
         if (not delivered_any) && not (Engine_core.Mailbox.pending_any mb) then incr quiet

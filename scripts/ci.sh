@@ -158,6 +158,7 @@ EOF
 # version 2 envelope (no "phases" key), and have its slots' wall
 # times and allocated words sum to the profile's totals.
 dune exec bin/fba.exe -- profile -n 48 --attack cornering > /dev/null
+dune exec bin/fba.exe -- profile -n 48 --attack cornering --mode non-rushing > /dev/null
 dune exec bin/fba.exe -- profile -n 48 --attack cornering --mode async > /dev/null
 echo "profile accounting smoke ok"
 telemetry="$tmp/telemetry.json"

@@ -390,6 +390,81 @@ let test_fw1_verification_cache () =
   Alcotest.(check bool) "the majority relay's copy under r: exactly one Fw2, to w" true
     (fw1 relays.(maj - 1) = [ (w, Msg.Fw2 { x; s = g; r }) ])
 
+(* Once a majority of H(s, x) has relayed, Algorithm 2 has sent its
+   Fw2 to every verified target of (s, x) and serves each later target
+   on its first verified copy; every other copy carries nothing. After
+   the burst: a repeated copy from a relay not yet counted, a copy of
+   the seen target under another label that also names it, and a copy
+   from outside H(s, x) each emit nothing and add no entry, while a
+   fresh target still gets exactly one Fw2. *)
+let test_fw1_past_majority () =
+  let params, sc, cfg = make_env () in
+  let g = sc.Scenario.gstring in
+  let h = Params.sampler_h params and j = Params.sampler_j params in
+  let z =
+    let rec loop i = if Scenario.knows_gstring sc i then i else loop (i + 1) in
+    loop 0
+  in
+  let st, _ = init_node cfg z in
+  (* A label r and a target w ∈ J(x, r) with z ∈ H(g, w), skipping [skip]. *)
+  let target ?(skip = -1) ~x r0 =
+    let rec loop r =
+      if r > Int64.add r0 200L then None
+      else
+        match
+          List.find_opt
+            (fun w -> w <> skip && Sampler.mem_sx h ~s:g ~x:w ~y:z)
+            (Array.to_list (Sampler.quorum_xr j ~x ~r))
+        with
+        | Some w -> Some (r, w)
+        | None -> loop (Int64.succ r)
+    in
+    loop r0
+  in
+  let x, r, w =
+    let rec loop x =
+      if x >= n then Alcotest.fail "no target names z"
+      else if x = z then loop (x + 1)
+      else match target ~x 1L with Some (r, w) -> (x, r, w) | None -> loop (x + 1)
+    in
+    loop 0
+  in
+  let r_fresh, w_fresh =
+    match target ~skip:w ~x (Int64.succ r) with
+    | Some t -> t
+    | None -> Alcotest.fail "no second target"
+  in
+  (* Another label whose poll list names w too: a copy under it passes
+     all three checks, so only the count can set it aside. *)
+  let r2 =
+    let rec loop r2 =
+      if Int64.equal r2 r || not (Sampler.mem_xr j ~x ~r:r2 ~y:w) then loop (Int64.succ r2)
+      else r2
+    in
+    loop 1L
+  in
+  let relays = Sampler.quorum_sx h ~s:g ~x in
+  let outsider = List.find (fun y -> not (Array.mem y relays)) (List.init n Fun.id) in
+  let maj = Params.majority_h params in
+  let fw1 ?(r = r) ?(w = w) src = deliver cfg st ~src (Msg.Fw1 { x; s = g; r; w }) in
+  for k = 0 to maj - 2 do
+    ignore (fw1 relays.(k))
+  done;
+  Alcotest.(check bool) "the burst: one Fw2, to w" true
+    (fw1 relays.(maj - 1) = [ (w, Msg.Fw2 { x; s = g; r }) ]);
+  let entries = Aer.fw1_entries st in
+  Alcotest.(check (pair int int)) "one target, one (s, x) pair" (1, 1) entries;
+  let quiet what outs =
+    Alcotest.(check int) (what ^ ": nothing emitted") 0 (List.length outs);
+    Alcotest.(check (pair int int)) (what ^ ": no entry added") entries (Aer.fw1_entries st)
+  in
+  quiet "a relay not yet counted" (fw1 relays.(maj));
+  quiet "the seen target under another label" (fw1 ~r:r2 relays.(maj + 1));
+  quiet "a copy from outside H(g, x)" (fw1 outsider);
+  Alcotest.(check bool) "a fresh target: exactly one Fw2, to it, under its label" true
+    (fw1 ~r:r_fresh ~w:w_fresh relays.(0) = [ (w_fresh, Msg.Fw2 { x; s = g; r = r_fresh }) ]);
+  Alcotest.(check (pair int int)) "the fresh target is entered" (2, 1) (Aer.fw1_entries st)
+
 let suites =
   [
     ( "core.aer.handlers",
@@ -406,5 +481,7 @@ let suites =
           test_fw2_requires_h_membership;
         Alcotest.test_case "fw1: sender filter, majority burst, wire order" `Quick test_fw1_burst;
         Alcotest.test_case "fw1: verified once per label" `Quick test_fw1_verification_cache;
+        Alcotest.test_case "fw1: copies past the majority change nothing" `Quick
+          test_fw1_past_majority;
       ] );
   ]

@@ -31,18 +31,18 @@ let fingerprint = Fba_harness.Service.fingerprint
    executions the harness produces. *)
 let quiet_limit_of sc = Params.quiet_limit sc.Scenario.params
 
-let run_sync_res ?events ~n ~seed adv =
+let run_sync_res ?events ?net ?(mode = `Rushing) ~n ~seed adv =
   let sc = Runner.scenario_of_setup Runner.default_setup ~n ~seed in
   let cfg = Aer.config_of_scenario sc in
-  Aer_sync.run ~quiet_limit:(quiet_limit_of sc) ?events ~config:cfg ~n ~seed ~adversary:(adv sc)
-    ~mode:`Rushing ~max_rounds:300 ()
+  Aer_sync.run ~quiet_limit:(quiet_limit_of sc) ?events ?net ~config:cfg ~n ~seed
+    ~adversary:(adv sc) ~mode ~max_rounds:300 ()
 
 let run_sync ~n ~seed adv = (run_sync_res ~n ~seed adv).Fba_sim.Sync_engine.metrics
 
-let run_async_res ?events ~n ~seed adv =
+let run_async_res ?events ?net ~n ~seed adv =
   let sc = Runner.scenario_of_setup Runner.default_setup ~n ~seed in
   let cfg = Aer.config_of_scenario sc in
-  Aer_async.run ?events ~config:cfg ~n ~seed ~adversary:(adv sc) ~max_time:4000 ()
+  Aer_async.run ?events ?net ~config:cfg ~n ~seed ~adversary:(adv sc) ~max_time:4000 ()
 
 let run_async ~n ~seed adv = (run_async_res ~n ~seed adv).Fba_sim.Async_engine.metrics
 
@@ -281,6 +281,25 @@ let prop_async_run_twice =
       let fp2 = fingerprint (run_async ~n ~seed (fun sc -> Attacks.async_cornering sc)) in
       Int64.equal fp1 fp2)
 
+(* The engines deliver straight into the protocol when nothing observes
+   the run (no sink, no profiler, a network that loses nothing) and
+   through the net's verdicts and the tracing and profiling guards
+   otherwise ([Engine_core.Make.delivery]). Each transparency property
+   compares an observed run against a plain [Reliable] one in every
+   mode, which pins the two paths against each other; the other specs
+   that instantiate trivial are checked once, in [prop_trivial_nets]. *)
+let other_trivial_nets =
+  Fba_sim.Net.[ Drop { rate = 0. }; Partition { from_round = 1; rounds = 0 }; Compose [] ]
+
+let trivial_nets = Fba_sim.Net.Reliable :: other_trivial_nets
+let sync_modes = [ `Rushing; `Non_rushing ]
+
+let same_sync (a : _ Fba_sim.Sync_engine.result) (b : _ Fba_sim.Sync_engine.result) =
+  Int64.equal (fingerprint a.metrics) (fingerprint b.metrics) && a.outputs = b.outputs
+
+let same_async (a : _ Fba_sim.Async_engine.result) (b : _ Fba_sim.Async_engine.result) =
+  Int64.equal (fingerprint a.metrics) (fingerprint b.metrics) && a.outputs = b.outputs
+
 (* Event tracing must be pure observation: a run with a loaded sink
    (tally + JSONL buffer, i.e. every shipped consumer)
    produces bit-identical metrics and the same decision vector as the
@@ -299,23 +318,41 @@ let prop_sync_events_transparent =
   QCheck.Test.make ~name:"sync tracing is pure observation" ~count:10 arb_run
     (fun (n, seed) ->
       let adv sc = Attacks.cornering sc in
-      let plain = run_sync_res ~n ~seed adv in
-      let traced = run_sync_res ~events:(loaded_sink ~n) ~n ~seed adv in
-      Int64.equal
-        (fingerprint plain.Fba_sim.Sync_engine.metrics)
-        (fingerprint traced.Fba_sim.Sync_engine.metrics)
-      && plain.Fba_sim.Sync_engine.outputs = traced.Fba_sim.Sync_engine.outputs)
+      List.for_all
+        (fun mode ->
+          same_sync
+            (run_sync_res ~mode ~n ~seed adv)
+            (run_sync_res ~events:(loaded_sink ~n) ~mode ~n ~seed adv))
+        sync_modes)
 
 let prop_async_events_transparent =
   QCheck.Test.make ~name:"async tracing is pure observation" ~count:6 arb_run
     (fun (n, seed) ->
       let adv sc = Attacks.async_cornering sc in
+      same_async (run_async_res ~n ~seed adv)
+        (run_async_res ~events:(loaded_sink ~n) ~n ~seed adv))
+
+(* On every other spec that instantiates trivial, in every mode, a
+   traced run (the instrumented path, asking that net for each
+   verdict) equals the plain [Reliable] run (the direct path). *)
+let prop_trivial_nets =
+  QCheck.Test.make ~name:"traced runs on trivial nets equal the plain Reliable run" ~count:3
+    arb_run (fun (n, seed) ->
+      List.for_all
+        (fun mode ->
+          let adv sc = Attacks.cornering sc in
+          let plain = run_sync_res ~mode ~n ~seed adv in
+          List.for_all
+            (fun net ->
+              same_sync plain (run_sync_res ~events:(loaded_sink ~n) ~net ~mode ~n ~seed adv))
+            other_trivial_nets)
+        sync_modes
+      &&
+      let adv sc = Attacks.async_cornering sc in
       let plain = run_async_res ~n ~seed adv in
-      let traced = run_async_res ~events:(loaded_sink ~n) ~n ~seed adv in
-      Int64.equal
-        (fingerprint plain.Fba_sim.Async_engine.metrics)
-        (fingerprint traced.Fba_sim.Async_engine.metrics)
-      && plain.Fba_sim.Async_engine.outputs = traced.Fba_sim.Async_engine.outputs)
+      List.for_all
+        (fun net -> same_async plain (run_async_res ~events:(loaded_sink ~n) ~net ~n ~seed adv))
+        other_trivial_nets)
 
 let suites =
   [
@@ -339,5 +376,6 @@ let suites =
           prop_async_run_twice;
           prop_sync_events_transparent;
           prop_async_events_transparent;
+          prop_trivial_nets;
         ] );
   ]

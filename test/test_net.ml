@@ -141,6 +141,23 @@ let test_partition_window () =
   Alcotest.(check bool) "same side never cut" true
     (same ~round:2 = Net.Pass && same ~round:3 = Net.Pass)
 
+(* A trivial net loses nothing, so the engines may skip its verdicts. *)
+let test_trivial () =
+  let trivial spec = Net.trivial (Net.instantiate spec ~n:8 ~seed:1L) in
+  List.iter
+    (fun net -> Alcotest.(check bool) "trivial" true (trivial net))
+    Test_determinism.trivial_nets;
+  Alcotest.(check bool) "zero-rate drop beside a zero-round partition" true
+    (trivial
+       (Net.Compose [ Net.Drop { rate = 0. }; Net.Partition { from_round = 3; rounds = 0 } ]));
+  List.iter
+    (fun net -> Alcotest.(check bool) "not trivial" false (trivial net))
+    [
+      Net.Drop { rate = 0.01 };
+      Net.Partition { from_round = 0; rounds = 1 };
+      Net.Compose [ Net.Reliable; Net.Drop { rate = 1. } ];
+    ]
+
 (* --- Engine determinism under every condition kind --- *)
 
 let arb_run =
@@ -206,6 +223,7 @@ let suites =
       [
         Alcotest.test_case "partition window and sides" `Quick test_partition_window;
         Alcotest.test_case "spec validation" `Quick test_spec_validation;
+        Alcotest.test_case "trivial specs" `Quick test_trivial;
       ] );
     ( "net.qcheck",
       List.map QCheck_alcotest.to_alcotest

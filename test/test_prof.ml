@@ -29,11 +29,11 @@ module Aer_async = Fba_sim.Async_engine.Make (Aer)
 
 let fingerprint = Test_determinism.fingerprint
 
-let run_sync ?events ?prof ~n ~seed adv =
+let run_sync ?events ?prof ?(mode = `Rushing) ~n ~seed adv =
   let sc = Runner.scenario_of_setup Runner.default_setup ~n ~seed in
   let cfg = Aer.config_of_scenario sc in
-  Aer_sync.run ~quiet_limit:(Params.quiet_limit sc.Scenario.params) ?events ?prof ~config:cfg ~n ~seed
-    ~adversary:(adv sc) ~mode:`Rushing ~max_rounds:300 ()
+  Aer_sync.run ~quiet_limit:(Params.quiet_limit sc.Scenario.params) ?events ?prof ~config:cfg ~n
+    ~seed ~adversary:(adv sc) ~mode ~max_rounds:300 ()
 
 let run_async ?events ?prof ~n ~seed adv =
   let sc = Runner.scenario_of_setup Runner.default_setup ~n ~seed in
@@ -45,7 +45,12 @@ let arb_run =
     ~print:(fun (n, seed) -> Printf.sprintf "n=%d seed=%Ld" n seed)
     QCheck.Gen.(pair (int_range 24 64) (map Int64.of_int (int_range 1 1000)))
 
-(* --- Transparency: profiling on vs off is byte-identical --- *)
+(* --- Transparency: profiling on vs off is byte-identical ---
+
+   With a sink attached on both sides, the event streams must match
+   too. Without one, a profiled run must also equal the plain run,
+   which takes the engines' direct delivery path; sync runs are checked
+   in both modes. *)
 
 let collect_events run =
   let evs = ref [] in
@@ -57,31 +62,31 @@ let collect_events run =
 let prop_sync_transparent =
   QCheck.Test.make ~name:"sync: attaching a profiler changes nothing observable" ~count:15
     arb_run (fun (n, seed) ->
-      let base, base_ev =
-        collect_events (fun ~events -> run_sync ~events ~n ~seed Attacks.cornering)
-      in
-      let prof = Prof.create () in
-      let profiled, prof_ev =
-        collect_events (fun ~events -> run_sync ~events ~prof ~n ~seed Attacks.cornering)
-      in
-      fingerprint base.Fba_sim.Sync_engine.metrics
-      = fingerprint profiled.Fba_sim.Sync_engine.metrics
-      && base.Fba_sim.Sync_engine.outputs = profiled.Fba_sim.Sync_engine.outputs
-      && base_ev = prof_ev)
+      List.for_all
+        (fun mode ->
+          let run ?events ?prof () = run_sync ?events ?prof ~mode ~n ~seed Attacks.cornering in
+          let base, base_ev = collect_events (fun ~events -> run ~events ()) in
+          let profiled, prof_ev =
+            collect_events (fun ~events -> run ~events ~prof:(Prof.create ()) ())
+          in
+          Test_determinism.same_sync base profiled
+          && base_ev = prof_ev
+          && Test_determinism.same_sync (run ()) (run ~prof:(Prof.create ()) ()))
+        Test_determinism.sync_modes)
 
 let prop_async_transparent =
   QCheck.Test.make ~name:"async: attaching a profiler changes nothing observable" ~count:10
     arb_run (fun (n, seed) ->
-      let adv sc = Attacks.async_cornering sc in
-      let base, base_ev = collect_events (fun ~events -> run_async ~events ~n ~seed adv) in
-      let prof = Prof.create () in
-      let profiled, prof_ev =
-        collect_events (fun ~events -> run_async ~events ~prof ~n ~seed adv)
+      let run ?events ?prof () =
+        run_async ?events ?prof ~n ~seed (fun sc -> Attacks.async_cornering sc)
       in
-      fingerprint base.Fba_sim.Async_engine.metrics
-      = fingerprint profiled.Fba_sim.Async_engine.metrics
-      && base.Fba_sim.Async_engine.outputs = profiled.Fba_sim.Async_engine.outputs
-      && base_ev = prof_ev)
+      let base, base_ev = collect_events (fun ~events -> run ~events ()) in
+      let profiled, prof_ev =
+        collect_events (fun ~events -> run ~events ~prof:(Prof.create ()) ())
+      in
+      Test_determinism.same_async base profiled
+      && base_ev = prof_ev
+      && Test_determinism.same_async (run ()) (run ~prof:(Prof.create ()) ()))
 
 (* --- Exact accounting: cells partition the run totals --- *)
 

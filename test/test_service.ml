@@ -89,10 +89,10 @@ let test_width_refused () =
 
 (* Eight cornering n=128 instances on two lanes of one domain allocate
    this many words per instance on the default (release) build;
-   [--profile dev] reads 0.6% more. Opening every instance on a fresh
-   mailbox instead of its lane's reads 23% more, so the 1% budget
+   [--profile dev] reads 0.7% more. Opening every instance on a fresh
+   mailbox instead of its lane's reads 26% more, so the 1% budget
    catches a dropped reuse. *)
-let service_n128_words = 940_271.
+let service_n128_words = 830_119.
 
 let test_alloc_budget () =
   let instances = 8 in

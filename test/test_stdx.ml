@@ -548,6 +548,32 @@ let test_plurality_of_outputs () =
   Alcotest.(check (option string)) "only None counted" None (of_outputs (fun i -> i = 1));
   Alcotest.(check (option string)) "nothing counted" None (of_outputs (fun _ -> false))
 
+(* Hashtbl_order reproduces the table's walk without the table: the
+   order is a real [Hashtbl.create 8]'s. Lengths up to 100 cross its
+   32- and 64-key resizes, and one scratch serves every case, shrinking
+   and growing. *)
+let order_scratch = Hashtbl_order.create ()
+
+let prop_hashtbl_order =
+  QCheck.Test.make ~name:"reversed_fold = a Hashtbl.create 8's fold, consed" ~count:300
+    QCheck.(
+      make
+        ~print:(fun l -> String.concat " " (List.map string_of_int l))
+        Gen.(int_range 1 100 >>= fun k -> list_repeat k (int_range (-1000) (1 lsl 20))))
+    (fun l ->
+      (* The distinct keys, added to the model in the order drawn. *)
+      let h = Hashtbl.create 8 in
+      let fresh key =
+        let seen = Hashtbl.mem h key in
+        if not seen then Hashtbl.add h key ();
+        not seen
+      in
+      let keys = Array.of_list (List.filter fresh l) in
+      let k = Array.length keys in
+      let model = Hashtbl.fold (fun key () acc -> key :: acc) h [] in
+      let order = Hashtbl_order.reversed_fold order_scratch keys k in
+      List.init k (fun i -> keys.(order.(i))) = model)
+
 let suites =
   [
     ( "stdx.intx",
@@ -600,6 +626,7 @@ let suites =
         Alcotest.test_case "growth keeps keys" `Quick test_i64_table_grow;
       ] );
     ("stdx.int_table", [ Alcotest.test_case "reserve" `Quick test_int_table_reserve ]);
+    ("stdx.hashtbl_order", [ QCheck_alcotest.to_alcotest prop_hashtbl_order ]);
     ( "stdx.stats",
       [
         Alcotest.test_case "mean/median/percentile" `Quick test_stats_basic;

@@ -183,7 +183,7 @@ let allocated_words () =
 (* One cornering n=128 run, scenario included, allocates this many
    words on the default (release) build; [--profile dev] reads 0.5%
    more. The budget allows 1%. *)
-let cornering_n128_words = 1_167_125.
+let cornering_n128_words = 1_057_115.
 
 let test_cornering_alloc_budget () =
   let before = allocated_words () in
