@@ -68,7 +68,6 @@ type state = {
   mutable result : string option;
 }
 
-let name = "aeba"
 let compile _ = ()
 
 let root_slot_of tree id =
@@ -245,13 +244,6 @@ let msg_bits cfg m =
   Fba_sim.Metrics.header_bits ~n:cfg.n + payload
 
 let receive_into = None
-
-let pp_msg _cfg fmt = function
-  | Contrib { slot; _ } -> Format.fprintf fmt "Contrib(slot=%d)" slot
-  | Pk { slot; inner = Phase_king.Value _ } -> Format.fprintf fmt "Pk(Value, slot=%d)" slot
-  | Pk { slot; inner = Phase_king.King _ } -> Format.fprintf fmt "Pk(King, slot=%d)" slot
-  | Relay { level; index; _ } -> Format.fprintf fmt "Relay(%d,%d)" level index
-  | Inform _ -> Format.fprintf fmt "Inform"
 
 let msg_tags _cfg = [| "Contrib"; "Pk"; "Relay"; "Inform" |]
 let msg_tag _cfg = function Contrib _ -> 0 | Pk _ -> 1 | Relay _ -> 2 | Inform _ -> 3

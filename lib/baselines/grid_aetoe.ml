@@ -17,7 +17,6 @@ type state = {
   mutable result : string option;
 }
 
-let name = "grid-aetoe"
 let compile _ = ()
 
 let row_of cfg id = id / cfg.cols
@@ -81,10 +80,6 @@ let output st = st.result
 let msg_bits cfg (Along_row _ | Along_col _) = Fba_sim.Metrics.header_bits ~n:cfg.n + cfg.str_bits
 
 let receive_into = None
-
-let pp_msg _cfg fmt = function
-  | Along_row _ -> Format.fprintf fmt "Along_row"
-  | Along_col _ -> Format.fprintf fmt "Along_col"
 
 let msg_tags _cfg = [| "Along_row"; "Along_col" |]
 let msg_tag _cfg = function Along_row _ -> 0 | Along_col _ -> 1

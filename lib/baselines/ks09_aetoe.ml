@@ -20,7 +20,6 @@ type state = {
   mutable result : string option;
 }
 
-let name = "ks09-aetoe"
 let compile _ = ()
 
 let init cfg ctx =
@@ -49,8 +48,6 @@ let output st = st.result
 let msg_bits cfg (Push _) = Fba_sim.Metrics.header_bits ~n:cfg.n + cfg.str_bits
 
 let receive_into = None
-
-let pp_msg _cfg fmt (Push _) = Format.fprintf fmt "Push"
 
 let msg_tags _cfg = [| "Push" |]
 let msg_tag _cfg (Push _) = 0

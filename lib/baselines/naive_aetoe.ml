@@ -18,7 +18,6 @@ type state = {
   mutable result : string option;
 }
 
-let name = "naive-aetoe"
 let compile _ = ()
 
 let init cfg ctx =
@@ -69,10 +68,6 @@ let msg_bits cfg m =
   match m with Query -> header | Reply _ -> header + cfg.str_bits
 
 let receive_into = None
-
-let pp_msg _cfg fmt = function
-  | Query -> Format.fprintf fmt "Query"
-  | Reply _ -> Format.fprintf fmt "Reply"
 
 let msg_tags _cfg = [| "Query"; "Reply" |]
 let msg_tag _cfg = function Query -> 0 | Reply _ -> 1

@@ -11,7 +11,6 @@ type msg = Phase_king.msg
 
 type state = { pk : Phase_king.t; mutable result : string option }
 
-let name = "phase-king"
 let compile _ = ()
 
 let init cfg ctx =
@@ -39,10 +38,6 @@ let msg_bits cfg (Phase_king.Value _ | Phase_king.King _) =
   Fba_sim.Metrics.header_bits ~n:cfg.n + 8 + cfg.str_bits
 
 let receive_into = None
-
-let pp_msg _cfg fmt = function
-  | Phase_king.Value _ -> Format.fprintf fmt "Value"
-  | Phase_king.King _ -> Format.fprintf fmt "King"
 
 let msg_tags _cfg = [| "Value"; "King" |]
 let msg_tag _cfg = function Phase_king.Value _ -> 0 | Phase_king.King _ -> 1

@@ -44,10 +44,8 @@ type state = {
   mutable v : bool;
   tallies : (int, round_tally) Hashtbl.t;
   mutable result : string option;
-  mutable decided_round : int;
 }
 
-let name = "randomized-ba"
 let compile _ = ()
 
 let tally cfg st k =
@@ -68,9 +66,7 @@ let coin_flip cfg st k =
 
 let init cfg ctx =
   let id = ctx.Fba_sim.Ctx.id in
-  let st =
-    { ctx; v = cfg.inputs id; tallies = Hashtbl.create 16; result = None; decided_round = 0 }
-  in
+  let st = { ctx; v = cfg.inputs id; tallies = Hashtbl.create 16; result = None } in
   (st, broadcast cfg (Report { k = 0; b = st.v }))
 
 let on_round cfg st ~round =
@@ -93,17 +89,11 @@ let on_round cfg st ~round =
     let decide_threshold = (2 * cfg.t_assumed) + 1 in
     let adopt_threshold = cfg.t_assumed + 1 in
     (if t.prop.(1) >= decide_threshold then begin
-       if st.result = None then begin
-         st.result <- Some "1";
-         st.decided_round <- k
-       end;
+       if st.result = None then st.result <- Some "1";
        st.v <- true
      end
      else if t.prop.(0) >= decide_threshold then begin
-       if st.result = None then begin
-         st.result <- Some "0";
-         st.decided_round <- k
-       end;
+       if st.result = None then st.result <- Some "0";
        st.v <- false
      end
      else if t.prop.(1) >= adopt_threshold then st.v <- true
@@ -148,18 +138,10 @@ let msg_bits cfg m =
 
 let receive_into = None
 
-let pp_msg _cfg fmt = function
-  | Report { k; b } -> Format.fprintf fmt "Report(%d, %b)" k b
-  | Proposal { k; p } ->
-    Format.fprintf fmt "Proposal(%d, %s)" k
-      (match p with Some true -> "1" | Some false -> "0" | None -> "?")
-
 let msg_tags _cfg = [| "Report"; "Proposal" |]
 let msg_tag _cfg = function Report _ -> 0 | Proposal _ -> 1
 
 let max_engine_rounds cfg = (4 * cfg.max_logical_rounds) + 4
-
-let logical_rounds_used st = st.decided_round + 1
 
 let split_vote_adversary cfg ~corrupted =
   let act ~round ~observed:_ =

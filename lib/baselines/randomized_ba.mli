@@ -36,9 +36,6 @@ include Fba_sim.Protocol.S with type config := config
 
 val max_engine_rounds : config -> int
 
-val logical_rounds_used : state -> int
-(** Logical rounds until this node decided (or ran so far). *)
-
 val split_vote_adversary :
   config -> corrupted:Fba_stdx.Bitset.t -> msg Fba_sim.Sync_engine.adversary
 (** The classic anti-Ben-Or strategy: corrupted nodes report 0 to one

@@ -147,8 +147,6 @@ type state = {
   mutable push_sent : int;
 }
 
-let name = "aer"
-
 (* Message kind -> protocol phase, for Events.Tally. *)
 let phase_of_kind = function
   | "Push" -> "push"
@@ -621,8 +619,6 @@ let profiler_tags =
 
 let msg_tags _cfg = profiler_tags
 let msg_tag _cfg p = Packed.tag p
-
-let pp_msg (cfg : config) = Packed.pp cfg.layout cfg.intern
 
 let decided st = output st
 

@@ -3,7 +3,7 @@ open Fba_stdx
 type t = {
   by_string : (string, int) Hashtbl.t;
   strings : string Vec.t;
-  by_label : int I64_table.t;
+  by_label : (int64, int) Hashtbl.t;
   labels : int64 Vec.t;
   string_cap : int;
   label_cap : int;
@@ -13,7 +13,7 @@ let create ~max_strings ~max_labels =
   {
     by_string = Hashtbl.create 64;
     strings = Vec.create ();
-    by_label = I64_table.create ();
+    by_label = Hashtbl.create 64;
     labels = Vec.create ();
     string_cap = max_strings;
     label_cap = max_labels;
@@ -42,7 +42,7 @@ let find t s = match Hashtbl.find t.by_string s with sid -> sid | exception Not_
 let[@inline] string t sid = Vec.get t.strings sid
 
 let intern_label t r =
-  match I64_table.get t.by_label r with
+  match Hashtbl.find t.by_label r with
   | rid -> rid
   | exception Not_found ->
     let rid = Vec.length t.labels in
@@ -52,7 +52,7 @@ let intern_label t r =
            "Intern.intern_label: label table full (the layout's rid field caps a run at %d \
             distinct labels)"
            t.label_cap);
-    I64_table.set t.by_label r rid;
+    Hashtbl.add t.by_label r rid;
     Vec.push t.labels r;
     rid
 

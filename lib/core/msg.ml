@@ -241,6 +241,4 @@ module Packed = struct
       | _ -> invalid_arg "Msg.Packed.bits: invalid tag"
     in
     header + payload
-
-  let pp lt intern fmt p = pp fmt (unpack lt intern p)
 end

@@ -132,7 +132,4 @@ module Packed : sig
 
   val bits : Layout.t -> Params.t -> Intern.t -> t -> int
   (** Equals [bits params (unpack layout intern p)] without unpacking. *)
-
-  val pp : Layout.t -> Intern.t -> Format.formatter -> t -> unit
-  (** Renders exactly as {!pp} renders the unpacked message. *)
 end

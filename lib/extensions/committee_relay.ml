@@ -9,7 +9,7 @@ type config = {
   str_bits : int;
 }
 
-let make_config ?relays ~n ~seed ~initial ~str_bits () =
+let make_config ~n ~seed ~initial ~str_bits () =
   if n < 2 then invalid_arg "Committee_relay.make_config: n < 2";
   if str_bits < 1 then invalid_arg "Committee_relay.make_config: str_bits < 1";
   let size = Intx.clamp ~lo:1 ~hi:n (int_of_float (ceil (2.0 *. sqrt (float_of_int n)))) in
@@ -21,12 +21,7 @@ let make_config ?relays ~n ~seed ~initial ~str_bits () =
   let members = Fba_samplers.Sampler.quorum_xr sampler ~x:0 ~r:0L in
   let slot_of = Hashtbl.create size in
   Array.iteri (fun slot id -> if not (Hashtbl.mem slot_of id) then Hashtbl.add slot_of id slot) members;
-  let relays =
-    match relays with
-    | Some k when k >= 1 && k <= size -> k
-    | Some _ -> invalid_arg "Committee_relay.make_config: relays out of range"
-    | None -> min size ((2 * Intx.ceil_log2 (max 2 n)) + 1)
-  in
+  let relays = min size ((2 * Intx.ceil_log2 (max 2 n)) + 1) in
   { n; members; slot_of; relays; initial; str_bits }
 
 let committee cfg = cfg.members
@@ -51,7 +46,6 @@ type state = {
   mutable result : string option;
 }
 
-let name = "committee-relay"
 let compile _ = ()
 
 let init cfg ctx =
@@ -117,10 +111,6 @@ let output st = st.result
 let msg_bits cfg (Exchange _ | Deliver _) = Fba_sim.Metrics.header_bits ~n:cfg.n + cfg.str_bits
 
 let receive_into = None
-
-let pp_msg _cfg fmt = function
-  | Exchange _ -> Format.fprintf fmt "Exchange"
-  | Deliver _ -> Format.fprintf fmt "Deliver"
 
 let msg_tags _cfg = [| "Exchange"; "Deliver" |]
 let msg_tag _cfg = function Exchange _ -> 0 | Deliver _ -> 1

@@ -30,15 +30,9 @@
 type config
 
 val make_config :
-  ?relays:int ->
-  n:int ->
-  seed:int64 ->
-  initial:(int -> string) ->
-  str_bits:int ->
-  unit ->
-  config
-(** The committee has ⌈2·√n⌉ members; [relays] defaults to
-    [2·⌈log₂ n⌉ + 1]. *)
+  n:int -> seed:int64 -> initial:(int -> string) -> str_bits:int -> unit -> config
+(** The committee has ⌈2·√n⌉ members; each node gets 2·⌈log₂ n⌉ + 1
+    relays among them, or the whole committee when it is smaller. *)
 
 val committee : config -> int array
 

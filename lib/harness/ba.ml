@@ -141,7 +141,7 @@ type binary = {
   validity_respected : bool;
 }
 
-let run_binary ?(split_attack = true) ~inputs ~n ~seed ~byzantine_fraction () =
+let run_binary ~inputs ~n ~seed ~byzantine_fraction () =
   let (ba : result) = run_sync ~n ~seed ~byzantine_fraction () in
   match ba.gstring with
   | None ->
@@ -159,13 +159,10 @@ let run_binary ?(split_attack = true) ~inputs ~n ~seed ~byzantine_fraction () =
     let corrupted = Metrics.corrupted ba.metrics in
     let t_assumed = max 1 (min (max 1 (Bitset.cardinal corrupted)) (((n - 1) / 5) - 1)) in
     let cfg = RBA.make_config ~n ~t_assumed ~coin:(`Common coin_seed) ~inputs () in
-    let adversary =
-      if split_attack then RBA.split_vote_adversary cfg ~corrupted
-      else Sync.null_adversary ~corrupted
-    in
     let res =
-      RBA_engine.run ~config:cfg ~n ~seed:(Int64.add seed 3L) ~adversary ~mode:`Rushing
-        ~max_rounds:(RBA.max_engine_rounds cfg) ()
+      RBA_engine.run ~config:cfg ~n ~seed:(Int64.add seed 3L)
+        ~adversary:(RBA.split_vote_adversary cfg ~corrupted)
+        ~mode:`Rushing ~max_rounds:(RBA.max_engine_rounds cfg) ()
     in
     (* The common decision: plurality among correct nodes. *)
     let zero = ref 0 and one = ref 0 in

@@ -81,14 +81,8 @@ type binary = {
 }
 
 val run_binary :
-  ?split_attack:bool ->
-  inputs:(int -> bool) ->
-  n:int ->
-  seed:int64 ->
-  byzantine_fraction:float ->
-  unit ->
-  binary
-(** [split_attack] (default true) runs the binary phase under the
-    vote-splitting adversary — the case private coins struggle with and
-    the gstring-derived coin neutralizes. If BA ends with no gstring,
-    the binary phase is skipped and nothing is decided. *)
+  inputs:(int -> bool) -> n:int -> seed:int64 -> byzantine_fraction:float -> unit -> binary
+(** The binary phase runs under the vote-splitting adversary — the case
+    private coins struggle with and the gstring-derived coin
+    neutralizes. If BA ends with no gstring, the binary phase is skipped
+    and nothing is decided. *)

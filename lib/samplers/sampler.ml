@@ -1,22 +1,13 @@
 open Fba_stdx
 
-type t = {
-  seed : int64;
-  n : int;
-  d : int;
-  scratch : int array;  (* membership-scan prefix buffer, reused *)
-}
+type t = { seed : int64; n : int; d : int }
 
 let create ~seed ~n ~d =
   if d < 1 || d > n then invalid_arg "Sampler.create: need 1 <= d <= n";
-  { seed; n; d; scratch = Array.make d (-1) }
+  { seed; n; d }
 
 let n t = t.n
 let d t = t.d
-
-let default_d ~n =
-  let d = 4 * Intx.ceil_log2 (max 2 n) in
-  Intx.clamp ~lo:1 ~hi:n d
 
 let key_sx t ~s ~x =
   Hash64.add_int (Hash64.add_string (Hash64.add_int (Hash64.init t.seed) 0x53) s) x
@@ -51,29 +42,5 @@ let quorum_of_key t key =
 
 let quorum_sx t ~s ~x = quorum_of_key t (key_sx t ~s ~x)
 let quorum_xr t ~x ~r = quorum_of_key t (key_xr t ~x ~r)
-
-(* Membership without materializing the quorum: replay the counter-mode
-   draw into the reusable scratch prefix and stop the moment [y] comes
-   out — a value drawn at any point before the d-th distinct element is
-   in the quorum by construction. On average this halves the hashing
-   for members and allocates nothing either way. *)
-let mem_of_key t key ~y =
-  let out = t.scratch in
-  let found = ref false in
-  let k = ref 0 in
-  let attempt = ref 0 in
-  while (not !found) && !k < t.d do
-    let v = Hash64.draw key !attempt ~bound:t.n in
-    incr attempt;
-    if not (mem_prefix out 0 v 0 !k) then begin
-      if v = y then found := true;
-      out.(!k) <- v;
-      incr k
-    end
-  done;
-  !found
-
-let mem_sx t ~s ~x ~y = mem_of_key t (key_sx t ~s ~x) ~y
-let mem_xr t ~x ~r ~y = mem_of_key t (key_xr t ~x ~r) ~y
 
 let majority_threshold k = (k / 2) + 1

@@ -30,22 +30,12 @@ val n : t -> int
 val d : t -> int
 (** Target quorum cardinality; all quorums have exactly this size. *)
 
-val default_d : n:int -> int
-(** The d = Θ(log n) the paper's lemmas use: [4 * ceil_log2 n],
-    clamped to [n]. *)
-
 val quorum_sx : t -> s:string -> x:int -> int array
 (** Quorum keyed by a candidate string and a node — the shape of I and
     H. Deterministic in (seed, s, x); elements are distinct. *)
 
-val mem_sx : t -> s:string -> x:int -> y:int -> bool
-(** [mem_sx t ~s ~x ~y] iff [y] is in [quorum_sx t ~s ~x]. Early-exits
-    the counter-mode draw as soon as [y] appears; allocation-free. *)
-
 val quorum_xr : t -> x:int -> r:int64 -> int array
 (** Quorum keyed by a node and a random label — the shape of J. *)
-
-val mem_xr : t -> x:int -> r:int64 -> y:int -> bool
 
 (** {2 Key-state interface}
 

@@ -19,7 +19,7 @@
 
 open Fba_stdx
 
-type 'msg adversary = 'msg Engine_core.async_adversary = {
+type 'msg adversary = {
   corrupted : Bitset.t;
   max_delay : int;
   delay : time:int -> src:int -> dst:int -> 'msg -> int;
@@ -27,7 +27,14 @@ type 'msg adversary = 'msg Engine_core.async_adversary = {
   inject : time:int -> ('msg Envelope.t * int) list;
 }
 
-let null_adversary = Engine_core.null_async_adversary
+let null_adversary ~corrupted =
+  {
+    corrupted;
+    max_delay = 1;
+    delay = (fun ~time:_ ~src:_ ~dst:_ _ -> 1);
+    observe = (fun ~time:_ ~src:_ ~dst:_ _ -> ());
+    inject = (fun ~time:_ -> []);
+  }
 
 type 'state result = {
   metrics : Metrics.t;

@@ -6,7 +6,7 @@
 
 open Fba_stdx
 
-type 'msg adversary = 'msg Engine_core.async_adversary = {
+type 'msg adversary = {
   corrupted : Bitset.t;
   max_delay : int;  (** upper bound the engine enforces on [delay] *)
   delay : time:int -> src:int -> dst:int -> 'msg -> int;
@@ -20,8 +20,8 @@ type 'msg adversary = 'msg Engine_core.async_adversary = {
 }
 
 val null_adversary : corrupted:Bitset.t -> 'msg adversary
-(** Alias of {!Engine_core.null_async_adversary}: instant delivery
-    ([max_delay = 1]), no observation, no injections. *)
+(** Instant delivery ([max_delay = 1]), no observation, no
+    injections. *)
 
 type 'state result = {
   metrics : Metrics.t;

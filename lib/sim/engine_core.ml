@@ -1,37 +1,5 @@
 open Fba_stdx
 
-(* --- Adversary records (shared between the two engines) ---
-
-   Observation is lazy: [observed]/[observe] hand the adversary a
-   thunk that materializes envelopes from the engine's chains only
-   when called, so strategies that never look (or look once) cost
-   nothing per round. The thunk's result is valid only for the
-   duration of the call — the engine reuses the underlying buffers. *)
-
-type 'msg sync_adversary = {
-  corrupted : Bitset.t;
-  act : round:int -> observed:(unit -> 'msg Envelope.t list) -> 'msg Envelope.t list;
-}
-
-type 'msg async_adversary = {
-  corrupted : Bitset.t;
-  max_delay : int;
-  delay : time:int -> src:int -> dst:int -> 'msg -> int;
-  observe : time:int -> src:int -> dst:int -> 'msg -> unit;
-  inject : time:int -> ('msg Envelope.t * int) list;
-}
-
-let null_sync_adversary ~corrupted = { corrupted; act = (fun ~round:_ ~observed:_ -> []) }
-
-let null_async_adversary ~corrupted =
-  {
-    corrupted;
-    max_delay = 1;
-    delay = (fun ~time:_ ~src:_ ~dst:_ _ -> 1);
-    observe = (fun ~time:_ ~src:_ ~dst:_ _ -> ());
-    inject = (fun ~time:_ -> []);
-  }
-
 let validate_adversary_envelope ~who ~n ~(corrupted : Bitset.t) (e : _ Envelope.t) =
   if e.Envelope.src < 0 || e.src >= n || e.dst < 0 || e.dst >= n then
     invalid_arg (who ^ ": adversary envelope out of range");

@@ -2,7 +2,7 @@
 
     {!Sync_engine} and {!Async_engine} used to be near-duplicate loops;
     everything they book-keep identically lives here instead — the
-    adversary records and their validation, the reusable mailbox /
+    validation of adversary envelopes, the reusable mailbox /
     calendar-queue storage ({!Batch} chains, so the steady-state engines
     allocate nothing per message), and a per-run state ({!Make.t})
     carrying node states, metrics, decision tracking, the optional
@@ -12,40 +12,7 @@
 
 open Fba_stdx
 
-(** {1 Adversaries}
-
-    The engines re-export these as [Sync_engine.adversary] /
-    [Async_engine.adversary]; use those aliases in protocol code.
-    Observation is lazy: the engine hands over thunks that materialize
-    envelopes from its chains only when actually called, so
-    strategies that never look cost nothing per round. A thunk's
-    result is valid only for the duration of the call. *)
-
-type 'msg sync_adversary = {
-  corrupted : Bitset.t;
-  act : round:int -> observed:(unit -> 'msg Envelope.t list) -> 'msg Envelope.t list;
-      (** [observed ()] is the batch of correct-node messages the
-          adversary is entitled to have seen when choosing its
-          round-[round] messages (current round when rushing, previous
-          otherwise). Returned envelopes must have a corrupted [src]. *)
-}
-
-type 'msg async_adversary = {
-  corrupted : Bitset.t;
-  max_delay : int;  (** upper bound the engine enforces on [delay] *)
-  delay : time:int -> src:int -> dst:int -> 'msg -> int;
-      (** delivery delay for a correct node's message, clamped to
-          [\[1, max_delay\]] *)
-  observe : time:int -> src:int -> dst:int -> 'msg -> unit;
-      (** full-information hook: called for every message a correct
-          node sends, at the moment it is sent, in send order *)
-  inject : time:int -> ('msg Envelope.t * int) list;
-      (** messages from corrupted identities, each with its own delay *)
-}
-
-val null_sync_adversary : corrupted:Bitset.t -> 'msg sync_adversary
-
-val null_async_adversary : corrupted:Bitset.t -> 'msg async_adversary
+(** {1 Adversary validation} *)
 
 val validate_adversary_envelope :
   who:string -> n:int -> corrupted:Bitset.t -> 'msg Envelope.t -> unit
@@ -200,10 +167,6 @@ module Make (P : Protocol.S) : sig
   (** Emits [Send] (correct) or [Inject] (byzantine) when a sink is
       attached; free otherwise. Message events carry
       [kind = tags.(P.msg_tag config msg)]. *)
-
-  val trace_drop : t -> round:int -> src:int -> dst:int -> P.msg -> string -> unit
-
-  val check_decision : t -> round:int -> int -> unit
 
   val check_decisions : t -> round:int -> unit
 

@@ -1,6 +1,3 @@
 type 'msg t = { src : int; dst : int; msg : 'msg }
 
 let make ~src ~dst msg = { src; dst; msg }
-
-let pp pp_msg fmt t =
-  Format.fprintf fmt "@[<h>%d->%d: %a@]" t.src t.dst pp_msg t.msg

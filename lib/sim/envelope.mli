@@ -8,5 +8,3 @@
 type 'msg t = { src : int; dst : int; msg : 'msg }
 
 val make : src:int -> dst:int -> 'msg -> 'msg t
-
-val pp : (Format.formatter -> 'msg -> unit) -> Format.formatter -> 'msg t -> unit

@@ -17,8 +17,6 @@ module type S = sig
   type state
   (** Per-node mutable state. *)
 
-  val name : string
-
   val compile : config -> unit
   (** One-time lowering hook, called by the engines once per run before
       the first [init]. Protocols with a static-structure compiler
@@ -68,10 +66,4 @@ module type S = sig
       (AER: the {!Fba_core.Compiled} dispatch jump-table index); for
       variant planes, the constructor index. Must be allocation-free —
       the engines call it per traced or profiled message. *)
-
-  val pp_msg : config -> Format.formatter -> msg -> unit
-  (** Render a message with its payload, for humans (envelope dumps,
-      test failures); the engines never call it. Takes the config so
-      packed (interned-id) message planes can resolve payloads back to
-      the real strings. *)
 end

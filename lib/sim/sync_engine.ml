@@ -19,12 +19,12 @@
 
 open Fba_stdx
 
-type 'msg adversary = 'msg Engine_core.sync_adversary = {
+type 'msg adversary = {
   corrupted : Bitset.t;
   act : round:int -> observed:(unit -> 'msg Envelope.t list) -> 'msg Envelope.t list;
 }
 
-let null_adversary = Engine_core.null_sync_adversary
+let null_adversary ~corrupted = { corrupted; act = (fun ~round:_ ~observed:_ -> []) }
 
 type mode = [ `Rushing | `Non_rushing ]
 

@@ -5,7 +5,7 @@
 
 open Fba_stdx
 
-type 'msg adversary = 'msg Engine_core.sync_adversary = {
+type 'msg adversary = {
   corrupted : Bitset.t;
   act : round:int -> observed:(unit -> 'msg Envelope.t list) -> 'msg Envelope.t list;
       (** [observed ()] is the batch of correct-node messages the
@@ -18,8 +18,7 @@ type 'msg adversary = 'msg Engine_core.sync_adversary = {
 }
 
 val null_adversary : corrupted:Bitset.t -> 'msg adversary
-(** Alias of {!Engine_core.null_sync_adversary}: corrupted identities
-    that never send. *)
+(** Corrupted identities that never send. *)
 
 type mode = [ `Rushing | `Non_rushing ]
 

@@ -38,17 +38,3 @@ let percentile t p =
 let percentile_opt t p =
   if p < 0.0 || p > 100.0 then invalid_arg "Histogram.percentile_opt: p out of range";
   if t.total = 0 then None else Some (percentile t p)
-
-let render ?(width = 40) t =
-  let rows = to_rows t in
-  let peak = List.fold_left (fun m (_, c) -> max m c) 1 rows in
-  let label_width =
-    List.fold_left (fun m (v, _) -> max m (String.length (string_of_int v))) 1 rows
-  in
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (v, c) ->
-      let bar = max 1 (c * width / peak) in
-      Buffer.add_string buf (Printf.sprintf "%*d | %s  %d\n" label_width v (String.make bar '#') c))
-    rows;
-  Buffer.contents buf

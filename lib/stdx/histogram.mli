@@ -1,8 +1,8 @@
-(** Small integer histograms with ASCII rendering.
+(** Small integer histograms.
 
-    Used to display decision-round and per-node-load distributions in
-    experiment output — the paper's time bounds are about the {e tail}
-    of the decision distribution, which a mean hides. *)
+    Percentiles of decision rounds, per-node bits and service latencies
+    — the paper's time bounds are about the {e tail} of the decision
+    distribution, which a mean hides. *)
 
 type t
 
@@ -32,14 +32,3 @@ val percentile_opt : t -> float -> int option
 (** Total version of {!percentile}: [None] on an empty histogram
     (degenerate runs report "-" / null instead of crashing). Still
     raises [Invalid_argument] when [p] is outside [\[0,100\]]. *)
-
-val to_rows : t -> (int * int) list
-(** (value, count) pairs in increasing value order, zero counts
-    skipped. *)
-
-val render : ?width:int -> t -> string
-(** ASCII bar rendering, one line per distinct value:
-    {v
-    4 | ########################################  812
-    5 | ###                                        61
-    v} *)

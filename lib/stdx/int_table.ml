@@ -1,10 +1,10 @@
-(* Open-addressing int -> int table, the immediate-key twin of
-   I64_table. Keys are non-negative packed identifiers (sid, (x, s)
-   pairs, bitmask slots), so -1 works as the empty-slot marker and the
-   whole table is two unboxed int arrays — no Bytes occupancy plane,
-   no boxing, no per-entry allocation. Used as the protocol's set and
-   counter representation, where Hashtbl's per-probe hashing and
-   per-add bucket cons dominate the delivery path. *)
+(* Open-addressing int -> int table. Keys are non-negative packed
+   identifiers (sid, (x, s) pairs, bitmask slots), so -1 works as the
+   empty-slot marker and the whole table is two unboxed int arrays —
+   no Bytes occupancy plane, no boxing, no per-entry allocation. Used
+   as the protocol's set and counter representation, where Hashtbl's
+   per-probe hashing and per-add bucket cons dominate the delivery
+   path. *)
 
 type t = {
   mutable keys : int array;  (* -1 = empty slot *)

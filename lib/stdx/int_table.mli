@@ -1,5 +1,4 @@
-(** Open-addressing [int -> int] hash table — the immediate-key twin
-    of {!I64_table}.
+(** Open-addressing [int -> int] hash table.
 
     Keys are non-negative packed identifiers (interned ids, packed
     (x, s) pairs, bitmask slots); [-1] marks an empty slot, so the

@@ -3,7 +3,7 @@ type 'a outcome =
   | Done of 'a
   | Failed of exn * Printexc.raw_backtrace
 
-let recommended_jobs ?cap () =
+let recommended_jobs () =
   let base =
     match Sys.getenv_opt "FBA_JOBS" with
     | Some s -> (
@@ -12,7 +12,6 @@ let recommended_jobs ?cap () =
       | Some _ | None -> Domain.recommended_domain_count ())
     | None -> Domain.recommended_domain_count ()
   in
-  let base = match cap with Some c -> min c base | None -> base in
   max 1 base
 
 let unwrap results =

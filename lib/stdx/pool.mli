@@ -21,12 +21,12 @@
     smallest task index (with its backtrace). Results of completed
     tasks are discarded in that case. *)
 
-val recommended_jobs : ?cap:int -> unit -> int
+val recommended_jobs : unit -> int
 (** Default worker count: the [FBA_JOBS] environment variable when set
     to a positive integer, otherwise [Domain.recommended_domain_count
-    ()]; clamped to [>= 1], and to [<= cap] when [cap] is given. There
-    is no built-in ceiling — machines with more cores get more
-    domains unless the caller or the environment says otherwise. *)
+    ()]; clamped to [>= 1]. There is no built-in ceiling — machines
+    with more cores get more domains unless the caller or the
+    environment says otherwise. *)
 
 val run : jobs:int -> (int -> 'a) -> int -> 'a array
 (** [run ~jobs f len] is [[| f 0; ...; f (len-1) |]], computed on

@@ -78,7 +78,7 @@ echo "inline guard ok: $aer_o calls no [@inline] helper and no module only throu
 # Any such reference in these native objects fails the build, naming
 # the object and the symbol.
 guarded="$(ls "$objs"/samplers/.fba_samplers.objs/native/*.o "$objs"/sim/.fba_sim.objs/native/*.o)"
-for m in Int_table I64_table Hash64 Vec Intx Prng Bitset Plurality; do
+for m in Int_table Hash64 Vec Intx Prng Bitset Plurality; do
   guarded="$guarded $objs/stdx/.fba_stdx.objs/native/fba_stdx__$m.o"
 done
 for m in Aer Compiled Msg Intern; do
@@ -274,3 +274,6 @@ refused "Params.make: n must be at least 4" run-aer -n 3
 refused "Params.make_for: byzantine_fraction must be in [0, 1/3)" trace -n 48 --byzantine 0.5
 refused "Aeba.make_config: byzantine_fraction must be in [0, 1/3)" run-ba -n 64 --byzantine 0.34
 echo "flag smoke ok: rejected flag values exit 2 with the library's message"
+
+# The size ROADMAP tracks from change to change.
+echo "lines over lib test bin scripts: $(find lib test bin scripts -type f | xargs cat | wc -l)"

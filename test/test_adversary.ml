@@ -104,7 +104,7 @@ let test_quorum_capture_strings_pass_filter () =
       match Msg.Packed.unpack sc.Scenario.layout sc.Scenario.intern e.Fba_sim.Envelope.msg with
       | Msg.Push s ->
         Alcotest.(check bool) "sender in I(s, victim)" true
-          (Fba_samplers.Sampler.mem_sx si ~s ~x:e.dst ~y:e.src)
+          (Array.mem e.src (Fba_samplers.Sampler.quorum_sx si ~s ~x:e.dst))
       | _ -> Alcotest.fail "capture should only push")
     envs
 

@@ -103,7 +103,7 @@ let test_pull_membership_and_dedup () =
   let x =
     let rec loop i =
       if i >= n then Alcotest.fail "no requester found"
-      else if Sampler.mem_sx h ~s:g ~x:i ~y && i <> y then i
+      else if Array.mem y (Sampler.quorum_sx h ~s:g ~x:i) && i <> y then i
       else loop (i + 1)
     in
     loop 0
@@ -121,7 +121,7 @@ let test_pull_membership_and_dedup () =
   let x' =
     let rec loop i =
       if i >= n then Alcotest.fail "no non-member requester"
-      else if (not (Sampler.mem_sx h ~s:g ~x:i ~y)) && i <> y then i
+      else if (not (Array.mem y (Sampler.quorum_sx h ~s:g ~x:i))) && i <> y then i
       else loop (i + 1)
     in
     loop 0
@@ -214,7 +214,10 @@ let test_fw2_requires_h_membership () =
   (try
      for cand_x = 0 to n - 1 do
        for cand_r = 1 to 50 do
-         if !x < 0 && Sampler.mem_xr j ~x:cand_x ~r:(Int64.of_int cand_r) ~y:w && cand_x <> w
+         if
+           !x < 0
+           && Array.mem w (Sampler.quorum_xr j ~x:cand_x ~r:(Int64.of_int cand_r))
+           && cand_x <> w
          then begin
            x := cand_x;
            r := Int64.of_int cand_r;
@@ -229,7 +232,7 @@ let test_fw2_requires_h_membership () =
   (* Fw2s from nodes outside H(g, w) must never produce an answer. *)
   let h = Params.sampler_h params in
   let outsiders =
-    List.filter (fun i -> (not (Sampler.mem_sx h ~s:g ~x:w ~y:i)) && i <> w)
+    List.filter (fun i -> (not (Array.mem i (Sampler.quorum_sx h ~s:g ~x:w))) && i <> w)
       (List.init n (fun i -> i))
   in
   let answers = ref 0 in
@@ -364,7 +367,7 @@ let test_fw1_verification_cache () =
       else
         match
           List.find_opt
-            (fun w -> Sampler.mem_sx h ~s:g ~x:w ~y:z)
+            (fun w -> Array.mem z (Sampler.quorum_sx h ~s:g ~x:w))
             (Array.to_list (Sampler.quorum_xr j ~x ~r))
         with
         | Some w -> (x, r, w)
@@ -373,7 +376,9 @@ let test_fw1_verification_cache () =
     loop 0 1L
   in
   let r2 =
-    let rec loop r2 = if Sampler.mem_xr j ~x ~r:r2 ~y:w then loop (Int64.succ r2) else r2 in
+    let rec loop r2 =
+      if Array.mem w (Sampler.quorum_xr j ~x ~r:r2) then loop (Int64.succ r2) else r2
+    in
     loop (Int64.succ r)
   in
   let relays = Sampler.quorum_sx h ~s:g ~x in
@@ -413,7 +418,7 @@ let test_fw1_past_majority () =
       else
         match
           List.find_opt
-            (fun w -> w <> skip && Sampler.mem_sx h ~s:g ~x:w ~y:z)
+            (fun w -> w <> skip && Array.mem z (Sampler.quorum_sx h ~s:g ~x:w))
             (Array.to_list (Sampler.quorum_xr j ~x ~r))
         with
         | Some w -> Some (r, w)
@@ -438,7 +443,8 @@ let test_fw1_past_majority () =
      all three checks, so only the count can set it aside. *)
   let r2 =
     let rec loop r2 =
-      if Int64.equal r2 r || not (Sampler.mem_xr j ~x ~r:r2 ~y:w) then loop (Int64.succ r2)
+      if Int64.equal r2 r || not (Array.mem w (Sampler.quorum_xr j ~x ~r:r2)) then
+        loop (Int64.succ r2)
       else r2
     in
     loop 1L

@@ -74,10 +74,7 @@ let test_relay_committee_deterministic () =
 
 let test_relay_validation () =
   Alcotest.check_raises "n too small" (Invalid_argument "Committee_relay.make_config: n < 2")
-    (fun () -> ignore (Relay.make_config ~n:1 ~seed:1L ~initial:(fun _ -> "x") ~str_bits:8 ()));
-  Alcotest.check_raises "bad relays"
-    (Invalid_argument "Committee_relay.make_config: relays out of range") (fun () ->
-      ignore (Relay.make_config ~relays:0 ~n:64 ~seed:1L ~initial:(fun _ -> "x") ~str_bits:8 ()))
+    (fun () -> ignore (Relay.make_config ~n:1 ~seed:1L ~initial:(fun _ -> "x") ~str_bits:8 ()))
 
 let suites =
   [

@@ -183,14 +183,6 @@ let test_binary_ba () =
   Alcotest.(check bool) "validity" true r.Ba.validity_respected;
   Alcotest.(check bool) "decided" true (r.Ba.decided_bit <> None)
 
-let test_binary_ba_no_attack () =
-  let r =
-    Ba.run_binary ~split_attack:false ~inputs:(fun i -> i mod 3 = 0) ~n:64 ~seed:18L
-      ~byzantine_fraction:0.1 ()
-  in
-  Alcotest.(check int) "agreement" r.Ba.correct r.Ba.agreed;
-  Alcotest.(check bool) "validity" true r.Ba.validity_respected
-
 let test_binary_ba_validity_unanimous () =
   (* All-true inputs must decide true whatever the coin says. *)
   let r = Ba.run_binary ~inputs:(fun _ -> true) ~n:64 ~seed:15L ~byzantine_fraction:0.1 () in
@@ -222,7 +214,6 @@ let suites =
     ( "core.binary_ba",
       [
         Alcotest.test_case "agreement on split inputs" `Quick test_binary_ba;
-        Alcotest.test_case "agreement without attack" `Quick test_binary_ba_no_attack;
         Alcotest.test_case "validity on unanimous inputs" `Quick test_binary_ba_validity_unanimous;
       ] );
   ]

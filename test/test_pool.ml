@@ -64,9 +64,7 @@ let test_map_list () =
     (Pool.map_list ~jobs:3 (fun x -> x * x) [ 1; 2; 3; 4 ])
 
 let test_recommended_jobs_bounds () =
-  let j = Pool.recommended_jobs () in
-  Alcotest.(check bool) "at least 1" true (j >= 1);
-  Alcotest.(check int) "cap respected" 1 (Pool.recommended_jobs ~cap:1 ())
+  Alcotest.(check bool) "at least 1" true (Pool.recommended_jobs () >= 1)
 
 let suites =
   [

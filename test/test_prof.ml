@@ -184,7 +184,6 @@ module Alloc_toy = struct
   type msg = Small | Big
   type state = unit
 
-  let name = "alloc-toy"
   let compile _ = ()
   let small_words = 4
   let big_words = 301
@@ -206,7 +205,6 @@ module Alloc_toy = struct
   let msg_bits _ _ = 8
   let msg_tags _ = [| "Small"; "Big" |]
   let msg_tag _ = function Small -> 0 | Big -> 1
-  let pp_msg _ fmt m = Format.pp_print_string fmt (match m with Small -> "Small" | Big -> "Big")
 end
 
 module Toy_sync = Fba_sim.Sync_engine.Make (Alloc_toy)

@@ -32,18 +32,6 @@ let test_quorum_key_sensitivity () =
   Alcotest.(check bool) "label matters" false
     (Sampler.quorum_xr s ~x:3 ~r:1L = Sampler.quorum_xr s ~x:3 ~r:2L)
 
-let test_membership_consistency () =
-  let s = sampler () in
-  let q = Sampler.quorum_sx s ~s:"xyz" ~x:11 in
-  Array.iter
-    (fun y -> Alcotest.(check bool) "member reported" true (Sampler.mem_sx s ~s:"xyz" ~x:11 ~y))
-    q;
-  let members = Array.to_list q in
-  for y = 0 to 127 do
-    if not (List.mem y members) then
-      Alcotest.(check bool) "non-member rejected" false (Sampler.mem_sx s ~s:"xyz" ~x:11 ~y)
-  done
-
 let test_sampler_validation () =
   Alcotest.check_raises "d > n" (Invalid_argument "Sampler.create: need 1 <= d <= n")
     (fun () -> ignore (Sampler.create ~seed:1L ~n:4 ~d:5));
@@ -62,10 +50,6 @@ let test_majority_threshold () =
   Alcotest.(check int) "of 11" 6 (Sampler.majority_threshold 11);
   Alcotest.(check int) "of 12" 7 (Sampler.majority_threshold 12);
   Alcotest.(check int) "of 1" 1 (Sampler.majority_threshold 1)
-
-let test_default_d () =
-  Alcotest.(check int) "default d at 1024" 40 (Sampler.default_d ~n:1024);
-  Alcotest.(check bool) "clamped at tiny n" true (Sampler.default_d ~n:4 <= 4)
 
 (* --- Cache --- *)
 
@@ -259,11 +243,9 @@ let suites =
         Alcotest.test_case "quorum shape" `Quick test_quorum_shape;
         Alcotest.test_case "deterministic" `Quick test_quorum_deterministic;
         Alcotest.test_case "key sensitivity" `Quick test_quorum_key_sensitivity;
-        Alcotest.test_case "membership consistency" `Quick test_membership_consistency;
         Alcotest.test_case "validation" `Quick test_sampler_validation;
         Alcotest.test_case "d = n" `Quick test_d_equals_n;
         Alcotest.test_case "majority threshold" `Quick test_majority_threshold;
-        Alcotest.test_case "default d" `Quick test_default_d;
       ] );
     ( "samplers.cache",
       [

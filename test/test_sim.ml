@@ -10,7 +10,6 @@ module Ring = struct
   type msg = Token
   type state = { ctx : Ctx.t; mutable got : bool }
 
-  let name = "ring"
   let compile _ = ()
 
   let init cfg ctx =
@@ -30,7 +29,6 @@ module Ring = struct
   let receive_into = None
   let output st = if st.got then Some "done" else None
   let msg_bits _ Token = 16
-  let pp_msg _cfg fmt Token = Format.fprintf fmt "Token"
   let msg_tags _cfg = [| "Token" |]
   let msg_tag _cfg Token = 0
 end
@@ -262,11 +260,6 @@ let test_metrics_imbalance () =
   Alcotest.(check (float 0.01)) "balanced" 1.0 (Metrics.load_imbalance m);
   Metrics.record_send m ~src:0 ~dst:1 ~bits:30;
   Alcotest.(check (float 0.01)) "still balanced by symmetry" 1.0 (Metrics.load_imbalance m)
-
-let test_envelope_pp () =
-  let e = Envelope.make ~src:1 ~dst:2 Ring.Token in
-  let s = Format.asprintf "%a" (Envelope.pp (Ring.pp_msg { Ring.n = 3 })) e in
-  Alcotest.(check string) "pp" "1->2: Token" s
 
 (* --- Tracing --- *)
 
@@ -525,6 +518,5 @@ let suites =
         Alcotest.test_case "load imbalance" `Quick test_metrics_imbalance;
         Alcotest.test_case "load imbalance degenerate cases" `Quick
           test_metrics_imbalance_guards;
-        Alcotest.test_case "envelope pp" `Quick test_envelope_pp;
       ] );
   ]
