@@ -109,31 +109,38 @@ let wrong_answer (sc : Scenario.t) =
 (* Candidate labels scored per corrupted node's pull request. *)
 let labels_per_search = 64
 
+(* What cornering reads of the traffic: how many honest gstring polls
+   each correct node is due to answer. [count] takes the sends one at a
+   time, in send order, so the table — fold order included — is the same
+   whether they come from a round's envelope list or from the async
+   [observe] hook. *)
+let poll_counts (sc : Scenario.t) =
+  let lt = layout_of sc in
+  let gsid = Intern.intern (intern_of sc) sc.Scenario.gstring in
+  let corrupted = sc.Scenario.corrupted in
+  let freq : (int, int) Hashtbl.t = Hashtbl.create 97 in
+  let count ~src ~dst msg =
+    if
+      Packed.tag msg = Packed.tag_poll
+      && Packed.sid lt msg = gsid
+      && (not (Bitset.mem corrupted src))
+      && not (Bitset.mem corrupted dst)
+    then Hashtbl.replace freq dst (1 + Option.value ~default:0 (Hashtbl.find_opt freq dst))
+  in
+  (freq, count)
+
 (* The cornering plan: spend one protocol-legitimate pull request per
    corrupted node, with a label searched so its poll list hits the
-   chosen victims, exhausting their Algorithm-3 answer filter. Returns
-   the envelopes to inject. *)
-let cornering_plan (sc : Scenario.t) observed =
+   chosen victims, exhausting their Algorithm-3 answer filter. [freq]
+   is {!poll_counts}' table. Returns the envelopes to inject. *)
+let cornering_plan (sc : Scenario.t) freq =
   let params = sc.Scenario.params in
   let lt = layout_of sc in
   let gstring = sc.Scenario.gstring in
   let gsid = Intern.intern (intern_of sc) gstring in
-  let corrupted = sc.Scenario.corrupted in
   let sh = Params.sampler_h params in
   let sj = Params.sampler_j params in
   let rng = adversary_rng sc "cornering" in
-  (* Rank poll-list members of the observed honest gstring polls. *)
-  let freq : (int, int) Hashtbl.t = Hashtbl.create 97 in
-  List.iter
-    (fun (e : Aer.msg Envelope.t) ->
-      if
-        Packed.tag e.Envelope.msg = Packed.tag_poll
-        && Packed.sid lt e.Envelope.msg = gsid
-        && (not (Bitset.mem corrupted e.src))
-        && not (Bitset.mem corrupted e.dst)
-      then
-        Hashtbl.replace freq e.dst (1 + Option.value ~default:0 (Hashtbl.find_opt freq e.dst)))
-    observed;
   let byz = byzantine_ids sc in
   let cap = params.Params.pull_filter in
   let budget = Array.length byz * params.Params.d_j in
@@ -217,7 +224,9 @@ let cornering (sc : Scenario.t) =
   let act ~round ~observed =
     if round = 0 && not !fired then begin
       fired := true;
-      cornering_plan sc (observed ())
+      let freq, count = poll_counts sc in
+      List.iter (fun (e : Aer.msg Envelope.t) -> count ~src:e.src ~dst:e.dst e.msg) (observed ());
+      cornering_plan sc freq
     end
     else []
   in
@@ -318,11 +327,18 @@ let async_of_sync ?(max_delay = 4) (sc : Scenario.t) (attack : sync) =
     inject;
   }
 
+(* [async_of_sync ~max_delay:4 sc (cornering sc)] with its own delay,
+   without the lift's log of every send: cornering acts on the time-0
+   window alone, and the engine injects time 0's plan only after every
+   time-0 send, so counting those polls as they are sent is all it
+   needs. A later send costs [observe]'s one call. *)
 let async_cornering (sc : Scenario.t) =
   let max_delay = 4 in
-  let base = async_of_sync ~max_delay sc (cornering sc) in
   let lt = layout_of sc in
   let corrupted = sc.Scenario.corrupted in
+  let freq, count = poll_counts sc in
+  let observe ~time ~src ~dst msg = if time = 0 then count ~src ~dst msg in
+  let inject ~time = if time = 0 then List.map (fun e -> (e, 1)) (cornering_plan sc freq) else [] in
   (* Content-inspecting schedule: traffic serving the adversary's own
      pull chains travels at full speed, honest traffic crawls. *)
   let delay ~time:_ ~src ~dst msg =
@@ -334,4 +350,4 @@ let async_cornering (sc : Scenario.t) =
       else max_delay
     end
   in
-  { base with Fba_sim.Async_engine.delay }
+  { Fba_sim.Async_engine.corrupted; max_delay; delay; observe; inject }

@@ -78,10 +78,15 @@ val async_of_sync : ?max_delay:int -> Scenario.t -> sync -> async
 (** Lift a synchronous strategy: messages between correct nodes get
     [max_delay] (default 4), adversary traffic is instant, and the
     lifted strategy's [act] runs once per [max_delay] window over the
-    messages observed in that window. *)
+    messages observed in that window. Every correct send is logged for
+    its window, whether or not the strategy reads it. *)
 
 val async_cornering : Scenario.t -> async
 (** Full asynchronous scheduling power (Lemma 6's general case): the
     cornering floods plus content-inspecting delays — messages serving
     the adversary's own pull chains travel at speed 1, honest answer
-    traffic at [max_delay] 4. *)
+    traffic at [max_delay] 4. The same execution as
+    [async_of_sync ~max_delay:4 sc (cornering sc)] with this delay, but
+    it reads only what cornering reads: [observe] counts the honest
+    gstring polls sent at time 0, [inject ~time:0] returns the plan,
+    and later sends are not logged. *)

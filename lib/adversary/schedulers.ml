@@ -1,13 +1,4 @@
 open Fba_stdx
 
-let unit_delay ~time:_ ~src:_ ~dst:_ _ = 1
-
-let uniform_random ~seed ~max_delay ~time ~src ~dst _ =
-  if max_delay < 1 then invalid_arg "Schedulers.uniform_random: max_delay < 1";
-  let h =
-    Hash64.finish (Hash64.add_int (Hash64.add_int (Hash64.add_int (Hash64.init seed) time) src) dst)
-  in
-  1 + Hash64.to_range h max_delay
-
 let slow_correct ~corrupted ~max_delay ~time:_ ~src ~dst _ =
   if Bitset.mem corrupted src || Bitset.mem corrupted dst then 1 else max_delay

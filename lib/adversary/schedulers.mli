@@ -1,18 +1,10 @@
 (** Asynchronous delivery policies.
 
     The asynchronous adversary's scheduling power is a delay function;
-    these are the standard shapes used by the experiments. All are
-    deterministic (hash-based) so executions are reproducible. Each
-    matches the field-based [delay] slot of
-    {!Fba_sim.Async_engine.adversary} — per-message scheduling without
-    materializing an envelope. *)
-
-val unit_delay : time:int -> src:int -> dst:int -> 'msg -> int
-(** Every message takes one step (synchronous-like schedule). *)
-
-val uniform_random : seed:int64 -> max_delay:int -> time:int -> src:int -> dst:int -> 'msg -> int
-(** Delay drawn deterministically from [\[1, max_delay\]] per
-    (time, src, dst) — a fair but jittery network. *)
+    this is the shape the lifted strategies use. It is deterministic, so
+    executions are reproducible, and matches the field-based [delay]
+    slot of {!Fba_sim.Async_engine.adversary} — per-message scheduling
+    without materializing an envelope. *)
 
 val slow_correct :
   corrupted:Fba_stdx.Bitset.t -> max_delay:int -> time:int -> src:int -> dst:int -> 'msg -> int

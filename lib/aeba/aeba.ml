@@ -8,6 +8,7 @@ type config = {
   pk_rounds : int;  (* local rounds of each phase-king instance *)
   t_pk_end : int;  (* global round at which the root holds gstring *)
   rounds_total : int;
+  header : int;
 }
 
 (* Smallest committee size m such that a uniformly sampled committee
@@ -38,7 +39,16 @@ let make_config ?(byzantine_fraction = 0.1) ~n ~seed () =
   let pk_rounds = 4 * pk_phases in
   let t_pk_end = 2 + pk_rounds in
   let rounds_total = t_pk_end + (2 * Committee_tree.levels tree) + 2 in
-  { n; seed; tree; contrib_bits; pk_rounds; t_pk_end; rounds_total }
+  {
+    n;
+    seed;
+    tree;
+    contrib_bits;
+    pk_rounds;
+    t_pk_end;
+    rounds_total;
+    header = Fba_sim.Metrics.header_bits ~n;
+  }
 
 let config_tree c = c.tree
 
@@ -241,7 +251,7 @@ let msg_bits cfg m =
     | Relay { v; _ } -> 16 + (8 * String.length v)
     | Inform { v } -> 8 * String.length v
   in
-  Fba_sim.Metrics.header_bits ~n:cfg.n + payload
+  cfg.header + payload
 
 let receive_into = None
 

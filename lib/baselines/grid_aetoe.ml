@@ -1,11 +1,11 @@
 open Fba_stdx
 
-type config = { n : int; cols : int; initial : int -> string; str_bits : int }
+type config = { n : int; cols : int; initial : int -> string; str_bits : int; header : int }
 
 let make_config ~n ~initial ~str_bits =
   if n < 1 then invalid_arg "Grid_aetoe.make_config: n < 1";
   if str_bits < 1 then invalid_arg "Grid_aetoe.make_config: str_bits < 1";
-  { n; cols = max 1 (Intx.isqrt n); initial; str_bits }
+  { n; cols = max 1 (Intx.isqrt n); initial; str_bits; header = Fba_sim.Metrics.header_bits ~n }
 
 type msg = Along_row of string | Along_col of string
 
@@ -77,7 +77,7 @@ let on_receive cfg st ~round:_ ~src m =
 
 let output st = st.result
 
-let msg_bits cfg (Along_row _ | Along_col _) = Fba_sim.Metrics.header_bits ~n:cfg.n + cfg.str_bits
+let msg_bits cfg (Along_row _ | Along_col _) = cfg.header + cfg.str_bits
 
 let receive_into = None
 

@@ -1,6 +1,6 @@
 open Fba_stdx
 
-type config = { n : int; fanout : int; initial : int -> string; str_bits : int }
+type config = { n : int; fanout : int; initial : int -> string; str_bits : int; header : int }
 
 let make_config ~n ~initial ~str_bits =
   if n < 2 then invalid_arg "Ks09_aetoe.make_config: n < 2";
@@ -9,7 +9,7 @@ let make_config ~n ~initial ~str_bits =
   let fanout =
     Intx.clamp ~lo:1 ~hi:(n - 1) (max ((2 * log_n) + 1) (Intx.isqrt n * log_n / 4))
   in
-  { n; fanout; initial; str_bits }
+  { n; fanout; initial; str_bits; header = Fba_sim.Metrics.header_bits ~n }
 
 type msg = Push of string
 
@@ -45,7 +45,7 @@ let on_receive _cfg st ~round:_ ~src (Push v) =
 
 let output st = st.result
 
-let msg_bits cfg (Push _) = Fba_sim.Metrics.header_bits ~n:cfg.n + cfg.str_bits
+let msg_bits cfg (Push _) = cfg.header + cfg.str_bits
 
 let receive_into = None
 

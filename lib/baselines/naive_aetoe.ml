@@ -1,11 +1,17 @@
 open Fba_stdx
 
-type config = { n : int; fanout : int; initial : int -> string; str_bits : int }
+type config = { n : int; fanout : int; initial : int -> string; str_bits : int; header : int }
 
 let make_config ~n ~initial ~str_bits =
   if n < 2 then invalid_arg "Naive_aetoe.make_config: n < 2";
   if str_bits < 1 then invalid_arg "Naive_aetoe.make_config: str_bits < 1";
-  { n; fanout = min (n - 1) ((4 * Intx.ceil_log2 n) + 1); initial; str_bits }
+  {
+    n;
+    fanout = min (n - 1) ((4 * Intx.ceil_log2 n) + 1);
+    initial;
+    str_bits;
+    header = Fba_sim.Metrics.header_bits ~n;
+  }
 
 type msg = Query | Reply of string
 
@@ -63,9 +69,7 @@ let on_receive _cfg st ~round:_ ~src m =
 
 let output st = st.result
 
-let msg_bits cfg m =
-  let header = Fba_sim.Metrics.header_bits ~n:cfg.n in
-  match m with Query -> header | Reply _ -> header + cfg.str_bits
+let msg_bits cfg = function Query -> cfg.header | Reply _ -> cfg.header + cfg.str_bits
 
 let receive_into = None
 

@@ -1,11 +1,23 @@
 module Phase_king = Fba_aeba.Phase_king
 
-type config = { n : int; members : int array; initial : int -> string; str_bits : int }
+type config = {
+  n : int;
+  members : int array;
+  initial : int -> string;
+  str_bits : int;
+  header : int;
+}
 
 let make_config ~n ~initial ~str_bits =
   if n < 1 then invalid_arg "Phase_king_proto.make_config: n < 1";
   if str_bits < 1 then invalid_arg "Phase_king_proto.make_config: str_bits < 1";
-  { n; members = Array.init n (fun i -> i); initial; str_bits }
+  {
+    n;
+    members = Array.init n (fun i -> i);
+    initial;
+    str_bits;
+    header = Fba_sim.Metrics.header_bits ~n;
+  }
 
 type msg = Phase_king.msg
 
@@ -35,7 +47,7 @@ let on_receive _cfg st ~round ~src m =
 let output st = st.result
 
 let msg_bits cfg (Phase_king.Value _ | Phase_king.King _) =
-  Fba_sim.Metrics.header_bits ~n:cfg.n + 8 + cfg.str_bits
+  cfg.header + 8 + cfg.str_bits
 
 let receive_into = None
 

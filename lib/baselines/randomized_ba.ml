@@ -8,6 +8,7 @@ type config = {
   coin : coin;
   inputs : int -> bool;
   max_logical_rounds : int;
+  header : int;
 }
 
 let make_config ?(max_logical_rounds = 64) ~n ~t_assumed ~coin ~inputs () =
@@ -16,7 +17,7 @@ let make_config ?(max_logical_rounds = 64) ~n ~t_assumed ~coin ~inputs () =
     invalid_arg "Randomized_ba.make_config: need 5*t_assumed < n";
   if max_logical_rounds < 1 then
     invalid_arg "Randomized_ba.make_config: max_logical_rounds < 1";
-  { n; t_assumed; coin; inputs; max_logical_rounds }
+  { n; t_assumed; coin; inputs; max_logical_rounds; header = Fba_sim.Metrics.header_bits ~n }
 
 type msg =
   | Report of { k : int; b : bool }
@@ -132,9 +133,9 @@ let on_receive cfg st ~round:_ ~src m =
 
 let output st = st.result
 
-let msg_bits cfg m =
-  let header = Fba_sim.Metrics.header_bits ~n:cfg.n in
-  match m with Report _ -> header + 8 + 1 | Proposal _ -> header + 8 + 2
+let msg_bits cfg = function
+  | Report _ -> cfg.header + 8 + 1
+  | Proposal _ -> cfg.header + 8 + 2
 
 let receive_into = None
 

@@ -132,10 +132,6 @@ module Layout = struct
             initial strings (Scenario.Junk_shared) or a smaller n"
            n strings sid_bits id_bits rid_bits (id_bits + 1));
     make ~sid_bits ~rid_bits ~id_bits
-
-  let pp fmt t =
-    Format.fprintf fmt "tag:3|sid:%d|rid:%d|x:%d|w:%d (%d bits, n<=%d)" t.sid_bits t.rid_bits
-      t.id_bits t.id_bits (total_bits t) t.max_n
 end
 
 (* The packed twin: one OCaml immediate per message, so mailboxes and

@@ -85,8 +85,6 @@ module Layout : sig
       feasible. *)
 
   val total_bits : t -> int
-
-  val pp : Format.formatter -> t -> unit
 end
 
 (** The packed twin: one message as one OCaml immediate int, with

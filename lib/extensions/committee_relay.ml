@@ -7,6 +7,7 @@ type config = {
   relays : int;
   initial : int -> string;
   str_bits : int;
+  header : int;
 }
 
 let make_config ~n ~seed ~initial ~str_bits () =
@@ -22,7 +23,7 @@ let make_config ~n ~seed ~initial ~str_bits () =
   let slot_of = Hashtbl.create size in
   Array.iteri (fun slot id -> if not (Hashtbl.mem slot_of id) then Hashtbl.add slot_of id slot) members;
   let relays = min size ((2 * Intx.ceil_log2 (max 2 n)) + 1) in
-  { n; members; slot_of; relays; initial; str_bits }
+  { n; members; slot_of; relays; initial; str_bits; header = Fba_sim.Metrics.header_bits ~n }
 
 let committee cfg = cfg.members
 
@@ -108,7 +109,7 @@ let on_receive cfg st ~round:_ ~src m =
 
 let output st = st.result
 
-let msg_bits cfg (Exchange _ | Deliver _) = Fba_sim.Metrics.header_bits ~n:cfg.n + cfg.str_bits
+let msg_bits cfg (Exchange _ | Deliver _) = cfg.header + cfg.str_bits
 
 let receive_into = None
 

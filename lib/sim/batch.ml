@@ -116,9 +116,9 @@ module Chain = struct
     t.total <- 0
 
   (* Detach [src]'s whole segment chain onto [into]'s tail: O(1), no
-     copying — the commit step that used to duplicate every correct
-     send into the staged lane. Partially-filled boundary segments stay
-     partially filled; iteration respects per-segment lengths. *)
+     copying — how the sync mailbox commits a round's correct sends and
+     keeps the non-rushing window. Partially-filled boundary segments
+     stay partially filled; iteration respects per-segment lengths. *)
   let transfer src ~into =
     if src != into then begin
       match src.head with

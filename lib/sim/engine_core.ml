@@ -11,23 +11,29 @@ let validate_adversary_envelope ~who ~n ~(corrupted : Bitset.t) (e : _ Envelope.
    amortize chain bookkeeping over big segments. *)
 let seg_cap_for ~n = max 64 (min Batch.Arena.default_seg_cap n)
 
-(* --- Sync mailboxes: three chains over one segment arena.
+(* --- Sync mailboxes: four chains over one segment arena.
 
-   [correct] collects the current round's correct sends. At commit they
-   are *linked* after the byzantine messages already pushed into
-   [staged] (O(1), no copy), and the delivery step drains [staged]
-   segment by segment, recycling each into the shared arena the moment
+   [correct] collects the current round's correct sends; at commit the
+   whole chain moves to [due] (O(1), no copy). Byzantine messages are
+   pushed into [byz] before the commit. The delivery step drains [byz],
+   then [due], recycling each segment into the shared arena the moment
    its last message is handled — so the sends those deliveries trigger
    refill the storage just vacated. Delivery order: byzantine pushes
-   first, then the correct chain in send order. [prev] keeps a copy of
-   the previous round's correct sends for non-rushing adversaries. --- *)
+   first, then the correct chain in send order.
+
+   A non-rushing adversary observes the previous round's correct sends,
+   which are exactly the chain the delivery step just handed out. So a
+   [~keep_window] drain delivers [due] without recycling it and moves
+   it to [window], where it stays until the next drain recycles it: the
+   window costs no copy. --- *)
 
 module Mailbox = struct
   type 'msg t = {
     arena : 'msg Batch.Arena.t;
     correct : 'msg Batch.Chain.t;  (* current round's correct sends *)
-    staged : 'msg Batch.Chain.t;  (* next round's deliveries: byz then correct *)
-    prev : 'msg Batch.Chain.t;  (* previous round's correct sends (non-rushing) *)
+    byz : 'msg Batch.Chain.t;  (* next round's byzantine deliveries *)
+    due : 'msg Batch.Chain.t;  (* next round's correct deliveries *)
+    window : 'msg Batch.Chain.t;  (* last round's correct deliveries (kept drains) *)
   }
 
   let create ~n () =
@@ -35,8 +41,9 @@ module Mailbox = struct
     {
       arena;
       correct = Batch.Chain.create arena;
-      staged = Batch.Chain.create arena;
-      prev = Batch.Chain.create arena;
+      byz = Batch.Chain.create arena;
+      due = Batch.Chain.create arena;
+      window = Batch.Chain.create arena;
     }
 
   let push_correct t ~src ~dst msg = Batch.Chain.push t.correct ~src ~dst msg
@@ -48,23 +55,28 @@ module Mailbox = struct
   (* Adversary observation (lazy; envelopes materialized on demand). *)
   let correct_envelopes t = Batch.Chain.to_envelopes t.correct
 
-  let prev_envelopes t = Batch.Chain.to_envelopes t.prev
+  let prev_envelopes t = Batch.Chain.to_envelopes t.window
 
   (* Commit step: the round's byzantine messages are pushed first
-     (adversary-favorable tie-breaking), then [commit] links the correct
-     sends in after them. *)
-  let push_staged t ~src ~dst msg = Batch.Chain.push t.staged ~src ~dst msg
+     (adversary-favorable tie-breaking), then [commit] queues the
+     correct sends to deliver after them. *)
+  let push_staged t ~src ~dst msg = Batch.Chain.push t.byz ~src ~dst msg
 
-  let commit t ~keep_prev =
-    if keep_prev then begin
-      Batch.Chain.clear t.prev;
-      Batch.Chain.iter (fun ~src ~dst msg -> Batch.Chain.push t.prev ~src ~dst msg) t.correct
-    end;
-    Batch.Chain.transfer t.correct ~into:t.staged
+  let commit t = Batch.Chain.transfer t.correct ~into:t.due
 
-  let pending_any t = not (Batch.Chain.is_empty t.staged)
+  let pending_any t = not (Batch.Chain.is_empty t.byz && Batch.Chain.is_empty t.due)
 
-  let drain t ~f = Batch.Chain.drain t.staged ~f
+  let drain t ~keep_window ~f =
+    if keep_window then begin
+      Batch.Chain.clear t.window;
+      Batch.Chain.drain t.byz ~f;
+      Batch.Chain.iter f t.due;
+      Batch.Chain.transfer t.due ~into:t.window
+    end
+    else begin
+      Batch.Chain.drain t.byz ~f;
+      Batch.Chain.drain t.due ~f
+    end
 
   (* Epoch reset for instance streams: the chains recycle their
      segments back into the arena free list, so the next run's bursts
@@ -73,46 +85,52 @@ module Mailbox = struct
      the stream, not of one instance. *)
   let reset t =
     Batch.Chain.clear t.correct;
-    Batch.Chain.clear t.staged;
-    Batch.Chain.clear t.prev
+    Batch.Chain.clear t.byz;
+    Batch.Chain.clear t.due;
+    Batch.Chain.clear t.window
 
   let peak_words t = Batch.Arena.peak_words t.arena
 end
 
-(* --- Async calendar queue: every delay is clamped to [1, width - 1],
+(* --- Async calendar queue: every delay is clamped to [1, max_delay],
    so a message scheduled at time t lands strictly within the next
-   [width - 1] steps and a ring of [width] reusable buckets indexed by
-   [at mod width] can never alias two distinct due times that are both
-   live. Scheduling is a push into a chain — no hashing, no list refs,
-   no envelope. The buckets share one arena: draining the due bucket
-   recycles its segments while the deliveries schedule into
-   strictly-future buckets, which take those same segments from the
-   free list — so the ring does not retain every bucket's burst
-   high-water. --- *)
+   [max_delay] steps and a ring of [width > max_delay] reusable buckets
+   indexed by [at land (width - 1)] (width a power of two) can never
+   alias two distinct due times that are both live. Scheduling is a
+   push into a chain — no hashing, no list refs, no envelope. The
+   buckets share one arena: draining the due bucket recycles its
+   segments while the deliveries schedule into strictly-future
+   buckets, which take those same segments from the free list — so the
+   ring does not retain every bucket's burst high-water. --- *)
 
 module Calendar = struct
   type 'msg t = {
-    width : int;
+    mask : int;  (* width - 1 *)
     arena : 'msg Batch.Arena.t;
     buckets : 'msg Batch.Chain.t array;
     mutable pending : int;
   }
 
   let create ~n ~max_delay () =
-    let width = max_delay + 1 in
+    let width = 1 lsl Intx.ceil_log2 (max_delay + 1) in
     let arena = Batch.Arena.create ~seg_cap:(seg_cap_for ~n) () in
-    { width; arena; buckets = Array.init width (fun _ -> Batch.Chain.create arena); pending = 0 }
+    {
+      mask = width - 1;
+      arena;
+      buckets = Array.init width (fun _ -> Batch.Chain.create arena);
+      pending = 0;
+    }
 
   let schedule t ~at ~src ~dst msg =
-    Batch.Chain.push t.buckets.(at mod t.width) ~src ~dst msg;
+    Batch.Chain.push t.buckets.(at land t.mask) ~src ~dst msg;
     t.pending <- t.pending + 1
 
-  let due_count t ~time = Batch.Chain.length t.buckets.(time mod t.width)
+  let due_count t ~time = Batch.Chain.length t.buckets.(time land t.mask)
 
   (* Drain the bucket due at [time], in schedule order. Deliveries
      schedule at delay >= 1 < width, so they push into other buckets,
      never the one being drained — the chain-drain precondition. *)
-  let drain_due t ~time ~f = Batch.Chain.drain t.buckets.(time mod t.width) ~f
+  let drain_due t ~time ~f = Batch.Chain.drain t.buckets.(time land t.mask) ~f
 
   let pending t = t.pending
 

@@ -28,8 +28,11 @@ val validate_adversary_envelope :
 
 (** Synchronous mailboxes. The round schedule: correct sends are pushed
     via [push_correct]; the commit step pushes the round's byzantine
-    messages ([push_staged]) and then links the correct sends in after
-    them ([commit]); the next round's delivery step is [drain]. *)
+    messages ([push_staged]) and then queues the correct sends after
+    them ([commit]); the next round's delivery step is [drain]. A
+    non-rushing run drains with [~keep_window:true], and the correct
+    chain it delivers becomes the adversary's previous-round window
+    without a copy. *)
 module Mailbox : sig
   type 'msg t
 
@@ -49,25 +52,27 @@ module Mailbox : sig
       adversary's observation window). *)
 
   val prev_envelopes : 'msg t -> 'msg Envelope.t list
-  (** Materialize the previous round's correct sends (the non-rushing
-      observation window; maintained only when [commit ~keep_prev]). *)
+  (** Materialize the correct sends the last [~keep_window:true] drain
+      delivered (the non-rushing observation window); empty before the
+      first such drain and after {!reset}. *)
 
   val push_staged : 'msg t -> src:int -> dst:int -> 'msg -> unit
   (** Stage one byzantine message for delivery next round (before
       [commit], so byzantine messages deliver first). *)
 
-  val commit : 'msg t -> keep_prev:bool -> unit
-  (** Link the round's correct sends into the staged schedule after the
-      byzantine ones (O(1), no copy), and copy them into the
-      previous-round window when [keep_prev]. *)
+  val commit : 'msg t -> unit
+  (** Queue the round's correct sends for delivery after the byzantine
+      ones (O(1), no copy). *)
 
   val pending_any : 'msg t -> bool
   (** Is anything staged for delivery (the quiescence check)? *)
 
-  val drain : 'msg t -> f:(src:int -> dst:int -> 'msg -> unit) -> unit
+  val drain : 'msg t -> keep_window:bool -> f:(src:int -> dst:int -> 'msg -> unit) -> unit
   (** Deliver everything staged, in order (byzantine first, then correct
       sends in send order), recycling each segment the moment its last
-      message is handed to [f]. [f] may push correct sends. *)
+      message is handed to [f]. [f] may push correct sends. With
+      [keep_window] the correct sends are not recycled: they replace
+      the previous window (recycled first) until the next drain. *)
 
   val reset : 'msg t -> unit
   (** Epoch reset for instance streams: empty every chain in place,
@@ -79,9 +84,10 @@ module Mailbox : sig
   (** Peak delivery-plane footprint of the run so far, in words. *)
 end
 
-(** Asynchronous calendar queue: a ring of [max_delay + 1] reusable
-    buckets indexed by [due mod width]. Delays clamped to
-    [\[1, max_delay\]] can never alias two live due times. The buckets
+(** Asynchronous calendar queue: a ring of reusable buckets, the
+    smallest power of two above [max_delay] wide, indexed by
+    [due land (width - 1)]. Delays clamped to [\[1, max_delay\]] can
+    never alias two live due times. The buckets
     are chains over one shared arena, so draining the due bucket
     recycles segments that future buckets then reuse. *)
 module Calendar : sig

@@ -89,6 +89,7 @@ module Make (P : Protocol.S) = struct
       | `Rushing -> fun () -> Engine_core.Mailbox.correct_envelopes mb
       | `Non_rushing -> fun () -> Engine_core.Mailbox.prev_envelopes mb
     in
+    let keep_window = mode = `Non_rushing in
     Core.trace_round_start core ~round:0;
     (* Round 0: initialize correct nodes. *)
     Core.init_nodes core ~seed ~dispatch:(fun id out ->
@@ -117,7 +118,7 @@ module Make (P : Protocol.S) = struct
           (fun ~src ~dst msg ->
             Core.trace_msg core ~round ~byzantine:false ~delay:1 ~src ~dst msg)
           mb);
-      Engine_core.Mailbox.commit mb ~keep_prev:(mode = `Non_rushing);
+      Engine_core.Mailbox.commit mb;
       correct_count
     in
     let prev_correct = ref (commit_round ~round:0) in
@@ -149,9 +150,10 @@ module Make (P : Protocol.S) = struct
         done;
         (* Deliver last round's messages. The drain recycles each segment
            as its last message is handled, so [send]'s pushes refill the
-           storage the deliveries just vacated. *)
+           storage the deliveries just vacated; a non-rushing run keeps
+           the correct chain instead, as the adversary's next window. *)
         let delivered_any = Engine_core.Mailbox.pending_any mb in
-        Engine_core.Mailbox.drain mb ~f:deliver;
+        Engine_core.Mailbox.drain mb ~keep_window ~f:deliver;
         Core.check_decisions core ~round:r;
         prev_correct := commit_round ~round:r;
         if (not delivered_any) && not (Engine_core.Mailbox.pending_any mb) then incr quiet

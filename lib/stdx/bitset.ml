@@ -9,17 +9,23 @@ let create capacity =
 
 let capacity t = t.capacity
 
-let check t i =
-  if i < 0 || i >= t.capacity then invalid_arg "Bitset: element out of range"
+let out_of_range () = invalid_arg "Bitset: element out of range"
 
-let mem t i =
+let[@inline] check t i = if i < 0 || i >= t.capacity then out_of_range ()
+
+(* [mem] and [add] run on every delivery of the async cornering
+   schedule and of every plurality vote, so they inline into their
+   callers: after [check], byte [i lsr 3] exists, and the read skips
+   [Bytes.get]'s second bounds check. *)
+let[@inline] mem t i =
   check t i;
-  Char.code (Bytes.get t.words (i lsr 3)) land (1 lsl (i land 7)) <> 0
+  Char.code (Bytes.unsafe_get t.words (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-let add t i =
+let[@inline] add t i =
   check t i;
   let b = i lsr 3 in
-  Bytes.set t.words b (Char.chr (Char.code (Bytes.get t.words b) lor (1 lsl (i land 7))))
+  Bytes.unsafe_set t.words b
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.words b) lor (1 lsl (i land 7))))
 
 let remove t i =
   check t i;

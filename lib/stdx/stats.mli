@@ -8,9 +8,6 @@
 val mean : float array -> float
 (** Arithmetic mean; 0 on the empty array. *)
 
-val stddev : float array -> float
-(** Population standard deviation; 0 on arrays shorter than 2. *)
-
 val minimum : float array -> float
 (** Raises [Invalid_argument] on the empty array. *)
 
@@ -30,14 +27,6 @@ val binomial_tail : trials:int -> p:float -> at_least:int -> float
     quorum of d uniform nodes has a Byzantine majority with probability
     [binomial_tail ~trials:d ~p:q ~at_least:(d/2 + 1)] when a [q]
     fraction of the system is bad. *)
-
-type fit = { slope : float; intercept : float; r2 : float }
-(** Least-squares line [y = intercept + slope * x] with coefficient of
-    determination. *)
-
-val linear_fit : (float * float) array -> fit
-(** Ordinary least squares. Requires at least two points with distinct
-    x values. *)
 
 module Growth : sig
   type t =

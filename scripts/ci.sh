@@ -68,8 +68,20 @@ for m in stdx__Int_table samplers__Cache stdx__Vec core__Intern; do
     inline_fail=1
   fi
 done
+# Bitset.mem runs per message in the async cornering schedule and in
+# every plurality vote (the grid's tallies among them).
+for o in adversary/.fba_adversary.objs/native/fba_adversary__Aer_attacks.o \
+  stdx/.fba_stdx.objs/native/fba_stdx__Plurality.o \
+  baselines/.fba_baselines.objs/native/fba_baselines__Grid_aetoe.o; do
+  for sym in $(nm -u "$objs/$o" | awk '{print $NF}' \
+    | grep -xE '_?camlFba_stdx__Bitset(\.|__)mem_[0-9]+' || true); do
+    echo "inline guard FAILED: $objs/$o references $sym, an [@inline] helper left as a call" >&2
+    inline_fail=1
+  done
+done
 [ "$inline_fail" = 0 ] || exit 1
-echo "inline guard ok: $aer_o calls no [@inline] helper and no module only through its block"
+echo "inline guard ok: $aer_o calls no [@inline] helper and no module only through its block;" \
+  "no Bitset.mem call in the cornering, plurality or grid objects"
 
 # Polymorphic-compare guard: the modules every delivery runs through
 # must compare ints inline. A comparison the compiler cannot type as

@@ -233,6 +233,45 @@ let test_async_window () =
   Alcotest.check injected "blind strategy, between windows" [] (injections adv 1);
   Alcotest.check injected "blind strategy, round 1" [ ((byz, 2, 7), 1) ] (injections adv 2)
 
+(* --- async_cornering: the lifted cornering without the lift's log ---
+
+   [async_cornering] counts the honest gstring polls sent at time 0 as
+   they are sent and injects its plan at time 0; the reference lifts the
+   sync [cornering] through [async_of_sync], which logs every send and
+   hands cornering the time-0 window as envelopes. With the same delay,
+   both must be the same execution: metrics, outputs and the traced
+   event stream. Each run builds its own scenario (its interner grows
+   during the run). *)
+
+module Aer_async = Fba_sim.Async_engine.Make (Aer)
+
+let traced_async ~n ~seed adversary =
+  let sc = Fba_harness.Runner.scenario_of_setup Fba_harness.Runner.default_setup ~n ~seed in
+  let buf = Buffer.create 65536 in
+  let events = Fba_sim.Events.create () in
+  Fba_sim.Events.attach events (Fba_sim.Events.Jsonl.consumer buf);
+  let r =
+    Aer_async.run ~events ~config:(Aer.config_of_scenario sc) ~n ~seed ~adversary:(adversary sc)
+      ~max_time:4000 ()
+  in
+  (Fba_harness.Service.fingerprint r.metrics, r.outputs, Buffer.contents buf)
+
+let lifted_cornering sc =
+  {
+    (Attacks.async_of_sync ~max_delay:4 sc (Attacks.cornering sc)) with
+    Fba_sim.Async_engine.delay = (Attacks.async_cornering sc).Fba_sim.Async_engine.delay;
+  }
+
+(* Each seed runs at every n, so three seeds make nine (n, seed) cases. *)
+let prop_async_cornering_lifted =
+  QCheck.Test.make ~name:"async_cornering runs as the lifted cornering" ~count:3
+    (QCheck.make ~print:(Printf.sprintf "seed=%Ld") QCheck.Gen.(map Int64.of_int (int_range 1 1000)))
+    (fun seed ->
+      List.for_all
+        (fun n ->
+          traced_async ~n ~seed Attacks.async_cornering = traced_async ~n ~seed lifted_cornering)
+        [ 32; 64; 128 ])
+
 (* --- Corruption --- *)
 
 let test_corruption_random () =
@@ -276,20 +315,11 @@ let test_corruption_adaptive_denies_gstring () =
 (* --- Schedulers --- *)
 
 let test_schedulers () =
-  Alcotest.(check int) "unit" 1 (Schedulers.unit_delay ~time:0 ~src:1 ~dst:2 ());
   let corrupted = Bitset.of_list 4 [ 3 ] in
   Alcotest.(check int) "slow correct-correct" 5
     (Schedulers.slow_correct ~corrupted ~max_delay:5 ~time:0 ~src:1 ~dst:2 ());
   Alcotest.(check int) "fast byzantine" 1
-    (Schedulers.slow_correct ~corrupted ~max_delay:5 ~time:0 ~src:3 ~dst:2 ());
-  for t = 0 to 50 do
-    let d = Schedulers.uniform_random ~seed:1L ~max_delay:7 ~time:t ~src:1 ~dst:2 () in
-    Alcotest.(check bool) "uniform in range" true (d >= 1 && d <= 7)
-  done;
-  (* determinism *)
-  Alcotest.(check int) "uniform deterministic"
-    (Schedulers.uniform_random ~seed:1L ~max_delay:7 ~time:3 ~src:1 ~dst:2 ())
-    (Schedulers.uniform_random ~seed:1L ~max_delay:7 ~time:3 ~src:1 ~dst:2 ())
+    (Schedulers.slow_correct ~corrupted ~max_delay:5 ~time:0 ~src:3 ~dst:2 ())
 
 let suites =
   [
@@ -302,6 +332,7 @@ let suites =
         Alcotest.test_case "quorum capture passes filter" `Quick
           test_quorum_capture_strings_pass_filter;
         Alcotest.test_case "async_of_sync observation window" `Quick test_async_window;
+        QCheck_alcotest.to_alcotest prop_async_cornering_lifted;
         Alcotest.test_case "forged out-of-range ids dropped" `Quick test_forged_ids_dropped;
       ] );
     ( "adversary.corruption",

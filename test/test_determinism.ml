@@ -162,10 +162,10 @@ let check_traced_golden name ~fp ~outputs ~trace (m, outs, buf) =
   check "outputs" outputs (outputs_digest outs);
   check "trace" trace (Hash64.hash_string ~seed:0x7ACEL (Buffer.contents buf))
 
-(* `Non_rushing makes the engine rebuild the mailbox's previous-round
-   window at every commit. Cornering acts only in round 0, when that
-   window is still empty, so the window's contents are checked by
-   sim.sync's rushing-vs-non-rushing test. *)
+(* `Non_rushing makes the engine keep each round's delivered correct
+   chain as the mailbox's previous-round window. Cornering acts only in
+   round 0, when that window is still empty, so the window's contents
+   are checked by sim.sync's rushing-vs-non-rushing test. *)
 let test_golden_sync_non_rushing () =
   check_traced_golden "sync-non-rushing" ~fp:0x577921a196aa87e3L ~outputs:0x27cda61dbfe282L
     ~trace:0x2fa12322c7885471L

@@ -118,17 +118,23 @@ let test_alloc_budget () =
    the epoch boundary. *)
 let test_mailbox_reset () =
   let mb : int Engine_core.Mailbox.t = Engine_core.Mailbox.create ~n:8 () in
+  let ignore_msg ~src:_ ~dst:_ _ = () in
   Engine_core.Mailbox.push_correct mb ~src:0 ~dst:1 42;
-  Engine_core.Mailbox.push_staged mb ~src:2 ~dst:3 7;
-  Engine_core.Mailbox.commit mb ~keep_prev:true;
+  Engine_core.Mailbox.commit mb;
+  Engine_core.Mailbox.drain mb ~keep_window:true ~f:ignore_msg;
+  Alcotest.(check int) "a kept drain leaves the window" 1
+    (List.length (Engine_core.Mailbox.prev_envelopes mb));
   Engine_core.Mailbox.push_correct mb ~src:1 ~dst:2 43;
+  Engine_core.Mailbox.push_staged mb ~src:2 ~dst:3 7;
+  Engine_core.Mailbox.commit mb;
+  Engine_core.Mailbox.push_correct mb ~src:3 ~dst:4 44;
   Engine_core.Mailbox.reset mb;
   Alcotest.(check bool) "nothing pending" false (Engine_core.Mailbox.pending_any mb);
   Alcotest.(check int) "no correct sends" 0 (Engine_core.Mailbox.correct_length mb);
   Alcotest.(check int) "no previous-round window" 0
     (List.length (Engine_core.Mailbox.prev_envelopes mb));
   let delivered = ref 0 in
-  Engine_core.Mailbox.drain mb ~f:(fun ~src:_ ~dst:_ _ -> incr delivered);
+  Engine_core.Mailbox.drain mb ~keep_window:false ~f:(fun ~src:_ ~dst:_ _ -> incr delivered);
   Alcotest.(check int) "nothing delivered" 0 !delivered
 
 (* The FBA_JOBS override behind Pool.recommended_jobs, exercised the

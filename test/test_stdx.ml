@@ -345,15 +345,14 @@ let test_stats_basic () =
   feq "median odd" 2.0 (Stats.median [| 3.0; 1.0; 2.0 |]);
   feq "median even" 2.5 (Stats.median [| 4.0; 1.0; 2.0; 3.0 |]);
   feq "p0 is min" 1.0 (Stats.percentile [| 3.0; 1.0; 2.0 |] 0.0);
-  feq "p100 is max" 3.0 (Stats.percentile [| 3.0; 1.0; 2.0 |] 100.0);
-  (* mean 2, every deviation ±1 -> population stddev exactly 1 *)
-  feq "stddev" 1.0 (Stats.stddev [| 1.0; 3.0; 1.0; 3.0; 1.0; 3.0; 1.0; 3.0 |])
+  feq "p100 is max" 3.0 (Stats.percentile [| 3.0; 1.0; 2.0 |] 100.0)
 
-let test_linear_fit () =
-  let fit = Stats.linear_fit [| (0.0, 1.0); (1.0, 3.0); (2.0, 5.0) |] in
-  feq "slope" 2.0 fit.Stats.slope;
-  feq "intercept" 1.0 fit.Stats.intercept;
-  feq "r2 perfect" 1.0 fit.Stats.r2
+(* The least-squares slope of log y on log n: exact on a pure power law. *)
+let test_power_exponent () =
+  let series e = Array.map (fun n -> (n, 3.0 *. (float_of_int n ** e))) [| 16; 64; 256; 1024 |] in
+  feq "sqrt" 0.5 (Stats.Growth.power_exponent (series 0.5));
+  feq "linear" 1.0 (Stats.Growth.power_exponent (series 1.0));
+  feq "constant" 0.0 (Stats.Growth.power_exponent (series 0.0))
 
 let test_binomial_tail () =
   feq "tail at 0 is 1" 1.0 (Stats.binomial_tail ~trials:10 ~p:0.3 ~at_least:0);
@@ -584,7 +583,7 @@ let suites =
     ( "stdx.stats",
       [
         Alcotest.test_case "mean/median/percentile" `Quick test_stats_basic;
-        Alcotest.test_case "linear fit" `Quick test_linear_fit;
+        Alcotest.test_case "power exponent" `Quick test_power_exponent;
         Alcotest.test_case "binomial tail" `Quick test_binomial_tail;
         Alcotest.test_case "growth classification" `Quick test_growth_classify;
       ] );

@@ -9,9 +9,10 @@
    double-buffered lanes still ran beside it and both gave the same
    fingerprints, outputs and event traces.
 
-   The cornering tests pin two deterministic counters of one whole
-   cornering run at n=128: its peak mailbox words, exactly, and the
-   words it allocates, within 1% of the count recorded here.
+   The cornering tests pin two deterministic counters of whole cornering
+   runs (rushing and non-rushing at n=128, async at n=256): peak mailbox
+   words, exactly, and the words a run allocates, within 1% of the count
+   recorded here.
 
    The layout tests pin the field widths Layout.fit derives from n and
    the packed plane's structural ceiling: past n = 2^18 the 63-bit
@@ -158,18 +159,36 @@ let test_fused_lane_guard () =
   rejects "dst = -1" ~src:0 ~dst:(-1);
   Alcotest.(check int) "refused pushes store nothing" 3 (Batch.Chain.length c)
 
-(* --- Cornering n=128: the delivery plane's deterministic counters --- *)
+(* --- Cornering: the delivery plane's deterministic counters --- *)
 
-let cornering_n128 () =
-  let sc = Runner.scenario_of_setup Runner.default_setup ~n:128 ~seed:1L in
-  Runner.aer_sync ~adversary:(fun sc -> Aer_attacks.cornering sc) sc
+let cornering_run ?(mode = `Rushing) ~n () =
+  let sc = Runner.scenario_of_setup Runner.default_setup ~n ~seed:1L in
+  Runner.aer_sync
+    ~config:{ Runner.default_config with mode }
+    ~adversary:(fun sc -> Aer_attacks.cornering sc)
+    sc
+
+let cornering_n128 () = cornering_run ~n:128 ()
+
+let non_rushing_n128 () = cornering_run ~mode:`Non_rushing ~n:128 ()
+
+let async_cornering_n256 () =
+  let sc = Runner.scenario_of_setup Runner.default_setup ~n:256 ~seed:1L in
+  Runner.aer_async ~adversary:(fun sc -> Aer_attacks.async_cornering sc) sc
 
 (* Segment accounting depends only on the run's sends and the segment
    size, not on the compiler or the build profile, so the peak is exact. *)
-let test_cornering_peak_words () =
-  let r = cornering_n128 () in
-  Alcotest.(check int) "peak mailbox words" 274_176
+let check_peak_words run recorded () =
+  let r = run () in
+  Alcotest.(check int) "peak mailbox words" recorded
     (Fba_sim.Metrics.peak_mailbox_words r.Runner.metrics)
+
+let test_cornering_peak_words = check_peak_words cornering_n128 274_176
+
+(* A non-rushing run keeps the correct chain it delivers as the
+   adversary's window; copying that chain at every commit instead
+   peaked at 547,840 words here. *)
+let test_non_rushing_peak_words = check_peak_words non_rushing_n128 313_600
 
 (* Words this domain has allocated. [Gc.minor_words] reads the minor
    heap's allocation pointer, so it is exact at any point, whereas the
@@ -180,20 +199,33 @@ let allocated_words () =
   let _, promoted, major = Gc.counters () in
   Gc.minor_words () +. major -. promoted
 
-(* One cornering n=128 run, scenario included, allocates this many
-   words on the default (release) build; [--profile dev] reads 0.5%
-   more. The budget allows 1%. *)
+(* Words one run, scenario included, allocates on the default
+   (release) build; [--profile dev] reads a little more (0.5% for
+   cornering n=128). Each budget allows 1%. *)
 let cornering_n128_words = 1_057_115.
 
-let test_cornering_alloc_budget () =
+let non_rushing_n128_words = 1_042_482.
+
+let async_n256_words = 3_036_569.
+
+let check_alloc_budget what run recorded () =
   let before = allocated_words () in
-  ignore (cornering_n128 ());
+  ignore (run ());
   let words = allocated_words () -. before in
-  let budget = 1.01 *. cornering_n128_words in
+  let budget = 1.01 *. recorded in
   if words > budget then
-    Alcotest.failf "cornering n=128 allocated %.0f words, %+.2f%% over %.0f (budget %.0f)" words
-      ((words /. cornering_n128_words -. 1.) *. 100.)
-      cornering_n128_words budget
+    Alcotest.failf "%s allocated %.0f words, %+.2f%% over %.0f (budget %.0f)" what words
+      ((words /. recorded -. 1.) *. 100.)
+      recorded budget
+
+let test_cornering_alloc_budget =
+  check_alloc_budget "cornering n=128" cornering_n128 cornering_n128_words
+
+let test_non_rushing_alloc_budget =
+  check_alloc_budget "non-rushing cornering n=128" non_rushing_n128 non_rushing_n128_words
+
+let test_async_alloc_budget =
+  check_alloc_budget "async cornering n=256" async_cornering_n256 async_n256_words
 
 (* --- Layout.fit widths and structural ceiling --- *)
 
@@ -262,6 +294,11 @@ let suites =
       [
         Alcotest.test_case "n=128 peak mailbox words" `Quick test_cornering_peak_words;
         Alcotest.test_case "n=128 allocation budget" `Quick test_cornering_alloc_budget;
+        Alcotest.test_case "non-rushing n=128 peak mailbox words" `Quick
+          test_non_rushing_peak_words;
+        Alcotest.test_case "non-rushing n=128 allocation budget" `Quick
+          test_non_rushing_alloc_budget;
+        Alcotest.test_case "async n=256 allocation budget" `Quick test_async_alloc_budget;
       ] );
     ( "streamed.layout",
       [
