@@ -283,8 +283,10 @@ let quorum_capture ?(victims = 4) ?strings_per_victim (sc : Scenario.t) =
   in
   { Fba_sim.Sync_engine.corrupted; act }
 
-let async_of_sync ?(max_delay = 4) (sc : Scenario.t) (attack : sync) =
-  if max_delay < 1 then invalid_arg "Aer_attacks.async_of_sync: max_delay < 1";
+(* The asynchronous strategies' delay bound. *)
+let max_delay = 4
+
+let async_of_sync (sc : Scenario.t) (attack : sync) =
   let corrupted = sc.Scenario.corrupted in
   (* The async observation hook is per-message (field-based); the
      lifted sync strategy wants a batch. A window's sends go into three
@@ -319,21 +321,18 @@ let async_of_sync ?(max_delay = 4) (sc : Scenario.t) (attack : sync) =
     end
     else []
   in
-  {
-    Fba_sim.Async_engine.corrupted;
-    max_delay;
-    delay = Schedulers.slow_correct ~corrupted ~max_delay;
-    observe;
-    inject;
-  }
+  (* Correct traffic crawls; anything touching a Byzantine node is instant. *)
+  let delay ~time:_ ~src ~dst _ =
+    if Bitset.mem corrupted src || Bitset.mem corrupted dst then 1 else max_delay
+  in
+  { Fba_sim.Async_engine.corrupted; max_delay; delay; observe; inject }
 
-(* [async_of_sync ~max_delay:4 sc (cornering sc)] with its own delay,
+(* [async_of_sync sc (cornering sc)] with its own delay,
    without the lift's log of every send: cornering acts on the time-0
    window alone, and the engine injects time 0's plan only after every
    time-0 send, so counting those polls as they are sent is all it
    needs. A later send costs [observe]'s one call. *)
 let async_cornering (sc : Scenario.t) =
-  let max_delay = 4 in
   let lt = layout_of sc in
   let corrupted = sc.Scenario.corrupted in
   let freq, count = poll_counts sc in

@@ -37,9 +37,9 @@ type msg = t
 
 (* The field widths of the packed word, first-class. The packing order
    is fixed — [tag:3 | sid | rid | x | w], LSB first — only the widths
-   move. Everything the rest of the plane needs (shifts, masks, caps,
-   the position-mask multiplier) is precomputed here so the hot paths
-   pay one record load where they used to pay a literal. *)
+   move. Everything the rest of the plane needs (shifts, masks, caps)
+   is precomputed here so the hot paths pay one record load where they
+   used to pay a literal. *)
 module Layout = struct
   type t = {
     sid_bits : int;
@@ -54,10 +54,6 @@ module Layout = struct
     max_n : int;  (* 2^id_bits — node ids and embedded x/w fields *)
     max_strings : int;  (* 2^sid_bits — interner string-table cap *)
     max_labels : int;  (* 2^rid_bits — interner label-table cap *)
-    mask_mult : int;
-        (* quorum-position bitmask key stride: smallest m with
-           m * 62 >= max key component, so [key * mask_mult + pos / 62]
-           never collides across keys (Aer.mask_add) *)
   }
 
   let total_bits t = 3 + t.sid_bits + t.rid_bits + (2 * t.id_bits)
@@ -85,7 +81,6 @@ module Layout = struct
       max_n = 1 lsl id_bits;
       max_strings = 1 lsl sid_bits;
       max_labels = 1 lsl rid_bits;
-      mask_mult = (((1 lsl id_bits) - 1) / 62) + 1;
     }
 
   (* The structural ceiling of the single-int word: past n = 2^18 the

@@ -52,11 +52,6 @@ module Layout : sig
     max_n : int;  (** [2^id_bits] — the population the layout can address *)
     max_strings : int;  (** [2^sid_bits] — interner string-table cap *)
     max_labels : int;  (** [2^rid_bits] — interner label-table cap *)
-    mask_mult : int;
-        (** key stride for quorum-position bitmasks: the smallest [m]
-            with [m * 62 >= max_n - 1], so
-            [key * mask_mult + pos / 62] never collides across keys
-            for any quorum degree d ≤ n ≤ [max_n] *)
   }
 
   val make : sid_bits:int -> rid_bits:int -> id_bits:int -> t

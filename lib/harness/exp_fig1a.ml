@@ -100,9 +100,8 @@ let run_variant variant ~n ~seed =
 let time_of (obs : Obs.observation) norm =
   let raw = obs.Obs.p95_decision_round in
   match norm with
-  | Some normalized when obs.Obs.rounds > 0 ->
-    raw *. normalized /. float_of_int obs.Obs.rounds
-  | _ -> raw
+  | Some normalized_rounds -> Obs.rescale_time obs ~normalized_rounds raw
+  | None -> raw
 
 (* Model check input: AER's traffic is dominated by the Fw1 fan-out,
    predicted per node as d_h^2 * d_j * (message bits). *)

@@ -154,9 +154,7 @@ let run_cell = function
               in
               (* Normalize decision rounds by the delay bound. *)
               let o = r.Runner.obs in
-              let scale v =
-                if o.Obs.rounds > 0 then v *. norm /. float_of_int o.Obs.rounds else v
-              in
+              let scale = Obs.rescale_time o ~normalized_rounds:norm in
               { o with
                 Obs.p95_decision_round = scale o.Obs.p95_decision_round;
                 max_decision_round =

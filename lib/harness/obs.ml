@@ -16,6 +16,9 @@ type observation = {
   load_imbalance : float;
 }
 
+let rescale_time o ~normalized_rounds v =
+  if o.rounds > 0 then v *. normalized_rounds /. float_of_int o.rounds else v
+
 let of_metrics ~metrics ~outputs ~reference () =
   let n = Fba_sim.Metrics.n metrics in
   let corrupted = Fba_sim.Metrics.corrupted metrics in

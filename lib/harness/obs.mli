@@ -7,9 +7,8 @@ type observation = {
   n : int;
   rounds : int;
       (** [Metrics.rounds]: engine rounds, or for an async run its raw
-          time steps, not normalized rounds. [Exp_fig1a.time_of] relies
-          on that: it rescales decision times by the engine's
-          [normalized_rounds / rounds]. *)
+          time steps, not normalized rounds. {!rescale_time} relies on
+          that. *)
   decided_fraction : float;  (** correct nodes that decided at all *)
   agreed_fraction : float;  (** correct nodes that decided the reference value *)
   wrong_decisions : int;  (** correct nodes that decided something else *)
@@ -22,6 +21,11 @@ type observation = {
   max_recv_bits : int;
   load_imbalance : float;
 }
+
+val rescale_time : observation -> normalized_rounds:float -> float -> float
+(** An async run's decision time [v], in time steps, in the engine's
+    normalized rounds: [v * normalized_rounds / o.rounds] ([v] when
+    [o.rounds] is 0), so async times compare with sync rounds. *)
 
 val of_metrics :
   metrics:Fba_sim.Metrics.t ->

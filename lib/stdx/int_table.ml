@@ -1,5 +1,5 @@
 (* Open-addressing int -> int table. Keys are non-negative packed
-   identifiers (sid, (x, s) pairs, bitmask slots), so -1 works as the
+   identifiers (sid, (x, s) pairs, label ids), so -1 works as the
    empty-slot marker and the whole table is two unboxed int arrays —
    no Bytes occupancy plane, no boxing, no per-entry allocation. Used
    as the protocol's set and counter representation, where Hashtbl's
@@ -78,8 +78,7 @@ let[@inline] set t key v =
 
 (* Set-flavoured entry points: [add] is first-insertion detection (the
    value plane is unused), [incr] is an in-place counter bump returning
-   the new count, [add_bit] maintains a 62-bit presence mask. All three
-   are single-probe on the hit path. *)
+   the new count. Both are single-probe on the hit path. *)
 
 let[@inline] add t key =
   if key < 0 then invalid_arg "Int_table.add: negative key";
@@ -109,27 +108,6 @@ let[@inline] incr t key =
     t.vals.(i) <- 1;
     t.count <- t.count + 1;
     1
-  end
-
-let[@inline] add_bit t key ~bit =
-  if key < 0 then invalid_arg "Int_table.add_bit: negative key";
-  if 2 * (t.count + 1) > t.mask + 1 then grow t;
-  let b = 1 lsl bit in
-  let i = find_slot t key in
-  if i >= 0 then begin
-    let v = t.vals.(i) in
-    if v land b <> 0 then false
-    else begin
-      t.vals.(i) <- v lor b;
-      true
-    end
-  end
-  else begin
-    let i = -1 - i in
-    t.keys.(i) <- key;
-    t.vals.(i) <- b;
-    t.count <- t.count + 1;
-    true
   end
 
 let clear t =

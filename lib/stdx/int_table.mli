@@ -1,10 +1,11 @@
 (** Open-addressing [int -> int] hash table.
 
     Keys are non-negative packed identifiers (interned ids, packed
-    (x, s) pairs, bitmask slots); [-1] marks an empty slot, so the
-    table is two unboxed int arrays with no occupancy side plane and
-    no allocation on any operation except growth. The protocol's
-    per-node sets and counters use it in place of [Hashtbl], whose
+    (x, s) pairs, label ids); [-1] marks an empty slot, so the table
+    is two unboxed int arrays with no occupancy side plane and no
+    allocation on any operation except growth. The protocol's
+    per-node sets, counters and majority-tally indexes (key -> record
+    offset) use it in place of [Hashtbl], whose
     per-probe hashing and per-binding bucket cons dominate the message
     delivery path at sweep sizes. *)
 
@@ -32,12 +33,6 @@ val add : t -> int -> bool
 val incr : t -> int -> int
 (** Bump the key's counter in place (absent counts as 0) and return
     the new value. *)
-
-val add_bit : t -> int -> bit:int -> bool
-(** Treat the key's value as a presence mask: set bit [bit]
-    (0 ≤ bit < 62) and return [true] iff it was clear. One probe.
-    Together with a counter kept via {!incr} this represents sets of
-    quorum positions without per-element storage. *)
 
 val reserve : t -> int -> unit
 (** [reserve t k] sizes the storage once so that [t] holds [k] keys

@@ -47,8 +47,8 @@ aer_o="$objs/core/.fba_core.objs/native/fba_core__Aer.o"
 aer_refs="$(nm -u "$aer_o" | awk '{print $NF}')"
 inline_fail=0
 for spec in \
-  "stdx__Int_table:slot_of find_slot mem get_or set add incr add_bit" \
-  "samplers__Cache:row_sid quorum_sid mem_sid pos_sid quorum_rid mem_rid mem_array pos_array" \
+  "stdx__Int_table:slot_of find_slot mem get_or set add incr" \
+  "samplers__Cache:row_sid quorum_sid mem_sid pos_sid quorum_rid mem_rid pos_rid mem_array pos_array" \
   "stdx__Vec:get push" \
   "core__Intern:string label" \
   "core__Msg:tag sid rid x w check_sid check_rid check_id push poll pull fw1 fw2 answer"; do

@@ -2,7 +2,6 @@ open Fba_stdx
 open Fba_core
 module Attacks = Fba_adversary.Aer_attacks
 module Corruption = Fba_adversary.Corruption
-module Schedulers = Fba_adversary.Schedulers
 module Engine = Fba_sim.Sync_engine.Make (Aer)
 
 let mk_scenario ?(byz = 0.1) ?(kn = 0.85) ?(n = 96) seed =
@@ -168,9 +167,9 @@ let injections (adv : Attacks.async) time =
 
 let test_async_window () =
   (* Drive the lifted adversary by hand, as the async engine does:
-     [observe] on every correct send, [inject] once per time step. With
-     max_delay = 3 the sync strategy acts at times 0, 3, 6, ... on the
-     sends since the previous window's [inject]. *)
+     [observe] on every correct send, [inject] once per time step. The
+     sync strategy acts at times 0, 4, 8, ... on the sends since the
+     previous window's [inject]. *)
   let sc = mk_scenario ~n:32 11L in
   let corrupted = sc.Scenario.corrupted in
   let byz = List.hd (Bitset.to_list corrupted) in
@@ -186,7 +185,12 @@ let test_async_window () =
           [ Fba_sim.Envelope.make ~src:byz ~dst:round (1000 + round) ]);
     }
   in
-  let adv = Attacks.async_of_sync ~max_delay:3 sc recording in
+  let adv = Attacks.async_of_sync sc recording in
+  let c = Array.of_list (List.filter (Scenario.is_correct sc) (List.init 32 Fun.id)) in
+  let delay src dst = adv.Fba_sim.Async_engine.delay ~time:0 ~src ~dst 0 in
+  Alcotest.(check (list int)) "delay bound; slow correct-correct; fast from and to byzantine"
+    [ 4; 4; 1; 1 ]
+    [ adv.Fba_sim.Async_engine.max_delay; delay c.(0) c.(1); delay byz c.(1); delay c.(0) byz ];
   let send ~time ~src ~dst msg = adv.Fba_sim.Async_engine.observe ~time ~src ~dst msg in
   let inject = injections adv in
   let env = Alcotest.(triple int int int) in
@@ -210,12 +214,15 @@ let test_async_window () =
   send ~time:2 ~src:9 ~dst:8 43;
   Alcotest.check injected "no act between windows" [] (inject 2);
   send ~time:3 ~src:1 ~dst:2 44;
-  Alcotest.check injected "round 1 injection" [ ((byz, 1, 1001), 1) ] (inject 3);
+  Alcotest.check injected "no act between windows" [] (inject 3);
+  send ~time:4 ~src:2 ~dst:1 45;
+  Alcotest.check injected "round 1 injection" [ ((byz, 1, 1001), 1) ] (inject 4);
   Alcotest.check window "round 1 window: every send since the round 0 inject"
-    ([ (8, 9, 42); (9, 8, 43); (1, 2, 44) ], [ (8, 9, 42); (9, 8, 43); (1, 2, 44) ])
+    ( [ (8, 9, 42); (9, 8, 43); (1, 2, 44); (2, 1, 45) ],
+      [ (8, 9, 42); (9, 8, 43); (1, 2, 44); (2, 1, 45) ] )
     (last_act ());
-  List.iter (fun t -> ignore (inject t)) [ 4; 5 ];
-  Alcotest.check injected "round 2 injection" [ ((byz, 2, 1002), 1) ] (inject 6);
+  List.iter (fun t -> ignore (inject t)) [ 5; 6; 7 ];
+  Alcotest.check injected "round 2 injection" [ ((byz, 2, 1002), 1) ] (inject 8);
   Alcotest.check window "the next window starts empty" ([], []) (last_act ());
   Alcotest.(check (list int)) "one act per window" [ 2; 1; 0 ]
     (List.map (fun (r, _, _) -> r) !acts);
@@ -226,12 +233,14 @@ let test_async_window () =
       act = (fun ~round ~observed:_ -> [ Fba_sim.Envelope.make ~src:byz ~dst:(round + 1) 7 ]);
     }
   in
-  let adv = Attacks.async_of_sync ~max_delay:2 sc blind in
+  let adv = Attacks.async_of_sync sc blind in
   adv.observe ~time:0 ~src:4 ~dst:5 40;
   Alcotest.check injected "blind strategy, round 0" [ ((byz, 1, 7), 1) ] (injections adv 0);
   adv.observe ~time:1 ~src:4 ~dst:5 41;
-  Alcotest.check injected "blind strategy, between windows" [] (injections adv 1);
-  Alcotest.check injected "blind strategy, round 1" [ ((byz, 2, 7), 1) ] (injections adv 2)
+  List.iter
+    (fun t -> Alcotest.check injected "blind strategy, between windows" [] (injections adv t))
+    [ 1; 2; 3 ];
+  Alcotest.check injected "blind strategy, round 1" [ ((byz, 2, 7), 1) ] (injections adv 4)
 
 (* --- async_cornering: the lifted cornering without the lift's log ---
 
@@ -258,7 +267,7 @@ let traced_async ~n ~seed adversary =
 
 let lifted_cornering sc =
   {
-    (Attacks.async_of_sync ~max_delay:4 sc (Attacks.cornering sc)) with
+    (Attacks.async_of_sync sc (Attacks.cornering sc)) with
     Fba_sim.Async_engine.delay = (Attacks.async_cornering sc).Fba_sim.Async_engine.delay;
   }
 
@@ -312,15 +321,6 @@ let test_corruption_adaptive_denies_gstring () =
     Alcotest.(check (option string)) "victim cannot decide gstring" None
       res.Fba_sim.Sync_engine.outputs.(victim)
 
-(* --- Schedulers --- *)
-
-let test_schedulers () =
-  let corrupted = Bitset.of_list 4 [ 3 ] in
-  Alcotest.(check int) "slow correct-correct" 5
-    (Schedulers.slow_correct ~corrupted ~max_delay:5 ~time:0 ~src:1 ~dst:2 ());
-  Alcotest.(check int) "fast byzantine" 1
-    (Schedulers.slow_correct ~corrupted ~max_delay:5 ~time:0 ~src:3 ~dst:2 ())
-
 let suites =
   [
     ( "adversary.attacks",
@@ -341,5 +341,4 @@ let suites =
         Alcotest.test_case "adaptive quorum seizure" `Quick
           test_corruption_adaptive_denies_gstring;
       ] );
-    ("adversary.schedulers", [ Alcotest.test_case "delay policies" `Quick test_schedulers ]);
   ]

@@ -256,6 +256,74 @@ let test_fw2_requires_h_membership () =
     (Array.to_list members);
   Alcotest.(check int) "answered exactly once" 1 !answers
 
+(* Algorithm 3 under reordering: w's Fw2 majority for (g, x) arrives
+   before x's Poll and answers nothing; the Poll then answers x once,
+   and neither a repeated Poll nor later Fw2 copies answer again. *)
+let test_fw2_before_poll () =
+  let params, sc, cfg = make_env () in
+  let w = List.find (Scenario.knows_gstring sc) (List.init n Fun.id) in
+  let st, _ = init_node cfg w in
+  let g = sc.Scenario.gstring and j = Params.sampler_j params in
+  let x, r =
+    List.init n (fun x -> List.init 50 (fun r -> (x, Int64.of_int (r + 1))))
+    |> List.concat
+    |> List.find (fun (x, r) -> x <> w && Array.mem w (Sampler.quorum_xr j ~x ~r))
+  in
+  let members = Sampler.quorum_sx (Params.sampler_h params) ~s:g ~x:w in
+  let maj = Params.majority_h params in
+  let fw2 k = deliver cfg st ~src:members.(k) (Msg.Fw2 { x; s = g; r }) in
+  let poll () = deliver cfg st ~src:x (Msg.Poll { s = g; r }) in
+  let quiet what outs = Alcotest.(check int) what 0 (List.length outs) in
+  for k = 0 to maj - 1 do
+    quiet "Fw2 before the Poll: no answer" (fw2 k)
+  done;
+  Alcotest.(check bool) "the Poll answers x once" true (poll () = [ (x, Msg.Answer g) ]);
+  quiet "a repeated Poll: nothing" (poll ());
+  for k = maj to Array.length members - 1 do
+    quiet "a later Fw2 copy: nothing" (fw2 k)
+  done
+
+(* The re-poll extension: with two attempts, [on_round] re-issues an
+   unanswered poll under a fresh label r2, and answers count afresh
+   against J(x, r2). Answers under r1 come from J(x, r1)'s last
+   positions and under r2 from J(x, r2)'s first, so a count carried
+   over would decide early. *)
+let test_repoll_counts_afresh () =
+  let params =
+    Params.make ~n ~seed:77L ~d_i:8 ~d_h:8 ~d_j:8 ~gstring_bits:48 ~max_poll_attempts:2 ()
+  in
+  let sc =
+    Scenario.make ~junk:Scenario.Junk_default ~params ~rng:(Prng.create 5L)
+      ~byzantine_fraction:0.1 ~knowledgeable_fraction:0.8 ()
+  in
+  let cfg = Aer.config_of_scenario sc in
+  let x = pick_ignorant sc in
+  let st, outs0 = init_node cfg x in
+  let polls =
+    List.filter_map (fun (y, m) -> match m with Msg.Poll { r; _ } -> Some (r, y) | _ -> None)
+  in
+  let first = polls outs0 in
+  let junk = sc.Scenario.initial.(x) in
+  let answer src = ignore (deliver cfg st ~src (Msg.Answer junk)) in
+  let maj = Params.majority_j params in
+  let undecided what = Alcotest.(check (option string)) what None (Aer.decided st) in
+  List.iteri (fun i (_, y) -> if i > Params.(params.d_j) - maj then answer y) first;
+  undecided "one answer short under r1";
+  let timeout = params.Params.repoll_timeout in
+  Alcotest.(check int) "no re-poll before the timeout" 0
+    (List.length (Aer.on_round cfg st ~round:(timeout - 1)));
+  let second = polls (unpack_outs cfg (Aer.on_round cfg st ~round:timeout)) in
+  Alcotest.(check int) "the re-poll polls a full list" Params.(params.d_j) (List.length second);
+  Alcotest.(check bool) "under a fresh label" true (fst (List.hd first) <> fst (List.hd second));
+  let j2 = List.map snd second in
+  List.iteri (fun i y -> if i < maj - 1 then answer y) j2;
+  undecided "below the majority of J(x, r2)";
+  answer (snd (List.find (fun (_, y) -> not (List.mem y j2)) first));
+  undecided "a member of J(x, r1) only is refused";
+  answer (List.nth j2 (maj - 1));
+  Alcotest.(check (option string)) "the majority-th member of J(x, r2) decides" (Some junk)
+    (Aer.decided st)
+
 (* Algorithm 2's second handler on one (s, x) whose forwarding state
    crosses every representation boundary. d_h = n puts every node in
    every pull quorum, so each relay and sender check passes and sender
@@ -485,6 +553,8 @@ let suites =
         Alcotest.test_case "decision monotone" `Quick test_decision_is_monotone;
         Alcotest.test_case "fw2: H-membership + single answer" `Quick
           test_fw2_requires_h_membership;
+        Alcotest.test_case "fw2: majority before the poll, one answer" `Quick test_fw2_before_poll;
+        Alcotest.test_case "answer: a re-poll counts afresh" `Quick test_repoll_counts_afresh;
         Alcotest.test_case "fw1: sender filter, majority burst, wire order" `Quick test_fw1_burst;
         Alcotest.test_case "fw1: verified once per label" `Quick test_fw1_verification_cache;
         Alcotest.test_case "fw1: copies past the majority change nothing" `Quick

@@ -32,7 +32,7 @@ module Packed = Msg.Packed
 
 (* --- Int_table vs Hashtbl model --- *)
 
-type iop = Set of int * int | Add of int | Incr of int | Add_bit of int * int | Mem of int | Clear
+type iop = Set of int * int | Add of int | Incr of int | Mem of int | Clear
 
 let gen_iop =
   let open QCheck2.Gen in
@@ -44,7 +44,6 @@ let gen_iop =
       map2 (fun k v -> Set (k, v)) k (int_range 0 1000);
       map (fun k -> Add k) k;
       map (fun k -> Incr k) k;
-      map2 (fun k b -> Add_bit (k, b)) k (int_range 0 61);
       map (fun k -> Mem k) k;
       return Clear;
     ]
@@ -75,11 +74,6 @@ let prop_int_table =
                  let v' = (match Hashtbl.find_opt model k with Some v -> v | None -> 0) + 1 in
                  Hashtbl.replace model k v';
                  v = v'
-               | Add_bit (k, b) ->
-                 let fresh = Int_table.add_bit t k ~bit:b in
-                 let prev = match Hashtbl.find_opt model k with Some v -> v | None -> 0 in
-                 Hashtbl.replace model k (prev lor (1 lsl b));
-                 fresh = (prev land (1 lsl b) = 0)
                | Mem k -> Int_table.mem t k = Hashtbl.mem model k
                | Clear ->
                  Int_table.clear t;
@@ -89,7 +83,7 @@ let prop_int_table =
              ok
              && Int_table.length t = Hashtbl.length model
              && (match op with
-                | Set (k, _) | Add k | Incr k | Add_bit (k, _) | Mem k ->
+                | Set (k, _) | Add k | Incr k | Mem k ->
                   Int_table.get_or t k ~default:min_int = get_m k
                 | Clear -> true))
            ops))
@@ -103,8 +97,7 @@ let test_int_table_negative () =
   in
   rejects "set" (fun () -> Int_table.set t (-1) 0);
   rejects "add" (fun () -> ignore (Int_table.add t (-3)));
-  rejects "incr" (fun () -> ignore (Int_table.incr t (-1)));
-  rejects "add_bit" (fun () -> ignore (Int_table.add_bit t (-1) ~bit:0))
+  rejects "incr" (fun () -> ignore (Int_table.incr t (-1)))
 
 (* --- Shared scenario fixtures --- *)
 

@@ -92,7 +92,7 @@ let test_width_refused () =
    [--profile dev] reads 0.7% more. Opening every instance on a fresh
    mailbox instead of its lane's reads 26% more, so the 1% budget
    catches a dropped reuse. *)
-let service_n128_words = 830_119.
+let service_n128_words = 802_092.
 
 let test_alloc_budget () =
   let instances = 8 in

@@ -202,11 +202,11 @@ let allocated_words () =
 (* Words one run, scenario included, allocates on the default
    (release) build; [--profile dev] reads a little more (0.5% for
    cornering n=128). Each budget allows 1%. *)
-let cornering_n128_words = 1_057_115.
+let cornering_n128_words = 1_028_352.
 
-let non_rushing_n128_words = 1_042_482.
+let non_rushing_n128_words = 1_019_392.
 
-let async_n256_words = 3_036_569.
+let async_n256_words = 2_997_183.
 
 let check_alloc_budget what run recorded () =
   let before = allocated_words () in
