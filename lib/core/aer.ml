@@ -55,13 +55,9 @@ let tables cfg =
 (* Idempotent: the engines call it once per run, before [init]. *)
 let compile cfg = ignore (tables cfg : Compiled.t)
 
-(* Messages live on the packed plane: one immediate int each (Msg.Packed
-   layout), with candidate strings and poll labels carried as interner
-   ids. Handlers never materialize the variant form. *)
+(* A message is one packed word (Msg.Packed), with candidate strings
+   and poll labels carried as interner ids. *)
 type msg = Packed.t
-
-let pack cfg m = Packed.pack cfg.layout cfg.intern m
-let unpack cfg p = Packed.unpack cfg.layout cfg.intern p
 
 (* The historical tables were keyed by (x, s) or (s, x) tuples; with
    both coordinates now small ints the pair packs into one immediate

@@ -67,18 +67,12 @@ include Fba_sim.Protocol.S with type config := config and type msg = Msg.Packed.
 (** Messages are packed immediates ({!Msg.Packed}): handlers run
     entirely on int words and emit through [receive_into] without
     allocating. [on_receive] remains as a list-returning shim over the
-    same handlers. *)
-
-val pack : config -> Msg.t -> msg
-(** Pack a variant message onto the wire plane, interning its payloads
-    in the run's interner. *)
-
-val unpack : config -> msg -> Msg.t
-(** Exact inverse of {!pack}. *)
+    same handlers. [msg_bits] is {!Compiled.bits}, AER's one wire-size
+    rule. *)
 
 val phase_of_kind : string -> string
-(** Map a message kind (a {!msg_tags} name, which is also the first
-    token of {!Msg.pp}) onto the protocol phase it belongs to:
+(** Map a message kind (a {!msg_tags} name) onto the protocol phase it
+    belongs to:
     Push ↦ "push"; Poll, Pull and Answer ↦ "poll" (the Algorithm 1
     poll round-trip); Fw1 ↦ "fw1"; Fw2 ↦ "fw2"
     (the Algorithm 2/3 forwarding bursts). Unknown kinds map to

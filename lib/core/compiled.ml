@@ -105,8 +105,7 @@ let build ~(scenario : Scenario.t) ~(qi : Cache.t) =
     push_tgt.(next.(y)) <- Vec.get edge_x i;
     next.(y) <- next.(y) + 1
   done;
-  (* Wire-size tables (mirrors Msg.bits / Msg.Packed.bits exactly;
-     the compiled.tables suite pins the agreement). *)
+  (* Wire-size tables: the wire rule itself (see compiled.mli). *)
   let id_bits = Params.id_bits params in
   let header = Fba_sim.Metrics.header_bits ~n in
   let tag_fixed = Array.make 8 (-1) in

@@ -14,8 +14,9 @@
       consult is drawn during the build and donated to the lazy cache
       ({!Fba_samplers.Cache.seed_sid_row}), so delivery-time
       membership tests are pure array walks;
-    - wire-size tables — [bits] becomes two array loads instead of a
-      per-message [ceil_log2] and string-length computation.
+    - wire-size tables — [bits], AER's one wire-size rule, is two
+      array loads instead of a per-message [ceil_log2] and
+      string-length computation.
 
     The lazy caches remain the fallback for runtime-dependent keys
     (poll labels, adversarial strings) and the oracle the table tests
@@ -44,6 +45,10 @@ val push_targets : t -> y:int -> int array
     path iterates the CSR in place). *)
 
 val bits : t -> Msg.Packed.t -> int
-(** Wire size of a packed message — agrees exactly with
-    {!Msg.Packed.bits} (and so with {!Msg.bits}); strings interned
-    after compilation are measured and memoized on first sight. *)
+(** Wire size of a packed message in bits: the header
+    ({!Fba_sim.Metrics.header_bits}: tag, source and destination), 8
+    bits per byte of its string, a {!Params.label_bits} label for Poll,
+    Pull, Fw1 and Fw2, and one ⌈log₂ n⌉-bit node id for Fw2 (x) or two
+    for Fw1 (x, w). The packed field widths never enter it. Strings
+    interned after compilation are measured and memoized on first
+    sight. Raises [Invalid_argument] on an invalid tag. *)

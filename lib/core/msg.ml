@@ -1,40 +1,5 @@
 open Fba_stdx
 
-type t =
-  | Push of string
-  | Poll of { s : string; r : int64 }
-  | Pull of { s : string; r : int64 }
-  | Fw1 of { x : int; s : string; r : int64; w : int }
-  | Fw2 of { x : int; s : string; r : int64 }
-  | Answer of string
-
-let bits params t =
-  let id = Params.id_bits params in
-  let header = Fba_sim.Metrics.header_bits ~n:params.Params.n in
-  let str s = 8 * String.length s in
-  let payload =
-    match t with
-    | Push s -> str s
-    | Poll { s; _ } | Pull { s; _ } -> str s + Params.label_bits
-    | Fw1 { s; _ } -> str s + Params.label_bits + (2 * id)
-    | Fw2 { s; _ } -> str s + Params.label_bits + id
-    | Answer s -> str s
-  in
-  header + payload
-
-let pp_hex fmt s =
-  String.iter (fun c -> Format.fprintf fmt "%02x" (Char.code c)) s
-
-let pp fmt = function
-  | Push s -> Format.fprintf fmt "Push(%a)" pp_hex s
-  | Poll { s; r } -> Format.fprintf fmt "Poll(%a, %Ld)" pp_hex s r
-  | Pull { s; r } -> Format.fprintf fmt "Pull(%a, %Ld)" pp_hex s r
-  | Fw1 { x; s; r; w } -> Format.fprintf fmt "Fw1(x=%d, %a, %Ld, w=%d)" x pp_hex s r w
-  | Fw2 { x; s; r } -> Format.fprintf fmt "Fw2(x=%d, %a, %Ld)" x pp_hex s r
-  | Answer s -> Format.fprintf fmt "Answer(%a)" pp_hex s
-
-type msg = t
-
 (* The field widths of the packed word, first-class. The packing order
    is fixed — [tag:3 | sid | rid | x | w], LSB first — only the widths
    move. Everything the rest of the plane needs (shifts, masks, caps)
@@ -129,15 +94,15 @@ module Layout = struct
     make ~sid_bits ~rid_bits ~id_bits
 end
 
-(* The packed twin: one OCaml immediate per message, so mailboxes and
-   calendar buckets hold unboxed ints and enqueue/deliver never touch
-   the heap. Strings and labels are replaced by {!Intern} ids; the
+(* A message is one OCaml immediate, so mailboxes and calendar buckets
+   hold unboxed ints and enqueue/deliver never touch the heap. Strings
+   and labels are replaced by their ids in the run's interner; the
    field widths come from the run's {!Layout} (LSB first)
 
      tag:3 | sid | rid | x | w
 
-   and always fit a 63-bit immediate. All fields are checked at pack
-   time against the layout's caps. Tag 0 is deliberately invalid so an
+   and always fit a 63-bit immediate. The constructors check every
+   field against the layout's caps. Tag 0 is deliberately invalid so an
    uninitialized slot can never decode. *)
 module Packed = struct
   type t = int
@@ -192,44 +157,4 @@ module Packed = struct
     lor (check_id lt "x" x lsl lt.Layout.x_shift)
 
   let[@inline] answer (lt : Layout.t) ~sid = tag_answer lor (check_sid lt sid lsl 3)
-
-  let pack lt intern m =
-    match m with
-    | Push s -> push lt ~sid:(Intern.intern intern s)
-    | Poll { s; r } -> poll lt ~sid:(Intern.intern intern s) ~rid:(Intern.intern_label intern r)
-    | Pull { s; r } -> pull lt ~sid:(Intern.intern intern s) ~rid:(Intern.intern_label intern r)
-    | Fw1 { x; s; r; w } ->
-      fw1 lt ~sid:(Intern.intern intern s) ~rid:(Intern.intern_label intern r) ~x ~w
-    | Fw2 { x; s; r } ->
-      fw2 lt ~sid:(Intern.intern intern s) ~rid:(Intern.intern_label intern r) ~x
-    | Answer s -> answer lt ~sid:(Intern.intern intern s)
-
-  let unpack lt intern p =
-    let s () = Intern.string intern (sid lt p) in
-    let r () = Intern.label intern (rid lt p) in
-    match tag p with
-    | 1 -> Push (s ())
-    | 2 -> Poll { s = s (); r = r () }
-    | 3 -> Pull { s = s (); r = r () }
-    | 4 -> Fw1 { x = x lt p; s = s (); r = r (); w = w lt p }
-    | 5 -> Fw2 { x = x lt p; s = s (); r = r () }
-    | 6 -> Answer (s ())
-    | _ -> invalid_arg "Msg.Packed.unpack: invalid tag"
-
-  (* Same accounting as [bits] above, reading field presence off the
-     tag instead of the constructor — kept in exact agreement (the
-     packed-codec qcheck property pins this). *)
-  let bits lt params intern p =
-    let id = Params.id_bits params in
-    let header = Fba_sim.Metrics.header_bits ~n:params.Params.n in
-    let str = 8 * String.length (Intern.string intern (sid lt p)) in
-    let payload =
-      match tag p with
-      | 1 | 6 -> str
-      | 2 | 3 -> str + Params.label_bits
-      | 4 -> str + Params.label_bits + (2 * id)
-      | 5 -> str + Params.label_bits + id
-      | _ -> invalid_arg "Msg.Packed.bits: invalid tag"
-    in
-    header + payload
 end

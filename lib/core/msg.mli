@@ -1,4 +1,6 @@
-(** AER wire messages (Section 3.1, Algorithms 1–3).
+(** AER wire messages (Section 3.1, Algorithms 1–3), each one packed
+    word ({!Packed}): Push(s), Poll(s, r), Pull(s, r), Fw1(x, s, r, w),
+    Fw2(x, s, r) and Answer(s).
 
     The pull phase routes a request from the requester [x] through its
     Pull Quorum H(s, x), then through the Pull Quorums H(s, w) of every
@@ -11,26 +13,6 @@
     z ∈ H(s,w) --Fw2(x,s,r)--> w                   (majority-filtered)
     w --Answer(s)--> x                             (if Polled and majority)
     v} *)
-
-type t =
-  | Push of string  (** push-phase diffusion of a candidate *)
-  | Poll of { s : string; r : int64 }
-  | Pull of { s : string; r : int64 }
-  | Fw1 of { x : int; s : string; r : int64; w : int }
-  | Fw2 of { x : int; s : string; r : int64 }
-  | Answer of string
-
-val bits : Params.t -> t -> int
-(** Wire size in bits: an 8-bit tag, source and destination headers of
-    ⌈log₂ n⌉ bits each, plus the payload (strings cost 8 bits per
-    byte, labels {!Params.label_bits}, embedded identities ⌈log₂ n⌉).
-    Wire accounting is a property of [params], not of the packed
-    {!Layout}: field widths never change measured bits. *)
-
-val pp : Format.formatter -> t -> unit
-
-type msg = t
-(** Alias so {!Packed} (whose own [t] is [int]) can name the variant. *)
 
 (** First-class field widths for the packed plane. The packing order is
     fixed ([tag:3 | sid | rid | x | w], LSB first); a layout holds the
@@ -82,12 +64,11 @@ module Layout : sig
   val total_bits : t -> int
 end
 
-(** The packed twin: one message as one OCaml immediate int, with
-    strings and labels replaced by {!Intern} ids. Field widths come
-    from the run's {!Layout}; every function below must be given the
-    layout the word was packed with. The codec to and from the variant
-    is exact, and {!Packed.bits} agrees with {!bits} on every message,
-    so wire accounting is unchanged on the packed plane. *)
+(** One message as one OCaml immediate int, with strings and labels
+    replaced by {!Intern} ids. Field widths come from the run's
+    {!Layout}; every function below must be given the layout the word
+    was packed with. The word carries no sizes: its wire cost is
+    {!Compiled.bits}. *)
 module Packed : sig
   type t = int
 
@@ -116,13 +97,4 @@ module Packed : sig
   (** Direct constructors; raise [Invalid_argument] on a field that
       does not fit its packed width, naming the overflowing field, its
       value and the layout's bound. *)
-
-  val pack : Layout.t -> Intern.t -> msg -> t
-  (** Intern the payloads and pack. *)
-
-  val unpack : Layout.t -> Intern.t -> t -> msg
-  (** Exact inverse of {!pack} (for interned ids that exist). *)
-
-  val bits : Layout.t -> Params.t -> Intern.t -> t -> int
-  (** Equals [bits params (unpack layout intern p)] without unpacking. *)
 end

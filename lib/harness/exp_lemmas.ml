@@ -3,7 +3,7 @@ open Fba_core
 module Attacks = Fba_adversary.Aer_attacks
 
 let sizes full = if full then [ 128; 256; 512; 1024 ] else [ 64; 128; 256 ]
-let seed_count full = if full then 3 else 3
+let seed_count = 3
 
 type cell =
   | Push_safety of { n : int; seeds : int64 list }
@@ -55,7 +55,7 @@ type row =
 let name = "lemmas"
 
 let grid ~full =
-  let seeds = Runner.seeds (seed_count full) in
+  let seeds = Runner.seeds seed_count in
   let push = List.map (fun n -> Push_safety { n; seeds }) (sizes full) in
   let decision =
     List.concat_map

@@ -35,21 +35,12 @@ let partition_lens full = if full then [ 0; 1; 2; 4; 8 ] else [ 0; 1; 2; 4 ]
 
 let protos = [ Aer; Naive; Grid ]
 
-(* FBA_ROBUSTNESS_SMOKE shrinks the sweep to one non-zero drop rate and
-   one partition length at small n, so scripts/ci.sh can diff a
-   sequential run against a sharded one cheaply. [render] tolerates the
-   subset grid (missing cells print "-"). *)
-let smoke () = Sys.getenv_opt "FBA_ROBUSTNESS_SMOKE" <> None
-
 let grid ~full =
-  let conds, n, seeds =
-    if smoke () then ([ Drop_rate 0.10; Partition_len 2 ], 48, Runner.seeds 2)
-    else
-      ( List.map (fun r -> Drop_rate r) drop_rates
-        @ List.map (fun k -> Partition_len k) (partition_lens full),
-        (if full then 256 else 96),
-        Runner.seeds (if full then 5 else 3) )
+  let conds =
+    List.map (fun r -> Drop_rate r) drop_rates
+    @ List.map (fun k -> Partition_len k) (partition_lens full)
   in
+  let n = if full then 256 else 96 and seeds = Runner.seeds (if full then 5 else 3) in
   List.concat_map
     (fun cond -> List.map (fun proto -> { proto; cond; n; seeds }) protos)
     conds
@@ -98,50 +89,41 @@ let cond_label = function
 open Fba_stdx
 
 (* One table per condition family, conditions as rows, one column
-   group per protocol. Tolerates subset grids: missing cells print
-   "-", empty families are skipped. *)
+   group per protocol. *)
 let render_family ~out ~title ~cond_col rows conds =
-  let rows_for cond proto =
-    List.find_opt (fun r -> r.r_cond = cond && r.r_proto = proto) rows
+  let row_for cond proto = List.find (fun r -> r.r_cond = cond && r.r_proto = proto) rows in
+  Printf.fprintf out "%s\n\n" title;
+  let tbl =
+    Table.create
+      ~columns:
+        (( cond_col, Table.Left )
+        :: List.concat_map
+             (fun p ->
+               let l = proto_label p in
+               [
+                 (l ^ " agreed", Table.Right); (l ^ " runs ok", Table.Right);
+                 (l ^ " rounds", Table.Right); (l ^ " bits/node", Table.Right);
+               ])
+             protos)
   in
-  let any = List.exists (fun c -> List.exists (fun r -> r.r_cond = c) rows) conds in
-  if any then begin
-    Printf.fprintf out "%s\n\n" title;
-    let tbl =
-      Table.create
-        ~columns:
-          (( cond_col, Table.Left )
-          :: List.concat_map
-               (fun p ->
-                 let l = proto_label p in
-                 [
-                   (l ^ " agreed", Table.Right); (l ^ " runs ok", Table.Right);
-                   (l ^ " rounds", Table.Right); (l ^ " bits/node", Table.Right);
-                 ])
-               protos)
-    in
-    List.iter
-      (fun cond ->
-        let cells =
-          List.concat_map
-            (fun p ->
-              match rows_for cond p with
-              | None -> [ "-"; "-"; "-"; "-" ]
-              | Some r ->
-                [
-                  Table.cell_float ~decimals:3 r.agreed;
-                  Table.cell_float ~decimals:2 r.all_agreed;
-                  Table.cell_float ~decimals:1 r.rounds;
-                  Table.cell_float ~decimals:0 r.bits;
-                ])
-            protos
-        in
-        if List.exists (fun c -> c <> "-") cells then
-          Table.add_row tbl (cond_label cond :: cells))
-      conds;
-    output_string out (Table.to_markdown tbl);
-    Printf.fprintf out "\n"
-  end
+  List.iter
+    (fun cond ->
+      let cells =
+        List.concat_map
+          (fun p ->
+            let r = row_for cond p in
+            [
+              Table.cell_float ~decimals:3 r.agreed;
+              Table.cell_float ~decimals:2 r.all_agreed;
+              Table.cell_float ~decimals:1 r.rounds;
+              Table.cell_float ~decimals:0 r.bits;
+            ])
+          protos
+      in
+      Table.add_row tbl (cond_label cond :: cells))
+    conds;
+  output_string out (Table.to_markdown tbl);
+  Printf.fprintf out "\n"
 
 let render ~full ~out rows =
   Printf.fprintf out "## Off-model robustness (network conditions beyond Section 2.1)\n\n";

@@ -25,10 +25,7 @@ type cell
 type row
 
 val grid : full:bool -> cell list
-(** [full] enlarges n, the seed count and the partition-length sweep.
-    Setting the [FBA_ROBUSTNESS_SMOKE] environment variable shrinks the
-    grid to one drop rate and one partition length at n=48 (used by
-    [scripts/ci.sh] to diff [--jobs] runs cheaply). *)
+(** [full] enlarges n, the seed count and the partition-length sweep. *)
 
 val run_cell : cell -> row
 val render : full:bool -> out:out_channel -> row list -> unit

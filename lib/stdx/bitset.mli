@@ -17,21 +17,11 @@ val mem : t -> int -> bool
 val add : t -> int -> unit
 (** Add an element in place. *)
 
-val remove : t -> int -> unit
-(** Remove an element in place. *)
-
 val cardinal : t -> int
 (** Number of members. O(capacity/64). *)
 
-val is_empty : t -> bool
-
 val equal : t -> t -> bool
 (** Same capacity and same members. O(capacity/8), no allocation. *)
-
-val copy : t -> t
-
-val clear : t -> unit
-(** Remove all elements. *)
 
 val of_list : int -> int list -> t
 (** [of_list capacity elements]. *)
@@ -43,20 +33,6 @@ val to_list : t -> int list
 
 val iter : (int -> unit) -> t -> unit
 (** Iterate members in increasing order. *)
-
-val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
-
-val union : t -> t -> t
-(** New set; capacities must match. *)
-
-val inter : t -> t -> t
-(** New set; capacities must match. *)
-
-val diff : t -> t -> t
-(** New set; capacities must match. *)
-
-val complement : t -> t
-(** New set of all non-members. *)
 
 val count_in : t -> int array -> int
 (** [count_in t a] is the number of entries of [a] that are members of

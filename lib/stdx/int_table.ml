@@ -110,10 +110,6 @@ let[@inline] incr t key =
     1
   end
 
-let clear t =
-  Array.fill t.keys 0 (Array.length t.keys) (-1);
-  t.count <- 0
-
 let reset t =
   t.keys <- Array.make initial_capacity (-1);
   t.vals <- Array.make initial_capacity 0;

@@ -40,9 +40,6 @@ val reserve : t -> int -> unit
     on the way. Bindings are kept; a request the table already meets
     (a smaller one included) changes nothing, so it never shrinks. *)
 
-val clear : t -> unit
-(** Remove every binding, keeping the storage. *)
-
 val reset : t -> unit
 (** Remove every binding {e and} shrink the storage back to the
     initial capacity — the state-eviction path: a table whose rows can

@@ -32,8 +32,5 @@ val run : jobs:int -> (int -> 'a) -> int -> 'a array
 (** [run ~jobs f len] is [[| f 0; ...; f (len-1) |]], computed on
     [min jobs len] domains. *)
 
-val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map ~jobs f arr] is [Array.map f arr] via {!run}. *)
-
 val map_list : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list ~jobs f l] is [List.map f l] via {!run}. *)

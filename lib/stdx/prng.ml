@@ -10,8 +10,6 @@ let mix64 z =
 
 let create seed = { state = mix64 (Int64.add seed 0x5851F42D4C957F2DL) }
 
-let copy t = { state = t.state }
-
 let next64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix64 t.state

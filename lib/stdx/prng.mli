@@ -13,9 +13,6 @@ val create : int64 -> t
 (** [create seed] is a fresh generator deterministically derived from
     [seed]. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     independent of the remainder of [t]'s stream. *)

@@ -2,14 +2,6 @@ let mean a =
   let n = Array.length a in
   if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 a /. float_of_int n
 
-let minimum a =
-  if Array.length a = 0 then invalid_arg "Stats.minimum: empty";
-  Array.fold_left min a.(0) a
-
-let maximum a =
-  if Array.length a = 0 then invalid_arg "Stats.maximum: empty";
-  Array.fold_left max a.(0) a
-
 let percentile a p =
   let n = Array.length a in
   if n = 0 then invalid_arg "Stats.percentile: empty";
@@ -98,8 +90,8 @@ module Growth = struct
     if Array.length points < 3 then invalid_arg "Growth.classify: need >= 3 sizes";
     let ys = Array.map snd points in
     let dynamic_range =
-      let lo = max (minimum ys) 1e-9 in
-      maximum ys /. lo
+      let lo = max (Array.fold_left min ys.(0) ys) 1e-9 in
+      Array.fold_left max ys.(0) ys /. lo
     in
     let pw = power_fit points in
     if pw.slope < 0.12 && dynamic_range < 2.0 then Constant

@@ -8,12 +8,6 @@
 val mean : float array -> float
 (** Arithmetic mean; 0 on the empty array. *)
 
-val minimum : float array -> float
-(** Raises [Invalid_argument] on the empty array. *)
-
-val maximum : float array -> float
-(** Raises [Invalid_argument] on the empty array. *)
-
 val percentile : float array -> float -> float
 (** [percentile a p] with [p] in [\[0, 100\]], linear interpolation
     between order statistics. Raises [Invalid_argument] on the empty

@@ -89,9 +89,5 @@ let to_csv t =
   List.iter emit (rows_in_order t);
   Buffer.contents buf
 
-let print ?(out = stdout) t =
-  output_string out (to_markdown t);
-  flush out
-
 let cell_int = string_of_int
 let cell_float ?(decimals = 2) f = Printf.sprintf "%.*f" decimals f

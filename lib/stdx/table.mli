@@ -21,9 +21,6 @@ val to_markdown : t -> string
 val to_csv : t -> string
 (** RFC-4180-ish CSV (quotes fields containing commas or quotes). *)
 
-val print : ?out:out_channel -> t -> unit
-(** Prints the markdown rendering followed by a newline. *)
-
 val cell_int : int -> string
 val cell_float : ?decimals:int -> float -> string
 (** Formatting helpers with fixed decimal places (default 2). *)

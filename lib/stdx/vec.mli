@@ -18,10 +18,6 @@ val is_empty : 'a t -> bool
 val get : 'a t -> int -> 'a
 (** Raises [Invalid_argument] out of bounds. *)
 
-val set : 'a t -> int -> 'a -> unit
-(** Replace an existing element; raises [Invalid_argument] out of
-    bounds (cannot extend — use [push]). *)
-
 val push : 'a t -> 'a -> unit
 (** Append, doubling the backing array when full (amortized O(1)). *)
 
@@ -37,17 +33,3 @@ val clear : 'a t -> unit
 val reset : 'a t -> unit
 (** Like [clear], but drop the backing array too — the eviction path:
     the next [push] starts from an empty allocation. *)
-
-val iter : ('a -> unit) -> 'a t -> unit
-(** Iterate in push order over the elements present when iteration of
-    each index occurs; elements pushed mid-iteration are visited. *)
-
-val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-
-val to_list : 'a t -> 'a list
-(** Elements in push order. *)
-
-val to_array : 'a t -> 'a array
-(** Fresh array of the live prefix. *)
-
-val of_list : 'a list -> 'a t

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Build everything, guard the build flags and the delivery path's
-# objects, run the test suite, then smoke-test the command-line
-# surfaces: trace and profile exports, byte-identical experiment and
-# service output at any worker count, and exit 2 for flag values the
-# library rejects. Speed is measured by benchmark/, not here.
+# objects, run the test suite and the slow half of the output manifest
+# (test/manifest), then smoke-test the command-line surfaces: trace and
+# profile exports, byte-identical experiment and service output at any
+# worker count, and exit 2 for flag values the library rejects. Speed is
+# measured by benchmark/, not here.
 set -e
 cd "$(dirname "$0")/.."
 tmp="$(mktemp -d)"
@@ -111,11 +112,14 @@ done
 echo "poly-compare guard ok: $(echo $guarded | wc -w) objects, no polymorphic compare or hash"
 
 dune runtest
+# The lemmas and ablation tables (~15 s) against their expected stdout.
+dune build @test/manifest/manifest-slow
+echo "output manifest ok: lemmas and ablation tables unchanged"
 
 # Environment-switch allowlist: the program may read only these FBA_*
 # variables. Every other name is refused, so an A/B twin of a code path
 # cannot come back behind a new switch unnoticed.
-allowed="FBA_JOBS FBA_PROGRESS FBA_ROBUSTNESS_SMOKE FBA_WIDE_SWEEP_SIZES"
+allowed="FBA_JOBS FBA_PROGRESS FBA_WIDE_SWEEP_SIZES"
 read_vars="$(grep -rhoE --include='*.ml' '"FBA_[A-Z0-9_]*' lib bin | tr -d '"' | sort -u)"
 for v in $read_vars; do
   case " $allowed " in
@@ -211,12 +215,12 @@ else
   exit 1
 fi
 
-# Robustness smoke test: the off-model network-condition sweep, shrunk
-# to one drop rate and one partition length (FBA_ROBUSTNESS_SMOKE),
-# must also be byte-identical whether sequential or sharded — the Net
-# layer's per-run PRNG state must not leak across cells or domains.
-FBA_ROBUSTNESS_SMOKE=1 dune exec bin/fba.exe -- experiment robustness --jobs 1 > "$seq_out"
-FBA_ROBUSTNESS_SMOKE=1 dune exec bin/fba.exe -- experiment robustness --jobs 2 > "$par_out"
+# Robustness smoke test: the off-model network-condition sweep (its
+# default grid, well under a second) must also be byte-identical
+# whether sequential or sharded — the Net layer's per-run PRNG state
+# must not leak across cells or domains.
+dune exec bin/fba.exe -- experiment robustness --jobs 1 > "$seq_out"
+dune exec bin/fba.exe -- experiment robustness --jobs 2 > "$par_out"
 if cmp -s "$seq_out" "$par_out"; then
   echo "robustness jobs smoke ok: --jobs 2 output identical to --jobs 1"
 else
@@ -287,5 +291,9 @@ refused "Params.make_for: byzantine_fraction must be in [0, 1/3)" trace -n 48 --
 refused "Aeba.make_config: byzantine_fraction must be in [0, 1/3)" run-ba -n 64 --byzantine 0.34
 echo "flag smoke ok: rejected flag values exit 2 with the library's message"
 
-# The size ROADMAP tracks from change to change.
-echo "lines over lib test bin scripts: $(find lib test bin scripts -type f | xargs cat | wc -l)"
+# The size ROADMAP tracks from change to change: the lines of code files
+# (OCaml sources, dune files, shell scripts) under lib, test, bin,
+# scripts and benchmark. Expected outputs are data and stay out.
+code_lines="$(find lib test bin scripts benchmark -type f \
+  \( -name '*.ml' -o -name '*.mli' -o -name dune -o -name '*.sh' \) | xargs cat | wc -l)"
+echo "code lines over lib test bin scripts benchmark: $code_lines"

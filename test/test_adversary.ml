@@ -65,15 +65,10 @@ let test_cornering_budget () =
      d_h pulls. *)
   let sc = mk_scenario ~byz:0.2 ~kn:0.8 5L in
   let attack = Attacks.cornering sc in
-  (* feed it a synthetic observation: one honest poll (packed, like
-     everything the engine would show it) *)
-  let intern = sc.Scenario.intern in
+  (* feed it a synthetic observation: one honest poll *)
+  let wd = Words.of_scenario sc in
   let observed =
-    [
-      Fba_sim.Envelope.make ~src:1 ~dst:2
-        (Msg.Packed.pack sc.Scenario.layout intern
-           (Msg.Poll { s = sc.Scenario.gstring; r = 5L }));
-    ]
+    [ Fba_sim.Envelope.make ~src:1 ~dst:2 (Words.poll wd sc.Scenario.gstring ~r:5L) ]
   in
   let envs = attack.Fba_sim.Sync_engine.act ~round:0 ~observed:(fun () -> observed) in
   let t = Bitset.cardinal sc.Scenario.corrupted in
@@ -82,10 +77,10 @@ let test_cornering_budget () =
   List.iter
     (fun (e : Aer.msg Fba_sim.Envelope.t) ->
       Alcotest.(check bool) "from corrupted" true (Bitset.mem sc.Scenario.corrupted e.src);
-      match Msg.Packed.unpack sc.Scenario.layout intern e.Fba_sim.Envelope.msg with
-      | Msg.Poll { s; _ } | Msg.Pull { s; _ } ->
-        Alcotest.(check string) "targets gstring" sc.Scenario.gstring s
-      | _ -> Alcotest.fail "unexpected message kind")
+      let tag = Msg.Packed.tag e.msg in
+      if tag <> Msg.Packed.tag_poll && tag <> Msg.Packed.tag_pull then
+        Alcotest.fail "unexpected message kind";
+      Alcotest.(check string) "targets gstring" sc.Scenario.gstring (Words.string wd e.msg))
     envs
 
 let test_quorum_capture_strings_pass_filter () =
@@ -98,13 +93,13 @@ let test_quorum_capture_strings_pass_filter () =
   let envs = attack.Fba_sim.Sync_engine.act ~round:0 ~observed:(fun () -> []) in
   Alcotest.(check bool) "found capture strings" true (envs <> []);
   let si = Params.sampler_i params in
+  let wd = Words.of_scenario sc in
   List.iter
     (fun (e : Aer.msg Fba_sim.Envelope.t) ->
-      match Msg.Packed.unpack sc.Scenario.layout sc.Scenario.intern e.Fba_sim.Envelope.msg with
-      | Msg.Push s ->
-        Alcotest.(check bool) "sender in I(s, victim)" true
-          (Array.mem e.src (Fba_samplers.Sampler.quorum_sx si ~s ~x:e.dst))
-      | _ -> Alcotest.fail "capture should only push")
+      if Msg.Packed.tag e.msg <> Msg.Packed.tag_push then Alcotest.fail "capture should only push";
+      let s = Words.string wd e.msg in
+      Alcotest.(check bool) "sender in I(s, victim)" true
+        (Array.mem e.src (Fba_samplers.Sampler.quorum_sx si ~s ~x:e.dst)))
     envs
 
 (* --- forged out-of-range ids --- *)

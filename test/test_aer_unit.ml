@@ -6,6 +6,7 @@
 open Fba_stdx
 open Fba_core
 module Sampler = Fba_samplers.Sampler
+module Packed = Msg.Packed
 
 let n = 64
 
@@ -20,18 +21,13 @@ let make_env ?(seed = 77L) () =
   in
   (params, sc, Aer.config_of_scenario sc)
 
-(* The protocol runs on the packed plane; these tests reason at the
-   variant level, so the helpers pack on the way in and unpack on the
-   way out. *)
-let unpack_outs cfg outs = List.map (fun (dst, m) -> (dst, Aer.unpack cfg m)) outs
-
 (* No engine runs here, so no [Aer.compile] either: [init] must build
    the compiled tables itself on first use. *)
 let init_node cfg id =
   let ctx = Fba_sim.Ctx.make ~n ~id ~seed:77L in
   let st, outs = Aer.init cfg ctx in
   Alcotest.(check bool) "init builds the compiled tables" true (Aer.config_compiled cfg <> None);
-  (st, unpack_outs cfg outs)
+  (st, outs)
 
 (* Find a correct, ignorant node to exercise. *)
 let pick_ignorant sc =
@@ -44,11 +40,14 @@ let pick_ignorant sc =
 
 let push_quorum params ~s ~x = Sampler.quorum_sx (Params.sampler_i params) ~s ~x
 
-let deliver cfg st ~src msg =
-  unpack_outs cfg (Aer.on_receive cfg st ~round:1 ~src (Aer.pack cfg msg))
+let deliver cfg st ~src msg = Aer.on_receive cfg st ~round:1 ~src msg
+
+(* The poll-list members a node polled, in its sends' order. *)
+let polled outs = List.map fst (Words.tagged Packed.tag_poll outs)
 
 let test_push_requires_membership () =
   let params, sc, cfg = make_env () in
+  let wd = Words.of_scenario sc in
   let x = pick_ignorant sc in
   let st, _ = init_node cfg x in
   let g = sc.Scenario.gstring in
@@ -59,12 +58,13 @@ let test_push_requires_membership () =
     loop 0
   in
   for _ = 1 to 20 do
-    ignore (deliver cfg st ~src:outsider (Msg.Push g))
+    ignore (deliver cfg st ~src:outsider (Words.push wd g))
   done;
   Alcotest.(check bool) "outsider pushes ignored" false (List.mem g (Aer.candidates st))
 
 let test_push_majority_threshold () =
   let params, sc, cfg = make_env () in
+  let wd = Words.of_scenario sc in
   let x = pick_ignorant sc in
   let st, _ = init_node cfg x in
   let g = sc.Scenario.gstring in
@@ -72,20 +72,20 @@ let test_push_majority_threshold () =
   let maj = Params.majority_i params in
   (* One below the majority: not accepted. *)
   for i = 0 to maj - 2 do
-    ignore (deliver cfg st ~src:quorum.(i) (Msg.Push g))
+    ignore (deliver cfg st ~src:quorum.(i) (Words.push wd g))
   done;
   Alcotest.(check bool) "below majority: not a candidate" false (List.mem g (Aer.candidates st));
   (* Duplicates from the same member must not count twice. *)
   for _ = 1 to 5 do
-    ignore (deliver cfg st ~src:quorum.(0) (Msg.Push g))
+    ignore (deliver cfg st ~src:quorum.(0) (Words.push wd g))
   done;
   Alcotest.(check bool) "duplicates don't count" false (List.mem g (Aer.candidates st));
   (* The majority-th distinct member tips it, and the node immediately
      polls (Algorithm 1): d_j Polls + d_h Pulls. *)
-  let outs = deliver cfg st ~src:quorum.(maj - 1) (Msg.Push g) in
+  let outs = deliver cfg st ~src:quorum.(maj - 1) (Words.push wd g) in
   Alcotest.(check bool) "accepted at majority" true (List.mem g (Aer.candidates st));
-  let polls = List.filter (fun (_, m) -> match m with Msg.Poll _ -> true | _ -> false) outs in
-  let pulls = List.filter (fun (_, m) -> match m with Msg.Pull _ -> true | _ -> false) outs in
+  let polls = Words.tagged Packed.tag_poll outs in
+  let pulls = Words.tagged Packed.tag_pull outs in
   Alcotest.(check int) "polls to J list" Params.(params.d_j) (List.length polls);
   Alcotest.(check int) "pulls to H quorum" Params.(params.d_h) (List.length pulls)
 
@@ -97,6 +97,7 @@ let test_pull_membership_and_dedup () =
     loop 0
   in
   let st, _ = init_node cfg y in
+  let wd = Words.of_scenario sc in
   let g = sc.Scenario.gstring in
   (* Find a requester x with y ∈ H(g, x). *)
   let h = Params.sampler_h params in
@@ -108,14 +109,14 @@ let test_pull_membership_and_dedup () =
     in
     loop 0
   in
-  let outs1 = deliver cfg st ~src:x (Msg.Pull { s = g; r = 9L }) in
-  let fw1s = List.filter (fun (_, m) -> match m with Msg.Fw1 _ -> true | _ -> false) outs1 in
+  let outs1 = deliver cfg st ~src:x (Words.pull wd g ~r:9L) in
+  let fw1s = Words.tagged Packed.tag_fw1 outs1 in
   Alcotest.(check int) "Fw1 fan-out = d_j * d_h"
     Params.(params.d_j * params.d_h)
     (List.length fw1s);
   (* Same (x, s) again — even with a fresh label — must be dropped
      (Algorithm 2's flooding note; label budget = max_poll_attempts = 1). *)
-  let outs2 = deliver cfg st ~src:x (Msg.Pull { s = g; r = 10L }) in
+  let outs2 = deliver cfg st ~src:x (Words.pull wd g ~r:10L) in
   Alcotest.(check int) "pull dedup" 0 (List.length outs2);
   (* A requester x' with y ∉ H(g, x') is refused. *)
   let x' =
@@ -126,25 +127,17 @@ let test_pull_membership_and_dedup () =
     in
     loop 0
   in
-  let outs3 = deliver cfg st ~src:x' (Msg.Pull { s = g; r = 11L }) in
+  let outs3 = deliver cfg st ~src:x' (Words.pull wd g ~r:11L) in
   Alcotest.(check int) "non-member pull refused" 0 (List.length outs3)
 
 let test_answer_requires_poll_list_membership () =
   let params, sc, cfg = make_env () in
+  let wd = Words.of_scenario sc in
   let x = pick_ignorant sc in
   let st, outs0 = init_node cfg x in
-  (* The node polled for its own initial junk candidate at init; its
-     poll label is in the Poll messages it just sent. *)
-  let r, poll_targets =
-    match
-      List.filter_map
-        (fun (dst, m) -> match m with Msg.Poll { r; _ } -> Some (r, dst) | _ -> None)
-        outs0
-    with
-    | (r, dst) :: rest -> (r, dst :: List.map snd rest)
-    | [] -> Alcotest.fail "no initial poll"
-  in
-  ignore r;
+  (* The node polled for its own initial junk candidate at init. *)
+  let poll_targets = polled outs0 in
+  if poll_targets = [] then Alcotest.fail "no initial poll";
   let junk = sc.Scenario.initial.(x) in
   (* Answers from outside J(x, r) never count: send d_j of them from
      non-members. *)
@@ -152,49 +145,46 @@ let test_answer_requires_poll_list_membership () =
     List.filter (fun i -> (not (List.mem i poll_targets)) && i <> x) (List.init n (fun i -> i))
   in
   List.iteri
-    (fun i src -> if i < Params.(params.d_j) then ignore (deliver cfg st ~src (Msg.Answer junk)))
+    (fun i src ->
+      if i < Params.(params.d_j) then ignore (deliver cfg st ~src (Words.answer wd junk)))
     non_members;
   Alcotest.(check (option string)) "outsider answers don't decide" None (Aer.decided st);
   (* A majority of genuine poll-list members does decide. *)
   let maj = Params.majority_j params in
   List.iteri
-    (fun i src -> if i < maj then ignore (deliver cfg st ~src (Msg.Answer junk)))
+    (fun i src -> if i < maj then ignore (deliver cfg st ~src (Words.answer wd junk)))
     poll_targets;
   Alcotest.(check (option string)) "majority of J decides" (Some junk) (Aer.decided st)
 
 let test_answer_dedup_per_sender () =
   let params, sc, cfg = make_env () in
+  let wd = Words.of_scenario sc in
   let x = pick_ignorant sc in
   let st, outs0 = init_node cfg x in
-  let poll_targets =
-    List.filter_map (fun (dst, m) -> match m with Msg.Poll _ -> Some dst | _ -> None) outs0
-  in
+  let poll_targets = polled outs0 in
   let junk = sc.Scenario.initial.(x) in
   (* One member answering many times must not reach the majority. *)
   (match poll_targets with
   | w :: _ ->
     for _ = 1 to 3 * Params.(params.d_j) do
-      ignore (deliver cfg st ~src:w (Msg.Answer junk))
+      ignore (deliver cfg st ~src:w (Words.answer wd junk))
     done
   | [] -> Alcotest.fail "no poll targets");
   Alcotest.(check (option string)) "repeated answers don't decide" None (Aer.decided st)
 
 let test_decision_is_monotone () =
-  let params, sc, cfg = make_env () in
-  ignore params;
+  let _params, sc, cfg = make_env () in
+  let wd = Words.of_scenario sc in
   let x = pick_ignorant sc in
   let st, outs0 = init_node cfg x in
-  let poll_targets =
-    List.filter_map (fun (dst, m) -> match m with Msg.Poll _ -> Some dst | _ -> None) outs0
-  in
   let junk = sc.Scenario.initial.(x) in
-  List.iter (fun src -> ignore (deliver cfg st ~src (Msg.Answer junk))) poll_targets;
+  List.iter (fun src -> ignore (deliver cfg st ~src (Words.answer wd junk))) (polled outs0);
   let first = Aer.decided st in
   Alcotest.(check bool) "decided" true (first <> None);
   (* Further pushes and answers must not change the decision. *)
   let g = sc.Scenario.gstring in
   Array.iter
-    (fun src -> ignore (deliver cfg st ~src (Msg.Push g)))
+    (fun src -> ignore (deliver cfg st ~src (Words.push wd g)))
     (Sampler.quorum_sx (Params.sampler_i sc.Scenario.params) ~s:g ~x);
   Alcotest.(check bool) "decision unchanged" true (Aer.decided st = first)
 
@@ -207,6 +197,7 @@ let test_fw2_requires_h_membership () =
     loop 0
   in
   let st, _ = init_node cfg w in
+  let wd = Words.of_scenario sc in
   let g = sc.Scenario.gstring in
   let j = Params.sampler_j params in
   (* Find (x, r) with w ∈ J(x, r). *)
@@ -228,7 +219,7 @@ let test_fw2_requires_h_membership () =
    with Exit -> ());
   Alcotest.(check bool) "found a poll naming w" true (!x >= 0);
   (* Register the poll. *)
-  ignore (deliver cfg st ~src:!x (Msg.Poll { s = g; r = !r }));
+  ignore (deliver cfg st ~src:!x (Words.poll wd g ~r:!r));
   (* Fw2s from nodes outside H(g, w) must never produce an answer. *)
   let h = Params.sampler_h params in
   let outsiders =
@@ -236,24 +227,15 @@ let test_fw2_requires_h_membership () =
       (List.init n (fun i -> i))
   in
   let answers = ref 0 in
-  List.iter
-    (fun z ->
-      List.iter
-        (fun (_, m) -> match m with Msg.Answer _ -> incr answers | _ -> ())
-        (deliver cfg st ~src:z (Msg.Fw2 { x = !x; s = g; r = !r })))
-    outsiders;
+  let fw2 z = deliver cfg st ~src:z (Words.fw2 wd ~x:!x g ~r:!r) in
+  List.iter (fun z -> answers := !answers + List.length (fw2 z)) outsiders;
   Alcotest.(check int) "no answers from outsider Fw2s" 0 !answers;
   (* A majority of genuine H(g, w) members does trigger the answer. *)
   let members = Sampler.quorum_sx h ~s:g ~x:w in
-  List.iter
-    (fun z ->
-      List.iter
-        (fun (dst, m) ->
-          match m with
-          | Msg.Answer s -> if dst = !x && s = g then incr answers
-          | _ -> ())
-        (deliver cfg st ~src:z (Msg.Fw2 { x = !x; s = g; r = !r })))
-    (Array.to_list members);
+  let answer = (!x, Words.answer wd g) in
+  Array.iter
+    (fun z -> answers := !answers + List.length (List.filter (( = ) answer) (fw2 z)))
+    members;
   Alcotest.(check int) "answered exactly once" 1 !answers
 
 (* Algorithm 3 under reordering: w's Fw2 majority for (g, x) arrives
@@ -263,6 +245,7 @@ let test_fw2_before_poll () =
   let params, sc, cfg = make_env () in
   let w = List.find (Scenario.knows_gstring sc) (List.init n Fun.id) in
   let st, _ = init_node cfg w in
+  let wd = Words.of_scenario sc in
   let g = sc.Scenario.gstring and j = Params.sampler_j params in
   let x, r =
     List.init n (fun x -> List.init 50 (fun r -> (x, Int64.of_int (r + 1))))
@@ -271,13 +254,13 @@ let test_fw2_before_poll () =
   in
   let members = Sampler.quorum_sx (Params.sampler_h params) ~s:g ~x:w in
   let maj = Params.majority_h params in
-  let fw2 k = deliver cfg st ~src:members.(k) (Msg.Fw2 { x; s = g; r }) in
-  let poll () = deliver cfg st ~src:x (Msg.Poll { s = g; r }) in
+  let fw2 k = deliver cfg st ~src:members.(k) (Words.fw2 wd ~x g ~r) in
+  let poll () = deliver cfg st ~src:x (Words.poll wd g ~r) in
   let quiet what outs = Alcotest.(check int) what 0 (List.length outs) in
   for k = 0 to maj - 1 do
     quiet "Fw2 before the Poll: no answer" (fw2 k)
   done;
-  Alcotest.(check bool) "the Poll answers x once" true (poll () = [ (x, Msg.Answer g) ]);
+  Alcotest.check (Words.sends wd) "the Poll answers x once" [ (x, Words.answer wd g) ] (poll ());
   quiet "a repeated Poll: nothing" (poll ());
   for k = maj to Array.length members - 1 do
     quiet "a later Fw2 copy: nothing" (fw2 k)
@@ -297,14 +280,16 @@ let test_repoll_counts_afresh () =
       ~byzantine_fraction:0.1 ~knowledgeable_fraction:0.8 ()
   in
   let cfg = Aer.config_of_scenario sc in
+  let wd = Words.of_scenario sc in
   let x = pick_ignorant sc in
   let st, outs0 = init_node cfg x in
-  let polls =
-    List.filter_map (fun (y, m) -> match m with Msg.Poll { r; _ } -> Some (r, y) | _ -> None)
+  (* (label id, member) for each Poll sent. *)
+  let polls outs =
+    List.map (fun (y, p) -> (Packed.rid wd.Words.lt p, y)) (Words.tagged Packed.tag_poll outs)
   in
   let first = polls outs0 in
   let junk = sc.Scenario.initial.(x) in
-  let answer src = ignore (deliver cfg st ~src (Msg.Answer junk)) in
+  let answer src = ignore (deliver cfg st ~src (Words.answer wd junk)) in
   let maj = Params.majority_j params in
   let undecided what = Alcotest.(check (option string)) what None (Aer.decided st) in
   List.iteri (fun i (_, y) -> if i > Params.(params.d_j) - maj then answer y) first;
@@ -312,7 +297,7 @@ let test_repoll_counts_afresh () =
   let timeout = params.Params.repoll_timeout in
   Alcotest.(check int) "no re-poll before the timeout" 0
     (List.length (Aer.on_round cfg st ~round:(timeout - 1)));
-  let second = polls (unpack_outs cfg (Aer.on_round cfg st ~round:timeout)) in
+  let second = polls (Aer.on_round cfg st ~round:timeout) in
   Alcotest.(check int) "the re-poll polls a full list" Params.(params.d_j) (List.length second);
   Alcotest.(check bool) "under a fresh label" true (fst (List.hd first) <> fst (List.hd second));
   let j2 = List.map snd second in
@@ -347,6 +332,7 @@ let test_fw1_burst () =
     loop 0
   in
   let st, _ = init_node cfg z in
+  let wd = Words.of_scenario sc in
   let g = sc.Scenario.gstring in
   let x = if z = 0 then 1 else 0 in
   let r = 0x5EEDL in
@@ -359,7 +345,7 @@ let test_fw1_burst () =
   let senders =
     Array.of_list (List.filter (fun y -> y <> z) (List.rev (Array.to_list hq)))
   in
-  let fw1 ?(r = r) ~src w = deliver cfg st ~src (Msg.Fw1 { x; s = g; r; w }) in
+  let fw1 ?(r = r) ~src w = deliver cfg st ~src (Words.fw1 wd ~x g ~r ~w) in
   let outsider = List.find (fun w -> not (Array.mem w targets)) (List.init n Fun.id) in
   (* First-verified order: a shuffle of the targets. Sender k forwards
      the window order.(k .. k+7), so each of the first 32 senders
@@ -389,10 +375,8 @@ let test_fw1_burst () =
   let burst = fw1 ~src:senders.(maj - 1) targets.(order.(39)) in
   Alcotest.(check (list int)) "burst: one Fw2 per target, in the historical wire order" !wire
     (List.map fst burst);
-  List.iter
-    (fun (_, m) ->
-      Alcotest.(check bool) "burst carries Fw2(x, g, r)" true (m = Msg.Fw2 { x; s = g; r }))
-    burst;
+  let fw2 = Words.fw2 wd ~x g ~r in
+  List.iter (fun (_, m) -> Alcotest.check (Words.word wd) "burst carries Fw2(x, g, r)" fw2 m) burst;
   Alcotest.(check int) "repeated w after the burst: nothing" 0
     (List.length (fw1 ~src:senders.(maj) targets.(order.(5))));
   Alcotest.(check int) "w outside J(x, r) after the burst: nothing" 0
@@ -407,8 +391,9 @@ let test_fw1_burst () =
     in
     loop (Int64.succ r)
   in
-  Alcotest.(check bool) "fresh label: exactly one Fw2, to w, under that label" true
-    (fw1 ~r:r2 ~src:senders.(1) w2 = [ (w2, Msg.Fw2 { x; s = g; r = r2 }) ]);
+  Alcotest.check (Words.sends wd) "fresh label: exactly one Fw2, to w, under that label"
+    [ (w2, Words.fw2 wd ~x g ~r:r2) ]
+    (fw1 ~r:r2 ~src:senders.(1) w2);
   Alcotest.(check int) "fresh label repeated: nothing" 0
     (List.length (fw1 ~r:r2 ~src:senders.(2) w2))
 
@@ -420,6 +405,7 @@ let test_fw1_burst () =
    towards the relay majority. d_h = 8 leaves H(g, x) outsiders. *)
 let test_fw1_verification_cache () =
   let params, sc, cfg = make_env () in
+  let wd = Words.of_scenario sc in
   let g = sc.Scenario.gstring in
   let h = Params.sampler_h params and j = Params.sampler_j params in
   let z =
@@ -452,7 +438,7 @@ let test_fw1_verification_cache () =
   let relays = Sampler.quorum_sx h ~s:g ~x in
   let outsider = List.find (fun y -> not (Array.mem y relays)) (List.init n Fun.id) in
   let maj = Params.majority_h params in
-  let fw1 ?(r = r) src = deliver cfg st ~src (Msg.Fw1 { x; s = g; r; w }) in
+  let fw1 ?(r = r) src = deliver cfg st ~src (Words.fw1 wd ~x g ~r ~w) in
   for k = 0 to maj - 2 do
     Alcotest.(check int) "no Fw2 below the relay majority" 0 (List.length (fw1 relays.(k)))
   done;
@@ -460,8 +446,9 @@ let test_fw1_verification_cache () =
     (List.length (fw1 ~r:r2 relays.(maj - 1)));
   Alcotest.(check int) "a copy from outside H(g, x): not counted" 0
     (List.length (fw1 outsider));
-  Alcotest.(check bool) "the majority relay's copy under r: exactly one Fw2, to w" true
-    (fw1 relays.(maj - 1) = [ (w, Msg.Fw2 { x; s = g; r }) ])
+  Alcotest.check (Words.sends wd) "the majority relay's copy under r: exactly one Fw2, to w"
+    [ (w, Words.fw2 wd ~x g ~r) ]
+    (fw1 relays.(maj - 1))
 
 (* Once a majority of H(s, x) has relayed, Algorithm 2 has sent its
    Fw2 to every verified target of (s, x) and serves each later target
@@ -472,6 +459,7 @@ let test_fw1_verification_cache () =
    fresh target still gets exactly one Fw2. *)
 let test_fw1_past_majority () =
   let params, sc, cfg = make_env () in
+  let wd = Words.of_scenario sc in
   let g = sc.Scenario.gstring in
   let h = Params.sampler_h params and j = Params.sampler_j params in
   let z =
@@ -520,12 +508,12 @@ let test_fw1_past_majority () =
   let relays = Sampler.quorum_sx h ~s:g ~x in
   let outsider = List.find (fun y -> not (Array.mem y relays)) (List.init n Fun.id) in
   let maj = Params.majority_h params in
-  let fw1 ?(r = r) ?(w = w) src = deliver cfg st ~src (Msg.Fw1 { x; s = g; r; w }) in
+  let fw1 ?(r = r) ?(w = w) src = deliver cfg st ~src (Words.fw1 wd ~x g ~r ~w) in
   for k = 0 to maj - 2 do
     ignore (fw1 relays.(k))
   done;
-  Alcotest.(check bool) "the burst: one Fw2, to w" true
-    (fw1 relays.(maj - 1) = [ (w, Msg.Fw2 { x; s = g; r }) ]);
+  Alcotest.check (Words.sends wd) "the burst: one Fw2, to w" [ (w, Words.fw2 wd ~x g ~r) ]
+    (fw1 relays.(maj - 1));
   let entries = Aer.fw1_entries st in
   Alcotest.(check (pair int int)) "one target, one (s, x) pair" (1, 1) entries;
   let quiet what outs =
@@ -535,8 +523,9 @@ let test_fw1_past_majority () =
   quiet "a relay not yet counted" (fw1 relays.(maj));
   quiet "the seen target under another label" (fw1 ~r:r2 relays.(maj + 1));
   quiet "a copy from outside H(g, x)" (fw1 outsider);
-  Alcotest.(check bool) "a fresh target: exactly one Fw2, to it, under its label" true
-    (fw1 ~r:r_fresh ~w:w_fresh relays.(0) = [ (w_fresh, Msg.Fw2 { x; s = g; r = r_fresh }) ]);
+  Alcotest.check (Words.sends wd) "a fresh target: exactly one Fw2, to it, under its label"
+    [ (w_fresh, Words.fw2 wd ~x g ~r:r_fresh) ]
+    (fw1 ~r:r_fresh ~w:w_fresh relays.(0));
   Alcotest.(check (pair int int)) "the fresh target is entered" (2, 1) (Aer.fw1_entries st)
 
 let suites =

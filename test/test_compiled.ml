@@ -14,8 +14,9 @@
    - CSR fan-out vs Push_plan: the compiled push edges are exactly
      [Push_plan.targets] for every correct node, and the rows the
      build donates to the push cache are exactly the sampler's;
-   - wire accounting: [Compiled.bits] equals [Packed.bits], including
-     for strings interned after compilation.
+   - wire accounting: [Compiled.bits] and [Aer.msg_bits] equal the wire
+     rule written out by hand for every tag, including for strings
+     interned after compilation.
 
    Whole runs are pinned by the determinism and net goldens
    (test_determinism, test_net), recorded when a tag-comparison
@@ -28,11 +29,10 @@ module Sampler = Fba_samplers.Sampler
 module Push_plan = Fba_samplers.Push_plan
 open Fba_core
 open Fba_stdx
-module Packed = Msg.Packed
 
 (* --- Int_table vs Hashtbl model --- *)
 
-type iop = Set of int * int | Add of int | Incr of int | Mem of int | Clear
+type iop = Set of int * int | Add of int | Incr of int | Mem of int
 
 let gen_iop =
   let open QCheck2.Gen in
@@ -45,7 +45,6 @@ let gen_iop =
       map (fun k -> Add k) k;
       map (fun k -> Incr k) k;
       map (fun k -> Mem k) k;
-      return Clear;
     ]
 
 let prop_int_table =
@@ -75,17 +74,12 @@ let prop_int_table =
                  Hashtbl.replace model k v';
                  v = v'
                | Mem k -> Int_table.mem t k = Hashtbl.mem model k
-               | Clear ->
-                 Int_table.clear t;
-                 Hashtbl.reset model;
-                 true
              in
              ok
              && Int_table.length t = Hashtbl.length model
-             && (match op with
-                | Set (k, _) | Add k | Incr k | Mem k ->
-                  Int_table.get_or t k ~default:min_int = get_m k
-                | Clear -> true))
+             &&
+             let (Set (k, _) | Add k | Incr k | Mem k) = op in
+             Int_table.get_or t k ~default:min_int = get_m k)
            ops))
 
 let test_int_table_negative () =
@@ -213,34 +207,39 @@ let test_seeded_rows_match_sampler () =
 
 (* --- Wire accounting --- *)
 
-let test_bits_agree () =
+(* The wire rule written out by hand at n = 128: a 22-bit header (8-bit
+   tag, two 7-bit node ids), 8 bits per string byte, a 64-bit label for
+   Poll, Pull, Fw1 and Fw2, and one 7-bit id for Fw2 (x) or two for Fw1
+   (x, w). Both entry points must charge it for every tag, for strings
+   the build saw and for one interned after it (the slow path, taken
+   once and then memoized). *)
+let test_bits_rule () =
   let sc = scenario ~n:128 ~seed:9L in
-  let params = sc.Scenario.params in
-  let intern = sc.Scenario.intern in
-  let lt = sc.Scenario.layout in
+  let wd = Words.of_scenario sc in
   let _qi, cp = compiled_of sc in
-  let check_msg m =
-    let p = Packed.pack lt intern m in
-    Alcotest.(check int)
-      (Format.asprintf "bits of %a" Msg.pp m)
-      (Packed.bits lt params intern p) (Compiled.bits cp p)
+  let cfg = Aer.config_of_scenario sc in
+  Aer.compile cfg;
+  let header = 22 and label = 64 and id = 7 in
+  let check s =
+    let str = 8 * String.length s in
+    List.iter
+      (fun (what, p, bits) ->
+        Alcotest.(check int) (what ^ ": Compiled.bits") bits (Compiled.bits cp p);
+        Alcotest.(check int) (what ^ ": Aer.msg_bits") bits (Aer.msg_bits cfg p))
+      [
+        ("Push", Words.push wd s, header + str);
+        ("Poll", Words.poll wd s ~r:77L, header + str + label);
+        ("Pull", Words.pull wd s ~r:(-1L), header + str + label);
+        ("Fw1", Words.fw1 wd ~x:5 s ~r:3L ~w:100, header + str + label + (2 * id));
+        ("Fw2", Words.fw2 wd ~x:127 s ~r:0L, header + str + label + id);
+        ("Answer", Words.answer wd s, header + str);
+      ]
   in
-  let s0 = sc.Scenario.gstring and s1 = sc.Scenario.initial.(1) in
-  List.iter check_msg
-    [
-      Msg.Push s0;
-      Msg.Answer s1;
-      Msg.Poll { s = s0; r = 77L };
-      Msg.Pull { s = s1; r = -1L };
-      Msg.Fw1 { x = 5; s = s0; r = 3L; w = 100 };
-      Msg.Fw2 { x = 127; s = s1; r = 0L };
-    ];
-  (* A string the compiler never saw (interned after the build, as an
-     adversary's junk would be) takes the slow path, once. *)
+  check sc.Scenario.gstring;
+  check sc.Scenario.initial.(1);
   let late = "late-junk-string-after-compile" in
-  ignore (Intern.intern intern late);
-  check_msg (Msg.Push late);
-  check_msg (Msg.Push late);
+  check late;
+  check late;
   match Compiled.bits cp 0 with
   | (_ : int) -> Alcotest.fail "invalid tag accepted"
   | exception Invalid_argument _ -> ()
@@ -255,6 +254,7 @@ let suites =
         Alcotest.test_case "pos_sid/pos_rid agree with the mem oracles" `Quick test_pos_oracles;
         Alcotest.test_case "CSR fan-out equals Push_plan" `Quick test_csr_matches_push_plan;
         Alcotest.test_case "donated qi rows equal the sampler" `Quick test_seeded_rows_match_sampler;
-        Alcotest.test_case "Compiled.bits equals Packed.bits" `Quick test_bits_agree;
+        Alcotest.test_case "Compiled.bits equals the hand-written wire rule" `Quick
+          test_bits_rule;
       ] );
   ]

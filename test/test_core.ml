@@ -50,18 +50,29 @@ let test_params_samplers_distinct () =
 
 (* --- Msg --- *)
 
+(* AER's wire sizes at n = 256 for an 8-byte string: a 24-bit header
+   (8-bit tag, two 8-bit ids) + 64 string bits, + a 64-bit label for
+   Poll and Pull, + one 8-bit id for Fw2 and two for Fw1. *)
 let test_msg_bits () =
-  let p = Params.make ~n:256 ~seed:1L () in
+  let params = Params.make ~n:256 ~seed:1L () in
+  let sc =
+    Scenario.make ~params ~rng:(Prng.create 2L) ~byzantine_fraction:0.1
+      ~knowledgeable_fraction:0.85 ()
+  in
+  let cfg = Aer.config_of_scenario sc in
+  let wd = Words.of_scenario sc in
   let s = String.make 8 'x' in
-  let push = Msg.bits p (Msg.Push s) in
-  let poll = Msg.bits p (Msg.Poll { s; r = 1L }) in
-  let fw1 = Msg.bits p (Msg.Fw1 { x = 0; s; r = 1L; w = 1 }) in
-  let fw2 = Msg.bits p (Msg.Fw2 { x = 0; s; r = 1L }) in
-  let answer = Msg.bits p (Msg.Answer s) in
-  Alcotest.(check bool) "all positive" true (List.for_all (fun b -> b > 0) [ push; poll; fw1; fw2; answer ]);
-  Alcotest.(check bool) "poll adds a label over push" true (poll > push);
-  Alcotest.(check bool) "fw1 > fw2 (extra id)" true (fw1 > fw2);
-  Alcotest.(check int) "push = header + payload" (8 + (2 * 8) + 64) push
+  Alcotest.(check (list int)) "Push, Poll, Pull, Fw1, Fw2, Answer"
+    [ 88; 152; 152; 168; 160; 88 ]
+    (List.map (Aer.msg_bits cfg)
+       [
+         Words.push wd s;
+         Words.poll wd s ~r:1L;
+         Words.pull wd s ~r:1L;
+         Words.fw1 wd ~x:0 s ~r:1L ~w:1;
+         Words.fw2 wd ~x:0 s ~r:1L;
+         Words.answer wd s;
+       ])
 
 (* --- Scenario --- *)
 

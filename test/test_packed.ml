@@ -1,16 +1,16 @@
 (* Packed message plane (Msg.Packed + Intern).
 
-   Evidence that the immediate-int wire plane is an exact stand-in for
-   the variant messages:
+   Evidence that a packed word carries every field a handler reads:
 
    - layout goldens: hard-coded packed words pin the field order
      (tag:3 | sid | rid | x | w, LSB first) on a fixed
      tag:3|sid:13|rid:20|x:13|w:13 layout, so an accidental field
-     reshuffle cannot hide behind a self-consistent codec;
-   - qcheck properties: pack/unpack round-trips every constructor
-     across the full field ranges of the layouts Layout.fit gives at
-     the populations n = 8191, 8192, 8193 and 65536, and [Packed.bits]
-     agrees with [Msg.bits] under every layout;
+     reshuffle cannot hide behind self-consistent accessors;
+   - qcheck properties: under each layout Layout.fit gives at the
+     populations n = 8191, 8192, 8193 and 65536, every constructor's
+     word reads each of its fields back through the accessors, with
+     the fields at their extremes, and the fields its tag does not
+     carry read 0;
    - engine equivalence: running AER through the allocation-free
      [receive_into] fast path and through the list-returning
      [on_receive] fallback produces bit-identical metrics, outputs and
@@ -41,15 +41,14 @@ let test_layout_goldens () =
   Alcotest.(check int) "interning is idempotent" 0 (Intern.intern it "alpha");
   Alcotest.(check int) "first label id" 0 (Intern.intern_label it 0x5EEDL);
   Alcotest.(check int) "second label id" 1 (Intern.intern_label it 42L);
-  let pack m = Packed.pack golden it m in
-  Alcotest.(check int) "Push alpha" 1 (pack (Msg.Push "alpha"));
-  Alcotest.(check int) "Answer alpha" 6 (pack (Msg.Answer "alpha"));
-  Alcotest.(check int) "Poll beta/0x5EED" 10 (pack (Msg.Poll { s = "beta"; r = 0x5EEDL }));
-  Alcotest.(check int) "Pull beta/0x5EED" 11 (pack (Msg.Pull { s = "beta"; r = 0x5EEDL }));
-  Alcotest.(check int) "Poll alpha/42 (rid 1)" 65538 (pack (Msg.Poll { s = "alpha"; r = 42L }));
-  Alcotest.(check int) "Fw1 x=5 w=7" 3940993271332868
-    (pack (Msg.Fw1 { x = 5; s = "alpha"; r = 0x5EEDL; w = 7 }));
-  Alcotest.(check int) "Fw2 x=5" 343597383685 (pack (Msg.Fw2 { x = 5; s = "alpha"; r = 0x5EEDL }))
+  let wd = Words.make golden it in
+  Alcotest.(check int) "Push alpha" 1 (Words.push wd "alpha");
+  Alcotest.(check int) "Answer alpha" 6 (Words.answer wd "alpha");
+  Alcotest.(check int) "Poll beta/0x5EED" 10 (Words.poll wd "beta" ~r:0x5EEDL);
+  Alcotest.(check int) "Pull beta/0x5EED" 11 (Words.pull wd "beta" ~r:0x5EEDL);
+  Alcotest.(check int) "Poll alpha/42 (rid 1)" 65538 (Words.poll wd "alpha" ~r:42L);
+  Alcotest.(check int) "Fw1 x=5 w=7" 3940993271332868 (Words.fw1 wd ~x:5 "alpha" ~r:0x5EEDL ~w:7);
+  Alcotest.(check int) "Fw2 x=5" 343597383685 (Words.fw2 wd ~x:5 "alpha" ~r:0x5EEDL)
 
 (* The label table at the int64 extremes and across growth: ids are
    dense in first-seen order, map back to their labels and are stable
@@ -101,9 +100,6 @@ let test_field_boundaries () =
 
 (* --- qcheck codec properties --- *)
 
-let qtest name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:200 ~name gen prop)
-
 (* The layouts Layout.fit gives around n = 8192, where node ids go from
    13 to 14 bits, and at n = 65536, each for two string budgets: 64
    strings ("narrow", an 8-bit sid field) and 300 ("wide", 10 bits). *)
@@ -112,51 +108,46 @@ let boundary_layouts =
     (fun n ->
       List.map
         (fun (budget, strings) ->
-          (Printf.sprintf "n=%d/%s" n budget, n, Msg.Layout.fit ~n ~strings))
+          (Printf.sprintf "n=%d/%s" n budget, Msg.Layout.fit ~n ~strings))
         [ ("narrow", 64); ("wide", 300) ])
     [ 8191; 8192; 8193; 65536 ]
 
-(* Strings from a mix of arbitrary bytes and a small pool (so repeated
-   interning — the realistic case — is exercised too); labels across
-   the full int64 range; node ids across the full population, biased
-   toward the top of the id field where overflow bugs live. *)
-let gen_msg_for ~n =
-  let open QCheck2.Gen in
-  let gs =
-    oneof
-      [ string_size (int_range 0 48); map (Printf.sprintf "s%d") (int_range 0 9) ]
-  in
-  let gr = oneof [ int64; map Int64.of_int (int_range 0 9) ] in
-  let gx = oneof [ int_range 0 (n - 1); int_range (n - 8) (n - 1) ] in
-  oneof
+(* A field value below [cap], drawn at 0, at cap - 1 or anywhere. *)
+let gen_field cap = QCheck2.Gen.(oneof [ oneofl [ 0; cap - 1 ]; int_range 0 (cap - 1) ])
+
+(* Each constructor's word, with the fields it carries (0 for the rest):
+   the contract the handlers rely on. *)
+let reads_back (lt : Msg.Layout.t) (sid, rid, x, w) =
+  List.for_all
+    (fun (tag, p, (sid, rid, x, w)) ->
+      Packed.tag p = tag
+      && Packed.sid lt p = sid
+      && Packed.rid lt p = rid
+      && Packed.x lt p = x
+      && Packed.w lt p = w
+      && p lsr Msg.Layout.total_bits lt = 0)
     [
-      map (fun s -> Msg.Push s) gs;
-      map2 (fun s r -> Msg.Poll { s; r }) gs gr;
-      map2 (fun s r -> Msg.Pull { s; r }) gs gr;
-      map3 (fun (x, w) s r -> Msg.Fw1 { x; s; r; w }) (pair gx gx) gs gr;
-      map3 (fun x s r -> Msg.Fw2 { x; s; r }) gx gs gr;
-      map (fun s -> Msg.Answer s) gs;
+      (Packed.tag_push, Packed.push lt ~sid, (sid, 0, 0, 0));
+      (Packed.tag_poll, Packed.poll lt ~sid ~rid, (sid, rid, 0, 0));
+      (Packed.tag_pull, Packed.pull lt ~sid ~rid, (sid, rid, 0, 0));
+      (Packed.tag_fw1, Packed.fw1 lt ~sid ~rid ~x ~w, (sid, rid, x, w));
+      (Packed.tag_fw2, Packed.fw2 lt ~sid ~rid ~x, (sid, rid, x, 0));
+      (Packed.tag_answer, Packed.answer lt ~sid, (sid, 0, 0, 0));
     ]
 
 let codec_props =
-  List.concat_map
-    (fun (tag, n, lt) ->
-      let gen = QCheck2.Gen.(list_size (int_range 1 40) (gen_msg_for ~n)) in
-      [
-        qtest (tag ^ ": codec round-trips every constructor") gen (fun ms ->
-            let it = intern_for lt in
-            List.for_all
-              (fun m ->
-                let p = Packed.pack lt it m in
-                Packed.unpack lt it p = m && Packed.pack lt it m = p)
-              ms);
-        qtest (tag ^ ": Packed.bits equals Msg.bits on the unpacked message") gen (fun ms ->
-            let it = intern_for lt in
-            let params = Params.make ~n ~seed:1L () in
-            List.for_all
-              (fun m -> Packed.bits lt params it (Packed.pack lt it m) = Msg.bits params m)
-              ms);
-      ])
+  List.map
+    (fun (name, (lt : Msg.Layout.t)) ->
+      let gen =
+        QCheck2.Gen.(
+          tup4 (gen_field lt.max_strings) (gen_field lt.max_labels) (gen_field lt.max_n)
+            (gen_field lt.max_n))
+      in
+      QCheck_alcotest.to_alcotest
+        (QCheck2.Test.make ~count:200
+           ~name:(name ^ ": codec round-trips every field through the accessors")
+           ~print:(fun (s, r, x, w) -> Printf.sprintf "sid=%d rid=%d x=%d w=%d" s r x w)
+           gen (reads_back lt)))
     boundary_layouts
 
 (* --- Fast-path vs fallback engine equivalence --- *)

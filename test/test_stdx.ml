@@ -190,36 +190,13 @@ let test_bitset_basic () =
   Alcotest.(check int) "cardinal after adds" 3 (Bitset.cardinal s);
   Alcotest.(check bool) "mem 42" true (Bitset.mem s 42);
   Alcotest.(check bool) "not mem 41" false (Bitset.mem s 41);
-  Bitset.remove s 42;
-  Alcotest.(check bool) "removed" false (Bitset.mem s 42);
-  Alcotest.(check (list int)) "to_list sorted" [ 0; 99 ] (Bitset.to_list s);
+  Alcotest.(check (list int)) "to_list sorted" [ 0; 42; 99 ] (Bitset.to_list s);
   Alcotest.check_raises "out of range" (Invalid_argument "Bitset: element out of range")
     (fun () -> Bitset.add s 100)
-
-let test_bitset_set_ops () =
-  let a = Bitset.of_list 20 [ 1; 2; 3; 10 ] in
-  let b = Bitset.of_list 20 [ 3; 10; 11 ] in
-  Alcotest.(check (list int)) "union" [ 1; 2; 3; 10; 11 ] (Bitset.to_list (Bitset.union a b));
-  Alcotest.(check (list int)) "inter" [ 3; 10 ] (Bitset.to_list (Bitset.inter a b));
-  Alcotest.(check (list int)) "diff" [ 1; 2 ] (Bitset.to_list (Bitset.diff a b))
-
-let test_bitset_complement () =
-  let a = Bitset.of_list 10 [ 0; 5; 9 ] in
-  let c = Bitset.complement a in
-  Alcotest.(check (list int)) "complement" [ 1; 2; 3; 4; 6; 7; 8 ] (Bitset.to_list c);
-  Alcotest.(check int) "cardinals sum" 10 (Bitset.cardinal a + Bitset.cardinal c)
 
 let test_bitset_count_in () =
   let a = Bitset.of_list 10 [ 1; 3; 5 ] in
   Alcotest.(check int) "count_in" 2 (Bitset.count_in a [| 1; 2; 5; 6 |])
-
-let test_bitset_copy_clear () =
-  let a = Bitset.of_list 8 [ 1; 2 ] in
-  let b = Bitset.copy a in
-  Bitset.add b 3;
-  Alcotest.(check int) "copy is independent" 2 (Bitset.cardinal a);
-  Bitset.clear b;
-  Alcotest.(check int) "clear" 0 (Bitset.cardinal b)
 
 let test_bitset_equal () =
   let a = Bitset.of_list 70 [ 0; 33; 69 ] in
@@ -228,11 +205,8 @@ let test_bitset_equal () =
   Alcotest.(check bool) "equal" true (Bitset.equal a b);
   Alcotest.(check bool) "unequal members" false (Bitset.equal a c);
   Alcotest.(check bool) "unequal capacity" false (Bitset.equal a (Bitset.of_list 71 [ 0; 33; 69 ]));
-  (* add + remove must leave no phantom bits behind *)
   Bitset.add c 69;
-  Bitset.add c 42;
-  Bitset.remove c 42;
-  Alcotest.(check bool) "equal after add/remove" true (Bitset.equal a c)
+  Alcotest.(check bool) "equal after add" true (Bitset.equal a c)
 
 (* --- Vec --- *)
 
@@ -244,12 +218,13 @@ let test_vec_push_get () =
   done;
   Alcotest.(check int) "length" 100 (Vec.length v);
   Alcotest.(check int) "get 7" 49 (Vec.get v 7);
-  Vec.set v 7 (-1);
-  Alcotest.(check int) "set" (-1) (Vec.get v 7);
-  Alcotest.(check (list int)) "to_list order" [ 0; 1; 4 ]
-    (Vec.to_list v |> List.filteri (fun i _ -> i < 3));
-  Alcotest.(check int) "fold" (Vec.fold_left ( + ) 0 v)
-    (Array.fold_left ( + ) 0 (Vec.to_array v))
+  Alcotest.(check int) "pop the last" (99 * 99) (Vec.pop v);
+  Alcotest.(check int) "length after pop" 99 (Vec.length v);
+  Alcotest.check_raises "get past the end" (Invalid_argument "Vec.get: index out of bounds")
+    (fun () -> ignore (Vec.get v 99));
+  Vec.clear v;
+  Alcotest.check_raises "pop empty" (Invalid_argument "Vec.pop: empty vector") (fun () ->
+      ignore (Vec.pop v))
 
 let test_vec_clear_reuse () =
   let v = Vec.create () in
@@ -258,20 +233,7 @@ let test_vec_clear_reuse () =
   Vec.clear v;
   Alcotest.(check int) "cleared" 0 (Vec.length v);
   Vec.push v "c";
-  Alcotest.(check string) "reused storage" "c" (Vec.get v 0);
-  Alcotest.(check (list string)) "of_list round trip" [ "x"; "y" ]
-    (Vec.to_list (Vec.of_list [ "x"; "y" ]))
-
-let test_vec_iter_sees_mid_iteration_pushes () =
-  let v = Vec.of_list [ 0; 1; 2 ] in
-  let seen = ref [] in
-  Vec.iter (fun x ->
-      seen := x :: !seen;
-      if x < 2 then Vec.push v (x + 10))
-    v;
-  (* iter re-reads the length, so elements pushed during iteration are
-     visited too — the delivery loops rely on this. *)
-  Alcotest.(check (list int)) "visited appended" [ 0; 1; 2; 10; 11 ] (List.rev !seen)
+  Alcotest.(check string) "reused storage" "c" (Vec.get v 0)
 
 let test_vec_boxed_reads () =
   (* Vec.get inlines into this module; the let-bound int64 and float
@@ -386,36 +348,26 @@ let test_histogram_basic () =
   let h = Histogram.create () in
   Alcotest.(check int) "empty total" 0 (Histogram.total h);
   Alcotest.(check (option int)) "empty max" None (Histogram.max_value h);
-  Histogram.add h 4;
-  Histogram.add h 4;
-  Histogram.add_many h 7 3;
+  List.iter (Histogram.add h) [ 4; 7; 4; 7; 7 ];
   Alcotest.(check int) "total" 5 (Histogram.total h);
-  Alcotest.(check int) "count 4" 2 (Histogram.count h 4);
-  Alcotest.(check int) "count missing" 0 (Histogram.count h 5);
   Alcotest.(check (option int)) "max value" (Some 7) (Histogram.max_value h);
-  Alcotest.(check int) "count 7" 3 (Histogram.count h 7);
+  Alcotest.(check (option int)) "p40: two of five at 4" (Some 4) (Histogram.percentile_opt h 40.0);
+  Alcotest.(check (option int)) "p41" (Some 7) (Histogram.percentile_opt h 41.0);
   Alcotest.check_raises "negative rejected" (Invalid_argument "Histogram.add: negative value")
     (fun () -> Histogram.add h (-1))
 
 let test_histogram_percentile () =
   let h = Histogram.create () in
-  Histogram.add_many h 1 90;
-  Histogram.add_many h 10 10;
-  Alcotest.(check int) "p50" 1 (Histogram.percentile h 50.0);
-  Alcotest.(check int) "p95" 10 (Histogram.percentile h 95.0);
-  Alcotest.(check int) "p100" 10 (Histogram.percentile h 100.0);
-  let empty = Histogram.create () in
-  Alcotest.check_raises "empty percentile" (Invalid_argument "Histogram.percentile: empty")
-    (fun () -> ignore (Histogram.percentile empty 50.0))
+  for i = 0 to 99 do
+    Histogram.add h (if i < 90 then 1 else 10)
+  done;
+  Alcotest.(check (option int)) "p50" (Some 1) (Histogram.percentile_opt h 50.0);
+  Alcotest.(check (option int)) "p90" (Some 1) (Histogram.percentile_opt h 90.0);
+  Alcotest.(check (option int)) "p95" (Some 10) (Histogram.percentile_opt h 95.0);
+  Alcotest.(check (option int)) "p100" (Some 10) (Histogram.percentile_opt h 100.0)
 
 let test_histogram_percentile_opt () =
-  let h = Histogram.create () in
-  Histogram.add_many h 1 90;
-  Histogram.add_many h 10 10;
-  Alcotest.(check (option int)) "agrees with percentile" (Some 1)
-    (Histogram.percentile_opt h 50.0);
-  Alcotest.(check (option int)) "p95" (Some 10) (Histogram.percentile_opt h 95.0);
-  (* The degenerate case percentile crashes on: total instead of raise. *)
+  (* The degenerate case: total instead of raise. *)
   let empty = Histogram.create () in
   Alcotest.(check (option int)) "empty is None" None (Histogram.percentile_opt empty 50.0);
   Alcotest.check_raises "out-of-range p still rejected"
@@ -565,17 +517,13 @@ let suites =
     ( "stdx.bitset",
       [
         Alcotest.test_case "basics" `Quick test_bitset_basic;
-        Alcotest.test_case "set operations" `Quick test_bitset_set_ops;
-        Alcotest.test_case "complement" `Quick test_bitset_complement;
         Alcotest.test_case "count_in" `Quick test_bitset_count_in;
-        Alcotest.test_case "copy/clear" `Quick test_bitset_copy_clear;
         Alcotest.test_case "equal" `Quick test_bitset_equal;
       ] );
     ( "stdx.vec",
       [
-        Alcotest.test_case "push/get/set" `Quick test_vec_push_get;
+        Alcotest.test_case "push/get/pop" `Quick test_vec_push_get;
         Alcotest.test_case "clear reuses storage" `Quick test_vec_clear_reuse;
-        Alcotest.test_case "iter sees appended" `Quick test_vec_iter_sees_mid_iteration_pushes;
         Alcotest.test_case "boxed int64 and float reads" `Quick test_vec_boxed_reads;
       ] );
     ("stdx.int_table", [ Alcotest.test_case "reserve" `Quick test_int_table_reserve ]);
