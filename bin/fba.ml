@@ -280,18 +280,7 @@ let run_profile n byz know seed attack mode top json =
   let config = { Runner.default_config with Runner.prof = Some prof } in
   let run, norm = run_mode ~config attack mode sc in
   let rounds = Prof.rounds prof and slots = Prof.slots prof in
-  (* Independent re-summation over the public cell accessors: the
-     matrix must repartition the run totals exactly (integer ns and
-     words), mirroring the phase-bits cross-check of [fba trace]. *)
-  let sum_wall = ref 0 and sum_alloc = ref 0 in
-  for r = 0 to rounds - 1 do
-    for s = 0 to slots - 1 do
-      sum_wall := !sum_wall + Prof.wall prof ~round:r ~slot:s;
-      sum_alloc := !sum_alloc + Prof.alloc prof ~round:r ~slot:s
-    done
-  done;
   let total_wall = Prof.total_wall_ns prof and total_alloc = Prof.total_alloc_words prof in
-  let ok = !sum_wall = total_wall && !sum_alloc = total_alloc && Prof.check prof in
   if json then print_endline (Telemetry.to_json ~prof run)
   else begin
     let obs = run.Runner.obs in
@@ -383,7 +372,9 @@ let run_profile n byz know seed attack mode top json =
     ignore (matrix "alloc words" (Prof.alloc prof) total_alloc);
     Format.printf "@."
   end;
-  if ok then begin
+  (* The matrix must repartition the run totals exactly (integer ns
+     and words), mirroring the phase-bits cross-check of [fba trace]. *)
+  if Prof.check prof then begin
     if not json then
       Format.printf
         "profile accounting check: cells sum to wall %d ns, alloc %d words = run totals@."
@@ -392,9 +383,9 @@ let run_profile n byz know seed attack mode top json =
   end
   else begin
     Format.eprintf
-      "profile accounting MISMATCH: cells sum to wall %d ns / alloc %d words, run totals \
-       wall %d ns / alloc %d words@."
-      !sum_wall !sum_alloc total_wall total_alloc;
+      "profile accounting MISMATCH: cells do not sum to the run totals wall %d ns / alloc \
+       %d words@."
+      total_wall total_alloc;
     1
   end
 
@@ -429,16 +420,7 @@ let width_arg =
           "Concurrently open instances per worker domain (pipeline width). Affects only the \
            latency distribution, never per-instance results.")
 
-let check_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "check" ]
-        ~doc:
-          "Re-sum the latency histogram from the per-instance results and verify the sample \
-           count and p50/p99 against the summary; non-zero exit on mismatch.")
-
-let run_service n byz know seed attack instances width jobs check =
+let run_service n byz know seed attack instances width jobs =
   if jobs < 0 || instances < 0 || width < 1 then begin
     Format.eprintf "service: need --jobs >= 0, --instances >= 0, --width >= 1@.";
     2
@@ -460,40 +442,7 @@ let run_service n byz know seed attack instances width jobs check =
       n instances width jobs s.Service.instances_per_sec
       (float_of_int s.Service.p50_instance_latency_ns /. 1e6)
       (float_of_int s.Service.p99_instance_latency_ns /. 1e6);
-    if not check then 0
-    else begin
-      (* Independent re-summation, mirroring the accounting checks of
-         [fba trace] and [fba profile]: rebuild the µs-bucketed
-         histogram from the raw per-instance latencies and re-derive
-         what the summary reports. *)
-      let h = Fba_stdx.Histogram.create () in
-      Array.iter
-        (fun (r : Service.instance_result) ->
-          Fba_stdx.Histogram.add h (r.Service.latency_ns / 1000))
-        s.Service.results;
-      let pct p =
-        match Fba_stdx.Histogram.percentile_opt h p with None -> 0 | Some us -> us * 1000
-      in
-      let total = Fba_stdx.Histogram.total h in
-      if
-        total = s.Service.instances
-        && pct 50.0 = s.Service.p50_instance_latency_ns
-        && pct 99.0 = s.Service.p99_instance_latency_ns
-      then begin
-        Printf.eprintf
-          "[service] histogram check: %d samples, p50/p99 re-derivation matches the summary\n%!"
-          total;
-        0
-      end
-      else begin
-        Printf.eprintf
-          "[service] histogram MISMATCH: %d samples for %d instances, re-derived p50 %d / p99 \
-           %d vs summary %d / %d\n%!"
-          total s.Service.instances (pct 50.0) (pct 99.0) s.Service.p50_instance_latency_ns
-          s.Service.p99_instance_latency_ns;
-        1
-      end
-    end
+    0
 
 (* --- fba experiment --- *)
 
@@ -555,7 +504,7 @@ let service_cmd =
   Cmd.v (Cmd.info "service" ~doc)
     Term.(
       const run_service $ n_arg $ byz_arg $ know_arg $ seed_arg $ attack_arg $ instances_arg
-      $ width_arg $ jobs_arg $ check_arg)
+      $ width_arg $ jobs_arg)
 
 let main_cmd =
   let doc = "Fast Byzantine Agreement (Braud-Santoni, Guerraoui, Huc; PODC 2013) — simulator" in

@@ -319,7 +319,7 @@ and handle_poll cfg st ~emit ~src p =
   let lt = cfg.layout in
   let sid = Packed.sid lt p and rid = Packed.rid lt p in
   let id = st.ctx.Fba_sim.Ctx.id in
-  if Cache.mem_rid cfg.qj ~x:src ~rid ~r:(Intern.label cfg.intern rid) ~y:id then begin
+  if Cache.pos_rid cfg.qj ~x:src ~rid ~r:(Intern.label cfg.intern rid) ~y:id >= 0 then begin
     let at = record st.fw2 (key_sx lt ~sid ~x:src) in
     let i = extra st.fw2 at in
     if st.fw2.recs.(i) < 0 then st.fw2.recs.(i) <- polled;
@@ -345,7 +345,7 @@ and handle_pull cfg st ~emit ~src p =
       ignore (Int_table.incr st.pull_counts key);
       let id = st.ctx.Fba_sim.Ctx.id in
       let s = Intern.string cfg.intern sid in
-      if Cache.mem_sid cfg.qh ~sid ~s ~x:src ~y:id then begin
+      if Cache.pos_sid cfg.qh ~sid ~s ~x:src ~y:id >= 0 then begin
         (* Algorithm 2, first handler: fan the request out to the pull
            quorums of every poll-list member. The historical code consed
            (w ascending, z ascending) and returned the reversed list, so
@@ -396,9 +396,9 @@ and handle_fw1 cfg st ~emit ~src p =
     end
     else begin
       let id = st.ctx.Fba_sim.Ctx.id in
-      if Cache.mem_sid cfg.qh ~sid ~s ~x:w ~y:id then begin
+      if Cache.pos_sid cfg.qh ~sid ~s ~x:w ~y:id >= 0 then begin
         let spos = Cache.pos_sid cfg.qh ~sid ~s ~x ~y:src in
-        if spos >= 0 && Cache.mem_rid cfg.qj ~x ~rid ~r:(Intern.label cfg.intern rid) ~y:w
+        if spos >= 0 && Cache.pos_rid cfg.qj ~x ~rid ~r:(Intern.label cfg.intern rid) ~y:w >= 0
         then begin
           (* A target seen before keeps the label it was first verified
              under; a fresh one is entered under this one. *)
@@ -424,7 +424,7 @@ and handle_fw2 cfg st ~emit ~src p =
   else begin
     let rid = Packed.rid lt p in
     let id = st.ctx.Fba_sim.Ctx.id in
-    if Cache.mem_rid cfg.qj ~x ~rid ~r:(Intern.label cfg.intern rid) ~y:id then begin
+    if Cache.pos_rid cfg.qj ~x ~rid ~r:(Intern.label cfg.intern rid) ~y:id >= 0 then begin
       let spos = Cache.pos_sid cfg.qh ~sid ~s:(Intern.string cfg.intern sid) ~x:id ~y:src in
       if spos >= 0 then begin
         let at = record st.fw2 (key_sx lt ~sid ~x) in
@@ -601,8 +601,6 @@ let profiler_tags =
 
 let msg_tags _cfg = profiler_tags
 let msg_tag _cfg p = Packed.tag p
-
-let decided st = output st
 
 let candidates st =
   let acc = ref [] in

@@ -82,8 +82,6 @@ val phase_of_kind : string -> string
 
 (** {2 State inspection (experiments and tests)} *)
 
-val decided : state -> string option
-
 val candidates : state -> string list
 (** The candidate list L_x. *)
 

@@ -9,21 +9,6 @@ module Layout = Fba_core.Msg.Layout
    EXPERIMENTS.md "Sweep ceilings"); --full is sharded-cluster scale. *)
 let default_sizes full = if full then [ 32768; 65536; 131072; 262144 ] else [ 16384; 32768 ]
 
-(* FBA_WIDE_SWEEP_SIZES="16384,32768" substitutes the size grid — the
-   ci smoke knob (the default grid is minutes of wall clock; ci wants
-   seconds). The env var is read once per process, so sharded sweeps
-   still see one consistent grid. *)
-let sizes full =
-  match Sys.getenv_opt "FBA_WIDE_SWEEP_SIZES" with
-  | Some spec when spec <> "" ->
-    List.map
-      (fun tok ->
-        match int_of_string_opt (String.trim tok) with
-        | Some n when n >= 4 -> n
-        | _ -> invalid_arg "FBA_WIDE_SWEEP_SIZES: comma-separated populations >= 4")
-      (String.split_on_char ',' spec)
-  | _ -> default_sizes full
-
 let seed_count full = if full then 3 else 2
 
 (* Unique junk is infeasible up here — n/7 distinct strings would blow
@@ -58,7 +43,7 @@ let name = "wide"
 let grid ~full =
   let seeds = Runner.seeds (seed_count full) in
   List.concat_map
-    (fun variant -> List.map (fun n -> { variant; n; seeds }) (sizes full))
+    (fun variant -> List.map (fun n -> { variant; n; seeds }) (default_sizes full))
     [ Aer; Grid; Naive ]
 
 let run_variant variant sc =

@@ -9,15 +9,19 @@
     the bits/node crossover ratios and fitted power exponents the
     paper's asymptotic table predicts.
 
-    The [FBA_WIDE_SWEEP_SIZES] environment variable (comma-separated
-    populations) substitutes the size grid — the ci smoke uses it to
-    run the pipeline in seconds.
-
-    Implements {!Experiment.S}. *)
+    Implements {!Experiment.S}. The cell type is concrete so that a
+    smaller grid (the output manifest runs n = 256 and 512) can be
+    built, run through {!run_cell} and rendered without the default
+    grid's minutes and gigabytes. *)
 
 val name : string
 
-type cell
+type variant = Aer | Grid | Naive
+
+type cell = { variant : variant; n : int; seeds : int64 list }
+(** One protocol at one population, over [seeds] (see
+    {!Runner.seeds}). *)
+
 type row
 
 val grid : full:bool -> cell list

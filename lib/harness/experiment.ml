@@ -14,5 +14,5 @@ type t = (module S)
 let name (module E : S) = E.name
 
 let run ?(jobs = 0) ?(full = false) (module E : S) ~out () =
-  let rows = Sweep.cells ~jobs E.run_cell (E.grid ~full) in
-  E.render ~full ~out rows
+  let jobs = Fba_stdx.Pool.resolve_jobs jobs in
+  E.render ~full ~out (Fba_stdx.Pool.map_list ~jobs E.run_cell (E.grid ~full))

@@ -6,8 +6,9 @@
     simulations of one cell and reduces them to a plain-data row, and
     [render] formats the rows — in grid order — into the tables and
     prose the paper reproduction reports. Because all simulation
-    happens in [run_cell] and all I/O in [render], {!Sweep} can shard
-    any experiment across domains without the experiment knowing. *)
+    happens in [run_cell] and all I/O in [render], {!run} can shard
+    any experiment's cells across a {!Fba_stdx.Pool} of domains
+    without the experiment knowing. *)
 
 module type S = sig
   val name : string
@@ -38,6 +39,7 @@ type t = (module S)
 val name : t -> string
 
 val run : ?jobs:int -> ?full:bool -> t -> out:out_channel -> unit -> unit
-(** [run ?jobs ?full e ~out ()] = grid, sweep, render. [jobs]
-    defaults to 0 = auto ({!Sweep.resolve_jobs}); [full] defaults to
+(** [run ?jobs ?full e ~out ()] = grid, [run_cell] on every cell across
+    {!Fba_stdx.Pool.resolve_jobs}[ jobs] domains, render in grid order.
+    [jobs] defaults to 0 (size to the machine); [full] defaults to
     [false]. Output is byte-identical for every [jobs] value. *)

@@ -122,7 +122,7 @@ let close_instance oi =
    each owns its lane's storage exclusively while open — so the
    results are identical for every width; only the latency
    distribution changes. *)
-let run_block t ~adversary ~heartbeat ~lo ~hi =
+let run_block t ~adversary ~lo ~hi =
   let count = hi - lo in
   let results = Array.make count None in
   if count > 0 then begin
@@ -143,7 +143,6 @@ let run_block t ~adversary ~heartbeat ~lo ~hi =
         if not (Aer_sync.step oi.oi_running) then begin
           results.(oi.oi_index - lo) <- Some (close_instance oi);
           decr remaining;
-          heartbeat ();
           open_.(s) <- None;
           pump s
         end
@@ -160,9 +159,8 @@ let run ?(stream = default_stream) ~adversary () =
   let t = stream in
   if t.instances < 0 then invalid_arg "Service.run: instances < 0";
   if t.width < 1 then invalid_arg "Service.run: width < 1";
-  let jobs = Sweep.resolve_jobs t.jobs in
+  let jobs = Pool.resolve_jobs t.jobs in
   let t_start = Monotonic.now_ns () in
-  let heartbeat = Sweep.heartbeat ~label:"service" ~total:t.instances in
   (* Contiguous blocks, one per domain: lane storage stays
      domain-private, and instance k's block depends only on
      (instances, jobs) — never on scheduling. *)
@@ -172,7 +170,7 @@ let run ?(stream = default_stream) ~adversary () =
     Pool.run ~jobs
       (fun b ->
         let lo, hi = bounds b in
-        run_block t ~adversary ~heartbeat ~lo ~hi)
+        run_block t ~adversary ~lo ~hi)
       nblocks
   in
   let results = Array.concat (Array.to_list per_block) in

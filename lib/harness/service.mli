@@ -54,7 +54,7 @@ type stream = {
   stream_seed : int64;  (** root of the per-instance seed schedule *)
   instances : int;  (** number of instances to execute *)
   width : int;  (** concurrently open instances per domain (>= 1) *)
-  jobs : int;  (** worker domains; 0 = auto ({!Sweep.resolve_jobs}) *)
+  jobs : int;  (** worker domains; 0 = auto ({!Fba_stdx.Pool.resolve_jobs}) *)
 }
 
 val default_stream : stream
@@ -94,12 +94,9 @@ val run :
 (** Execute the stream. Raises [Invalid_argument] naming the field when
     [instances < 0] or [width < 1]. Everything in [results] except
     [latency_ns] is deterministic (identical across width/jobs); the
-    throughput and latency fields are wall-clock. Each completed
-    instance ticks a ["service"] {!Sweep.heartbeat} (stderr, when
-    [FBA_PROGRESS] is set). *)
+    throughput and latency fields are wall-clock. *)
 
 val pp_trace : out_channel -> summary -> unit
 (** Print the deterministic face of a summary — one line per instance
-    (seed, fingerprint, rounds, decisions) — used by [fba service] and
-    the CI parity smoke ([--jobs 2] vs [--jobs 1] must byte-diff
-    clean). *)
+    (seed, fingerprint, rounds, decisions) — the stdout of [fba
+    service], which is byte-identical for every width and jobs value. *)

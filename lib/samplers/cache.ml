@@ -40,19 +40,13 @@ let[@inline] row_sid t ~sid =
     r
   end
 
-(* Top-level recursion on purpose: an inner [let rec loop] would
-   capture [a]/[y] in a fresh closure on every membership test. The
-   [int] annotations matter as much: unannotated, both scans compile
-   polymorphic and pay a [caml_equal] call per slot (scripts/ci.sh
-   fails the build if one comes back). *)
-let rec mem_scan (a : int array) (y : int) i stop =
-  i < stop && (Array.unsafe_get a i = y || mem_scan a y (i + 1) stop)
-
-let[@inline] mem_array a y = mem_scan a y 0 (Array.length a)
-
-(* Position-returning scan: handlers that record set membership by
-   quorum position get the index from the same walk the verification
-   already pays for. *)
+(* The one membership scan: handlers test [pos >= 0], and those that
+   record set membership by quorum position get the index from the
+   same walk. Top-level recursion on purpose: an inner [let rec loop]
+   would capture [a]/[y] in a fresh closure on every membership test.
+   The [int] annotations matter as much: unannotated, the scan
+   compiles polymorphic and pays a [caml_equal] call per slot
+   (scripts/ci.sh fails the build if one comes back). *)
 let rec pos_scan (a : int array) (y : int) i stop =
   if i >= stop then -1 else if Array.unsafe_get a i = y then i else pos_scan a y (i + 1) stop
 
@@ -71,8 +65,6 @@ let[@inline] quorum_sid t ~sid ~s ~x =
 (* Membership caches the full quorum on a miss: protocol handlers test
    the same key many times, so one O(d)-hash evaluation up front beats
    repeated early-exit draws. The scan itself early-exits on [y]. *)
-let[@inline] mem_sid t ~sid ~s ~x ~y = mem_array (quorum_sid t ~sid ~s ~x) y
-
 let[@inline] pos_sid t ~sid ~s ~x ~y = pos_array (quorum_sid t ~sid ~s ~x) y
 
 let seed_sid_row t ~sid ~x q =
@@ -113,7 +105,5 @@ let[@inline] quorum_rid t ~x ~rid ~r =
   if rid < Array.length t.rid_x && Array.unsafe_get t.rid_x rid = x then
     Array.unsafe_get t.rid_rows rid
   else quorum_rid_slow t ~x ~rid ~r
-
-let[@inline] mem_rid t ~x ~rid ~r ~y = mem_array (quorum_rid t ~x ~rid ~r) y
 
 let[@inline] pos_rid t ~x ~rid ~r ~y = pos_array (quorum_rid t ~x ~rid ~r) y

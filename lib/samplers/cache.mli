@@ -26,13 +26,12 @@ val quorum_sid : t -> sid:int -> s:string -> x:int -> int array
     [sid]; [s] must be that string (read only on a cold slot). The
     returned array is shared; callers must not mutate it. *)
 
-val mem_sid : t -> sid:int -> s:string -> x:int -> y:int -> bool
-
 val pos_sid : t -> sid:int -> s:string -> x:int -> y:int -> int
-(** Index of [y] in the cached quorum (draw order), or [-1] if absent.
+(** Index of [y] in the cached quorum (draw order), or [-1] if absent:
+    one early-exit scan, so [pos_sid ... >= 0] is the membership test.
     Positions are stable for a fixed (sid, x): handlers use them to
-    record set membership as quorum-position bits instead of hashed
-    node ids. Same cost as {!mem_sid} (one early-exit scan). *)
+    record set membership as quorum positions instead of hashed node
+    ids. *)
 
 val seed_sid_row : t -> sid:int -> x:int -> int array -> unit
 (** Install a precomputed quorum into the (sid, x) slot (no-op if the
@@ -49,7 +48,6 @@ val quorum_rid : t -> x:int -> rid:int -> r:int64 -> int array
     (adversarial echo) falls back to a table keyed by [(x, rid)]. Same
     sharing caveat as {!quorum_sid}. *)
 
-val mem_rid : t -> x:int -> rid:int -> r:int64 -> y:int -> bool
-
 val pos_rid : t -> x:int -> rid:int -> r:int64 -> y:int -> int
-(** Position analogue of {!mem_rid}; [-1] if absent. *)
+(** {!pos_sid} for the (x, rid) quorum: index of [y], or [-1] if
+    absent. *)

@@ -179,10 +179,9 @@ end
 (* --- Process-wide peak-mailbox gauge ---
 
    Engines report each run's peak mailbox/calendar words here at run
-   end; the benchmark resets before each rep and reads after, and
-   the sweep heartbeat reports the running peak without threading a
-   handle through every experiment signature. Atomic because sweep
-   cells finish on arbitrary pool domains. *)
+   end, and the benchmark resets before each rep and reads after,
+   without threading a handle through the run signatures. Atomic
+   because runs finish on arbitrary pool domains. *)
 
 module Peak = struct
   let cell = Atomic.make 0

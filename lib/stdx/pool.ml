@@ -3,16 +3,7 @@ type 'a outcome =
   | Done of 'a
   | Failed of exn * Printexc.raw_backtrace
 
-let recommended_jobs () =
-  let base =
-    match Sys.getenv_opt "FBA_JOBS" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some j when j >= 1 -> j
-      | Some _ | None -> Domain.recommended_domain_count ())
-    | None -> Domain.recommended_domain_count ()
-  in
-  max 1 base
+let resolve_jobs j = if j > 0 then j else max 1 (Domain.recommended_domain_count ())
 
 let unwrap results =
   (* Lowest-index failure wins, whatever order the workers hit them. *)

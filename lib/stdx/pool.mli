@@ -21,12 +21,12 @@
     smallest task index (with its backtrace). Results of completed
     tasks are discarded in that case. *)
 
-val recommended_jobs : unit -> int
-(** Default worker count: the [FBA_JOBS] environment variable when set
-    to a positive integer, otherwise [Domain.recommended_domain_count
-    ()]; clamped to [>= 1]. There is no built-in ceiling — machines
-    with more cores get more domains unless the caller or the
-    environment says otherwise. *)
+val resolve_jobs : int -> int
+(** [resolve_jobs j] is [j] if positive, else
+    [Domain.recommended_domain_count ()], and never below 1: the
+    command-line convention, where [--jobs 0] means "size to the
+    machine". There is no built-in ceiling — machines with more cores
+    get more domains unless the caller asks for fewer. *)
 
 val run : jobs:int -> (int -> 'a) -> int -> 'a array
 (** [run ~jobs f len] is [[| f 0; ...; f (len-1) |]], computed on

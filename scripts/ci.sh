@@ -1,9 +1,10 @@
 #!/bin/sh
 # Build everything, guard the build flags and the delivery path's
 # objects, run the test suite and the slow half of the output manifest
-# (test/manifest), then smoke-test the command-line surfaces: trace and
-# profile exports, byte-identical experiment and service output at any
-# worker count, and exit 2 for flag values the library rejects. Speed is
+# (test/manifest, which also pins experiment and service output at two
+# worker counts), check that the program reads no environment, then
+# smoke-test the command-line surfaces: trace and profile exports, the
+# examples, and exit 2 for flag values the library rejects. Speed is
 # measured by benchmark/, not here.
 set -e
 cd "$(dirname "$0")/.."
@@ -49,7 +50,7 @@ aer_refs="$(nm -u "$aer_o" | awk '{print $NF}')"
 inline_fail=0
 for spec in \
   "stdx__Int_table:slot_of find_slot mem get_or set add incr" \
-  "samplers__Cache:row_sid quorum_sid mem_sid pos_sid quorum_rid mem_rid pos_rid mem_array pos_array" \
+  "samplers__Cache:row_sid quorum_sid pos_sid quorum_rid pos_rid pos_array" \
   "stdx__Vec:get push" \
   "core__Intern:string label" \
   "core__Msg:tag sid rid x w check_sid check_rid check_id push poll pull fw1 fw2 answer"; do
@@ -116,22 +117,14 @@ dune runtest
 dune build @test/manifest/manifest-slow
 echo "output manifest ok: lemmas and ablation tables unchanged"
 
-# Environment-switch allowlist: the program may read only these FBA_*
-# variables. Every other name is refused, so an A/B twin of a code path
-# cannot come back behind a new switch unnoticed.
-allowed="FBA_JOBS FBA_PROGRESS FBA_WIDE_SWEEP_SIZES"
-read_vars="$(grep -rhoE --include='*.ml' '"FBA_[A-Z0-9_]*' lib bin | tr -d '"' | sort -u)"
-for v in $read_vars; do
-  case " $allowed " in
-    *" $v "*) ;;
-    *)
-      echo "env allowlist FAILED: $v is read in lib/ or bin/ but not allowed:" >&2
-      grep -rn --include='*.ml' "\"$v" lib bin >&2
-      exit 1
-      ;;
-  esac
-done
-echo "env allowlist ok: $(echo $read_vars | wc -w) FBA_* names read, all allowed"
+# No environment: the command line is the program's only
+# configuration, so an A/B twin of a code path cannot come back behind
+# an environment switch.
+if grep -rn --include='*.ml' 'getenv' lib bin >&2; then
+  echo "environment guard FAILED: lib/ or bin/ reads the environment (above)" >&2
+  exit 1
+fi
+echo "environment guard ok: lib/ and bin/ call no getenv"
 
 # Trace pipeline smoke test: the fba trace subcommand must succeed on a
 # small scenario (its exit status already enforces the per-phase bits
@@ -197,67 +190,6 @@ for cell, total in (("wall_ns", "total_wall_ns"), ("alloc_words", "total_alloc_w
 print(f"telemetry JSON ok: {len(doc['counters'])} counters, "
       f"{len(doc['prof']['slots'])} prof slots")
 EOF
-
-# Sweep-executor smoke test: the experiment sweeps must produce
-# byte-identical reports whether the grid runs sequentially or sharded
-# across worker domains. Uses the two cheapest experiments, and fig1b,
-# the one report that runs AEBA's committees, phase-king, the grid and
-# the randomized BAs together.
-seq_out="$tmp/seq_out"
-par_out="$tmp/par_out"
-for e in samplers fig1a fig1b; do dune exec bin/fba.exe -- experiment "$e" --jobs 1; done > "$seq_out"
-for e in samplers fig1a fig1b; do dune exec bin/fba.exe -- experiment "$e" --jobs 2; done > "$par_out"
-if cmp -s "$seq_out" "$par_out"; then
-  echo "sweep jobs smoke ok: --jobs 2 output identical to --jobs 1"
-else
-  echo "sweep smoke FAILED: --jobs 2 output differs from --jobs 1" >&2
-  diff "$seq_out" "$par_out" >&2 || true
-  exit 1
-fi
-
-# Robustness smoke test: the off-model network-condition sweep (its
-# default grid, well under a second) must also be byte-identical
-# whether sequential or sharded — the Net layer's per-run PRNG state
-# must not leak across cells or domains.
-dune exec bin/fba.exe -- experiment robustness --jobs 1 > "$seq_out"
-dune exec bin/fba.exe -- experiment robustness --jobs 2 > "$par_out"
-if cmp -s "$seq_out" "$par_out"; then
-  echo "robustness jobs smoke ok: --jobs 2 output identical to --jobs 1"
-else
-  echo "robustness smoke FAILED: --jobs 2 output differs from --jobs 1" >&2
-  diff "$seq_out" "$par_out" >&2 || true
-  exit 1
-fi
-
-# Wide-sweep pipeline smoke: the wide experiment itself, shrunk to
-# populations that run in seconds, must be byte-identical sequential
-# vs sharded like every other sweep.
-FBA_WIDE_SWEEP_SIZES="256,512" dune exec bin/fba.exe -- experiment wide --jobs 1 > "$seq_out"
-FBA_WIDE_SWEEP_SIZES="256,512" dune exec bin/fba.exe -- experiment wide --jobs 2 > "$par_out"
-if cmp -s "$seq_out" "$par_out"; then
-  echo "wide sweep smoke ok: --jobs 2 output identical to --jobs 1"
-else
-  echo "wide sweep smoke FAILED: --jobs 2 output differs from --jobs 1" >&2
-  diff "$seq_out" "$par_out" >&2 || true
-  exit 1
-fi
-
-# Agreement-service smoke: the instance stream's per-instance traces
-# (stdout: seeds, fingerprints, rounds, decisions) must be
-# byte-identical whether the stream runs on one domain or sharded —
-# the second run also exercises the FBA_JOBS override (--jobs 0 =
-# auto, forced to 2 workers by the environment). --check re-derives
-# the latency histogram from the raw per-instance latencies and exits
-# non-zero if the sample count or p50/p99 disagree with the summary.
-dune exec bin/fba.exe -- service -n 64 --instances 12 --width 3 --jobs 1 --check > "$seq_out"
-FBA_JOBS=2 dune exec bin/fba.exe -- service -n 64 --instances 12 --width 3 --jobs 0 --check > "$par_out"
-if cmp -s "$seq_out" "$par_out"; then
-  echo "service jobs smoke ok: FBA_JOBS=2 traces identical to --jobs 1"
-else
-  echo "service smoke FAILED: sharded instance traces differ from sequential" >&2
-  diff "$seq_out" "$par_out" >&2 || true
-  exit 1
-fi
 
 # Example smoke: every program under examples/ must run to completion
 # and exit 0. Two of them drive the BA compositions (Fba_harness.Ba),

@@ -148,13 +148,13 @@ let test_answer_requires_poll_list_membership () =
     (fun i src ->
       if i < Params.(params.d_j) then ignore (deliver cfg st ~src (Words.answer wd junk)))
     non_members;
-  Alcotest.(check (option string)) "outsider answers don't decide" None (Aer.decided st);
+  Alcotest.(check (option string)) "outsider answers don't decide" None (Aer.output st);
   (* A majority of genuine poll-list members does decide. *)
   let maj = Params.majority_j params in
   List.iteri
     (fun i src -> if i < maj then ignore (deliver cfg st ~src (Words.answer wd junk)))
     poll_targets;
-  Alcotest.(check (option string)) "majority of J decides" (Some junk) (Aer.decided st)
+  Alcotest.(check (option string)) "majority of J decides" (Some junk) (Aer.output st)
 
 let test_answer_dedup_per_sender () =
   let params, sc, cfg = make_env () in
@@ -170,7 +170,7 @@ let test_answer_dedup_per_sender () =
       ignore (deliver cfg st ~src:w (Words.answer wd junk))
     done
   | [] -> Alcotest.fail "no poll targets");
-  Alcotest.(check (option string)) "repeated answers don't decide" None (Aer.decided st)
+  Alcotest.(check (option string)) "repeated answers don't decide" None (Aer.output st)
 
 let test_decision_is_monotone () =
   let _params, sc, cfg = make_env () in
@@ -179,14 +179,14 @@ let test_decision_is_monotone () =
   let st, outs0 = init_node cfg x in
   let junk = sc.Scenario.initial.(x) in
   List.iter (fun src -> ignore (deliver cfg st ~src (Words.answer wd junk))) (polled outs0);
-  let first = Aer.decided st in
+  let first = Aer.output st in
   Alcotest.(check bool) "decided" true (first <> None);
   (* Further pushes and answers must not change the decision. *)
   let g = sc.Scenario.gstring in
   Array.iter
     (fun src -> ignore (deliver cfg st ~src (Words.push wd g)))
     (Sampler.quorum_sx (Params.sampler_i sc.Scenario.params) ~s:g ~x);
-  Alcotest.(check bool) "decision unchanged" true (Aer.decided st = first)
+  Alcotest.(check bool) "decision unchanged" true (Aer.output st = first)
 
 let test_fw2_requires_h_membership () =
   let params, sc, cfg = make_env () in
@@ -291,7 +291,7 @@ let test_repoll_counts_afresh () =
   let junk = sc.Scenario.initial.(x) in
   let answer src = ignore (deliver cfg st ~src (Words.answer wd junk)) in
   let maj = Params.majority_j params in
-  let undecided what = Alcotest.(check (option string)) what None (Aer.decided st) in
+  let undecided what = Alcotest.(check (option string)) what None (Aer.output st) in
   List.iteri (fun i (_, y) -> if i > Params.(params.d_j) - maj then answer y) first;
   undecided "one answer short under r1";
   let timeout = params.Params.repoll_timeout in
@@ -307,7 +307,7 @@ let test_repoll_counts_afresh () =
   undecided "a member of J(x, r1) only is refused";
   answer (List.nth j2 (maj - 1));
   Alcotest.(check (option string)) "the majority-th member of J(x, r2) decides" (Some junk)
-    (Aer.decided st)
+    (Aer.output st)
 
 (* Algorithm 2's second handler on one (s, x) whose forwarding state
    crosses every representation boundary. d_h = n puts every node in

@@ -132,10 +132,9 @@ let test_runner_phase_breakdown () =
   Alcotest.(check int) "tracing did not change traffic" plain.Runner.obs.Obs.total_bits_all
     obs.Obs.total_bits_all
 
-(* --- Sweep: jobs-invariance golden --- *)
+(* --- Sharded sweep: jobs-invariance golden --- *)
 
 module Exp_lemmas = Fba_harness.Exp_lemmas
-module Sweep = Fba_harness.Sweep
 
 let render_lemmas rows =
   let path = Filename.temp_file "fba_lemmas" ".md" in
@@ -155,7 +154,7 @@ let test_sweep_jobs_invariance () =
     List.filter (fun c -> Exp_lemmas.cell_size c <= 64) (Exp_lemmas.grid ~full:false)
   in
   Alcotest.(check bool) "subset grid non-empty" true (cells <> []);
-  let render_at jobs = render_lemmas (Sweep.cells ~jobs Exp_lemmas.run_cell cells) in
+  let render_at jobs = render_lemmas (Pool.map_list ~jobs Exp_lemmas.run_cell cells) in
   let sequential = render_at 1 in
   let sharded = render_at 4 in
   Alcotest.(check bool) "rendered something" true (String.length sequential > 0);

@@ -63,8 +63,9 @@ let test_map_list () =
   Alcotest.(check (list int)) "map_list keeps list order" [ 1; 4; 9; 16 ]
     (Pool.map_list ~jobs:3 (fun x -> x * x) [ 1; 2; 3; 4 ])
 
-let test_recommended_jobs_bounds () =
-  Alcotest.(check bool) "at least 1" true (Pool.recommended_jobs () >= 1)
+let test_resolve_jobs_bounds () =
+  Alcotest.(check bool) "0 sizes to the machine, at least 1" true (Pool.resolve_jobs 0 >= 1);
+  Alcotest.(check int) "a positive count is used as given" 3 (Pool.resolve_jobs 3)
 
 let suites =
   [
@@ -77,6 +78,6 @@ let suites =
         Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
         Alcotest.test_case "lowest-index failure wins" `Quick test_first_failure_wins;
         Alcotest.test_case "map_list" `Quick test_map_list;
-        Alcotest.test_case "recommended_jobs bounds" `Quick test_recommended_jobs_bounds;
+        Alcotest.test_case "resolve_jobs bounds" `Quick test_resolve_jobs_bounds;
       ] );
   ]

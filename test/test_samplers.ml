@@ -64,8 +64,8 @@ let test_cache_equivalence () =
       (Sampler.quorum_xr s ~x ~r:(Int64.of_int x))
       (Cache.quorum_rid c ~x ~rid:x ~r:(Int64.of_int x))
   done;
-  Alcotest.(check bool) "mem agrees" true
-    (Cache.mem_sid c ~sid:0 ~s:"k" ~x:1 ~y:(Sampler.quorum_sx s ~s:"k" ~x:1).(0))
+  Alcotest.(check int) "pos agrees" 0
+    (Cache.pos_sid c ~sid:0 ~s:"k" ~x:1 ~y:(Sampler.quorum_sx s ~s:"k" ~x:1).(0))
 
 let test_cache_returns_shared () =
   let c = Cache.create (sampler ()) in

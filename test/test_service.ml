@@ -5,6 +5,8 @@
      trace-fingerprint-identical to a fresh one-shot Runner run of the
      same derived seed — across pipeline widths and worker-domain
      counts.
+   - the summary's sample count, p50 and p99 re-derive from its
+     per-instance latencies;
    - the one storage a stream reuses, its lanes' mailboxes: a reset
      mailbox holds nothing of the previous instance, and the reuse
      shows in a pinned allocation budget. *)
@@ -85,6 +87,24 @@ let test_width_refused () =
         (Service.run ~stream:{ small_stream with Service.width = 0 } ~adversary:Attacks.cornering
            ()))
 
+(* --- unit: the summary re-derives from its own results --- *)
+
+(* One latency sample per instance, and the p50/p99 the summary reports
+   are the µs-bucketed percentiles of the per-instance latencies. *)
+let test_summary_rederives () =
+  let stream =
+    { Service.default_stream with Service.n = 64; instances = 12; width = 3; jobs = 2 }
+  in
+  let s = Service.run ~stream ~adversary:Attacks.cornering () in
+  let h = Histogram.create () in
+  Array.iter
+    (fun (r : Service.instance_result) -> Histogram.add h (r.Service.latency_ns / 1000))
+    s.Service.results;
+  let pct p = match Histogram.percentile_opt h p with None -> 0 | Some us -> us * 1000 in
+  Alcotest.(check int) "one sample per instance" s.Service.instances (Histogram.total h);
+  Alcotest.(check int) "p50" (pct 50.0) s.Service.p50_instance_latency_ns;
+  Alcotest.(check int) "p99" (pct 99.0) s.Service.p99_instance_latency_ns
+
 (* --- unit: the lane mailbox is reused --- *)
 
 (* Eight cornering n=128 instances on two lanes of one domain allocate
@@ -137,15 +157,6 @@ let test_mailbox_reset () =
   Engine_core.Mailbox.drain mb ~keep_window:false ~f:(fun ~src:_ ~dst:_ _ -> incr delivered);
   Alcotest.(check int) "nothing delivered" 0 !delivered
 
-(* The FBA_JOBS override behind Pool.recommended_jobs, exercised the
-   way the service resolves jobs=0. *)
-let test_fba_jobs_override () =
-  let before = Sys.getenv_opt "FBA_JOBS" in
-  Unix.putenv "FBA_JOBS" "3";
-  let got = Pool.recommended_jobs () in
-  (match before with Some v -> Unix.putenv "FBA_JOBS" v | None -> Unix.putenv "FBA_JOBS" "");
-  Alcotest.(check int) "FBA_JOBS=3 overrides the domain count" 3 got
-
 let suites =
   [
     ( "service.stream",
@@ -153,11 +164,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_stream_matches_oneshot;
         QCheck_alcotest.to_alcotest prop_schedule_invariance;
         Alcotest.test_case "width < 1 refused" `Quick test_width_refused;
+        Alcotest.test_case "summary re-derives from results" `Quick test_summary_rederives;
         Alcotest.test_case "n=128 allocation budget" `Quick test_alloc_budget;
       ] );
-    ( "service.reset",
-      [
-        Alcotest.test_case "mailbox reset" `Quick test_mailbox_reset;
-        Alcotest.test_case "FBA_JOBS override" `Quick test_fba_jobs_override;
-      ] );
+    ("service.reset", [ Alcotest.test_case "mailbox reset" `Quick test_mailbox_reset ]);
   ]
